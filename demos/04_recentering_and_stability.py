@@ -2,9 +2,10 @@
 
 For any field u there is a unique chart map z -> lambda0 z + x0 (modulo
 rotations) under which the center of mass of e^{2 u_tau} vanishes; both
-parameters have closed forms, cross-checked here against bisection.  The
-re-centered map also seeds the search for the nearest extremal, which turns
-the stability bound deficit >= distance/6 into a checkable certificate.
+parameters have closed forms, cross-checked here against a root find.  The
+re-centered map is also a candidate for the nearest extremal, whose distance
+has a closed form over the ball of centers of mass; that turns the stability
+bound deficit >= distance/6 into a checkable certificate.
 """
 
 import numpy as np
@@ -33,7 +34,7 @@ res = normalize(u)
 print(f"x0 = {res.x0:.6f}, lambda0 = {res.lambda0:.6f} ({res.method})")
 print("achieved |COM| =", res.residual_com_norm)
 lam_rf = solve_lambda0(u, solve_x0(u), method="root_find")
-print("bisection cross-check of lambda0 agrees to", abs(lam_rf - res.lambda0))
+print("root-find cross-check of lambda0 agrees to", abs(lam_rf - res.lambda0))
 
 print()
 print("== re-centering an extremal flattens it ==")
@@ -51,7 +52,7 @@ print("== the stability certificate on a small sweep ==")
 print("field   deficit      distance     slack (deficit - distance/6)")
 for k in range(5):
     u = random_field(rng, 6, 0.4)
-    rep = stability_check(u, seed=k)
+    rep = stability_check(u)
     print(f"  {k}   {rep.deficit:10.6f}  {rep.distance:10.6f}  {rep.slack:+.6f}")
 print("slack stays nonnegative; equality holds exactly on the extremal family:")
 rep = stability_check(psi, 32, grid)

@@ -88,15 +88,12 @@ class RunConfig:
     theta_cap: int = 512
     l_max: int = 32
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.grid_band < 0 or self.oversample < 1.0 or self.l_max < 0:
             raise ValueError("invalid grid settings")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
 
     def policy(self) -> RefinementPolicy:
         start = min(24, max(0, self.theta_cap - 1))
@@ -432,14 +429,14 @@ def cmd_stability(args, cfg: RunConfig) -> int:
             rng = np.random.default_rng(cfg.seed)
             for k in range(args.random):
                 u = random_field(rng, min(cfg.l_max, 6), 0.4)
-                rep = stability_check(u, policy=cfg.policy(), seed=cfg.seed + k, jobs=cfg.jobs)
+                rep = stability_check(u, policy=cfg.policy())
                 rows.append((cfg.seed + k, rep))
                 reports.append(rep)
         else:
             if args.field is None:
                 raise UsageError("stability needs a field file or --random N")
             u = _load_field(args.field)
-            rep = stability_check(u, policy=cfg.policy(), seed=cfg.seed, jobs=cfg.jobs)
+            rep = stability_check(u, policy=cfg.policy())
             rows.append((cfg.seed, rep))
             reports.append(rep)
     except ConvergenceError as exc:
@@ -514,7 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--theta-cap", type=int, default=512, help="refinement cap on theta nodes")
     parser.add_argument("--lmax", type=int, default=32, help="projection band limit")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for multi-start searches")
     parser.add_argument("--out", help="write the JSON payload here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -562,7 +558,6 @@ def main(argv=None) -> int:
             theta_cap=args.theta_cap,
             l_max=args.lmax,
             seed=args.seed,
-            jobs=args.jobs,
         )
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

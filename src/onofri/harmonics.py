@@ -28,6 +28,7 @@ __all__ = [
     "evaluate_at",
     "field_from_json",
     "field_to_json",
+    "harmonics_at",
     "laplacian",
     "synthesize",
 ]
@@ -50,27 +51,27 @@ def _legendre_table(l_max: int, t: np.ndarray) -> np.ndarray:
 
     Normalization: integral of P_lm(t)^2 dt over [-1, 1] equals 2, which makes
     the real harmonics orthonormal against the normalized sphere measure.
-    Stable upward recursion in l, diagonal seeded by the sin(theta)^m ladder.
+    Stable upward recursion in l for all m at once, diagonal seeded by the
+    sin(theta)^m ladder.
     """
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    n_pairs = (l_max + 1) * (l_max + 2) // 2
-    out = np.empty((n_pairs, t.size))
-    pmm = np.ones_like(t)
-    for m in range(l_max + 1):
-        if m > 0:
-            pmm = pmm * s * math.sqrt((2 * m + 1) / (2 * m))
-        out[_pair_index(m, m)] = pmm
-        if m + 1 <= l_max:
-            out[_pair_index(m + 1, m)] = math.sqrt(2 * m + 3) * t * pmm
-        for l in range(m + 2, l_max + 1):
-            a = math.sqrt((2 * l + 1) * (2 * l - 1) / ((l - m) * (l + m)))
-            b = math.sqrt(
+    out = np.empty(((l_max + 1) * (l_max + 2) // 2, t.size))
+    prev2 = prev = np.zeros((l_max + 1, t.size))
+    for l in range(l_max + 1):
+        row = np.zeros((l_max + 1, t.size))
+        row[l] = prev[l - 1] * s * math.sqrt((2 * l + 1) / (2 * l)) if l > 0 else 1.0
+        if l > 0:
+            row[l - 1] = math.sqrt(2 * l + 1) * t * prev[l - 1]
+        if l > 1:
+            m = np.arange(l - 1)
+            a = np.sqrt((2 * l + 1) * (2 * l - 1) / ((l - m) * (l + m)))
+            b = np.sqrt(
                 (2 * l + 1) * (l - 1 - m) * (l - 1 + m) / ((2 * l - 3) * (l - m) * (l + m))
             )
-            out[_pair_index(l, m)] = (
-                a * t * out[_pair_index(l - 1, m)] - b * out[_pair_index(l - 2, m)]
-            )
+            row[: l - 1] = a[:, None] * t * prev[: l - 1] - b[:, None] * prev2[: l - 1]
+        out[_pair_index(l, 0) : _pair_index(l, l) + 1] = row[: l + 1]
+        prev2, prev = prev, row
     return out
 
 
@@ -282,6 +283,17 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
         else:
             total += math.sqrt(2.0) * (acc_a * cos_m + acc_b * sin_m)
     return total[0] if single else total
+
+
+def harmonics_at(w, l_max: int) -> np.ndarray:
+    """Every basis function Y_lm at one unit vector, in flat coefficient order."""
+    w = np.asarray(w, dtype=float)
+    table = _legendre_table(l_max, np.array([np.clip(w[2], -1.0, 1.0)]))[:, 0]
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.arange(l.size) - l * l - l
+    arg = np.abs(m) * math.atan2(w[1], w[0])
+    trig = np.where(m > 0, math.sqrt(2.0) * np.cos(arg), math.sqrt(2.0) * np.sin(arg))
+    return table[l * (l + 1) // 2 + np.abs(m)] * np.where(m == 0, 1.0, trig)
 
 
 def dirichlet_energy(f: HarmonicField) -> float:

@@ -10,9 +10,10 @@ sphere-side integrals:
     lambda0^2 = (2 int e^{2u} - (1 + |x0|^2) int (1 - w3) e^{2u})
                 / int (1 - w3) e^{2u}
 
-The root-finding path bisects the third moment of e^{2 u_tau} in lambda,
-which is strictly decreasing (it equals A/lambda - B*lambda with A, B > 0 up
-to a positive factor), and exists as an independent check of the closed form.
+The root-finding path finds the zero of the third moment of e^{2 u_tau} in
+lambda by Brent's method; the moment is strictly decreasing (it equals
+A/lambda - B*lambda with A, B > 0 up to a positive factor).  The path exists
+as an independent check of the closed form.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .config import scaled
 from .functionals import exp_moments
@@ -77,59 +79,48 @@ def recentering_map(x0: complex, lam0: float) -> ConformalMap:
 
 
 def _third_moment_fn(u, x0, grid):
-    nodes = grid.nodes
-    w3 = nodes[:, 2]
-
+    # brentq keeps its objective in a reference cycle until the next garbage
+    # collection, so the closure builds the nodes per call instead of owning them
     def g(lam: float) -> float:
+        nodes = grid.nodes
         tau = recentering_map(x0, lam)
         j32 = tau.jacobian(nodes) ** 1.5
         weight = np.exp(2.0 * evaluate_at(u, tau.apply(nodes))) * j32
-        return float(integrate(grid, w3 * weight) / integrate(grid, j32))
+        return float(integrate(grid, nodes[:, 2] * weight) / integrate(grid, j32))
 
     return g
 
 
-def _bisection_lambda0(
+def _root_find_lambda0(
     u: HarmonicField,
     x0: complex,
     policy: RefinementPolicy,
     bracket_init: float = 1.0,
 ) -> float:
     # Fix one sufficiently converged grid for all lambda evaluations so the
-    # bisected function is smooth in lambda.
+    # root-found function is smooth in lambda.
     mom = exp_moments(u, _tight(policy))
     n = min(policy.theta_cap, max(math.ceil(2.25 * mom.grid.theta_count), 96))
     grid = _make_grid(n, 2 * n - 1)
     g = _third_moment_fn(u, x0, grid)
 
+    # g is decreasing: grow the bracket by decades until the sign changes
     lo = hi = float(bracket_init)
-    g_init = g(lo)
-    if g_init > 0:          # g is decreasing: move right for the sign change
-        while g(hi) > 0:
-            hi *= 10.0
-            if hi > _LAMBDA_RANGE[1]:
-                raise ConvergenceError("no bracket for lambda0 below 1e6")
-    else:
-        while g(lo) < 0:
-            lo /= 10.0
-            if lo < _LAMBDA_RANGE[0]:
-                raise ConvergenceError("no bracket for lambda0 above 1e-6")
-    if not (g(lo) > 0 > g(hi) or lo == hi):
-        raise ConvergenceError("inconsistent bracket signs for lambda0")
-
-    tol_g = scaled(1e-12)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val) < tol_g:
-            return mid
-        if val > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    raise ConvergenceError("bisection for lambda0 stalled above the target residual")
+    g_lo = g_hi = g(lo)
+    while g_hi > 0:
+        lo, g_lo, hi = hi, g_hi, hi * 10.0
+        if hi > _LAMBDA_RANGE[1]:
+            raise ConvergenceError("no bracket for lambda0 below 1e6")
+        g_hi = g(hi)
+    while g_lo < 0:
+        hi, g_hi, lo = lo, g_lo, lo / 10.0
+        if lo < _LAMBDA_RANGE[0]:
+            raise ConvergenceError("no bracket for lambda0 above 1e-6")
+        g_lo = g(lo)
+    root, info = brentq(g, lo, hi, xtol=1e-15, full_output=True, disp=False)
+    if not info.converged:
+        raise ConvergenceError(f"Brent iteration for lambda0 did not converge: {info.flag}")
+    return root
 
 
 def solve_lambda0(
@@ -143,7 +134,8 @@ def solve_lambda0(
 
     ``closed_form`` evaluates the moment identity above (the numerator is a
     variance, so non-positivity flags quadrature failure); ``root_find``
-    bisects; ``hybrid`` runs both and insists they agree to 1e-8.
+    finds the root by Brent's method; ``hybrid`` runs both and insists they
+    agree to 1e-8.
     """
     if method not in ("closed_form", "root_find", "hybrid"):
         raise ValueError(f"unknown method {method!r}")
@@ -158,11 +150,11 @@ def solve_lambda0(
             )
         lam_cf = math.sqrt(numer / denom)
     if method in ("root_find", "hybrid"):
-        lam_rf = _bisection_lambda0(u, x0, policy, bracket_init)
+        lam_rf = _root_find_lambda0(u, x0, policy, bracket_init)
     if method == "hybrid":
         if abs(lam_cf - lam_rf) > scaled(1e-8):
             raise ConvergenceError(
-                f"lambda0 paths disagree: closed form {lam_cf!r} vs bisection {lam_rf!r}"
+                f"lambda0 paths disagree: closed form {lam_cf!r} vs root find {lam_rf!r}"
             )
         return lam_cf
     return lam_cf if method == "closed_form" else lam_rf
@@ -229,7 +221,7 @@ def normalize(
 ) -> NormalizationResult:
     """Find tau = (z -> lambda0 z + x0) zeroing the center of mass of e^{2 u_tau}.
 
-    Falls back to the bisection path if the closed form misses the residual
+    Falls back to the root-find path if the closed form misses the residual
     tolerance, and raises if both paths do.
     """
     x0 = solve_x0(u, policy)

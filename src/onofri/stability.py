@@ -1,32 +1,50 @@
 """Distance to the extremal family and the quantitative stability certificate.
 
-The extremal family modulo constants is a 3-parameter manifold: left
-rotations leave the Jacobian unchanged, and QR (Iwasawa) decomposition puts
-exactly one representative of each rotation-coset in the chart
-z -> lambda * (z + beta) with lambda > 0, beta complex.  The certificate
-checked here is
+Every extremal is psi = (3/4) ln J_tau + c, and the identity
+sqrt(J) = M (1 - |a|^2) / (1 - a.w) makes psi = -(3/2) ln(1 - a.w) modulo
+constants, where a, the center of mass, is a point of the open unit ball
+that fixes the extremal.  By Funk-Hecke the coefficients of psi are
+g_l(r) Y_lm(a/r) with r = |a| and
+
+    g_l(r) = -(3/2) (Q_{l+1}(1/r) - Q_{l-1}(1/r)) / (2l + 1),
+
+Q_n the Legendre function of the second kind, so the gradient distance
+
+    d(a) = E(u) - 2 sum_l l(l+1) g_l(r) u_l(a/r) + sum_l l(l+1)(2l+1) g_l(r)^2
+
+needs no quadrature (u_l is the degree-l part of u).  For each r on a scan
+the cross term is a band-limited field in a/r, synthesized on the grid; the
+best node over the scan, or the re-centering candidate when it scores lower,
+seeds a simplex polish in the hyperbolic coordinate b = atanh(r) a/r.  The
+search is deterministic.
+
+Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
+beta complex: left rotations leave the Jacobian unchanged, and QR (Iwasawa)
+decomposition puts exactly one representative of each rotation-coset in it.
+The certificate checked here is
 
     deficit >= distance / 6,
 
 with the deficit the sharpened-functional value at alpha = 2/3 and the
-distance the infimum of the gradient norm squared of (u - psi) over the
-chart, both fields truncated at the same band limit (constants carry no
-gradient energy, so the l = 0 mode is ignored).
+distance the infimum over the ball of the gradient norm squared of u - psi,
+both fields truncated at the same band limit (constants carry no gradient
+energy, so the l = 0 mode is ignored).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .config import scaled
-from .harmonics import GridField, HarmonicField, analyze, dirichlet_energy
-from .mobius import ConformalMap, MobiusMap
+from .harmonics import HarmonicField, dirichlet_energy, harmonics_at, synthesize
+from .lorentz import lorentz_lift
+from .mobius import ConformalMap, MobiusMap, dilation, rotation
 from .normalize import normalize
 from .sphere import (
     DEFAULT_POLICY,
@@ -38,8 +56,6 @@ from .sphere import (
 from .functionals import chang_gui_report
 
 __all__ = [
-    "BETA_BOUND",
-    "LOG_LAMBDA_BOUND",
     "DistanceResult",
     "ManifoldPoint",
     "StabilityReport",
@@ -49,8 +65,11 @@ __all__ = [
     "stability_check",
 ]
 
-LOG_LAMBDA_BOUND = math.log(16.0)
-BETA_BOUND = 8.0
+# scanned values of atanh|a| besides 0; the last is |a| = 1 - 1.2e-5
+_SCAN_T = np.linspace(0.1, 6.0, 60)
+# the polish reaches atanh|a| = 8 (|a| = 1 - 2.3e-7); beyond it the backward
+# recurrence for Q_n would need more than 3e4 steps
+_T_EDGE = 8.0
 
 
 @dataclass(frozen=True)
@@ -66,22 +85,8 @@ class ManifoldPoint:
         beta = complex(self.beta1, self.beta2)
         return ConformalMap(MobiusMap(r, r * beta, 0.0, 1.0 / r))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.log_lambda, self.beta1, self.beta2])
-
-    def in_box(self, margin: float = 1e-6) -> bool:
-        return (
-            abs(self.log_lambda) <= LOG_LAMBDA_BOUND - margin
-            and abs(self.beta1) <= BETA_BOUND - margin
-            and abs(self.beta2) <= BETA_BOUND - margin
-        )
-
     def to_dict(self) -> dict:
-        return {
-            "log_lambda": self.log_lambda,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-        }
+        return asdict(self)
 
 
 def chart_params(tau: ConformalMap) -> ManifoldPoint:
@@ -100,36 +105,100 @@ def chart_params(tau: ConformalMap) -> ManifoldPoint:
     return ManifoldPoint(math.log(lam), beta.real, beta.imag)
 
 
-def _psi_coefficients(
-    tau: ConformalMap, l_max: int, grid: SphericalGrid
-) -> np.ndarray:
-    # psi modulo its constant: 0.75 * ln J projected; the l = 0 slot is zeroed
-    samples = 0.75 * np.log(tau.jacobian(grid.nodes))
-    coeffs = analyze(GridField(grid, samples), l_max).coeffs.copy()
-    coeffs[0] = 0.0
-    return coeffs
+def _ball_of(m: ManifoldPoint) -> np.ndarray:
+    """Hyperbolic coordinate b = atanh|a| a/|a| of the chart point's center of mass.
+
+    The first row of the Lorentz lift is (M, -M a) with M = cosh atanh|a|,
+    so |M a| = sinh atanh|a|.
+    """
+    v = -lorentz_lift(m.to_map().mobius)[0, 1:]
+    s = float(np.linalg.norm(v))
+    return v * (math.asinh(s) / s) if s > 0.0 else np.zeros(3)
 
 
-def grad_distance(
-    u: HarmonicField,
-    m: ManifoldPoint,
-    l_max: int,
-    grid: SphericalGrid,
-    tail_threshold: float | None = 1e-3,
-) -> float:
-    """Gradient-norm distance to one chart point, both fields at band l_max."""
-    if tail_threshold is not None:
-        from .harmonics import project_samples
+def _chart_of_ball(b: np.ndarray) -> ManifoldPoint:
+    """Chart point of the extremal with center of mass tanh|b| b/|b|.
 
-        tau = m.to_map()
-        proj = project_samples(0.75 * np.log(tau.jacobian(grid.nodes)), grid, l_max)
-        if proj.tail_fraction > scaled(tail_threshold):
-            raise ConvergenceError(
-                f"psi tail fraction {proj.tail_fraction:.3e} too large at this chart point"
-            )
-    diff = u.to_lmax(l_max).coeffs - _psi_coefficients(m.to_map(), l_max, grid)
+    dilation(lambda) with lambda = exp(-|b|) has its center of mass at
+    tanh|b| times the north pole, and composing with a rotation R moves the
+    center of mass to R^T of it; R turns b/|b| to the north pole.
+    """
+    axis = np.cross(b, [0.0, 0.0, 1.0])
+    s = float(np.linalg.norm(axis))
+    turn = rotation(axis / s if s > 0.0 else [1.0, 0.0, 0.0], math.atan2(s, b[2]))
+    return chart_params(dilation(math.exp(-np.linalg.norm(b))).compose(turn))
+
+
+def _g(l_max: int, t: float) -> np.ndarray:
+    """g_l(tanh t) for l = 0..l_max and t > 0, with g_0 = 0.
+
+    Q_0(coth t) = t, and the ratios Q_n/Q_{n-1} come from the continued
+    fraction of the recurrence, run backward from the asymptotic ratio
+    exp(-xi), xi = acosh(coth t), far enough that the error dies out.  At
+    |a| = 1 (t infinite) the Q_n diverge but g_l = 3/(2 l (l+1)) stays finite.
+    """
+    l = np.arange(1, l_max + 1)
+    g = np.zeros(l_max + 1)
+    if math.isinf(t):
+        g[1:] = 1.5 / (l * (l + 1.0))
+        return g
+    z = 1.0 / math.tanh(t)
+    delta = 2.0 / math.expm1(2.0 * t)  # z - 1 without cancellation
+    xi = math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
+    h = math.exp(-xi)
+    ratios = np.empty(l_max + 1)
+    for n in range(l_max + 2 + math.ceil(20.0 / xi), 0, -1):
+        h = n / ((2 * n + 1) * z - (n + 1) * h)
+        if n <= l_max + 1:
+            ratios[n - 1] = h
+    q = t * np.cumprod(np.concatenate([[1.0], ratios]))  # Q_0 .. Q_{l_max+1}
+    g[1:] = -1.5 * (q[2:] - q[:-2]) / (2 * l + 1)
+    return g
+
+
+def _ball_psi(b: np.ndarray, l_max: int) -> np.ndarray:
+    """Coefficients of -(3/2) ln(1 - a.w), a = tanh|b| b/|b|, with the l = 0 slot zeroed."""
+    t = float(np.linalg.norm(b))
+    if t == 0.0:
+        return np.zeros((l_max + 1) ** 2)
+    return np.repeat(_g(l_max, t), 2 * np.arange(l_max + 1) + 1) * harmonics_at(b / t, l_max)
+
+
+def _distance(coeffs: np.ndarray, b: np.ndarray, l_max: int) -> float:
+    # sum of l(l+1) (u_lm - psi_lm)^2, which cannot come out negative
+    diff = coeffs - _ball_psi(b, l_max)
     diff[0] = 0.0
     return dirichlet_energy(HarmonicField(l_max, diff))
+
+
+def grad_distance(u: HarmonicField, m: ManifoldPoint, l_max: int) -> float:
+    """Gradient-norm distance to one chart point, both fields at band l_max."""
+    return _distance(u.to_lmax(l_max).coeffs, _ball_of(m), l_max)
+
+
+@lru_cache(maxsize=8)
+def _scan_weights(l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # per scanned t: l(l+1) g_l for l >= 1, and the psi energy sum l(l+1)(2l+1) g_l^2
+    l = np.arange(l_max + 1)
+    g = np.array([_g(l_max, t) for t in _SCAN_T])
+    return (l * (l + 1) * g)[:, 1:], (l * (l + 1) * (2 * l + 1) * g * g).sum(axis=1)
+
+
+def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
+    """Best scanned t and best grid node of the cross term, as a point b."""
+    degrees = HarmonicField.zero(l_max).degrees()
+    parts = np.empty((l_max, grid.node_count))  # degree-l parts of u on the grid
+    for l in range(1, l_max + 1):
+        part = HarmonicField(l_max, np.where(degrees == l, target, 0.0))
+        parts[l - 1] = synthesize(part, grid).samples
+    weights, psi_energy = _scan_weights(l_max)
+    best, b = 0.0, np.zeros(3)  # t = 0: the constant extremal
+    for t, w, e in zip(_SCAN_T, weights, psi_energy):
+        values = e - 2.0 * (w @ parts)
+        i = int(np.argmin(values))
+        if values[i] < best:
+            best, b = float(values[i]), t * grid.nodes[i]
+    return b
 
 
 @dataclass(frozen=True)
@@ -137,139 +206,65 @@ class DistanceResult:
     distance: float
     argmin: ManifoldPoint
     converged: bool
-    boundary_hit: bool
-    all_starts_boundary: bool
     nfev: int
     starts: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "argmin": self.argmin.to_dict(),
-            "converged": self.converged,
-            "boundary_hit": self.boundary_hit,
-            "all_starts_boundary": self.all_starts_boundary,
-            "nfev": self.nfev,
-            "starts": list(self.starts),
-        }
-
-
-def _simplex_minimize(objective, x0: np.ndarray, maxfev: int) -> dict:
-    lo = np.array([-LOG_LAMBDA_BOUND, -BETA_BOUND, -BETA_BOUND])
-    hi = -lo
-    x0 = np.clip(x0, lo + 1e-9, hi - 1e-9)
-    # step away from the nearer bound so the simplex stays non-degenerate
-    steps = np.where(x0 <= 0.0, 0.25, -0.25)
-    simplex = np.vstack([x0] + [x0 + steps[i] * e for i, e in enumerate(np.eye(3))])
-    simplex = np.clip(simplex, lo, hi)
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        bounds=list(zip(lo, hi)),
-        options={
-            "xatol": 1e-7,
-            "fatol": 1e-10,
-            "maxfev": maxfev,
-            "initial_simplex": simplex,
-        },
-    )
-    point = ManifoldPoint(*map(float, res.x))
-    return {
-        "x": res.x,
-        "value": float(res.fun),
-        "nfev": int(res.nfev),
-        "converged": bool(res.success),
-        "boundary": not point.in_box(),
-    }
+        return asdict(self)
 
 
 def distance_to_manifold(
     u: HarmonicField,
     l_max: int,
     grid: SphericalGrid,
-    seed: int = 0,
     policy: RefinementPolicy = DEFAULT_POLICY,
-    maxfev: int = 2000,
-    jobs: int = 1,
 ) -> DistanceResult:
-    """Infimum of the gradient distance over the chart, by multi-start simplex search.
+    """Infimum of the gradient distance over the ball, by the closed form.
 
-    Starts: the identity; the inverse of the re-centering map (the candidate
-    the stability argument itself produces); and three seeded random points
-    in the search box.  Results merge by minimum value with a lexicographic
-    tie-break on the parameters, so the outcome is deterministic.
+    Candidates: the best node of the scan, and the inverse of the
+    re-centering map (the candidate the stability argument itself
+    produces).  The lower-scoring one seeds a Nelder-Mead polish in
+    b = atanh|a| a/|a|; a polish that ends at the reach of the recurrence
+    (|b| = 8) is reported as not converged.
     """
-    u_cap = u.to_lmax(l_max)
-    target = u_cap.coeffs.copy()
-    target[0] = 0.0
-    degrees = u_cap.degrees()
-    eigs = degrees * (degrees + 1)
-    nodes = grid.nodes
+    target = u.to_lmax(l_max).coeffs
 
-    def objective(x: np.ndarray) -> float:
-        tau = ManifoldPoint(*map(float, x)).to_map()
-        psi = analyze(GridField(grid, 0.75 * np.log(tau.jacobian(nodes))), l_max).coeffs
-        diff = target - psi
-        diff[0] = 0.0
-        return float(np.sum(eigs * diff * diff))
+    def objective(b: np.ndarray) -> float:
+        return _distance(target, b, l_max) if np.linalg.norm(b) <= _T_EDGE else math.inf
 
-    starts = [np.zeros(3)]
-    kinds = ["identity"]
-    warm_note = None
+    starts = {"scan": _scan(target, l_max, grid)}
+    note = None
     try:
         norm_result = normalize(u, policy)
-        starts.append(
-            np.array(
-                [-math.log(norm_result.lambda0), -norm_result.x0.real, -norm_result.x0.imag]
-            )
+        warm = ManifoldPoint(
+            -math.log(norm_result.lambda0), -norm_result.x0.real, -norm_result.x0.imag
         )
-        kinds.append("recentering")
-    except ConvergenceError as exc:  # keep searching from the other starts
-        warm_note = str(exc)
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        starts.append(
-            np.array(
-                [
-                    rng.uniform(-LOG_LAMBDA_BOUND, LOG_LAMBDA_BOUND),
-                    rng.uniform(-BETA_BOUND, BETA_BOUND),
-                    rng.uniform(-BETA_BOUND, BETA_BOUND),
-                ]
-            )
-        )
-        kinds.append("random")
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda s: _simplex_minimize(objective, s, maxfev), starts))
-    else:
-        results = [_simplex_minimize(objective, s, maxfev) for s in starts]
-
-    order = sorted(range(len(results)), key=lambda i: (results[i]["value"], *results[i]["x"]))
-    best = results[order[0]]
-    start_rows = []
-    for i, r in enumerate(results):
-        start_rows.append(
-            {
-                "kind": kinds[i],
-                "start_value": float(objective(starts[i])),
-                "value": r["value"],
-                "nfev": r["nfev"],
-                "converged": r["converged"],
-                "boundary": r["boundary"],
-            }
-        )
-    if warm_note is not None:
-        start_rows.insert(1, {"kind": "recentering", "error": warm_note})
+        starts["recentering"] = _ball_of(warm)
+    except ConvergenceError as exc:  # the scan alone still seeds the polish
+        note = str(exc)
+    values = {kind: objective(b) for kind, b in starts.items()}
+    chosen = min(values, key=values.get)
+    rows = [{"kind": k, "start_value": v, "polished": k == chosen} for k, v in values.items()]
+    if note is not None:
+        rows.append({"kind": "recentering", "error": note})
+    b0 = starts[chosen]
+    res = minimize(
+        objective,
+        b0,
+        method="Nelder-Mead",
+        options={
+            "xatol": 1e-10,
+            "fatol": 1e-15 * (1.0 + values[chosen]),
+            "maxiter": 4000,
+            "initial_simplex": np.vstack([b0, b0 + 0.05 * np.eye(3)]),
+        },
+    )
     return DistanceResult(
-        distance=best["value"],
-        argmin=ManifoldPoint(*map(float, best["x"])),
-        converged=best["converged"],
-        boundary_hit=best["boundary"],
-        all_starts_boundary=all(r["boundary"] for r in results),
-        nfev=sum(r["nfev"] for r in results),
-        starts=tuple(start_rows),
+        distance=float(res.fun),
+        argmin=_chart_of_ball(res.x),
+        converged=bool(res.success and np.linalg.norm(res.x) < _T_EDGE - 1e-6),
+        nfev=int(res.nfev) + len(starts),
+        starts=tuple(rows),
     )
 
 
@@ -284,13 +279,7 @@ class StabilityReport:
     trace: dict
 
     def to_dict(self) -> dict:
-        return {
-            "deficit": self.deficit,
-            "distance": self.distance,
-            "slack": self.slack,
-            "argmin": self.argmin.to_dict(),
-            "trace": self.trace,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -302,19 +291,19 @@ def stability_check(
     grid: SphericalGrid | None = None,
     policy: RefinementPolicy = DEFAULT_POLICY,
     seed: int = 0,
-    jobs: int = 1,
 ) -> StabilityReport:
     """Certify deficit >= distance/6 for one field.
 
     A converged run with slack below -1e-8 would contradict the bound and
-    therefore raises as a numerics failure.
+    therefore raises as a numerics failure.  ``seed`` is accepted for
+    callers that pass one and is unused: the search is deterministic.
     """
     if l_max is None:
         l_max = u.l_max
     if grid is None:
         grid = build_grid(max(4 * l_max, 48))
     report = chang_gui_report(2.0 / 3.0, u, policy)
-    dist = distance_to_manifold(u, l_max, grid, seed=seed, policy=policy, jobs=jobs)
+    dist = distance_to_manifold(u, l_max, grid, policy=policy)
     slack = report.value - dist.distance / 6.0
     converged = report.converged and dist.converged
     if converged and slack < -scaled(1e-8):

@@ -243,8 +243,10 @@ def test_out_flag_writes_file(tmp_path, capsys, zero_field_file):
     assert json.loads(target.read_text())["report"]["converged"] is True
 
 
-def test_invalid_jobs(capsys):
-    assert main(["--jobs", "0", "verify", "geometry"]) == 2
+def test_jobs_flag_is_rejected(capsys):
+    # the distance search is a closed form with no worker pool to size
+    assert main(["--jobs", "2", "verify", "geometry"]) == 2
+    capsys.readouterr()
 
 
 def test_eval_nonconvergence_exit_one(capsys, random_field_file):

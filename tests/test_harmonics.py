@@ -16,6 +16,7 @@ from onofri import (
     laplacian,
     synthesize,
 )
+from onofri.harmonics import _legendre_table, harmonics_at
 from onofri.sampling import random_field
 
 
@@ -173,6 +174,41 @@ def test_evaluate_at_poles(rng):
     for pole in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]):
         val = evaluate_at(u, np.array(pole))
         assert np.isfinite(val)
+
+
+def test_harmonics_at_matches_evaluate_at(rng):
+    u = random_field(rng, 12, 0.5)
+    points = [rng.normal(size=3), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
+    for w in points:
+        w = np.asarray(w, dtype=float) / np.linalg.norm(w)
+        assert abs(harmonics_at(w, 12) @ u.coeffs - evaluate_at(u, w)) < 1e-12
+
+
+def _legendre_loop(l_max, t):
+    # one (l, m) pair at a time, the recursion _legendre_table runs for all m
+    s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    out = np.empty(((l_max + 1) * (l_max + 2) // 2, t.size))
+    idx = lambda l, m: l * (l + 1) // 2 + m
+    pmm = np.ones_like(t)
+    for m in range(l_max + 1):
+        if m > 0:
+            pmm = pmm * s * math.sqrt((2 * m + 1) / (2 * m))
+        out[idx(m, m)] = pmm
+        if m + 1 <= l_max:
+            out[idx(m + 1, m)] = math.sqrt(2 * m + 3) * t * pmm
+        for l in range(m + 2, l_max + 1):
+            a = math.sqrt((2 * l + 1) * (2 * l - 1) / ((l - m) * (l + m)))
+            b = math.sqrt(
+                (2 * l + 1) * (l - 1 - m) * (l - 1 + m) / ((2 * l - 3) * (l - m) * (l + m))
+            )
+            out[idx(l, m)] = a * t * out[idx(l - 1, m)] - b * out[idx(l - 2, m)]
+    return out
+
+
+def test_legendre_table_matches_pairwise_loop(rng):
+    t = np.cos(rng.uniform(0.0, math.pi, 40))
+    for l_max in (0, 1, 2, 7, 33):
+        assert np.array_equal(_legendre_table(l_max, t), _legendre_loop(l_max, t))
 
 
 def test_field_json_round_trip(rng):

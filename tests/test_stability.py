@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from onofri import (
+    ConformalMap,
     HarmonicField,
     ManifoldPoint,
     build_extremal,
+    build_grid,
     chart_params,
     dilation,
     dirichlet_energy,
@@ -15,9 +17,10 @@ from onofri import (
     psi_field,
     rotation,
     stability_check,
+    translation,
 )
 from onofri.sampling import random_conformal, random_field
-from onofri.stability import BETA_BOUND, LOG_LAMBDA_BOUND
+from onofri.stability import _ball_of, _ball_psi, _chart_of_ball, _g
 
 
 def test_manifold_point_map():
@@ -55,17 +58,17 @@ def test_grad_distance_constant_shift(grid72):
     e = build_extremal(dilation(2.0))
     u = psi_field(e, 24, grid72).field + HarmonicField.constant(5.0)
     m = ManifoldPoint(math.log(2.0), 0.0, 0.0)
-    assert grad_distance(u, m, 24, grid72) < 1e-7
+    assert grad_distance(u, m, 24) < 1e-7
 
 
-def test_grad_distance_trivial(grid48):
-    assert grad_distance(HarmonicField.zero(4), ManifoldPoint(0, 0, 0), 4, grid48) < 1e-20
+def test_grad_distance_trivial():
+    assert grad_distance(HarmonicField.zero(4), ManifoldPoint(0, 0, 0), 4) < 1e-20
 
 
 def test_grad_distance_off_manifold(grid72):
     e = build_extremal(dilation(2.0))
     psi_energy = dirichlet_energy(psi_field(e, 24, grid72).field)
-    d = grad_distance(HarmonicField.zero(4), ManifoldPoint(math.log(2.0), 0, 0), 24, grid72)
+    d = grad_distance(HarmonicField.zero(4), ManifoldPoint(math.log(2.0), 0, 0), 24)
     assert abs(d - psi_energy) < 1e-9
     assert d > 0.01
 
@@ -76,7 +79,6 @@ def test_distance_on_manifold(grid72):
     assert res.distance < 1e-7
     assert abs(res.argmin.log_lambda - math.log(2.0)) < 1e-4
     assert abs(res.argmin.beta1) < 1e-4 and abs(res.argmin.beta2) < 1e-4
-    assert not res.boundary_hit
 
 
 def test_distance_zero_field(grid48):
@@ -141,29 +143,6 @@ def test_warm_start_dominance(rng):
     assert warm["start_value"] <= 6.0 * rep.deficit + 1e-9
 
 
-def test_boundary_reporting(grid48):
-    # a field so far out that the identity start's box is binding is still
-    # reported, not fatal
-    res = distance_to_manifold(HarmonicField.zero(4), 4, grid48, maxfev=8)
-    assert isinstance(res.boundary_hit, bool)
-    assert res.nfev > 0
-
-
-def test_box_constants():
-    assert LOG_LAMBDA_BOUND == pytest.approx(math.log(16.0))
-    assert BETA_BOUND == 8.0
-    assert ManifoldPoint(0, 0, 0).in_box()
-    assert not ManifoldPoint(LOG_LAMBDA_BOUND, 0, 0).in_box()
-
-
-def test_parallel_starts_are_deterministic(rng, grid48):
-    u = random_field(rng, 5, 0.4)
-    serial = distance_to_manifold(u, 5, grid48, jobs=1)
-    threaded = distance_to_manifold(u, 5, grid48, jobs=3)
-    assert serial.distance == threaded.distance
-    assert serial.argmin == threaded.argmin
-
-
 def test_stability_report_json(rng):
     import json
 
@@ -171,3 +150,77 @@ def test_stability_report_json(rng):
     d = json.loads(rep.to_json())
     assert set(d) == {"deficit", "distance", "slack", "argmin", "trace"}
     assert set(d["argmin"]) == {"log_lambda", "beta1", "beta2"}
+
+
+def test_stability_far_out_extremal(grid72):
+    # |a| = 0.995 lies outside the former (log lambda, beta) search box, where
+    # the certificate used to fail with slack -9.25e-3 on an exact extremal
+    u = psi_field(build_extremal(dilation(20.0)), 32, grid72, tail_threshold=None).field
+    rep = stability_check(u, 32, grid72)
+    assert rep.slack >= 0.0
+    assert rep.trace["converged"]
+    # the grid-72 projection of psi aliases its tail, which moves the argmin
+    assert abs(rep.argmin.log_lambda - math.log(20.0)) < 1e-4
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.995, 0.9999])
+def test_g_matches_legendre_q(r):
+    mpmath = pytest.importorskip("mpmath")
+    g = _g(40, math.atanh(r))
+    with mpmath.workdps(40):
+        z = 1 / mpmath.mpf(r)
+        for l in range(1, 41):
+            q_up = mpmath.re(mpmath.legenq(l + 1, 0, z, type=3))
+            q_down = mpmath.re(mpmath.legenq(l - 1, 0, z, type=3))
+            expect = float(-1.5 * (q_up - q_down) / (2 * l + 1))
+            assert g[l] == pytest.approx(expect, rel=1e-12)
+    assert g[0] == 0.0
+
+
+def test_g_limit_at_the_sphere():
+    from scipy.integrate import quad
+    from scipy.special import eval_legendre
+
+    limit = _g(40, math.inf)
+    for l in range(1, 41):
+        # g_l(1) = -(3/4) * integral of ln(1 - t) P_l(t) over [-1, 1]
+        integral, _ = quad(
+            lambda t: eval_legendre(l, t), -1, 1, weight="alg-logb", wvar=(0, 0), limit=200
+        )
+        assert limit[l] == pytest.approx(-0.75 * integral, rel=1e-10)
+    # g_l increases to the limit as |a| -> 1, at rate (1 - |a|) ln(1 - |a|)
+    near = _g(40, 8.0)
+    assert np.all(near[1:] < limit[1:])
+    assert np.max(np.abs(near[1:] - limit[1:])) < 1e-5
+
+
+def test_closed_form_psi_coefficients(rng):
+    grid = build_grid(300)
+    for _ in range(3):
+        b = rng.normal(size=3)
+        b *= rng.uniform(0.2, 2.0) / np.linalg.norm(b)
+        e = build_extremal(_chart_of_ball(b).to_map())
+        quad = psi_field(e, 32, grid, tail_threshold=None).field.coeffs.copy()
+        quad[0] = 0.0
+        assert np.max(np.abs(quad - _ball_psi(b, 32))) < 1e-12
+
+
+def _com_of_ball(b):
+    t = np.linalg.norm(b)
+    return np.tanh(t) * b / t if t > 0 else np.zeros(3)
+
+
+def test_ball_chart_round_trip():
+    for radius in (0.0, 0.3, 0.9, 0.99, 0.999):
+        a = radius * np.array([0.48, -0.6, 0.64])
+        m = _chart_of_ball(np.arctanh(radius) * a / max(radius, 1e-300))
+        assert np.max(np.abs(build_extremal(m.to_map()).com - a)) < 1e-9
+        assert np.max(np.abs(_com_of_ball(_ball_of(m)) - a)) < 1e-12
+    # a reflected map goes through chart_params to its own center of mass
+    tau = dilation(3.0).compose(translation(0.4 - 0.7j))
+    tau = ConformalMap(tau.mobius, reflect=True)
+    e = build_extremal(tau)
+    b = _ball_of(chart_params(tau))
+    assert np.linalg.norm(e.com) > 0.5
+    assert np.max(np.abs(_com_of_ball(b) - e.com)) < 1e-10
+    assert abs(math.cosh(np.linalg.norm(b)) - e.mass) < 1e-10
