@@ -20,6 +20,7 @@ from .sphere import (
     build_grid,
     cap_area,
     integrate,
+    moments,
     stereo_inverse,
     stereo_project,
     unit_point,

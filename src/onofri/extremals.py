@@ -23,7 +23,7 @@ from .sphere import (
     ConvergenceError,
     RefinementPolicy,
     SphericalGrid,
-    integrate,
+    moments,
     stereo_inverse,
     unit_point,
 )
@@ -112,17 +112,18 @@ def _translation_point(param) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quadrature
 
-def _mass_moments(tau: ConformalMap, grid: SphericalGrid) -> np.ndarray:
-    nodes = grid.nodes
-    j32 = tau.jacobian(nodes) ** 1.5
-    return np.array(
-        [
-            integrate(grid, j32),
-            integrate(grid, nodes[:, 0] * j32),
-            integrate(grid, nodes[:, 1] * j32),
-            integrate(grid, nodes[:, 2] * j32),
-        ]
-    )
+def _conformal_moments(tau, policy, grid=None) -> tuple[np.ndarray, SphericalGrid]:
+    """Moments of J^(3/2) on the pinned grid, else on a refined one, with the grid used."""
+
+    def values(g: SphericalGrid) -> np.ndarray:
+        return moments(g, tau.jacobian(g.nodes) ** 1.5)
+
+    if grid is not None:
+        return values(grid), grid
+    value, grid, converged = policy.refine(values)
+    if not converged:
+        raise ConvergenceError("conformal-map moments did not converge within the grid cap")
+    return value, grid
 
 
 def conformal_mass(
@@ -131,12 +132,7 @@ def conformal_mass(
     grid: SphericalGrid | None = None,
 ) -> float:
     """Quadrature of J^(3/2); refined adaptively unless a grid is pinned."""
-    if grid is not None:
-        return float(integrate(grid, tau.jacobian(grid.nodes) ** 1.5))
-    value, _, converged = policy.refine(lambda g: _mass_moments(tau, g)[:1])
-    if not converged:
-        raise ConvergenceError("mass quadrature did not converge within the grid cap")
-    return float(value[0])
+    return float(_conformal_moments(tau, policy, grid)[0][0])
 
 
 def center_of_mass(
@@ -145,13 +141,8 @@ def center_of_mass(
     grid: SphericalGrid | None = None,
 ) -> np.ndarray:
     """J^(3/2)-weighted mean position; always strictly inside the unit ball."""
-    if grid is not None:
-        v = _mass_moments(tau, grid)
-        return v[1:] / v[0]
-    value, _, converged = policy.refine(lambda g: _mass_moments(tau, g))
-    if not converged:
-        raise ConvergenceError("center-of-mass quadrature did not converge")
-    return value[1:] / value[0]
+    v, _ = _conformal_moments(tau, policy, grid)
+    return v[1:] / v[0]
 
 
 @dataclass(frozen=True)
@@ -184,9 +175,7 @@ def build_extremal(
     Violations beyond tolerance mean the quadrature failed (the identities are
     exact), so they raise ConvergenceError rather than returning bad data.
     """
-    value, grid, converged = policy.refine(lambda g: _mass_moments(tau, g))
-    if not converged:
-        raise ConvergenceError("extremal quadrature did not converge within the cap")
+    value, grid = _conformal_moments(tau, policy)
     mass = float(value[0])
     com = value[1:] / mass
     if mass < 1.0 - scaled(1e-10):

@@ -37,7 +37,7 @@ from .sphere import (
     ConvergenceError,
     RefinementPolicy,
     SphericalGrid,
-    integrate,
+    moments,
 )
 
 __all__ = [
@@ -68,24 +68,17 @@ def exp_moments(
     """Adaptively refined quadrature of e^{2u} and its first moments.
 
     e^{2u} is not band-limited, so grids grow until the values stabilize to
-    the policy's relative tolerance.
+    the policy's relative tolerance.  They refine e^{2(u - mean)}, whose mass is
+    at least 1 by Jensen, so that tolerance is relative however small e^{2u} is.
     """
-
-    def values(grid: SphericalGrid) -> np.ndarray:
-        nodes = grid.nodes
-        e2u = np.exp(2.0 * synthesize(u, grid).samples)
-        return np.array(
-            [
-                integrate(grid, e2u),
-                integrate(grid, nodes[:, 0] * e2u),
-                integrate(grid, nodes[:, 1] * e2u),
-                integrate(grid, nodes[:, 2] * e2u),
-            ]
-        )
-
-    v, grid, converged = policy.refine(values, min_band=u.l_max)
+    mean = u.mean()
+    v, grid, converged = policy.refine(
+        lambda g: moments(g, np.exp(2.0 * (synthesize(u, g).samples - mean))),
+        min_band=u.l_max,
+    )
     if strict and not converged:
         raise ConvergenceError("exponential moments did not converge within the grid cap")
+    v = v * math.exp(2.0 * mean)
     return ExpMoments(float(v[0]), v[1:], grid, converged)
 
 

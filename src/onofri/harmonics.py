@@ -9,6 +9,7 @@ index(l, m) = l*l + l + m.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sphere import SphericalGrid, integrate
+from .sphere import SphericalGrid
 
 __all__ = [
     "GridField",
@@ -75,18 +76,13 @@ def _legendre_table(l_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _grid_table(grid: SphericalGrid, l_max: int) -> np.ndarray:
-    # canonical grids share Gauss-Legendre nodes per theta_count; the first
-    # abscissa distinguishes any hand-built grid
-    key = (grid.theta_count, l_max, float(grid.cos_theta[0]))
-    if key not in _TABLE_CACHE:
-        if len(_TABLE_CACHE) > 24:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = _legendre_table(l_max, grid.cos_theta)
-    return _TABLE_CACHE[key]
+@functools.lru_cache(maxsize=25)
+def _grid_table(l_max: int, cos_theta: bytes) -> np.ndarray:
+    # keyed on the abscissas' bytes: grids are unhashable, and a hand-built
+    # grid must not share the table of a canonical one with its theta count
+    table = _legendre_table(l_max, np.frombuffer(cos_theta))
+    table.setflags(write=False)
+    return table
 
 
 def _azimuth_tables(grid: SphericalGrid, l_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +186,7 @@ def synthesize(f: HarmonicField, grid: SphericalGrid) -> GridField:
             f"grid resolves band {grid.band_limit_exact} < field l_max {f.l_max}"
         )
     L = f.l_max
-    table = _grid_table(grid, L)
+    table = _grid_table(L, grid.cos_theta.tobytes())
     nt = grid.theta_count
     # A[m] = sum_l c(l, m) P(l, m),  B[m] = sum_l c(l, -m) P(l, m)
     A = np.zeros((L + 1, nt))
@@ -225,7 +221,7 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
     fc = f2d @ cos_t.T / grid.phi_count      # (nt, L+1)
     fs = f2d @ sin_t.T / grid.phi_count
     wt = grid.theta_weights / 2.0
-    table = _grid_table(grid, L)
+    table = _grid_table(L, grid.cos_theta.tobytes())
     coeffs = np.zeros((L + 1) ** 2)
     for m in range(L + 1):
         ls = np.arange(m, L + 1)
@@ -328,11 +324,6 @@ def project_samples(
     tail = float(np.sum(spectrum[(l_max + 1) ** 2:]))
     frac = tail / total if total > 1e-18 else 0.0
     return Projection(field, frac)
-
-
-def parseval_mass(f: HarmonicField, grid: SphericalGrid) -> float:
-    """Quadrature of u^2; equals sum of squared coefficients when the grid is exact."""
-    return integrate(grid, synthesize(f, grid).samples ** 2)
 
 
 def field_to_json(f: HarmonicField) -> str:

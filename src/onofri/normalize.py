@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .config import scaled
-from .functionals import exp_moments
+from .functionals import ExpMoments, exp_moments
 from .harmonics import HarmonicField, evaluate_at
 from .mobius import ConformalMap, dilation, translation
 from .sphere import (
@@ -35,7 +35,7 @@ from .sphere import (
     RefinementPolicy,
     SphericalGrid,
     _make_grid,
-    integrate,
+    moments,
 )
 
 __all__ = [
@@ -67,10 +67,13 @@ def com_of_exp(
     return com
 
 
+def _x0(mom: ExpMoments) -> complex:
+    return complex(mom.moment[0], mom.moment[1]) / (mom.mass - mom.moment[2])
+
+
 def solve_x0(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> complex:
     """Plane offset zeroing the first two components of the transported center of mass."""
-    mom = exp_moments(u, _tight(policy))
-    return complex(mom.moment[0], mom.moment[1]) / (mom.mass - mom.moment[2])
+    return _x0(exp_moments(u, _tight(policy)))
 
 
 def recentering_map(x0: complex, lam0: float) -> ConformalMap:
@@ -78,31 +81,30 @@ def recentering_map(x0: complex, lam0: float) -> ConformalMap:
     return translation(x0).compose(dilation(lam0))
 
 
-def _third_moment_fn(u, x0, grid):
-    # brentq keeps its objective in a reference cycle until the next garbage
-    # collection, so the closure builds the nodes per call instead of owning them
-    def g(lam: float) -> float:
-        nodes = grid.nodes
-        tau = recentering_map(x0, lam)
-        j32 = tau.jacobian(nodes) ** 1.5
-        weight = np.exp(2.0 * evaluate_at(u, tau.apply(nodes))) * j32
-        return float(integrate(grid, nodes[:, 2] * weight) / integrate(grid, j32))
-
-    return g
+def _grid_com(u: HarmonicField, tau: ConformalMap, grid: SphericalGrid) -> np.ndarray:
+    # e^{2u(tau w)} J_tau(w)^{3/2} is e^{2(u o tau + psi)} up to a constant factor
+    nodes = grid.nodes
+    weight = np.exp(2.0 * evaluate_at(u, tau.apply(nodes))) * tau.jacobian(nodes) ** 1.5
+    v = moments(grid, weight)
+    return v[1:] / v[0]
 
 
 def _root_find_lambda0(
     u: HarmonicField,
     x0: complex,
     policy: RefinementPolicy,
+    theta_count: int,
     bracket_init: float = 1.0,
 ) -> float:
-    # Fix one sufficiently converged grid for all lambda evaluations so the
-    # root-found function is smooth in lambda.
-    mom = exp_moments(u, _tight(policy))
-    n = min(policy.theta_cap, max(math.ceil(2.25 * mom.grid.theta_count), 96))
+    # Fix one grid, 2.25x finer than the tight exponential moments needed, for
+    # all lambda evaluations so the root-found function is smooth in lambda.
+    n = min(policy.theta_cap, max(math.ceil(2.25 * theta_count), 96))
     grid = _make_grid(n, 2 * n - 1)
-    g = _third_moment_fn(u, x0, grid)
+
+    # brentq keeps g in a reference cycle until the next garbage collection,
+    # so g owns the grid but no node array: nodes are built per call
+    def g(lam: float) -> float:
+        return float(_grid_com(u, recentering_map(x0, lam), grid)[2])
 
     # g is decreasing: grow the bracket by decades until the sign changes
     lo = hi = float(bracket_init)
@@ -123,6 +125,37 @@ def _root_find_lambda0(
     return root
 
 
+def _lambda0(
+    u: HarmonicField,
+    x0: complex,
+    mom: ExpMoments,
+    policy: RefinementPolicy,
+    method: str,
+    bracket_init: float = 1.0,
+) -> float:
+    # mom: the tight exponential moments of u, shared by both paths
+    if method not in ("closed_form", "root_find", "hybrid"):
+        raise ValueError(f"unknown method {method!r}")
+    lam_cf = lam_rf = None
+    if method in ("closed_form", "hybrid"):
+        denom = mom.mass - mom.moment[2]
+        numer = 2.0 * mom.mass - (1.0 + abs(x0) ** 2) * denom
+        if numer <= 0.0:
+            raise ConvergenceError(
+                "closed-form numerator for lambda0 is non-positive: quadrature failure"
+            )
+        lam_cf = math.sqrt(numer / denom)
+    if method in ("root_find", "hybrid"):
+        lam_rf = _root_find_lambda0(u, x0, policy, mom.grid.theta_count, bracket_init)
+    if method == "hybrid":
+        if abs(lam_cf - lam_rf) > scaled(1e-8):
+            raise ConvergenceError(
+                f"lambda0 paths disagree: closed form {lam_cf!r} vs root find {lam_rf!r}"
+            )
+        return lam_cf
+    return lam_cf if method == "closed_form" else lam_rf
+
+
 def solve_lambda0(
     u: HarmonicField,
     x0: complex,
@@ -137,27 +170,7 @@ def solve_lambda0(
     finds the root by Brent's method; ``hybrid`` runs both and insists they
     agree to 1e-8.
     """
-    if method not in ("closed_form", "root_find", "hybrid"):
-        raise ValueError(f"unknown method {method!r}")
-    lam_cf = lam_rf = None
-    if method in ("closed_form", "hybrid"):
-        mom = exp_moments(u, _tight(policy))
-        denom = mom.mass - mom.moment[2]
-        numer = 2.0 * mom.mass - (1.0 + abs(x0) ** 2) * denom
-        if numer <= 0.0:
-            raise ConvergenceError(
-                "closed-form numerator for lambda0 is non-positive: quadrature failure"
-            )
-        lam_cf = math.sqrt(numer / denom)
-    if method in ("root_find", "hybrid"):
-        lam_rf = _root_find_lambda0(u, x0, policy, bracket_init)
-    if method == "hybrid":
-        if abs(lam_cf - lam_rf) > scaled(1e-8):
-            raise ConvergenceError(
-                f"lambda0 paths disagree: closed form {lam_cf!r} vs root find {lam_rf!r}"
-            )
-        return lam_cf
-    return lam_cf if method == "closed_form" else lam_rf
+    return _lambda0(u, x0, exp_moments(u, _tight(policy)), policy, method, bracket_init)
 
 
 @dataclass(frozen=True)
@@ -194,20 +207,9 @@ def transported_com(
     stored expansion, so the residual is limited by quadrature alone.
     """
 
-    def values(grid: SphericalGrid) -> np.ndarray:
-        nodes = grid.nodes
-        j32 = tau.jacobian(nodes) ** 1.5
-        weight = np.exp(2.0 * evaluate_at(u, tau.apply(nodes))) * j32
-        total = integrate(grid, weight)
-        return np.array(
-            [
-                integrate(grid, nodes[:, 0] * weight) / total,
-                integrate(grid, nodes[:, 1] * weight) / total,
-                integrate(grid, nodes[:, 2] * weight) / total,
-            ]
-        )
-
-    com, _, converged = _tight(policy).refine(values, min_band=u.l_max)
+    com, _, converged = _tight(policy).refine(
+        lambda grid: _grid_com(u, tau, grid), min_band=u.l_max
+    )
     if not converged:
         raise ConvergenceError("transported center of mass did not converge")
     return com
@@ -224,14 +226,15 @@ def normalize(
     Falls back to the root-find path if the closed form misses the residual
     tolerance, and raises if both paths do.
     """
-    x0 = solve_x0(u, policy)
-    lam0 = solve_lambda0(u, x0, policy, method=method)
+    mom = exp_moments(u, _tight(policy))
+    x0 = _x0(mom)
+    lam0 = _lambda0(u, x0, mom, policy, method)
     tau = recentering_map(x0, lam0)
     residual = float(np.linalg.norm(transported_com(u, tau, policy)))
     used = method
     if residual >= scaled(residual_tol) and method in ("closed_form", "root_find"):
         other = "root_find" if method == "closed_form" else "closed_form"
-        lam0 = solve_lambda0(u, x0, policy, method=other)
+        lam0 = _lambda0(u, x0, mom, policy, other)
         tau = recentering_map(x0, lam0)
         residual = float(np.linalg.norm(transported_com(u, tau, policy)))
         used = "hybrid"

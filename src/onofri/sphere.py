@@ -8,6 +8,7 @@ poles are never nodes and polynomial exactness is predictable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ __all__ = [
     "build_grid",
     "cap_area",
     "integrate",
+    "moments",
     "stereo_inverse",
     "stereo_project",
     "unit_point",
@@ -99,15 +101,12 @@ def cap_area(r: float) -> float:
     return 2.0 * math.pi * (1.0 - math.cos(r))
 
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=65)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEGGAUSS_CACHE:
-        if len(_LEGGAUSS_CACHE) > 64:
-            _LEGGAUSS_CACHE.clear()
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS_CACHE[n]
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 @dataclass(frozen=True)
@@ -184,10 +183,8 @@ def _make_grid(n_theta: int, n_phi: int) -> SphericalGrid:
     # Products of two degree-L fields need theta-degree 2L <= 2*n_theta - 1
     # and azimuthal frequency 2L <= n_phi - 1.
     band = min(n_theta - 1, (n_phi - 1) // 2)
-    g = SphericalGrid(t, wt, phi, band)
-    for arr in (g.cos_theta, g.theta_weights, g.phi):
-        arr.setflags(write=False)
-    return g
+    phi.setflags(write=False)
+    return SphericalGrid(t, wt, phi, band)
 
 
 def build_grid(target_band: int, oversample: float = 1.0) -> SphericalGrid:
@@ -207,14 +204,25 @@ def build_grid(target_band: int, oversample: float = 1.0) -> SphericalGrid:
 def integrate(grid: SphericalGrid, samples) -> float:
     """Weighted sum of node samples against the normalized measure."""
     samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != grid.node_count:
-        raise ValueError(
-            f"sample count {samples.shape[0]} != node count {grid.node_count}"
-        )
+    if samples.shape != (grid.node_count,):
+        raise ValueError(f"sample shape {samples.shape} != ({grid.node_count},) nodes")
     # numpy's pairwise reduction gives a deterministic summation order.
-    if samples.ndim == 1:
-        return float(np.sum(grid.weights * samples))
-    return np.sum(grid.weights[:, None] * samples, axis=0)
+    return float(np.sum(grid.weights * samples))
+
+
+def moments(grid: SphericalGrid, weight) -> np.ndarray:
+    """The moment 4-vector [int f, int w1 f, int w2 f, int w3 f] of node samples f.
+
+    Each component is the pairwise sum :func:`integrate` takes of its
+    integrand, so values repeat bit for bit and no (N, 4) array is built.
+    """
+    f = np.asarray(weight, dtype=float)
+    if f.shape != (grid.node_count,):
+        raise ValueError(f"weight shape {f.shape} != ({grid.node_count},) nodes")
+    weights = grid.weights
+    nodes = grid.nodes
+    first = [np.sum(weights * (nodes[:, k] * f)) for k in range(3)]
+    return np.array([np.sum(weights * f), *first])
 
 
 @dataclass(frozen=True)

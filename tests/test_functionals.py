@@ -124,6 +124,14 @@ def test_constant_shift_invariance(rng):
     assert abs(chang_gui_value(2.0 / 3.0, shifted) - chang_gui_value(2.0 / 3.0, u)) < 1e-10
 
 
+def test_constant_shift_invariance_small_mass():
+    # e^{2u} = e^{-16} e^{2v}: the refinement must still stop on a relative test
+    v = random_field(np.random.default_rng(0), 8, 2.0)
+    u = v + HarmonicField.constant(-8.0)
+    assert abs(chang_gui_value(2.0 / 3.0, u) - chang_gui_value(2.0 / 3.0, v)) <= 1e-10
+    assert abs(onofri_value(2.0 / 3.0, u) - onofri_value(2.0 / 3.0, v)) <= 1e-10
+
+
 def test_ordering_sharp_vs_classical(rng):
     # the Lorentzian quantity is at most the squared mass, so I >= J
     for _ in range(5):

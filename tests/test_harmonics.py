@@ -16,8 +16,9 @@ from onofri import (
     laplacian,
     synthesize,
 )
-from onofri.harmonics import _legendre_table, harmonics_at
+from onofri.harmonics import _grid_table, _legendre_table, harmonics_at
 from onofri.sampling import random_field
+from onofri.sphere import SphericalGrid
 
 
 def w3_field():
@@ -209,6 +210,19 @@ def test_legendre_table_matches_pairwise_loop(rng):
     t = np.cos(rng.uniform(0.0, math.pi, 40))
     for l_max in (0, 1, 2, 7, 33):
         assert np.array_equal(_legendre_table(l_max, t), _legendre_loop(l_max, t))
+
+
+def test_grid_table_keyed_on_abscissas(grid16, rng):
+    # a hand-built grid with the canonical theta count but shifted abscissas
+    # must not be served the canonical grid's cached table
+    u = random_field(rng, 8, 0.5)
+    synthesize(u, grid16)
+    t = 0.9 * grid16.cos_theta + 0.01
+    hand = SphericalGrid(t, grid16.theta_weights, grid16.phi, grid16.band_limit_exact)
+    assert np.max(np.abs(synthesize(u, hand).samples - evaluate_at(u, hand.nodes))) < 1e-12
+    table = _grid_table(8, t.tobytes())
+    assert np.array_equal(table, _legendre_table(8, t))
+    assert not table.flags.writeable
 
 
 def test_field_json_round_trip(rng):

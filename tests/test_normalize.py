@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from onofri import (
     build_grid,
     com_of_exp,
     dilation,
+    exp_moments,
     normalize,
     psi_field,
     recentering_map,
@@ -108,6 +110,23 @@ def test_normalize_zero_field():
     assert abs(res.x0) < 1e-13
     assert res.residual_com_norm < 1e-12
     assert res.tau.is_identity(tol=1e-10)
+
+
+def test_normalize_computes_exp_moments_once(monkeypatch, rng):
+    module = importlib.import_module("onofri.normalize")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exp_moments(*args, **kwargs)
+
+    u = random_field(rng, 6, 0.5)
+    monkeypatch.setattr(module, "exp_moments", counted)
+    result = normalize(u)
+    assert result.method == "closed_form" and len(calls) == 1
+    monkeypatch.undo()
+    assert result.x0 == solve_x0(u)
+    assert result.lambda0 == solve_lambda0(u, result.x0)
 
 
 def test_normalize_random_fields(rng):

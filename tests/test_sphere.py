@@ -11,12 +11,13 @@ from onofri import (
     build_grid,
     cap_area,
     integrate,
+    moments,
     stereo_inverse,
     stereo_project,
     synthesize,
     unit_point,
 )
-from onofri.sphere import RefinementPolicy
+from onofri.sphere import RefinementPolicy, _leggauss
 
 
 def test_stereo_project_examples():
@@ -96,6 +97,25 @@ def test_integrate_rejects_length_mismatch(grid16):
 def test_integrate_deterministic(grid48):
     samples = np.sin(3 * grid48.nodes[:, 0]) + grid48.nodes[:, 2] ** 5
     assert integrate(grid48, samples) == integrate(grid48, samples)
+
+
+def test_moments_match_integrate(grid48):
+    nodes = grid48.nodes
+    f = np.exp(np.sin(3 * nodes[:, 0]) + nodes[:, 1] * nodes[:, 2])
+    ref = [integrate(grid48, f)] + [integrate(grid48, nodes[:, k] * f) for k in range(3)]
+    got = moments(grid48, f)
+    assert got.shape == (4,)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * ref[0]
+    assert np.array_equal(moments(grid48, f), got)
+    with pytest.raises(ValueError):
+        moments(grid48, f[:-1])
+
+
+def test_cached_arrays_read_only(grid16):
+    t, w = _leggauss(17)
+    assert _leggauss(17) is _leggauss(17)
+    for arr in (t, w, grid16.cos_theta, grid16.theta_weights, grid16.phi):
+        assert not arr.flags.writeable
 
 
 def test_quadrature_exactness(grid16):
