@@ -57,7 +57,6 @@ from . import (
     translation_to,
 )
 from .config import tol_scale
-from .harmonics import GridField, analyze
 from .lorentz import ETA, lorentz_residuals
 from .sampling import (
     random_conformal,

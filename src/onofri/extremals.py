@@ -194,7 +194,11 @@ def build_extremal(
 
 def psi_values(e: Extremal, points: np.ndarray) -> np.ndarray:
     """Exact samples of (3/4) ln J + c at arbitrary unit vectors."""
-    return 0.75 * np.log(e.tau.jacobian(points)) + e.normalizer
+    return _psi_of_jacobian(e, e.tau.jacobian(points))
+
+
+def _psi_of_jacobian(e: Extremal, jac: np.ndarray) -> np.ndarray:
+    return 0.75 * np.log(jac) + e.normalizer
 
 
 def psi_field(

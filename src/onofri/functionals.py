@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import scaled
-from .extremals import build_extremal, psi_values
+from .extremals import _psi_of_jacobian, build_extremal
 from .harmonics import (
     HarmonicField,
     Projection,
@@ -31,7 +31,7 @@ from .harmonics import (
     project_samples,
     synthesize,
 )
-from .mobius import ConformalMap
+from .mobius import ConformalMap, _spinor
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -173,8 +173,8 @@ def transform(
     gated by ``tail_threshold``.
     """
     e = build_extremal(tau, policy)
-    mapped = tau.apply(grid.nodes)
-    samples = evaluate_at(u, mapped) + psi_values(e, grid.nodes)
+    mapped, jac = tau._image_and_jacobian(_spinor(grid.nodes))
+    samples = evaluate_at(u, mapped) + _psi_of_jacobian(e, jac)
     proj = project_samples(samples, grid, l_max)
     if tail_threshold is not None and proj.tail_fraction > scaled(tail_threshold):
         raise ConvergenceError(

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .mobius import ConformalMap, MobiusMap
+from .mobius import ConformalMap, MobiusMap, _spinor
 from .sphere import unit_point
 
 __all__ = [
@@ -103,9 +103,10 @@ def lightcone_residual(tau: ConformalMap, w) -> float | np.ndarray:
     single = w.ndim == 1
     w = np.atleast_2d(w)
     L = lorentz_lift(tau.mobius)
-    lhs = np.concatenate([np.ones((w.shape[0], 1)), tau.apply(w)], axis=1)
+    image, jac = tau._image_and_jacobian(_spinor(w))
+    lhs = np.concatenate([np.ones((w.shape[0], 1)), image], axis=1)
     cone = np.concatenate([np.ones((w.shape[0], 1)), w], axis=1)
-    rhs = np.sqrt(tau.jacobian(w))[:, None] * (cone @ L.T)
+    rhs = np.sqrt(jac)[:, None] * (cone @ L.T)
     res = np.linalg.norm(lhs - rhs, axis=1)
     return float(res[0]) if single else res
 

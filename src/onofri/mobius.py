@@ -92,13 +92,14 @@ class MobiusMap:
         return f"MobiusMap(a={self.a:.6g}, b={self.b:.6g}, c={self.c:.6g}, d={self.d:.6g})"
 
 
-def _spinor(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit spinor (xi1, xi2) of each unit vector, with z = xi1/xi2.
+def _spinor(points) -> tuple[np.ndarray, np.ndarray]:
+    """Unit spinor (xi1, xi2) of each point (renormalized first), with z = xi1/xi2.
 
     Built in the chart away from the nearer pole, so no large intermediates
-    appear even at the poles themselves.
+    appear even at the poles themselves.  A point set that several maps act
+    on needs its spinors only once.
     """
-    w = np.asarray(points, dtype=float)
+    w = unit_point(points)
     south = w[..., 2] <= 0.0
     x1 = np.where(south, w[..., 0], 1.0 + w[..., 2]) + 1j * np.where(south, w[..., 1], 0.0)
     x2 = np.where(south, 1.0 - w[..., 2], w[..., 0]) + 1j * np.where(south, 0.0, -w[..., 1])
@@ -106,8 +107,8 @@ def _spinor(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x1 / norm, x2 / norm
 
 
-def _point_of_spinor(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    n = np.abs(x1) ** 2 + np.abs(x2) ** 2
+def _point_of_spinor(x1: np.ndarray, x2: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # n = |x1|^2 + |x2|^2
     cross = 2.0 * x1 * np.conj(x2)
     w = np.stack([cross.real / n, cross.imag / n, (np.abs(x1) ** 2 - np.abs(x2) ** 2) / n], axis=-1)
     return unit_point(w)
@@ -126,18 +127,19 @@ class ConformalMap:
         object.__setattr__(self, "mobius", mobius)
         object.__setattr__(self, "reflect", bool(reflect))
 
-    def _acted_spinor(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x1, x2 = _spinor(points)
+    def _act(self, spinors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Acted spinors (y1, y2) of node spinors and their norm |y1|^2 + |y2|^2."""
+        x1, x2 = spinors
         if self.reflect:
             x1, x2 = np.conj(x1), np.conj(x2)
         m = self.mobius.mat
-        return m[0, 0] * x1 + m[0, 1] * x2, m[1, 0] * x1 + m[1, 1] * x2
+        y1 = m[0, 0] * x1 + m[0, 1] * x2
+        y2 = m[1, 0] * x1 + m[1, 1] * x2
+        return y1, y2, np.abs(y1) ** 2 + np.abs(y2) ** 2
 
     def apply(self, w) -> np.ndarray:
         """Image of unit vector(s) of shape (..., 3)."""
-        w = unit_point(w)
-        y1, y2 = self._acted_spinor(w)
-        return _point_of_spinor(y1, y2)
+        return _point_of_spinor(*self._act(_spinor(w)))
 
     __call__ = apply
 
@@ -149,11 +151,14 @@ class ConformalMap:
         evaluating the inverted-chart formula.  The reflect flag does not
         change the value.
         """
-        w = unit_point(w)
-        y1, y2 = self._acted_spinor(w)
-        n = np.abs(y1) ** 2 + np.abs(y2) ** 2
+        n = self._act(_spinor(w))[2]
         J = 1.0 / (n * n)
         return float(J) if np.ndim(J) == 0 else J
+
+    def _image_and_jacobian(self, spinors) -> tuple[np.ndarray, np.ndarray]:
+        """``(apply(w), jacobian(w))`` from ``spinors = _spinor(w)``, in one pass."""
+        y1, y2, n = self._act(spinors)
+        return _point_of_spinor(y1, y2, n), 1.0 / (n * n)
 
     def plane_image(self, z):
         """Action in the stereographic chart; INFINITY is a legal value both ways."""

@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 from .config import scaled
 from .functionals import ExpMoments, exp_moments
 from .harmonics import HarmonicField, evaluate_at
-from .mobius import ConformalMap, dilation, translation
+from .mobius import ConformalMap, _spinor, dilation, translation
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -81,11 +81,14 @@ def recentering_map(x0: complex, lam0: float) -> ConformalMap:
     return translation(x0).compose(dilation(lam0))
 
 
-def _grid_com(u: HarmonicField, tau: ConformalMap, grid: SphericalGrid) -> np.ndarray:
-    # e^{2u(tau w)} J_tau(w)^{3/2} is e^{2(u o tau + psi)} up to a constant factor
-    nodes = grid.nodes
-    weight = np.exp(2.0 * evaluate_at(u, tau.apply(nodes))) * tau.jacobian(nodes) ** 1.5
-    v = moments(grid, weight)
+def _grid_com(
+    u: HarmonicField, tau: ConformalMap, grid: SphericalGrid, spinors=None
+) -> np.ndarray:
+    # e^{2u(tau w)} J_tau(w)^{3/2} is e^{2(u o tau + psi)} up to a constant factor;
+    # spinors: the grid's node spinors, when the caller keeps them for reuse;
+    # otherwise they are freed before evaluate_at, to keep peak memory down
+    mapped, jac = tau._image_and_jacobian(_spinor(grid.nodes) if spinors is None else spinors)
+    v = moments(grid, np.exp(2.0 * evaluate_at(u, mapped)) * jac**1.5)
     return v[1:] / v[0]
 
 
@@ -100,26 +103,31 @@ def _root_find_lambda0(
     # all lambda evaluations so the root-found function is smooth in lambda.
     n = min(policy.theta_cap, max(math.ceil(2.25 * theta_count), 96))
     grid = _make_grid(n, 2 * n - 1)
+    spinors = _spinor(grid.nodes)
+    values = {}
 
     # brentq keeps g in a reference cycle until the next garbage collection,
-    # so g owns the grid but no node array: nodes are built per call
-    def g(lam: float) -> float:
-        return float(_grid_com(u, recentering_map(x0, lam), grid)[2])
+    # so the node spinors reach g as an argument (args=), never through its
+    # closure; brentq re-evaluates the bracket ends, hence the memo
+    def g(lam: float, spinors) -> float:
+        if lam not in values:
+            values[lam] = float(_grid_com(u, recentering_map(x0, lam), grid, spinors)[2])
+        return values[lam]
 
     # g is decreasing: grow the bracket by decades until the sign changes
     lo = hi = float(bracket_init)
-    g_lo = g_hi = g(lo)
+    g_lo = g_hi = g(lo, spinors)
     while g_hi > 0:
         lo, g_lo, hi = hi, g_hi, hi * 10.0
         if hi > _LAMBDA_RANGE[1]:
             raise ConvergenceError("no bracket for lambda0 below 1e6")
-        g_hi = g(hi)
+        g_hi = g(hi, spinors)
     while g_lo < 0:
         hi, g_hi, lo = lo, g_lo, lo / 10.0
         if lo < _LAMBDA_RANGE[0]:
             raise ConvergenceError("no bracket for lambda0 above 1e-6")
-        g_lo = g(lo)
-    root, info = brentq(g, lo, hi, xtol=1e-15, full_output=True, disp=False)
+        g_lo = g(lo, spinors)
+    root, info = brentq(g, lo, hi, args=(spinors,), xtol=1e-15, full_output=True, disp=False)
     if not info.converged:
         raise ConvergenceError(f"Brent iteration for lambda0 did not converge: {info.flag}")
     return root

@@ -19,6 +19,7 @@ from onofri import (
     translation,
     translation_to,
 )
+from onofri.mobius import _spinor
 from onofri.sampling import random_conformal, random_unit_vector
 
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -171,6 +172,25 @@ def test_jacobian_examples(rng):
     for w in (NORTH, SOUTH):
         j = tau.jacobian(w)
         assert np.isfinite(j) and j > 0
+
+
+def test_image_and_jacobian_bit_identical(rng):
+    # the one-pass image and Jacobian are exactly apply and jacobian
+    def check(tau, w):
+        image, jac = tau._image_and_jacobian(_spinor(w))
+        assert np.array_equal(image, tau.apply(w))
+        assert np.array_equal(jac, tau.jacobian(w))
+
+    poles = np.array(
+        [NORTH, SOUTH, [1e-17, 0.0, 1.0], [0.0, 1e-17, 1.0], [1e-17, 0.0, -1.0], [0.0, -1e-17, -1.0]]
+    )
+    reflected = ConformalMap(random_conformal(rng).mobius, reflect=True)
+    for tau in (identity_map(), inversion(), reflected, dilation(20.0)):
+        check(tau, poles)
+        check(tau, poles[0])
+    pts = rng.normal(size=(1000, 3))
+    for _ in range(10):
+        check(random_conformal(rng, allow_reflect=True), pts)
 
 
 def test_jacobian_chart_agreement(rng):

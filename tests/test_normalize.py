@@ -1,5 +1,7 @@
+import gc
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from onofri import (
     transform,
     translation_to,
 )
-from onofri.normalize import transported_com
+from onofri.mobius import _spinor
+from onofri.normalize import _grid_com, transported_com
 from onofri.sampling import random_conformal, random_field
 
 
@@ -102,6 +105,57 @@ def test_bisection_bracket_initializations(rng):
         for b in (0.2, 0.7, 1.0, 3.0, 8.0)
     ]
     assert max(lams) - min(lams) < 1e-8
+
+
+def test_grid_com_with_precomputed_spinors(grid48, rng):
+    u = random_field(rng, 6, 0.5)
+    for tau in (random_conformal(rng), random_conformal(rng, allow_reflect=True)):
+        assert np.array_equal(
+            _grid_com(u, tau, grid48, _spinor(grid48.nodes)), _grid_com(u, tau, grid48)
+        )
+
+
+def test_root_find_evaluates_each_lambda_once(monkeypatch):
+    module = importlib.import_module("onofri.normalize")
+    made, lams = [], []
+
+    def made_map(x0, lam):
+        tau = recentering_map(x0, lam)
+        made.append((tau, lam))
+        return tau
+
+    def recorded(u, tau, *args):
+        lams.append(next(lam for t, lam in made if t is tau))
+        return _grid_com(u, tau, *args)
+
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    x0 = solve_x0(u)
+    monkeypatch.setattr(module, "recentering_map", made_map)
+    monkeypatch.setattr(module, "_grid_com", recorded)
+    solve_lambda0(u, x0, method="root_find")
+    assert len(lams) > 2
+    assert len(lams) == len(set(lams))
+
+
+def test_root_find_leaves_no_node_arrays_behind():
+    # brentq keeps its objective in a reference cycle until the next garbage
+    # collection; nothing node-sized may hang on that cycle
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    x0 = solve_x0(u)
+    solve_lambda0(u, x0, method="root_find")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solve_lambda0(u, x0, method="root_find")
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert left <= 256 * 1024
 
 
 def test_normalize_zero_field():
