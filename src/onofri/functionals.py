@@ -26,12 +26,14 @@ from .extremals import _psi_of_jacobian, build_extremal
 from .harmonics import (
     HarmonicField,
     Projection,
+    _legendre_table,
+    _rotated,
+    _synthesis,
     dirichlet_energy,
-    evaluate_at,
     project_samples,
     synthesize,
 )
-from .mobius import ConformalMap, _spinor
+from .mobius import ConformalMap, _spinor, dilation
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -158,6 +160,37 @@ def onofri_value(
     return alpha * dirichlet_energy(u) + 2.0 * u.mean() - math.log(mom.mass)
 
 
+class _Composition(NamedTuple):
+    """u o tau in the frame of the Cartan split tau = R_U o dilation(lam) o O_V.
+
+    At w = O_V^T g:  u(tau(w)) = field(dilation(lam)(g)) and J_tau(w) =
+    J_dilation(g), and since the measure is rotation-invariant,
+    int w F(tau(w)) dw = O_V^T int g F(dilation(lam)(g)) dg.
+    """
+
+    field: HarmonicField  # u o R_U, of u's band
+    lam: float
+    frame: np.ndarray     # O_V
+
+    def samples(self, grid: SphericalGrid) -> tuple[np.ndarray, np.ndarray]:
+        """u(tau(O_V^T g)) at the nodes g of ``grid``, and J_tau there per theta row.
+
+        The dilation keeps every azimuth and moves cos(theta) alone, so the
+        samples are one synthesis from the Legendre table at the image of one
+        meridian, and the Jacobian is zonal.
+        """
+        t = grid.cos_theta
+        meridian = np.stack([np.sqrt(np.maximum(1.0 - t * t, 0.0)), np.zeros_like(t), t], axis=-1)
+        image, jac = dilation(self.lam)._image_and_jacobian(_spinor(meridian))
+        table = _legendre_table(self.field.l_max, image[:, 2])
+        return _synthesis(self.field, table, grid), jac
+
+
+def _compose(u: HarmonicField, tau: ConformalMap) -> _Composition:
+    rot, lam, frame = tau._cartan()
+    return _Composition(_rotated(u, rot), lam, frame)
+
+
 def transform(
     u: HarmonicField,
     tau: ConformalMap,
@@ -173,9 +206,13 @@ def transform(
     gated by ``tail_threshold``.
     """
     e = build_extremal(tau, policy)
-    mapped, jac = tau._image_and_jacobian(_spinor(grid.nodes))
-    samples = evaluate_at(u, mapped) + _psi_of_jacobian(e, jac)
+    comp = _compose(u, tau)
+    samples, jac = comp.samples(grid)
+    samples = samples + np.repeat(_psi_of_jacobian(e, jac), grid.phi_count)
+    # projected in the dilation's frame and rotated back; the tail fraction
+    # is a ratio of per-degree energies, which the rotation keeps
     proj = project_samples(samples, grid, l_max)
+    proj = Projection(_rotated(proj.field, comp.frame), proj.tail_fraction)
     if tail_threshold is not None and proj.tail_fraction > scaled(tail_threshold):
         raise ConvergenceError(
             f"transform tail energy fraction {proj.tail_fraction:.3e} exceeds threshold"
@@ -217,8 +254,8 @@ def dirichlet_invariance_check(
     """
     if l_max is None:
         l_max = grid.band_limit_exact // 2
-    mapped = tau.apply(grid.nodes)
-    proj = project_samples(evaluate_at(u, mapped), grid, l_max)
+    # the energy is rotation-invariant, so the dilation's frame serves as well
+    proj = project_samples(_compose(u, tau).samples(grid)[0], grid, l_max)
     return InvarianceCheck(
         abs(dirichlet_energy(proj.field) - dirichlet_energy(u)), proj.tail_fraction
     )

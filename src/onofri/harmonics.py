@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sphere import SphericalGrid
+from .sphere import SphericalGrid, build_grid
 
 __all__ = [
     "GridField",
@@ -185,9 +185,17 @@ def synthesize(f: HarmonicField, grid: SphericalGrid) -> GridField:
         raise ValueError(
             f"grid resolves band {grid.band_limit_exact} < field l_max {f.l_max}"
         )
+    table = _grid_table(f.l_max, grid.cos_theta.tobytes())
+    return GridField(grid, _synthesis(f, table, grid))
+
+
+def _synthesis(f: HarmonicField, table: np.ndarray, grid: SphericalGrid) -> np.ndarray:
+    """Flat samples of ``f`` at ``table``'s abscissas crossed with ``grid``'s azimuths.
+
+    ``table``: a band-``f.l_max`` :func:`_legendre_table` at any abscissas.
+    """
     L = f.l_max
-    table = _grid_table(L, grid.cos_theta.tobytes())
-    nt = grid.theta_count
+    nt = table.shape[1]
     # A[m] = sum_l c(l, m) P(l, m),  B[m] = sum_l c(l, -m) P(l, m)
     A = np.zeros((L + 1, nt))
     B = np.zeros((L + 1, nt))
@@ -201,7 +209,7 @@ def synthesize(f: HarmonicField, grid: SphericalGrid) -> GridField:
     scale = np.full(L + 1, math.sqrt(2.0))
     scale[0] = 1.0
     samples = (A * scale[:, None]).T @ cos_t + (B * scale[:, None]).T @ sin_t
-    return GridField(grid, samples.reshape(-1))
+    return samples.reshape(-1)
 
 
 def analyze(g: GridField, l_max: int) -> HarmonicField:
@@ -236,8 +244,7 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
 def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
     """Evaluate a field at arbitrary unit vectors (shape (..., 3)).
 
-    Exact (up to rounding) for the stored band-limited expansion; used for
-    composing fields with conformal maps where nodes lose tensor structure.
+    Exact (up to rounding) for the stored band-limited expansion.
     """
     w = np.asarray(points, dtype=float)
     single = w.ndim == 1
@@ -279,6 +286,17 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
         else:
             total += math.sqrt(2.0) * (acc_a * cos_m + acc_b * sin_m)
     return total[0] if single else total
+
+
+def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
+    """The field w -> f(frame @ w) for an orthogonal 3x3 ``frame``, exactly.
+
+    An orthogonal change of frame keeps the band, so analyzing samples at
+    the nodes of ``build_grid(f.l_max)`` is exact quadrature: one scattered
+    evaluation of (L+1)(2L+1) points, and no rotation-matrix tables.
+    """
+    grid = build_grid(f.l_max)
+    return analyze(GridField(grid, evaluate_at(f, grid.nodes @ frame.T)), f.l_max)
 
 
 def harmonics_at(w, l_max: int) -> np.ndarray:

@@ -96,8 +96,7 @@ def _spinor(points) -> tuple[np.ndarray, np.ndarray]:
     """Unit spinor (xi1, xi2) of each point (renormalized first), with z = xi1/xi2.
 
     Built in the chart away from the nearer pole, so no large intermediates
-    appear even at the poles themselves.  A point set that several maps act
-    on needs its spinors only once.
+    appear even at the poles themselves.
     """
     w = unit_point(points)
     south = w[..., 2] <= 0.0
@@ -159,6 +158,20 @@ class ConformalMap:
         """``(apply(w), jacobian(w))`` from ``spinors = _spinor(w)``, in one pass."""
         y1, y2, n = self._act(spinors)
         return _point_of_spinor(y1, y2, n), 1.0 / (n * n)
+
+    def _cartan(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """Factors ``(R_U, lam, O_V)`` with ``self = R_U o dilation(lam) o O_V``, lam >= 1.
+
+        From the SVD M = U diag(s1, 1/s1) V^H, with U and V^H scaled into SU(2):
+        both are rotations, returned as 3x3 matrices acting on column vectors.
+        A reflected map's conjugation diag(1, -1, 1) is folded into O_V.
+        lam = s1^2 keeps full relative accuracy where s2 = 1/s1 is tiny.
+        """
+        u, s, vh = np.linalg.svd(self.mobius.mat)
+        basis = np.eye(3)
+        rot = ConformalMap(MobiusMap.from_matrix(u)).apply(basis).T
+        frame = ConformalMap(MobiusMap.from_matrix(vh), self.reflect).apply(basis).T
+        return rot, max(float(s[0]) ** 2, 1.0), frame
 
     def plane_image(self, z):
         """Action in the stereographic chart; INFINITY is a legal value both ways."""

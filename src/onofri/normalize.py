@@ -26,9 +26,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .config import scaled
-from .functionals import ExpMoments, exp_moments
-from .harmonics import HarmonicField, evaluate_at
-from .mobius import ConformalMap, _spinor, dilation, translation
+from .functionals import ExpMoments, _compose, _Composition, exp_moments
+from .harmonics import HarmonicField
+from .mobius import ConformalMap, dilation, translation
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -81,15 +81,16 @@ def recentering_map(x0: complex, lam0: float) -> ConformalMap:
     return translation(x0).compose(dilation(lam0))
 
 
-def _grid_com(
-    u: HarmonicField, tau: ConformalMap, grid: SphericalGrid, spinors=None
-) -> np.ndarray:
-    # e^{2u(tau w)} J_tau(w)^{3/2} is e^{2(u o tau + psi)} up to a constant factor;
-    # spinors: the grid's node spinors, when the caller keeps them for reuse;
-    # otherwise they are freed before evaluate_at, to keep peak memory down
-    mapped, jac = tau._image_and_jacobian(_spinor(grid.nodes) if spinors is None else spinors)
-    v = moments(grid, np.exp(2.0 * evaluate_at(u, mapped)) * jac**1.5)
-    return v[1:] / v[0]
+def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
+    # e^{2u(tau w)} J_tau(w)^{3/2} is e^{2(u o tau + psi)} up to a constant factor
+    samples, jac = comp.samples(grid)
+    weight = np.exp(2.0 * samples).reshape(-1, grid.phi_count) * (jac**1.5)[:, None]
+    v = moments(grid, weight.reshape(-1))
+    return comp.frame.T @ v[1:] / v[0]
+
+
+def _grid_com(u: HarmonicField, tau: ConformalMap, grid: SphericalGrid) -> np.ndarray:
+    return _composed_com(_compose(u, tau), grid)
 
 
 def _root_find_lambda0(
@@ -103,31 +104,30 @@ def _root_find_lambda0(
     # all lambda evaluations so the root-found function is smooth in lambda.
     n = min(policy.theta_cap, max(math.ceil(2.25 * theta_count), 96))
     grid = _make_grid(n, 2 * n - 1)
-    spinors = _spinor(grid.nodes)
     values = {}
 
     # brentq keeps g in a reference cycle until the next garbage collection,
-    # so the node spinors reach g as an argument (args=), never through its
-    # closure; brentq re-evaluates the bracket ends, hence the memo
-    def g(lam: float, spinors) -> float:
+    # so g's closure must own nothing node-sized; brentq re-evaluates the
+    # bracket ends, hence the memo
+    def g(lam: float) -> float:
         if lam not in values:
-            values[lam] = float(_grid_com(u, recentering_map(x0, lam), grid, spinors)[2])
+            values[lam] = float(_grid_com(u, recentering_map(x0, lam), grid)[2])
         return values[lam]
 
     # g is decreasing: grow the bracket by decades until the sign changes
     lo = hi = float(bracket_init)
-    g_lo = g_hi = g(lo, spinors)
+    g_lo = g_hi = g(lo)
     while g_hi > 0:
         lo, g_lo, hi = hi, g_hi, hi * 10.0
         if hi > _LAMBDA_RANGE[1]:
             raise ConvergenceError("no bracket for lambda0 below 1e6")
-        g_hi = g(hi, spinors)
+        g_hi = g(hi)
     while g_lo < 0:
         hi, g_hi, lo = lo, g_lo, lo / 10.0
         if lo < _LAMBDA_RANGE[0]:
             raise ConvergenceError("no bracket for lambda0 above 1e-6")
-        g_lo = g(lo, spinors)
-    root, info = brentq(g, lo, hi, args=(spinors,), xtol=1e-15, full_output=True, disp=False)
+        g_lo = g(lo)
+    root, info = brentq(g, lo, hi, xtol=1e-15, full_output=True, disp=False)
     if not info.converged:
         raise ConvergenceError(f"Brent iteration for lambda0 did not converge: {info.flag}")
     return root
@@ -211,12 +211,13 @@ def transported_com(
 ) -> np.ndarray:
     """Center of mass of e^{2(u o tau + psi)} from exact samples (no band limit).
 
-    u is synthesized pointwise at the mapped nodes, which is exact for the
-    stored expansion, so the residual is limited by quadrature alone.
+    u o tau is synthesized exactly for the stored expansion (see
+    ``functionals._Composition``), so the residual is limited by quadrature
+    alone.
     """
-
+    comp = _compose(u, tau)
     com, _, converged = _tight(policy).refine(
-        lambda grid: _grid_com(u, tau, grid), min_band=u.l_max
+        lambda grid: _composed_com(comp, grid), min_band=u.l_max
     )
     if not converged:
         raise ConvergenceError("transported center of mass did not converge")

@@ -11,6 +11,7 @@ from onofri import (
     chang_gui_value,
     dilation,
     dirichlet_energy,
+    evaluate_at,
     dirichlet_invariance_check,
     exp_moments,
     identity_map,
@@ -91,6 +92,17 @@ def test_transform_identity(grid72, rng):
     u = random_field(rng, 6, 0.4)
     moved = transform(u, identity_map(), 6, grid72)
     assert np.max(np.abs(moved.field.coeffs - u.coeffs)) < 1e-12
+
+
+def test_transform_by_rotation(grid72, rng):
+    # a rotation has J = 1 and psi = 0: transform returns u o R, its tail at rounding level
+    u = random_field(rng, 8, 0.5)
+    tau = rotation([0.3, -1.0, 0.6], 1.1)
+    moved = transform(u, tau, 8, grid72)
+    pts = rng.normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    assert np.max(np.abs(evaluate_at(moved.field, pts) - evaluate_at(u, tau.apply(pts)))) < 1e-13
+    assert moved.tail_fraction < 1e-24
 
 
 def test_transform_of_zero_is_psi(grid72):

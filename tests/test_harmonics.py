@@ -16,8 +16,8 @@ from onofri import (
     laplacian,
     synthesize,
 )
-from onofri.harmonics import _grid_table, _legendre_table, harmonics_at
-from onofri.sampling import random_field
+from onofri.harmonics import _grid_table, _legendre_table, _rotated, harmonics_at
+from onofri.sampling import random_conformal, random_field
 from onofri.sphere import SphericalGrid
 
 
@@ -250,3 +250,21 @@ def test_coeff_index_layout():
     assert coeff_index(2, -2) == 4
     with pytest.raises(ValueError):
         coeff_index(1, 2)
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 8, 32])
+def test_frame_change_is_exact(l_max, rng):
+    # w -> f(Q w) for orthogonal Q, a rotation and a reflected frame
+    u = random_field(rng, l_max, 1.0)
+    pts = rng.normal(size=(500, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    l = u.degrees()
+    for reflect in (False, True):
+        frame = random_conformal(rng)._cartan()[2]
+        if reflect:
+            frame = frame @ np.diag([1.0, -1.0, 1.0])
+        moved = _rotated(u, frame)
+        assert moved.l_max == l_max
+        assert np.max(np.abs(evaluate_at(moved, pts) - evaluate_at(u, pts @ frame.T))) < 1e-13
+        energy = np.bincount(l, u.coeffs**2)
+        assert np.max(np.abs(np.bincount(l, moved.coeffs**2) - energy)) < 1e-13 * (1.0 + energy.max())

@@ -13,6 +13,7 @@ from onofri import (
     identity_map,
     inversion,
     jacobian_area_oracle,
+    recentering_map,
     rotation,
     stereo_inverse,
     stereo_project,
@@ -191,6 +192,32 @@ def test_image_and_jacobian_bit_identical(rng):
     pts = rng.normal(size=(1000, 3))
     for _ in range(10):
         check(random_conformal(rng, allow_reflect=True), pts)
+
+
+def test_cartan_factors_reproduce_map(rng):
+    # tau = R_U o dilation(lam) o O_V, with the reflection folded into O_V
+    pts = rng.normal(size=(1000, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    reflected = ConformalMap(random_conformal(rng).mobius, reflect=True)
+    maps = [
+        identity_map(),
+        rotation([1.0, -2.0, 0.5], 2.3),
+        inversion(),
+        reflected,
+        dilation(20.0),
+        translation(5 + 1j),
+        recentering_map(0.3 + 0.2j, 1e-6),
+        recentering_map(0.3 + 0.2j, 1e6),
+    ]
+    for tau in maps:
+        rot, lam, frame = tau._cartan()
+        assert lam >= 1.0
+        for q in (rot, frame):
+            assert np.max(np.abs(q @ q.T - np.eye(3))) < 1e-15
+        assert np.linalg.det(rot) > 0.0
+        assert (np.linalg.det(frame) < 0.0) == tau.reflect
+        image = dilation(lam).apply(pts @ frame.T) @ rot.T
+        assert np.max(np.abs(image - tau.apply(pts))) <= 1e-14
 
 
 def test_jacobian_chart_agreement(rng):

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from onofri import (
+    ConformalMap,
     HarmonicField,
     build_extremal,
     build_grid,
     com_of_exp,
     dilation,
+    evaluate_at,
     exp_moments,
+    moments,
     normalize,
     psi_field,
     recentering_map,
@@ -22,7 +25,7 @@ from onofri import (
     transform,
     translation_to,
 )
-from onofri.mobius import _spinor
+from onofri.harmonics import _grid_table
 from onofri.normalize import _grid_com, transported_com
 from onofri.sampling import random_conformal, random_field
 
@@ -107,12 +110,28 @@ def test_bisection_bracket_initializations(rng):
     assert max(lams) - min(lams) < 1e-8
 
 
-def test_grid_com_with_precomputed_spinors(grid48, rng):
+def test_grid_com_matches_scattered_evaluation(rng):
+    # the tensor-grid composition against u sampled at every mapped node; the
+    # two quadratures of one integral agree once both have converged
+    grid = build_grid(128)
     u = random_field(rng, 6, 0.5)
-    for tau in (random_conformal(rng), random_conformal(rng, allow_reflect=True)):
-        assert np.array_equal(
-            _grid_com(u, tau, grid48, _spinor(grid48.nodes)), _grid_com(u, tau, grid48)
-        )
+    maps = [random_conformal(rng, lam_eff_cap=6.0) for _ in range(3)]
+    maps.append(ConformalMap(random_conformal(rng, lam_eff_cap=6.0).mobius, reflect=True))
+    for tau in maps:
+        mapped, jac = tau.apply(grid.nodes), tau.jacobian(grid.nodes)
+        v = moments(grid, np.exp(2.0 * evaluate_at(u, mapped)) * jac**1.5)
+        assert np.max(np.abs(_grid_com(u, tau, grid) - v[1:] / v[0])) <= 1e-13
+
+
+def test_root_find_keeps_mapped_tables_out_of_the_grid_cache():
+    # the mapped abscissas change with every lambda; only real grids are cached
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    x0 = solve_x0(u)
+    solve_lambda0(u, x0, method="root_find")
+    before = _grid_table.cache_info()
+    solve_lambda0(u, x0, method="root_find", bracket_init=3.0)
+    after = _grid_table.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_root_find_evaluates_each_lambda_once(monkeypatch):
