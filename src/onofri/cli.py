@@ -389,11 +389,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     u = _load_field(args.field)
-    try:
-        rep = chang_gui_report(args.alpha, u, cfg.policy())
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rep = chang_gui_report(args.alpha, u, cfg.policy())
     payload = {"config": cfg.to_dict(), "report": rep.to_dict()}
     _emit(payload, args.out)
     return 0
@@ -401,13 +397,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_normalize(args, cfg: RunConfig) -> int:
     u = _load_field(args.field)
-    try:
-        result = normalize(u, cfg.policy(), method=args.method)
-        grid = build_grid(max(2 * cfg.l_max + 8, 72), cfg.oversample)
-        moved = transform(u, result.tau, cfg.l_max, grid, policy=cfg.policy())
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = normalize(u, cfg.policy(), method=args.method)
+    grid = build_grid(max(2 * cfg.l_max + 8, 72), cfg.oversample)
+    moved = transform(u, result.tau, cfg.l_max, grid, policy=cfg.policy())
     out_field = Path(args.field).with_suffix(".normalized.json")
     out_field.write_text(field_to_json(moved.field) + "\n")
     payload = {
@@ -423,24 +415,20 @@ def cmd_normalize(args, cfg: RunConfig) -> int:
 def cmd_stability(args, cfg: RunConfig) -> int:
     rows = []
     reports = []
-    try:
-        if args.random is not None:
-            rng = np.random.default_rng(cfg.seed)
-            for k in range(args.random):
-                u = random_field(rng, min(cfg.l_max, 6), 0.4)
-                rep = stability_check(u, policy=cfg.policy())
-                rows.append((cfg.seed + k, rep))
-                reports.append(rep)
-        else:
-            if args.field is None:
-                raise UsageError("stability needs a field file or --random N")
-            u = _load_field(args.field)
+    if args.random is not None:
+        rng = np.random.default_rng(cfg.seed)
+        for k in range(args.random):
+            u = random_field(rng, min(cfg.l_max, 6), 0.4)
             rep = stability_check(u, policy=cfg.policy())
-            rows.append((cfg.seed, rep))
+            rows.append((cfg.seed + k, rep))
             reports.append(rep)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    else:
+        if args.field is None:
+            raise UsageError("stability needs a field file or --random N")
+        u = _load_field(args.field)
+        rep = stability_check(u, policy=cfg.policy())
+        rows.append((cfg.seed, rep))
+        reports.append(rep)
     csv_path = args.csv or (Path(args.field).with_suffix(".stability.csv") if args.field else None)
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
@@ -566,6 +554,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -42,11 +42,6 @@ def coeff_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def _pair_index(l: int, m: int) -> int:
-    # packed index for 0 <= m <= l tables
-    return l * (l + 1) // 2 + m
-
-
 def _legendre_table(l_max: int, t: np.ndarray) -> np.ndarray:
     """Normalized associated Legendre values P(l, m >= 0) at abscissas ``t``.
 
@@ -58,20 +53,19 @@ def _legendre_table(l_max: int, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     out = np.empty(((l_max + 1) * (l_max + 2) // 2, t.size))
-    prev2 = prev = np.zeros((l_max + 1, t.size))
-    for l in range(l_max + 1):
-        row = np.zeros((l_max + 1, t.size))
-        row[l] = prev[l - 1] * s * math.sqrt((2 * l + 1) / (2 * l)) if l > 0 else 1.0
-        if l > 0:
-            row[l - 1] = math.sqrt(2 * l + 1) * t * prev[l - 1]
+    out[0] = 1.0
+    prev2 = prev = out[:1]
+    for l in range(1, l_max + 1):
+        row = out[l * (l + 1) // 2 : (l + 1) * (l + 2) // 2]  # rows m = 0..l of degree l
+        row[l] = prev[l - 1] * s * math.sqrt((2 * l + 1) / (2 * l))
+        row[l - 1] = math.sqrt(2 * l + 1) * t * prev[l - 1]
         if l > 1:
             m = np.arange(l - 1)
             a = np.sqrt((2 * l + 1) * (2 * l - 1) / ((l - m) * (l + m)))
             b = np.sqrt(
                 (2 * l + 1) * (l - 1 - m) * (l - 1 + m) / ((2 * l - 3) * (l - m) * (l + m))
             )
-            row[: l - 1] = a[:, None] * t * prev[: l - 1] - b[:, None] * prev2[: l - 1]
-        out[_pair_index(l, 0) : _pair_index(l, l) + 1] = row[: l + 1]
+            row[: l - 1] = a[:, None] * t * prev[: l - 1] - b[:, None] * prev2
         prev2, prev = prev, row
     return out
 
@@ -83,6 +77,27 @@ def _grid_table(l_max: int, cos_theta: bytes) -> np.ndarray:
     table = _legendre_table(l_max, np.frombuffer(cos_theta))
     table.setflags(write=False)
     return table
+
+
+class _Layout(NamedTuple):
+    """Read-only map of one band's flat slots onto the :func:`_legendre_table` rows (l, m >= 0)."""
+
+    degrees: np.ndarray  # degree l of each flat slot
+    pos: np.ndarray      # per row: flat slot of c(l, m)
+    neg: np.ndarray      # per row: flat slot of c(l, -m); pos again when m = 0
+    sum_m: np.ndarray    # (l_max+1, rows): sums the rows of each m, scaled 1 (m = 0) or sqrt(2)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(l_max: int) -> _Layout:
+    l, m = np.tril_indices(l_max + 1)
+    sum_m = np.zeros((l_max + 1, l.size))
+    sum_m[m, np.arange(l.size)] = np.where(m == 0, 1.0, math.sqrt(2.0))
+    degrees = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    layout = _Layout(degrees, l * l + l + m, l * l + l - m, sum_m)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
 
 def _azimuth_tables(grid: SphericalGrid, l_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +148,8 @@ class HarmonicField:
         return float(self.coeffs[0])
 
     def degrees(self) -> np.ndarray:
-        """Degree l of each flat coefficient slot."""
-        return np.repeat(np.arange(self.l_max + 1), 2 * np.arange(self.l_max + 1) + 1)
+        """Degree l of each flat coefficient slot (a shared, read-only array)."""
+        return _layout(self.l_max).degrees
 
     def to_lmax(self, l_max: int) -> "HarmonicField":
         """Pad with zeros or truncate to the requested band limit."""
@@ -194,22 +209,13 @@ def _synthesis(f: HarmonicField, table: np.ndarray, grid: SphericalGrid) -> np.n
 
     ``table``: a band-``f.l_max`` :func:`_legendre_table` at any abscissas.
     """
-    L = f.l_max
-    nt = table.shape[1]
-    # A[m] = sum_l c(l, m) P(l, m),  B[m] = sum_l c(l, -m) P(l, m)
-    A = np.zeros((L + 1, nt))
-    B = np.zeros((L + 1, nt))
-    for m in range(L + 1):
-        ls = np.arange(m, L + 1)
-        rows = table[[_pair_index(l, m) for l in ls]]
-        A[m] = f.coeffs[[coeff_index(l, m) for l in ls]] @ rows
-        if m > 0:
-            B[m] = f.coeffs[[coeff_index(l, -m) for l in ls]] @ rows
-    cos_t, sin_t = _azimuth_tables(grid, L)
-    scale = np.full(L + 1, math.sqrt(2.0))
-    scale[0] = 1.0
-    samples = (A * scale[:, None]).T @ cos_t + (B * scale[:, None]).T @ sin_t
-    return samples.reshape(-1)
+    lay = _layout(f.l_max)
+    # A[m] = s_m sum_l c(l, m) P(l, m),  B[m] = s_m sum_l c(l, -m) P(l, m);
+    # B[0] meets sin(0 phi) = 0
+    A = (lay.sum_m * f.coeffs[lay.pos]) @ table
+    B = (lay.sum_m * f.coeffs[lay.neg]) @ table
+    cos_t, sin_t = _azimuth_tables(grid, f.l_max)
+    return (A.T @ cos_t + B.T @ sin_t).reshape(-1)
 
 
 def analyze(g: GridField, l_max: int) -> HarmonicField:
@@ -223,22 +229,19 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
         raise ValueError(
             f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}"
         )
-    L = l_max
+    lay = _layout(l_max)
     f2d = g.samples.reshape(grid.theta_count, grid.phi_count)
-    cos_t, sin_t = _azimuth_tables(grid, L)
-    fc = f2d @ cos_t.T / grid.phi_count      # (nt, L+1)
-    fs = f2d @ sin_t.T / grid.phi_count
-    wt = grid.theta_weights / 2.0
-    table = _grid_table(L, grid.cos_theta.tobytes())
-    coeffs = np.zeros((L + 1) ** 2)
-    for m in range(L + 1):
-        ls = np.arange(m, L + 1)
-        rows = table[[_pair_index(l, m) for l in ls]]
-        scale = 1.0 if m == 0 else math.sqrt(2.0)
-        coeffs[[coeff_index(l, m) for l in ls]] = scale * (rows @ (wt * fc[:, m]))
-        if m > 0:
-            coeffs[[coeff_index(l, -m) for l in ls]] = scale * (rows @ (wt * fs[:, m]))
-    return HarmonicField(L, coeffs)
+    cos_t, sin_t = _azimuth_tables(grid, l_max)
+    wt = grid.theta_weights[:, None] / (2.0 * grid.phi_count)
+    fc = wt * (f2d @ cos_t.T)  # (theta, m): weighted azimuthal sums
+    fs = wt * (f2d @ sin_t.T)
+    table = _grid_table(l_max, grid.cos_theta.tobytes())
+    coeffs = np.empty((l_max + 1) ** 2)
+    # c(l, +-m) = s_m (table @ f)[(l, m), m]; an m = 0 row names its slot
+    # twice, and the cosine part, written last, is the one kept
+    coeffs[lay.neg] = np.einsum("rm,mr->r", table @ fs, lay.sum_m)
+    coeffs[lay.pos] = np.einsum("rm,mr->r", table @ fc, lay.sum_m)
+    return HarmonicField(l_max, coeffs)
 
 
 def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
@@ -302,12 +305,13 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
 def harmonics_at(w, l_max: int) -> np.ndarray:
     """Every basis function Y_lm at one unit vector, in flat coefficient order."""
     w = np.asarray(w, dtype=float)
-    table = _legendre_table(l_max, np.array([np.clip(w[2], -1.0, 1.0)]))[:, 0]
-    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    m = np.arange(l.size) - l * l - l
-    arg = np.abs(m) * math.atan2(w[1], w[0])
-    trig = np.where(m > 0, math.sqrt(2.0) * np.cos(arg), math.sqrt(2.0) * np.sin(arg))
-    return table[l * (l + 1) // 2 + np.abs(m)] * np.where(m == 0, 1.0, trig)
+    lay = _layout(l_max)
+    p = _legendre_table(l_max, np.array([np.clip(w[2], -1.0, 1.0)]))[:, 0]
+    arg = np.arange(l_max + 1) * math.atan2(w[1], w[0])
+    y = np.empty((l_max + 1) ** 2)
+    y[lay.neg] = p * (np.sin(arg) @ lay.sum_m)
+    y[lay.pos] = p * (np.cos(arg) @ lay.sum_m)  # last: m = 0 rows keep the cosine
+    return y
 
 
 def dirichlet_energy(f: HarmonicField) -> float:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .harmonics import HarmonicField
+from .harmonics import HarmonicField, _layout
 from .mobius import ConformalMap, MobiusMap, dilation, inversion, rotation, translation
 
 __all__ = [
@@ -33,9 +33,8 @@ __all__ = [
 
 def random_field(rng: np.random.Generator, l_max: int, scale: float) -> HarmonicField:
     """Band-limited field with degree-damped Gaussian coefficients."""
-    n = (l_max + 1) ** 2
-    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    coeffs = scale * rng.standard_normal(n) / (1.0 + l) ** 1.5
+    l = _layout(l_max).degrees
+    coeffs = scale * rng.standard_normal(l.size) / (1.0 + l) ** 1.5
     return HarmonicField(l_max, coeffs)
 
 

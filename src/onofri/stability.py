@@ -42,7 +42,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .config import scaled
-from .harmonics import HarmonicField, dirichlet_energy, harmonics_at, synthesize
+from .harmonics import HarmonicField, _layout, dirichlet_energy, harmonics_at, synthesize
 from .lorentz import lorentz_lift
 from .mobius import ConformalMap, MobiusMap, dilation, rotation
 from .normalize import normalize
@@ -161,7 +161,7 @@ def _ball_psi(b: np.ndarray, l_max: int) -> np.ndarray:
     t = float(np.linalg.norm(b))
     if t == 0.0:
         return np.zeros((l_max + 1) ** 2)
-    return np.repeat(_g(l_max, t), 2 * np.arange(l_max + 1) + 1) * harmonics_at(b / t, l_max)
+    return _g(l_max, t)[_layout(l_max).degrees] * harmonics_at(b / t, l_max)
 
 
 def _distance(coeffs: np.ndarray, b: np.ndarray, l_max: int) -> float:
@@ -186,7 +186,7 @@ def _scan_weights(l_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
     """Best scanned t and best grid node of the cross term, as a point b."""
-    degrees = HarmonicField.zero(l_max).degrees()
+    degrees = _layout(l_max).degrees
     parts = np.empty((l_max, grid.node_count))  # degree-l parts of u on the grid
     for l in range(1, l_max + 1):
         part = HarmonicField(l_max, np.where(degrees == l, target, 0.0))

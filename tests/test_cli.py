@@ -254,3 +254,11 @@ def test_eval_nonconvergence_exit_one(capsys, random_field_file):
     code = main(["--theta-cap", "16", "eval", random_field_file])
     capsys.readouterr()
     assert code == 1
+
+
+def test_verify_nonconvergence_exit_one(capsys):
+    # a starved cap stops the conformal-map moments short of convergence
+    code = main(["--theta-cap", "10", "verify", "mass_com"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "grid cap" in err

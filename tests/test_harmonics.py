@@ -7,6 +7,7 @@ from onofri import (
     GridField,
     HarmonicField,
     analyze,
+    build_grid,
     coeff_index,
     dirichlet_energy,
     evaluate_at,
@@ -16,7 +17,7 @@ from onofri import (
     laplacian,
     synthesize,
 )
-from onofri.harmonics import _grid_table, _legendre_table, _rotated, harmonics_at
+from onofri.harmonics import _grid_table, _layout, _legendre_table, _rotated, harmonics_at
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import SphericalGrid
 
@@ -86,9 +87,12 @@ def test_analyze_w3_squared(grid16):
     assert abs(got.coeff(2, 0) - c20) < 1e-13
 
 
-def test_analyze_synthesize_identity(grid48, rng):
-    u = random_field(rng, 12, 0.8)
-    back = analyze(synthesize(u, grid48), 12)
+@pytest.mark.parametrize("l_max", [0, 1, 9, 32, 64])
+def test_analyze_synthesize_identity(l_max, rng):
+    # build_grid(l_max) resolves exactly band l_max
+    grid = build_grid(l_max)
+    u = random_field(rng, l_max, 0.8)
+    back = analyze(synthesize(u, grid), l_max)
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
 
 
@@ -161,13 +165,16 @@ def test_green_identity(grid48, rng):
     assert abs(quad - spectral) < 1e-12
 
 
-def test_evaluate_at_matches_synthesize(grid16, rng):
-    u = random_field(rng, 9, 0.5)
-    direct = evaluate_at(u, grid16.nodes)
-    tensor = synthesize(u, grid16).samples
+@pytest.mark.parametrize("l_max", [0, 1, 9, 32, 64])
+def test_evaluate_at_matches_synthesize(l_max, rng):
+    grid = build_grid(l_max)
+    u = random_field(rng, l_max, 0.5)
+    direct = evaluate_at(u, grid.nodes)
+    tensor = synthesize(u, grid).samples
     assert np.max(np.abs(direct - tensor)) < 1e-12
-    single = evaluate_at(u, grid16.nodes[17])
-    assert abs(single - tensor[17]) < 1e-12
+    k = grid.node_count // 2
+    single = evaluate_at(u, grid.nodes[k])
+    assert abs(single - tensor[k]) < 1e-12
 
 
 def test_evaluate_at_poles(rng):
@@ -183,6 +190,46 @@ def test_harmonics_at_matches_evaluate_at(rng):
     for w in points:
         w = np.asarray(w, dtype=float) / np.linalg.norm(w)
         assert abs(harmonics_at(w, 12) @ u.coeffs - evaluate_at(u, w)) < 1e-12
+
+
+def test_basis_matches_scipy(rng):
+    # outside reference for normalization, Condon-Shortley phase and the
+    # cos/sin assignment: Y_lm = sqrt(4 pi) (-1)^m times Re Y_l^0 (m = 0),
+    # sqrt(2) Re Y_l^m (m > 0) or sqrt(2) Im Y_l^|m| (m < 0) of scipy's
+    # complex orthonormal harmonics
+    from scipy.special import sph_harm_y  # scipy >= 1.15
+
+    L = 32
+    pts = rng.normal(size=(50, 3))
+    pts = np.vstack([pts / np.linalg.norm(pts, axis=1)[:, None], [[0, 0, 1.0], [0, 0, -1.0]]])
+    l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    m = np.arange(l.size) - l * l - l
+    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))[:, None]
+    phi = np.arctan2(pts[:, 1], pts[:, 0])[:, None]
+    y = sph_harm_y(l, np.abs(m), theta, phi)
+    trig = np.where(m == 0, y.real, math.sqrt(2.0) * np.where(m > 0, y.real, y.imag))
+    ref = math.sqrt(4.0 * math.pi) * (-1.0) ** np.abs(m) * trig
+    got = np.array([harmonics_at(w, L) for w in pts])
+    assert np.max(np.abs(got - ref)) < 1e-12
+    for l_max in range(L + 1):
+        u = random_field(rng, l_max, 1.0)
+        n = u.coeffs.size
+        assert np.max(np.abs(evaluate_at(u, pts) - ref[:, :n] @ u.coeffs)) < 1e-12
+
+
+def test_layout_cached_read_only():
+    lay = _layout(7)
+    assert _layout(7) is lay
+    assert HarmonicField.zero(7).degrees() is lay.degrees
+    for arr in lay:
+        assert not arr.flags.writeable
+    rows = [(l, m) for l in range(8) for m in range(l + 1)]
+    assert lay.pos.tolist() == [coeff_index(l, m) for l, m in rows]
+    assert lay.neg.tolist() == [coeff_index(l, -m) for l, m in rows]
+    expected = np.zeros((8, len(rows)))
+    for r, (_, m) in enumerate(rows):
+        expected[m, r] = 1.0 if m == 0 else math.sqrt(2.0)
+    assert np.array_equal(lay.sum_m, expected)
 
 
 def _legendre_loop(l_max, t):
