@@ -1,273 +1,85 @@
 """Acceptance criteria, one test per criterion, each at its stated tolerance.
 
-Every test prints a single pass/fail line (also to the real terminal when
-pytest captures output).  Tolerances scale with ONOFRI_TOL_SCALE; runtime
-budgets do not.
+The criteria are checks in ``onofri.checks.CHECKS``, the registry that
+``onofri verify`` also runs.  Every test prints one pass/fail line per claim
+(also to the real terminal when pytest captures output) and fails if any row
+of its check fails.  Precision tolerances scale with ONOFRI_TOL_SCALE;
+runtime budgets do not.
 
 Family caps (see onofri.sampling): criteria 2-3 draw uncapped compositions of
 up to three bounded generators; criteria whose checks project ln J at a fixed
 band limit additionally cap the composite's effective dilation.
 """
 
-import math
 import time
 
-import numpy as np
 import pytest
 
-from onofri import (
-    ConformalMap,
-    build_extremal,
-    build_grid,
-    center_of_mass,
-    cg_bound_slack,
-    chang_gui_value,
-    conformal_mass,
-    dilation,
-    distance_to_manifold,
-    euler_lagrange_residual,
-    generator_com,
-    generator_mass,
-    homomorphism_check,
-    jacobian_area_oracle,
-    lightcone_residual,
-    lorentz_lift,
-    normalize,
-    psi_field,
-    solve_lambda0,
-    solve_x0,
-    sqrt_jacobian_residual,
-    stability_check,
-    transform,
-    translation,
-    translation_to,
-)
+from onofri.checks import CHECKS
 from onofri.config import scaled
-from onofri.lorentz import ETA
-from onofri.sampling import (
-    random_conformal,
-    random_field,
-    random_translation_point,
-    random_unimodular,
-    random_unit_vector,
-)
+
+CRITERIA = {check.criterion: check for check in CHECKS if check.criterion}
+
+# criterion: (seed, budget in s, {claim: tolerance at ONOFRI_TOL_SCALE=1}),
+# pinned so that an edit to the registry cannot loosen a criterion unnoticed
+PINNED = {
+    1: (101, 10.0, {"closed-form mass/com": 1e-10}),
+    2: (102, 30.0, {"normalizer identity": 1e-8}),
+    3: (102, 30.0, {"pointwise sqrt-J relation": 1e-8}),
+    4: (104, 10.0, {"Lorentz lift": 1e-11}),
+    5: (105, 60.0, {"extremal zero value": 1e-8}),
+    6: (106, 60.0, {"Euler-Lagrange residual": 1e-6}),
+    7: (107, 300.0, {"conformal invariance": 1e-6}),
+    8: (108, 120.0, {"COM zeroing residual": 1e-10, "lambda0 path agreement": 1e-8}),
+    9: (109, 180.0, {"sharp lower bound slack": 1e-8}),
+    10: (110, 600.0, {"stability slack": 1e-8, "on-manifold zero": 1e-7}),
+    11: (111, 300.0, {"normalize flattens extremals": 1e-7, "distance to manifold": 1e-6}),
+    12: (112, 60.0, {"area-oracle O(r^2) limit": 0.8}),
+}
+UNSCALED = {"area-oracle O(r^2) limit"}  # a bound on a convergence ratio
 
 
-_CAPSYS = None
-
-
-@pytest.fixture(autouse=True)
-def _live_output(capsys):
-    # lets the pass/fail lines reach the terminal even under capture
-    global _CAPSYS
-    _CAPSYS = capsys
-    yield
-    _CAPSYS = None
-
-
-def announce(num: int, name: str, residual: float, tol: float, elapsed: float, limit: float):
+def announce(capsys, num: int, name: str, residual: float, tol: float, elapsed: float, limit: float):
     ok = residual <= tol and elapsed <= limit
     line = (
         f"criterion {num:2d} [{name}]: {'PASS' if ok else 'FAIL'} "
         f"(residual {residual:.3e} <= {tol:.1e}, {elapsed:.1f}s <= {limit:.0f}s)"
     )
-    print(line)
-    if _CAPSYS is not None:
-        with _CAPSYS.disabled():
-            # leading break: pytest's live progress line is still open
-            print("\n" + line, flush=True)
+    with capsys.disabled():
+        # reaches the terminal under capture; leading break: pytest's live
+        # progress line is still open
+        print("\n" + line, flush=True)
     assert residual <= tol, line
     assert elapsed <= limit, line
 
 
-def test_criterion_01_closed_form_mass_com():
+def run_criterion(check, capsys):
+    seed, budget, tols = PINNED[check.criterion]
+    assert (check.seed, check.budget) == (seed, budget)
     t0 = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for lam in (0.25, 0.5, 2.0, 4.0):
-        tau = dilation(lam)
-        worst = max(worst, abs(conformal_mass(tau) - generator_mass("dilation", lam)))
-        worst = max(
-            worst, float(np.max(np.abs(center_of_mass(tau) - generator_com("dilation", lam))))
-        )
-    for _ in range(10):
-        p = random_translation_point(rng)
-        tau = translation_to(p)
-        worst = max(worst, abs(conformal_mass(tau) - generator_mass("translation", p)))
-        worst = max(
-            worst, float(np.max(np.abs(center_of_mass(tau) - generator_com("translation", p))))
-        )
-    announce(1, "closed-form mass/com", worst, scaled(1e-10), time.time() - t0, 10.0)
-
-
-def test_criterion_02_normalizer_identity():
-    t0 = time.time()
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(20):
-        tau = random_conformal(rng, allow_reflect=True)
-        e = build_extremal(tau)
-        worst = max(worst, abs(math.exp(4.0 * e.normalizer) - (1.0 - float(e.com @ e.com))))
-    announce(2, "normalizer identity", worst, scaled(1e-8), time.time() - t0, 30.0)
-
-
-def test_criterion_03_sqrt_jacobian_identity():
-    t0 = time.time()
-    rng = np.random.default_rng(102)  # the same bounded family as criterion 2
-    grid = build_grid(64)
-    worst = 0.0
-    for _ in range(20):
-        tau = random_conformal(rng, allow_reflect=True)
-        worst = max(worst, sqrt_jacobian_residual(build_extremal(tau), grid))
-    announce(3, "pointwise sqrt-J relation", worst, scaled(1e-8), time.time() - t0, 30.0)
-
-
-def test_criterion_04_lorentz_lift():
-    t0 = time.time()
-    rng = np.random.default_rng(104)
-    pts = np.array([random_unit_vector(rng) for _ in range(100)])
-    worst = 0.0
-    for _ in range(20):
-        a = random_unimodular(rng)
-        b = random_unimodular(rng)
-        L = lorentz_lift(a)
-        worst = max(worst, float(np.max(np.abs(L.T @ ETA @ L - ETA))))
-        worst = max(worst, homomorphism_check(a, b))
-        worst = max(worst, float(np.max(lightcone_residual(ConformalMap(a), pts))))
-    announce(4, "Lorentz lift", worst, scaled(1e-11), time.time() - t0, 10.0)
-
-
-def test_criterion_05_extremal_zero_value():
-    t0 = time.time()
-    rng = np.random.default_rng(105)
-    grid = build_grid(72)
-    worst = 0.0
-    for _ in range(8):
-        tau = random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
-        proj = psi_field(build_extremal(tau), 32, grid)
-        worst = max(worst, abs(chang_gui_value(2.0 / 3.0, proj.field)))
-    announce(5, "extremal zero value", worst, scaled(1e-8), time.time() - t0, 60.0)
-
-
-def test_criterion_06_euler_lagrange():
-    t0 = time.time()
-    rng = np.random.default_rng(106)
-    grid = build_grid(72)
-    taus = [dilation(lam) for lam in (0.5, 0.8, 1.3, 2.0)]
-    for _ in range(4):
-        beta = rng.uniform(0.1, 1.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        taus.append(translation(complex(beta)))
-    worst = 0.0
-    for tau in taus:
-        worst = max(worst, euler_lagrange_residual(build_extremal(tau), 32, grid))
-    announce(6, "Euler-Lagrange residual", worst, scaled(1e-6), time.time() - t0, 60.0)
-
-
-def test_criterion_07_conformal_invariance():
-    t0 = time.time()
-    rng = np.random.default_rng(107)
-    grid = build_grid(104)
-    worst = 0.0
-    for _ in range(10):
-        u = random_field(rng, 8, 0.5)
-        base = chang_gui_value(2.0 / 3.0, u)
-        for _ in range(5):
-            tau = random_conformal(rng, lam_eff_cap=3.0, allow_reflect=True)
-            moved = transform(u, tau, 48, grid).field
-            worst = max(worst, abs(chang_gui_value(2.0 / 3.0, moved) - base))
-    announce(7, "conformal invariance", worst, scaled(1e-6), time.time() - t0, 300.0)
-
-
-def test_criterion_08_com_zeroing():
-    t0 = time.time()
-    rng = np.random.default_rng(108)
-    worst_res = worst_agree = 0.0
-    for _ in range(20):
-        u = random_field(rng, 8, 0.5)
-        result = normalize(u)
-        worst_res = max(worst_res, result.residual_com_norm)
-        lam_rf = solve_lambda0(u, solve_x0(u), method="root_find")
-        worst_agree = max(worst_agree, abs(lam_rf - result.lambda0))
+    rows = check.rows()
     elapsed = time.time() - t0
-    announce(8, "COM zeroing residual", worst_res, scaled(1e-10), elapsed, 120.0)
-    announce(8, "lambda0 path agreement", worst_agree, scaled(1e-8), elapsed, 120.0)
+    assert {row.claim for row in rows} - {None} == set(tols)
+    for claim, tol in tols.items():
+        claimed = [row for row in rows if row.claim == claim]
+        tol = tol if claim in UNSCALED else scaled(tol)
+        assert all(row.tol == tol for row in claimed), claim
+        announce(capsys, check.criterion, claim, max(row.residual for row in claimed), tol, elapsed, budget)
+    assert [row.name for row in rows if not row.ok] == []
 
 
-def test_criterion_09_sharp_lower_bound():
+def _criterion_test(check):
+    return lambda capsys: run_criterion(check, capsys)
+
+
+# one test per criterion, named test_criterion_NN_<check name>
+for _num in sorted(CRITERIA):
+    globals()[f"test_criterion_{_num:02d}_{CRITERIA[_num].name}"] = _criterion_test(CRITERIA[_num])
+
+
+@pytest.mark.parametrize("check", [c for c in CHECKS if c.criterion is None], ids=lambda c: c.name)
+def test_registry_check_outside_criteria(check):
     t0 = time.time()
-    rng = np.random.default_rng(109)
-    worst = 0.0  # most negative slack, flipped
-    for _ in range(50):
-        u = random_field(rng, 8, 0.5)
-        for alpha in (2.0 / 3.0, 1.0, 2.0):
-            worst = max(worst, -cg_bound_slack(alpha, u))
-    announce(9, "sharp lower bound slack", worst, scaled(1e-8), time.time() - t0, 180.0)
-
-
-def test_criterion_10_stability_certificate():
-    t0 = time.time()
-    rng = np.random.default_rng(110)
-    worst_slack = 0.0
-    for k in range(25):
-        u = random_field(rng, 6, 0.4)
-        rep = stability_check(u, seed=k)
-        worst_slack = max(worst_slack, -rep.slack)
-    grid = build_grid(72)
-    worst_manifold = 0.0
-    for lam, beta in ((2.0, 0j), (0.7, 0.4 - 0.2j)):
-        tau = dilation(lam).compose(translation(beta))
-        u = psi_field(build_extremal(tau), 32, grid).field
-        rep = stability_check(u, 32, grid)
-        worst_manifold = max(worst_manifold, abs(rep.deficit), rep.distance)
-    elapsed = time.time() - t0
-    announce(10, "stability slack", worst_slack, scaled(1e-8), elapsed, 600.0)
-    announce(10, "on-manifold zero", worst_manifold, scaled(1e-7), elapsed, 600.0)
-
-
-def test_criterion_11_classification():
-    t0 = time.time()
-    rng = np.random.default_rng(111)
-    grid = build_grid(72)
-    worst_tail = worst_dist = 0.0
-    for _ in range(10):
-        tau = random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
-        u = psi_field(build_extremal(tau), 32, grid).field
-        result = normalize(u)
-        moved = transform(u, result.tau, 32, grid, tail_threshold=None).field
-        c = moved.coeffs.copy()
-        c[0] = 0.0
-        l = moved.degrees()
-        worst_tail = max(worst_tail, float(np.sum(l * (l + 1) * c * c)))
-        worst_dist = max(worst_dist, distance_to_manifold(u, 32, grid).distance)
-    elapsed = time.time() - t0
-    announce(11, "normalize flattens extremals", worst_tail, scaled(1e-7), elapsed, 300.0)
-    announce(11, "distance to manifold", worst_dist, scaled(1e-6), elapsed, 300.0)
-
-
-def test_criterion_12_jacobian_area_limit():
-    t0 = time.time()
-    maps = [
-        dilation(2.0),
-        dilation(0.5),
-        translation(1.0 + 0j),
-        translation(0.6 + 0.3j),
-        dilation(1.5).compose(translation(0.5 + 0j)),
-    ]
-    points = [
-        np.array(p)
-        for p in (
-            [0.0, 0.0, -1.0],
-            [1.0, 0.0, 0.0],
-            [0.6, 0.0, 0.8],
-            [0.0, -0.6, -0.8],
-            [0.36, 0.48, 0.8],
-        )
-    ]
-    worst = 0.0  # deviation of the error-shrink factor from 4
-    for tau in maps:
-        for p in points:
-            j = tau.jacobian(p)
-            e1 = abs(jacobian_area_oracle(tau, p, 0.08) - j)
-            e2 = abs(jacobian_area_oracle(tau, p, 0.04) - j)
-            worst = max(worst, abs(e1 / e2 - 4.0))
-    announce(12, "area-oracle O(r^2) limit", worst, 0.8, time.time() - t0, 60.0)
+    rows = check.rows()
+    assert time.time() - t0 <= check.budget
+    assert [row.name for row in rows if not row.ok] == []

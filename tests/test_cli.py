@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from onofri import HarmonicField, dilation, field_to_json, psi_field, build_extremal, build_grid
+from onofri import checks
 from onofri.cli import main
 from onofri.sampling import random_field
 
@@ -52,6 +53,31 @@ def test_verify_mass_com_table(capsys):
 
 def test_verify_usage_error(capsys):
     assert main(["verify", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["mass_com", "lorentz"])
+def test_verify_prints_registry_rows(capsys, tmp_path, suite):
+    target = tmp_path / "verify.json"
+    code, out = run(capsys, "--out", str(target), "verify", suite)
+    rows = [row for check in checks.CHECKS if check.suite == suite for row in check.rows()]
+    assert code == 0
+    assert json.loads(target.read_text())["suites"][suite] == [row.to_dict() for row in rows]
+    lines = out.splitlines()
+    assert len(lines) == len(rows) + 2
+    assert lines[0] == f"[{suite}]" and lines[-1] == "PASS"
+    assert all(line.startswith(f"  {row.name} ") for row, line in zip(rows, lines[1:-1]))
+
+
+def test_violated_flag_fails_at_any_tol_scale(monkeypatch, capsys):
+    # a time-reversed lift violates the 0/1 future-cone flag, which no
+    # tolerance scale may forgive
+    lift = checks.lorentz_lift
+    monkeypatch.setattr(checks, "lorentz_lift", lambda m: -lift(m))
+    monkeypatch.setenv("ONOFRI_TOL_SCALE", "1e6")
+    code, out = run(capsys, "verify", "lorentz")
+    assert code == 1
+    flag = next(line for line in out.splitlines() if "future cone preserved" in line)
+    assert flag.endswith("FAIL")
 
 
 def test_verify_out_report(capsys, tmp_path):
@@ -154,6 +180,8 @@ def test_stability_random_sweep(capsys, tmp_path):
 
 def test_stability_usage(capsys):
     assert main(["stability"]) == 2
+    assert main(["stability", "--random", "0"]) == 2
+    assert main(["stability", "--random", "-3"]) == 2
 
 
 def test_lift_identity(capsys, tmp_path):
@@ -227,6 +255,12 @@ def test_deterministic_output(capsys, random_field_file, tmp_path):
     assert sweep1 == sweep2
     assert csv1.read_bytes() == csv2.read_bytes()
 
+    json1 = tmp_path / "a.json"
+    json2 = tmp_path / "b.json"
+    run(capsys, "--seed", "5", "--out", str(json1), "verify", "lorentz")
+    run(capsys, "--seed", "5", "--out", str(json2), "verify", "lorentz")
+    assert json1.read_bytes() == json2.read_bytes()
+
 
 def test_config_embedded_and_seed_recorded(capsys, zero_field_file):
     _, out = run(capsys, "--seed", "123", "eval", zero_field_file)
@@ -246,6 +280,13 @@ def test_out_flag_writes_file(tmp_path, capsys, zero_field_file):
 def test_jobs_flag_is_rejected(capsys):
     # the distance search is a closed form with no worker pool to size
     assert main(["--jobs", "2", "verify", "geometry"]) == 2
+    assert main(["--grid-band", "48", "verify", "geometry"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_oversample_is_rejected(capsys, zero_field_file, value):
+    assert main(["--oversample", value, "normalize", zero_field_file]) == 2
     capsys.readouterr()
 
 
