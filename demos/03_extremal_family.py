@@ -1,10 +1,12 @@
 """The extremal family of the sharp functional.
 
-Builds psi = (3/4) ln J + c for several conformal maps, checks the mass and
-center-of-mass closed forms, the normalizer identity exp(4c) = 1 - |a|^2,
-the pointwise sqrt-J relation, the Euler-Lagrange equation, and the defining
-property I(psi) = 0 at the critical coupling 2/3.  Ends with the blow-down
-curve showing the functional is unbounded below for alpha < 2/3.
+Builds psi = (3/4) ln J + c for several conformal maps and checks the mass
+and center of mass of build_extremal (closed forms read off the map's Cartan
+split) against the generator formulas and the J^(3/2) quadrature.  Then the
+normalizer identity exp(4c) = 1 - |a|^2, the pointwise sqrt-J relation, the
+Euler-Lagrange equation, and the defining property I(psi) = 0 at the
+critical coupling 2/3.  Ends with the blow-down curve showing the functional
+is unbounded below for alpha < 2/3.
 """
 
 import math
@@ -14,7 +16,9 @@ import numpy as np
 from onofri import (
     build_extremal,
     build_grid,
+    center_of_mass,
     chang_gui_value,
+    conformal_mass,
     dilation,
     euler_lagrange_residual,
     generator_com,
@@ -26,16 +30,30 @@ from onofri import (
 
 grid = build_grid(72)
 
-print("== mass and center of mass: quadrature vs closed forms ==")
+
+def vec(v):
+    return "(" + ", ".join(f"{x + 0.0:+.12f}" for x in v) + ")"
+
+
+print("== mass and center of mass: build_extremal vs generator formulas vs quadrature ==")
 for lam in (0.5, 2.0, 4.0):
-    e = build_extremal(dilation(lam))
+    tau = dilation(lam)
+    e = build_extremal(tau)
     print(
-        f"dilation({lam}): mass {e.mass:.12f} (closed {generator_mass('dilation', lam):.12f}), "
-        f"com3 {e.com[2]:+.10f} (closed {generator_com('dilation', lam)[2]:+.10f})"
+        f"dilation({lam}): mass {e.mass:.12f} (generator {generator_mass('dilation', lam):.12f}, "
+        f"quadrature {conformal_mass(tau):.12f})"
+    )
+    print(
+        f"    com3 {e.com[2]:+.12f} (generator {generator_com('dilation', lam)[2]:+.12f}, "
+        f"quadrature {center_of_mass(tau)[2]:+.12f})"
     )
 p = np.array([1.0, 0.0, 0.0])
-e = build_extremal(translation_to(p))
-print(f"translation to (1,0,0): mass {e.mass:.12f} (closed 1.5), com {np.round(e.com, 10)}")
+tau = translation_to(p)
+e = build_extremal(tau)
+print(f"translation to (1,0,0): mass {e.mass:.12f} (generator 1.5, quadrature {conformal_mass(tau):.12f})")
+print(f"    com {vec(e.com)}")
+print(f"    (generator {vec(generator_com('translation', p))},")
+print(f"     quadrature {vec(center_of_mass(tau))})")
 
 print()
 print("== the normalizer identity and the sqrt-J relation ==")

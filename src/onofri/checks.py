@@ -239,7 +239,7 @@ def conformal_invariance(rng, policy) -> list[Row]:
         base = chang_gui_value(2.0 / 3.0, u, policy)
         for _ in range(5):
             tau = random_conformal(rng, lam_eff_cap=3.0, allow_reflect=True)
-            moved = transform(u, tau, 48, grid, policy=policy).field
+            moved = transform(u, tau, 48, grid).field
             worst = max(worst, abs(chang_gui_value(2.0 / 3.0, moved, policy) - base))
     return [Row("|I(u_tau) - I(u)| over 10 fields x 5 maps", worst, scaled(1e-6), "conformal invariance")]
 
@@ -263,16 +263,21 @@ def sharp_lower_bound(rng, policy) -> list[Row]:
 
 
 def normalizer_identity(rng, policy) -> list[Row]:
-    worst = 0.0
+    # from the J^(3/2) quadrature, the oracle of build_extremal's closed form
+    worst = closed = 0.0
     for _ in range(20):
-        e = build_extremal(random_conformal(rng, allow_reflect=True), policy)
-        worst = max(worst, abs(math.exp(4.0 * e.normalizer) - (1.0 - float(e.com @ e.com))))
-    e2 = build_extremal(dilation(2.0), policy)
-    e2r = build_extremal(random_rotation(rng).compose(dilation(2.0)), policy)
+        tau = random_conformal(rng, allow_reflect=True)
+        e, mass, com = build_extremal(tau), conformal_mass(tau, policy), center_of_mass(tau, policy)
+        c = -0.5 * math.log(mass)
+        worst = max(worst, abs(math.exp(4.0 * c) - (1.0 - float(com @ com))))
+        closed = max(closed, abs(e.mass - mass), np.max(np.abs(e.com - com)), abs(e.normalizer - c))
+    mass2 = conformal_mass(dilation(2.0), policy)
+    mass2r = conformal_mass(random_rotation(rng).compose(dilation(2.0)), policy)
     return [
         Row("normalizer identity exp(4c) = 1-|a|^2", worst, scaled(1e-8), "normalizer identity"),
-        Row("left-rotation invariance of mass", abs(e2.mass - e2r.mass), scaled(1e-10)),
-        Row("mass >= 1 (Jensen floor)", max(0.0, 1.0 - e2.mass), scaled(1e-10)),
+        Row("left-rotation invariance of mass", abs(mass2 - mass2r), scaled(1e-10)),
+        Row("mass >= 1 (Jensen floor)", max(0.0, 1.0 - mass2), scaled(1e-10)),
+        Row("closed form vs quadrature, 20 maps", closed, scaled(1e-12)),
     ]
 
 
@@ -281,7 +286,7 @@ def extremal_zero_value(rng, policy) -> list[Row]:
     worst = 0.0
     for _ in range(8):
         tau = random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
-        proj = psi_field(build_extremal(tau, policy), 32, grid)
+        proj = psi_field(build_extremal(tau), 32, grid)
         worst = max(worst, abs(chang_gui_value(2.0 / 3.0, proj.field, policy)))
     return [Row("extremal zero value |I(psi)|", worst, scaled(1e-8), "extremal zero value")]
 
@@ -291,10 +296,10 @@ def sqrt_jacobian_identity(rng, policy) -> list[Row]:
     worst = 0.0
     for _ in range(20):
         tau = random_conformal(rng, allow_reflect=True)
-        worst = max(worst, sqrt_jacobian_residual(build_extremal(tau, policy), grid))
+        worst = max(worst, sqrt_jacobian_residual(build_extremal(tau), grid))
     generators = (dilation(0.5), dilation(2.0), translation_to(random_translation_point(rng)),
                   random_rotation(rng), inversion())
-    gen_worst = max(sqrt_jacobian_residual(build_extremal(tau, policy), grid) for tau in generators)
+    gen_worst = max(sqrt_jacobian_residual(build_extremal(tau), grid) for tau in generators)
     return [
         Row("sqrt-J identity, 20 compositions", worst, scaled(1e-8), "pointwise sqrt-J relation"),
         Row("sqrt-J identity, generators", gen_worst, scaled(1e-10)),
@@ -307,7 +312,7 @@ def euler_lagrange(rng, policy) -> list[Row]:
     for _ in range(4):
         beta = rng.uniform(0.1, 1.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         taus.append(translation(complex(beta)))
-    worst = max(euler_lagrange_residual(build_extremal(tau, policy), 32, grid) for tau in taus)
+    worst = max(euler_lagrange_residual(build_extremal(tau), 32, grid) for tau in taus)
     return [Row("Euler-Lagrange sup residual, generators", worst, scaled(1e-6), "Euler-Lagrange residual")]
 
 
@@ -330,9 +335,9 @@ def classification(rng, policy) -> list[Row]:
     worst_tail = worst_dist = 0.0
     for _ in range(10):
         tau = random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
-        u = psi_field(build_extremal(tau, policy), 32, grid).field
+        u = psi_field(build_extremal(tau), 32, grid).field
         result = normalize(u, policy)
-        moved = transform(u, result.tau, 32, grid, tail_threshold=None, policy=policy).field
+        moved = transform(u, result.tau, 32, grid, tail_threshold=None).field
         c = moved.coeffs.copy()
         c[0] = 0.0
         l = moved.degrees()
@@ -353,7 +358,7 @@ def stability_certificate(rng, policy) -> list[Row]:
     worst_manifold = 0.0
     for lam, beta in ((2.0, 0j), (0.7, 0.4 - 0.2j)):
         tau = dilation(lam).compose(translation(beta))
-        u = psi_field(build_extremal(tau, policy), 32, grid).field
+        u = psi_field(build_extremal(tau), 32, grid).field
         rep = stability_check(u, 32, grid, policy)
         worst_manifold = max(worst_manifold, abs(rep.deficit), rep.distance)
     return [

@@ -120,7 +120,7 @@ def cmd_normalize(args, cfg: RunConfig) -> int:
     u = _load_field(args.field)
     result = normalize(u, cfg.policy(), method=args.method)
     grid = build_grid(max(2 * cfg.l_max + 8, 72), cfg.oversample)
-    moved = transform(u, result.tau, cfg.l_max, grid, policy=cfg.policy())
+    moved = transform(u, result.tau, cfg.l_max, grid)
     out_field = Path(args.field).with_suffix(".normalized.json")
     out_field.write_text(field_to_json(moved.field) + "\n")
     payload = {
@@ -208,16 +208,27 @@ def cmd_lift(args, cfg: RunConfig) -> int:
     return 0 if worst <= 1e-10 * tol_scale() else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="onofri",
-        description="Sharp conformal functional inequalities on the 2-sphere",
-    )
+def _global_parser(**kwargs) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="onofri", **kwargs)
     parser.add_argument("--oversample", type=float, default=1.0)
     parser.add_argument("--theta-cap", type=int, default=512, help="refinement cap on theta nodes")
     parser.add_argument("--lmax", type=int, default=32, help="projection band limit")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="write the JSON payload here instead of stdout")
+    return parser
+
+
+def _unknown_global_options(argv) -> list[str]:
+    """Options before the subcommand that no global option matches; argparse
+    would name their value, taken for the subcommand, instead."""
+    scan = _global_parser(add_help=False)
+    scan.add_argument("-h", "--help", action="store_true")
+    scan.add_argument("rest", nargs=argparse.REMAINDER)
+    return scan.parse_known_args(argv)[1]
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _global_parser(description="Sharp conformal functional inequalities on the 2-sphere")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -250,6 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
+        unknown = _unknown_global_options(argv)
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -5,6 +5,7 @@ mass is the J^(3/2)-weighted average of the position vector, and the
 normalizer c = -(1/2) ln(mass) makes exp(2 psi) integrate to 1.  These
 quantities satisfy two exact identities checked throughout the suite:
 exp(4c) = 1 - |a|^2, and sqrt(J(w)) = mass * (1 - |a|^2) / (1 - a.w).
+`build_extremal` has all three in closed form; the quadrature is the oracle.
 """
 
 from __future__ import annotations
@@ -32,14 +33,10 @@ __all__ = [
     "Extremal",
     "build_extremal",
     "center_of_mass",
-    "com_of_dilation",
-    "com_of_translation",
     "conformal_mass",
     "euler_lagrange_residual",
     "generator_com",
     "generator_mass",
-    "mass_of_dilation",
-    "mass_of_translation",
     "psi_field",
     "psi_values",
     "sqrt_jacobian_residual",
@@ -49,31 +46,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # closed forms for the generators
 
-def mass_of_dilation(lam: float) -> float:
-    if not lam > 0:
-        raise ValueError("dilation factor must be positive")
-    return (1.0 + lam * lam) / (2.0 * lam)
-
-
-def mass_of_translation(p) -> float:
-    """Mass of the translation taking the south pole to the unit vector p."""
-    p = unit_point(p)
-    if p[2] >= 1.0 - 1e-14:
-        raise ValueError("translation target cannot be the north pole")
-    return 0.5 * (3.0 - p[2]) / (1.0 - p[2])
-
-
-def com_of_dilation(lam: float) -> np.ndarray:
-    if not lam > 0:
-        raise ValueError("dilation factor must be positive")
-    return np.array([0.0, 0.0, (1.0 - lam * lam) / (1.0 + lam * lam)])
-
-
-def com_of_translation(p) -> np.ndarray:
-    p = unit_point(p)
-    if p[2] >= 1.0 - 1e-14:
-        raise ValueError("translation target cannot be the north pole")
-    return np.array([-2.0 * p[0], -2.0 * p[1], 1.0 + p[2]]) / (3.0 - p[2])
+def _generator_param(kind: str, param):
+    """A dilation's factor or a translation's target point, checked; None for isometries."""
+    if kind == "dilation":
+        lam = float(param)
+        if not lam > 0:
+            raise ValueError("dilation factor must be positive")
+        return lam
+    if kind == "translation":
+        p = unit_point(_translation_point(param))
+        if p[2] >= 1.0 - 1e-14:
+            raise ValueError("translation target cannot be the north pole")
+        return p
+    if kind in ("rotation", "inversion"):
+        return None
+    raise ValueError(f"not a generator kind: {kind!r}")
 
 
 def generator_mass(kind: str, param=None) -> float:
@@ -83,24 +70,22 @@ def generator_mass(kind: str, param=None) -> float:
     ``param`` is the factor for dilations and the target point (or plane
     offset as complex) for translations.
     """
+    x = _generator_param(kind, param)
     if kind == "dilation":
-        return mass_of_dilation(float(param))
+        return (1.0 + x * x) / (2.0 * x)
     if kind == "translation":
-        return mass_of_translation(_translation_point(param))
-    if kind in ("rotation", "inversion"):
-        return 1.0
-    raise ValueError(f"not a generator kind: {kind!r}")
+        return 0.5 * (3.0 - x[2]) / (1.0 - x[2])
+    return 1.0
 
 
 def generator_com(kind: str, param=None) -> np.ndarray:
     """Closed-form center of mass of a single generator (see generator_mass)."""
+    x = _generator_param(kind, param)
     if kind == "dilation":
-        return com_of_dilation(float(param))
+        return np.array([0.0, 0.0, (1.0 - x * x) / (1.0 + x * x)])
     if kind == "translation":
-        return com_of_translation(_translation_point(param))
-    if kind in ("rotation", "inversion"):
-        return np.zeros(3)
-    raise ValueError(f"not a generator kind: {kind!r}")
+        return np.array([-2.0 * x[0], -2.0 * x[1], 1.0 + x[2]]) / (3.0 - x[2])
+    return np.zeros(3)
 
 
 def _translation_point(param) -> np.ndarray:
@@ -145,6 +130,16 @@ def center_of_mass(
     return v[1:] / v[0]
 
 
+def _ball_point(tau: ConformalMap) -> np.ndarray:
+    """Hyperbolic coordinate b = atanh|a| a/|a| of tau's center of mass a.
+
+    tau = R_U o dilation(lam) o O_V gives J_tau(w) = J_dilation(O_V w), and
+    dilation(lam) has a = -tanh(ln lam) e3, so b = -ln(lam) O_V^T e3.
+    """
+    _, lam, frame = tau._cartan()
+    return -math.log(lam) * frame[2]
+
+
 @dataclass(frozen=True)
 class Extremal:
     """A conformal map with cached mass, center of mass and normalizer."""
@@ -153,7 +148,6 @@ class Extremal:
     mass: float
     com: np.ndarray
     normalizer: float
-    grid_used: dict
 
     def to_dict(self) -> dict:
         return {
@@ -167,29 +161,13 @@ class Extremal:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def build_extremal(
-    tau: ConformalMap, policy: RefinementPolicy = DEFAULT_POLICY
-) -> Extremal:
-    """Compute mass, center of mass and normalizer, and check their identities.
-
-    Violations beyond tolerance mean the quadrature failed (the identities are
-    exact), so they raise ConvergenceError rather than returning bad data.
-    """
-    value, grid = _conformal_moments(tau, policy)
-    mass = float(value[0])
-    com = value[1:] / mass
-    if mass < 1.0 - scaled(1e-10):
-        raise ConvergenceError(f"mass {mass} below the Jensen floor 1")
-    a2 = float(com @ com)
-    if a2 >= 1.0:
-        raise ConvergenceError("center of mass escaped the open unit ball")
-    normalizer = -0.5 * math.log(mass)
-    if abs(math.exp(4.0 * normalizer) - (1.0 - a2)) > scaled(1e-8):
-        raise ConvergenceError(
-            "normalizer/center-of-mass identity violated beyond tolerance: "
-            f"exp(4c)={math.exp(4.0 * normalizer):.3e} vs 1-|a|^2={1.0 - a2:.3e}"
-        )
-    return Extremal(tau, mass, com, normalizer, grid.descriptor())
+def build_extremal(tau: ConformalMap) -> Extremal:
+    """Mass cosh t, center of mass tanh(t) b/t and normalizer -(1/2) ln cosh t,
+    exact from the ball point b of tau, t = |b| = ln(lam)."""
+    b = _ball_point(tau)
+    t = float(np.linalg.norm(b))
+    com = b * (math.tanh(t) / t) if t > 0.0 else np.zeros(3)
+    return Extremal(tau, math.cosh(t), com, -0.5 * math.log(math.cosh(t)))
 
 
 def psi_values(e: Extremal, points: np.ndarray) -> np.ndarray:

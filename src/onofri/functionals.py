@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -98,16 +98,7 @@ class FunctionalReport:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "energy": self.energy,
-            "mean": self.mean,
-            "log_mass": self.log_mass,
-            "lorentzian": self.lorentzian,
-            "value": self.value,
-            "grid": self.grid,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -197,7 +188,6 @@ def transform(
     l_max: int,
     grid: SphericalGrid,
     tail_threshold: float | None = 1e-6,
-    policy: RefinementPolicy = DEFAULT_POLICY,
 ) -> Projection:
     """Transport u along tau: project u(tau(w)) + psi(w) to band l_max.
 
@@ -205,7 +195,7 @@ def transform(
     to the reflection.  The projection's tail-energy fraction is returned and
     gated by ``tail_threshold``.
     """
-    e = build_extremal(tau, policy)
+    e = build_extremal(tau)
     comp = _compose(u, tau)
     samples, jac = comp.samples(grid)
     samples = samples + np.repeat(_psi_of_jacobian(e, jac), grid.phi_count)

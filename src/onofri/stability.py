@@ -42,8 +42,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .config import scaled
+from .extremals import _ball_point
 from .harmonics import HarmonicField, _layout, dirichlet_energy, harmonics_at, synthesize
-from .lorentz import lorentz_lift
 from .mobius import ConformalMap, MobiusMap, dilation, rotation
 from .normalize import normalize
 from .sphere import (
@@ -106,14 +106,8 @@ def chart_params(tau: ConformalMap) -> ManifoldPoint:
 
 
 def _ball_of(m: ManifoldPoint) -> np.ndarray:
-    """Hyperbolic coordinate b = atanh|a| a/|a| of the chart point's center of mass.
-
-    The first row of the Lorentz lift is (M, -M a) with M = cosh atanh|a|,
-    so |M a| = sinh atanh|a|.
-    """
-    v = -lorentz_lift(m.to_map().mobius)[0, 1:]
-    s = float(np.linalg.norm(v))
-    return v * (math.asinh(s) / s) if s > 0.0 else np.zeros(3)
+    """Hyperbolic coordinate b = atanh|a| a/|a| of the chart point's center of mass."""
+    return _ball_point(m.to_map())
 
 
 def _chart_of_ball(b: np.ndarray) -> ManifoldPoint:

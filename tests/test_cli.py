@@ -280,8 +280,10 @@ def test_out_flag_writes_file(tmp_path, capsys, zero_field_file):
 def test_jobs_flag_is_rejected(capsys):
     # the distance search is a closed form with no worker pool to size
     assert main(["--jobs", "2", "verify", "geometry"]) == 2
-    assert main(["--grid-band", "48", "verify", "geometry"]) == 2
     capsys.readouterr()
+    # an unknown option with a value is named, not its value as a subcommand
+    assert main(["--grid-band", "48", "verify", "geometry"]) == 2
+    assert "--grid-band" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from onofri import (
+    ConformalMap,
+    HarmonicField,
+    Projection,
     build_extremal,
+    build_grid,
     center_of_mass,
     conformal_mass,
     dilation,
@@ -19,6 +23,7 @@ from onofri import (
     rotation,
     sqrt_jacobian_residual,
     synthesize,
+    transform,
     translation_to,
 )
 from onofri.harmonics import coeff_index
@@ -101,6 +106,45 @@ def test_build_extremal_dilation2():
     assert abs(e.normalizer + 0.5 * math.log(1.25)) < 1e-12
     assert abs((1 - e.com @ e.com) - 0.64) < 1e-12
     assert abs(math.exp(4 * e.normalizer) - 1.25 ** (-2)) < 1e-12
+
+
+def test_build_extremal_matches_quadrature(rng):
+    # the closed form against the J^(3/2) quadrature oracle
+    for k in range(8):
+        tau = random_conformal(rng, allow_reflect=True)
+        if k % 2:
+            tau = ConformalMap(tau.mobius, reflect=not tau.reflect)
+        e = build_extremal(tau)
+        mass = conformal_mass(tau)
+        assert abs(e.mass - mass) < 1e-12
+        assert np.max(np.abs(e.com - center_of_mass(tau))) < 1e-12
+        assert abs(e.normalizer + 0.5 * math.log(mass)) < 1e-12
+
+
+def test_build_extremal_matches_generator_closed_forms(rng):
+    cases = [("dilation", lam, dilation(lam)) for lam in (0.25, 0.5, 2.0, 4.0)]
+    for _ in range(3):
+        p = random_translation_point(rng)
+        cases.append(("translation", p, translation_to(p)))
+    cases += [("rotation", None, random_rotation(rng)), ("inversion", None, inversion())]
+    for kind, param, tau in cases:
+        e = build_extremal(tau)
+        assert abs(e.mass - generator_mass(kind, param)) < 1e-12, kind
+        assert np.max(np.abs(e.com - generator_com(kind, param))) < 1e-12, kind
+
+
+def test_extremal_near_the_sphere():
+    # |a| = 1 - 2e-8: the closed form needs no quadrature grid
+    e = build_extremal(dilation(1e4))
+    assert e.mass == pytest.approx(5000.00005, rel=1e-14)
+    assert e.com[2] == pytest.approx(generator_com("dilation", 1e4)[2], rel=1e-15)
+    # at dilation(50) the J^(3/2) quadrature hits the theta cap; transform needs only c
+    grid = build_grid(300)
+    tau = dilation(50.0)
+    proj = transform(HarmonicField.zero(8), tau, 8, grid, tail_threshold=None)
+    assert isinstance(proj, Projection)
+    psi = psi_field(build_extremal(tau), 8, grid, tail_threshold=None).field
+    assert np.max(np.abs(proj.field.coeffs - psi.coeffs)) < 1e-10
 
 
 def test_extremal_invariants_random(rng):

@@ -9,11 +9,14 @@ from onofri import (
     ManifoldPoint,
     build_extremal,
     build_grid,
+    center_of_mass,
     chart_params,
+    conformal_mass,
     dilation,
     dirichlet_energy,
     distance_to_manifold,
     grad_distance,
+    lorentz_lift,
     psi_field,
     rotation,
     stability_check,
@@ -219,8 +222,18 @@ def test_ball_chart_round_trip():
     # a reflected map goes through chart_params to its own center of mass
     tau = dilation(3.0).compose(translation(0.4 - 0.7j))
     tau = ConformalMap(tau.mobius, reflect=True)
-    e = build_extremal(tau)
+    com = center_of_mass(tau)
     b = _ball_of(chart_params(tau))
-    assert np.linalg.norm(e.com) > 0.5
-    assert np.max(np.abs(_com_of_ball(b) - e.com)) < 1e-10
-    assert abs(math.cosh(np.linalg.norm(b)) - e.mass) < 1e-10
+    assert np.linalg.norm(com) > 0.5
+    assert np.max(np.abs(_com_of_ball(b) - com)) < 1e-10
+    assert abs(math.cosh(np.linalg.norm(b)) - conformal_mass(tau)) < 1e-10
+
+
+def test_ball_of_matches_lorentz_row(rng):
+    # oracle: the first row of the Lorentz lift is (M, -M a), M = cosh atanh|a|
+    for _ in range(500):
+        m = ManifoldPoint(rng.uniform(-8.0, 8.0), *rng.normal(scale=2.0, size=2))
+        v = -lorentz_lift(m.to_map().mobius)[0, 1:]
+        s = float(np.linalg.norm(v))
+        expect = v * (math.asinh(s) / s)
+        assert np.linalg.norm(_ball_of(m) - expect) <= 1e-14 * np.linalg.norm(expect)
