@@ -29,6 +29,7 @@ __all__ = [
     "evaluate_at",
     "field_from_json",
     "field_to_json",
+    "harmonic_gradients_at",
     "harmonics_at",
     "laplacian",
     "synthesize",
@@ -60,14 +61,22 @@ def _legendre_table(l_max: int, t: np.ndarray) -> np.ndarray:
         row[l] = prev[l - 1] * s * math.sqrt((2 * l + 1) / (2 * l))
         row[l - 1] = math.sqrt(2 * l + 1) * t * prev[l - 1]
         if l > 1:
-            m = np.arange(l - 1)
-            a = np.sqrt((2 * l + 1) * (2 * l - 1) / ((l - m) * (l + m)))
-            b = np.sqrt(
-                (2 * l + 1) * (l - 1 - m) * (l - 1 + m) / ((2 * l - 3) * (l - m) * (l + m))
-            )
-            row[: l - 1] = a[:, None] * t * prev[: l - 1] - b[:, None] * prev2
+            a, b = _recurrence(l)
+            row[: l - 1] = a * t * prev[: l - 1] - b * prev2
         prev2, prev = prev, row
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _recurrence(l: int) -> tuple[np.ndarray, np.ndarray]:
+    # columns a, b of P(l, m) = a t P(l-1, m) - b P(l-2, m) for m < l - 1
+    m = np.arange(l - 1)
+    a = np.sqrt((2 * l + 1) * (2 * l - 1) / ((l - m) * (l + m)))
+    b = np.sqrt((2 * l + 1) * (l - 1 - m) * (l - 1 + m) / ((2 * l - 3) * (l - m) * (l + m)))
+    a, b = a[:, None], b[:, None]
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 @functools.lru_cache(maxsize=25)
@@ -101,9 +110,18 @@ def _layout(l_max: int) -> _Layout:
 
 
 def _azimuth_tables(grid: SphericalGrid, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    m = np.arange(l_max + 1)[:, None]
-    arg = m * grid.phi[None, :]
-    return np.cos(arg), np.sin(arg)
+    """Read-only cos(m phi) and sin(m phi), m = 0..l_max, at the grid's azimuths."""
+    return _azimuth_table(l_max, grid.phi.tobytes())
+
+
+@functools.lru_cache(maxsize=25)
+def _azimuth_table(l_max: int, phi: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # keyed on the azimuths' bytes, like _grid_table
+    arg = np.arange(l_max + 1)[:, None] * np.frombuffer(phi)[None, :]
+    tables = np.cos(arg), np.sin(arg)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -312,6 +330,71 @@ def harmonics_at(w, l_max: int) -> np.ndarray:
     y[lay.neg] = p * (np.sin(arg) @ lay.sum_m)
     y[lay.pos] = p * (np.cos(arg) @ lay.sum_m)  # last: m = 0 rows keep the cosine
     return y
+
+
+class _SlopeRows(NamedTuple):
+    """Per :func:`_legendre_table` row (l, m >= 0) of one band: the rows and weights
+    of a band-(l_max + 1) table that give dP/dtheta and m P/sin(theta)."""
+
+    theta_rows: np.ndarray    # rows (l, m - 1), (l, m + 1)
+    theta_weights: np.ndarray
+    phi_rows: np.ndarray      # rows (l + 1, m - 1), (l + 1, m + 1)
+    phi_weights: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _slope_rows(l_max: int) -> _SlopeRows:
+    l, m = np.tril_indices(l_max + 1)
+    l, m = l.astype(float), m.astype(float)
+    row = l * (l + 1) // 2 + m
+    up = row + l + 1  # row (l + 1, m)
+    # dP(l, m)/dtheta = (sqrt((l+m)(l-m+1)) P(l, m-1) - sqrt((l+m+1)(l-m)) P(l, m+1)) / 2,
+    # and -sqrt(l(l+1)) P(l, 1) at m = 0
+    half = np.where(m > 0, 0.5, 1.0)
+    theta_w = half * np.stack(
+        [np.sqrt((l + m) * (l - m + 1)) * (m > 0), -np.sqrt((l + m + 1) * (l - m))]
+    )
+    # m P(l, m)/sin = sqrt((2l+1)/(2l+3)) (sqrt((l-m+1)(l-m+2)) P(l+1, m-1)
+    #                  + sqrt((l+m+1)(l+m+2)) P(l+1, m+1)) / 2, nothing at m = 0
+    scale = 0.5 * np.sqrt((2 * l + 1) / (2 * l + 3)) * (m > 0)
+    phi_w = scale * np.stack(
+        [np.sqrt((l - m + 1) * (l - m + 2)), np.sqrt((l + m + 1) * (l + m + 2))]
+    )
+    theta_rows = np.stack([np.maximum(row - 1, 0), row + 1]).astype(int)
+    phi_rows = np.stack([up - 1, up + 1]).astype(int)
+    rows = _SlopeRows(theta_rows, theta_w, phi_rows, phi_w)
+    for arr in rows:
+        arr.setflags(write=False)
+    return rows
+
+
+def harmonic_gradients_at(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Y_lm at one unit vector and its surface gradient, shapes (n,) and (n, 3).
+
+    The gradient is dY/dtheta e_theta + (1/sin theta) dY/dphi e_phi, both
+    parts from degree-raising and -lowering relations on one band-(l_max + 1)
+    Legendre table, so it stays finite at the poles (phi = 0 there).
+    """
+    w = np.asarray(w, dtype=float)
+    t = float(np.clip(w[2], -1.0, 1.0))
+    s = math.sqrt(max(1.0 - t * t, 0.0))
+    phi = math.atan2(w[1], w[0])
+    lay, slope = _layout(l_max), _slope_rows(l_max)
+    table = _legendre_table(l_max + 1, np.array([t]))[:, 0]
+    p = table[: lay.pos.size]
+    d_theta = np.einsum("kr,kr->r", slope.theta_weights, table[slope.theta_rows])
+    d_phi = np.einsum("kr,kr->r", slope.phi_weights, table[slope.phi_rows])
+    arg = np.arange(l_max + 1) * phi
+    cos_m, sin_m = np.cos(arg) @ lay.sum_m, np.sin(arg) @ lay.sum_m
+    e_theta = np.array([t * math.cos(phi), t * math.sin(phi), -s])
+    e_phi = np.array([-math.sin(phi), math.cos(phi), 0.0])
+    y = np.empty((l_max + 1) ** 2)
+    grad = np.empty((y.size, 3))
+    y[lay.neg] = p * sin_m
+    grad[lay.neg] = np.outer(sin_m * d_theta, e_theta) + np.outer(cos_m * d_phi, e_phi)
+    y[lay.pos] = p * cos_m  # last: m = 0 rows keep the cosine
+    grad[lay.pos] = np.outer(cos_m * d_theta, e_theta) - np.outer(sin_m * d_phi, e_phi)
+    return y, grad
 
 
 def dirichlet_energy(f: HarmonicField) -> float:

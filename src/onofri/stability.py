@@ -8,15 +8,19 @@ g_l(r) Y_lm(a/r) with r = |a| and
 
     g_l(r) = -(3/2) (Q_{l+1}(1/r) - Q_{l-1}(1/r)) / (2l + 1),
 
-Q_n the Legendre function of the second kind, so the gradient distance
+Q_n the Legendre function of the second kind.  In the hyperbolic coordinate
+b = atanh(r) a/r, t = |b|, the gradient energy of psi is (9/2)(t coth t - 1)
+in closed form, so the gradient distance from a band-L field u to psi,
 
-    d(a) = E(u) - 2 sum_l l(l+1) g_l(r) u_l(a/r) + sum_l l(l+1)(2l+1) g_l(r)^2
+    d(b) = E(u) - 2 sum_{l<=L} l(l+1) g_l(tanh t) u_l(b/t) + (9/2)(t coth t - 1),
 
-needs no quadrature (u_l is the degree-l part of u).  For each r on a scan
-the cross term is a band-limited field in a/r, synthesized on the grid; the
-best node over the scan, or the re-centering candidate when it scores lower,
-seeds a simplex polish in the hyperbolic coordinate b = atanh(r) a/r.  The
-search is deterministic.
+needs no quadrature and no truncation of psi (u_l is the degree-l part of u,
+E(u) its gradient energy).  Its gradient is closed-form too: dg_l/dt =
+(3/2) Q_l(coth t)/sinh^2 t, and the surface gradient of u_l comes from the
+Legendre derivative relations.  For each t on a scan the cross term is a
+band-limited field in b/t, synthesized on the grid; the best node over the
+scan, or the re-centering candidate when it scores lower, seeds a BFGS
+polish of d with its exact gradient.  The search is deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
 beta complex: left rotations leave the Jacobian unchanged, and QR (Iwasawa)
@@ -27,8 +31,9 @@ The certificate checked here is
 
 with the deficit the sharpened-functional value at alpha = 2/3 and the
 distance the infimum over the ball of the gradient norm squared of u - psi,
-both fields truncated at the same band limit (constants carry no gradient
-energy, so the l = 0 mode is ignored).
+psi taken whole (constants carry no gradient energy, so the l = 0 mode is
+ignored).  The part of it in u's band, the distance to psi truncated at that
+band, is reported beside it as ``band_distance``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from scipy.optimize import minimize
 
 from .config import scaled
 from .extremals import _ball_point
-from .harmonics import HarmonicField, _layout, dirichlet_energy, harmonics_at, synthesize
+from .harmonics import HarmonicField, _layout, harmonic_gradients_at, harmonics_at, synthesize
 from .mobius import ConformalMap, MobiusMap, dilation, rotation
 from .normalize import normalize
 from .sphere import (
@@ -67,9 +72,8 @@ __all__ = [
 
 # scanned values of atanh|a| besides 0; the last is |a| = 1 - 1.2e-5
 _SCAN_T = np.linspace(0.1, 6.0, 60)
-# the polish reaches atanh|a| = 8 (|a| = 1 - 2.3e-7); beyond it the backward
-# recurrence for Q_n would need more than 3e4 steps
-_T_EDGE = 8.0
+# a polish has converged when |grad d| <= _GRAD_TOL (1 + d)
+_GRAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -123,31 +127,47 @@ def _chart_of_ball(b: np.ndarray) -> ManifoldPoint:
     return chart_params(dilation(math.exp(-np.linalg.norm(b))).compose(turn))
 
 
-def _g(l_max: int, t: float) -> np.ndarray:
-    """g_l(tanh t) for l = 0..l_max and t > 0, with g_0 = 0.
+def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """g_l(tanh t) and dg_l/dt for l = 0..l_max and t > 0, with g_0 = 0.
 
-    Q_0(coth t) = t, and the ratios Q_n/Q_{n-1} come from the continued
-    fraction of the recurrence, run backward from the asymptotic ratio
-    exp(-xi), xi = acosh(coth t), far enough that the error dies out.  At
-    |a| = 1 (t infinite) the Q_n diverge but g_l = 3/(2 l (l+1)) stays finite.
+    Q_0(coth t) = t, and the Q_n decay like exp(-n xi), xi = acosh(coth t).
+    Where they decay over the band (xi (l_max + 2) >= 1) the ratios
+    Q_n/Q_{n-1} come from the continued fraction of the recurrence, run
+    backward from the asymptotic ratio exp(-xi) for 20/xi steps beyond the
+    band, so that the error dies out.  Nearer the sphere they barely decay,
+    and the forward recurrence loses at most a factor exp(2 xi (l_max + 2))
+    to rounding; so no t costs more than O(l_max) steps.  The derivative
+    follows from (2l+1) Q_l = Q'_{l+1} - Q'_{l-1} and coth' = -1/sinh^2.
     """
-    l = np.arange(1, l_max + 1)
-    g = np.zeros(l_max + 1)
-    if math.isinf(t):
-        g[1:] = 1.5 / (l * (l + 1.0))
-        return g
     z = 1.0 / math.tanh(t)
-    delta = 2.0 / math.expm1(2.0 * t)  # z - 1 without cancellation
+    delta = 2.0 * math.exp(-2.0 * t) / -math.expm1(-2.0 * t)  # z - 1, never overflowing
     xi = math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
-    h = math.exp(-xi)
-    ratios = np.empty(l_max + 1)
-    for n in range(l_max + 2 + math.ceil(20.0 / xi), 0, -1):
-        h = n / ((2 * n + 1) * z - (n + 1) * h)
-        if n <= l_max + 1:
-            ratios[n - 1] = h
-    q = t * np.cumprod(np.concatenate([[1.0], ratios]))  # Q_0 .. Q_{l_max+1}
+    q = np.empty(l_max + 2)  # Q_0 .. Q_{l_max+1}
+    if xi * (l_max + 2) < 1.0:
+        q[0], q[1] = t, (t - 1.0) + delta * t
+        for n in range(1, l_max + 1):
+            q[n + 1] = ((2 * n + 1) * z * q[n] - n * q[n - 1]) / (n + 1)
+    else:
+        h = math.exp(-xi)
+        for n in range(l_max + 2 + math.ceil(20.0 / xi), 0, -1):
+            h = n / ((2 * n + 1) * z - (n + 1) * h)
+            if n <= l_max + 1:
+                q[n] = h
+        q[0] = 1.0
+        q = t * np.cumprod(q)
+    l = np.arange(1, l_max + 1)
+    g, dg = np.zeros(l_max + 1), np.zeros(l_max + 1)
     g[1:] = -1.5 * (q[2:] - q[:-2]) / (2 * l + 1)
-    return g
+    dg[1:] = 1.5 * q[1:-1] * delta * (2.0 + delta)  # z^2 - 1 = 1/sinh^2 t
+    return g, dg
+
+
+def _psi_energy(t: float) -> tuple[float, float]:
+    """Gradient energy (9/2)(t coth t - 1) of psi at |b| = t, and its t-derivative."""
+    if t < 1e-3:  # series, where the closed forms cancel
+        return 1.5 * t * t * (1.0 - t * t / 15.0), 3.0 * t * (1.0 - 2.0 * t * t / 15.0)
+    csch = 2.0 * math.exp(-t) / -math.expm1(-2.0 * t)
+    return 4.5 * (t / math.tanh(t) - 1.0), 4.5 * (1.0 / math.tanh(t) - t * csch * csch)
 
 
 def _ball_psi(b: np.ndarray, l_max: int) -> np.ndarray:
@@ -155,27 +175,51 @@ def _ball_psi(b: np.ndarray, l_max: int) -> np.ndarray:
     t = float(np.linalg.norm(b))
     if t == 0.0:
         return np.zeros((l_max + 1) ** 2)
-    return _g(l_max, t)[_layout(l_max).degrees] * harmonics_at(b / t, l_max)
+    return _g(l_max, t)[0][_layout(l_max).degrees] * harmonics_at(b / t, l_max)
 
 
-def _distance(coeffs: np.ndarray, b: np.ndarray, l_max: int) -> float:
-    # sum of l(l+1) (u_lm - psi_lm)^2, which cannot come out negative
-    diff = coeffs - _ball_psi(b, l_max)
-    diff[0] = 0.0
-    return dirichlet_energy(HarmonicField(l_max, diff))
+def _distance(c: np.ndarray, b: np.ndarray, l_max: int) -> tuple[float, float, np.ndarray]:
+    """Band part, whole distance d(b) and its gradient, for coefficients c with c[0] = 0.
+
+    d is summed as the band part, the non-negative sum of l(l+1)(c_lm - psi_lm)^2
+    for l <= l_max, plus psi's energy beyond the band, so d >= band part >= 0.
+    """
+    deg = _layout(l_max).degrees
+    ll = np.arange(l_max + 1) * np.arange(1.0, l_max + 2)  # l(l+1)
+    t = float(np.linalg.norm(b))
+    if t == 0.0:  # psi = 0, and only g_1 ~ t/2 has a slope: Y_1m = sqrt(3) (y, z, x)
+        band = float(ll[deg] @ (c * c))
+        grad = -2.0 * math.sqrt(3.0) * c[[3, 1, 2]] if l_max > 0 else np.zeros(3)
+        return band, band, grad
+    g, dg = _g(l_max, t)
+    y, dy = harmonic_gradients_at(b / t, l_max)
+    diff = c - g[deg] * y
+    band = float(ll[deg] @ (diff * diff))
+    psi, dpsi = _psi_energy(t)
+    tail = max(psi - float((ll * (2 * np.arange(l_max + 1) + 1)) @ (g * g)), 0.0)
+    parts = np.bincount(deg, c * y, minlength=l_max + 1)  # u_l(b/t)
+    radial = dpsi - 2.0 * float((ll * dg) @ parts)
+    grad = radial * (b / t) - (2.0 / t) * (((ll * g)[deg] * c) @ dy)
+    return band, band + tail, grad
+
+
+def _band_coeffs(u: HarmonicField, l_max: int) -> np.ndarray:
+    c = u.to_lmax(l_max).coeffs.copy()
+    c[0] = 0.0
+    return c
 
 
 def grad_distance(u: HarmonicField, m: ManifoldPoint, l_max: int) -> float:
-    """Gradient-norm distance to one chart point, both fields at band l_max."""
-    return _distance(u.to_lmax(l_max).coeffs, _ball_of(m), l_max)
+    """Gradient-norm distance from u, at band l_max, to the whole extremal at one chart point."""
+    return _distance(_band_coeffs(u, l_max), _ball_of(m), l_max)[1]
 
 
 @lru_cache(maxsize=8)
 def _scan_weights(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # per scanned t: l(l+1) g_l for l >= 1, and the psi energy sum l(l+1)(2l+1) g_l^2
+    # per scanned t: l(l+1) g_l for l >= 1, and psi's gradient energy
     l = np.arange(l_max + 1)
-    g = np.array([_g(l_max, t) for t in _SCAN_T])
-    return (l * (l + 1) * g)[:, 1:], (l * (l + 1) * (2 * l + 1) * g * g).sum(axis=1)
+    g = np.array([_g(l_max, t)[0] for t in _SCAN_T])
+    return (l * (l + 1) * g)[:, 1:], np.array([_psi_energy(t)[0] for t in _SCAN_T])
 
 
 def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
@@ -202,6 +246,7 @@ class DistanceResult:
     converged: bool
     nfev: int
     starts: tuple
+    band_distance: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -217,14 +262,19 @@ def distance_to_manifold(
 
     Candidates: the best node of the scan, and the inverse of the
     re-centering map (the candidate the stability argument itself
-    produces).  The lower-scoring one seeds a Nelder-Mead polish in
-    b = atanh|a| a/|a|; a polish that ends at the reach of the recurrence
-    (|b| = 8) is reported as not converged.
+    produces).  The lower-scoring one seeds a BFGS polish in
+    b = atanh|a| a/|a| with the exact gradient.  The polish has converged
+    when the gradient at its end is at most 1e-7 (1 + d) and the end lies
+    in the a-priori ball: d(b*) <= d(0) = E(u) bounds psi's gradient energy
+    by 4 E(u).  BFGS's own success flag is not used: it reports precision
+    loss on minima whose gradient is already far below that test.
     """
-    target = u.to_lmax(l_max).coeffs
+    target = _band_coeffs(u, l_max)
+    energy = _distance(target, np.zeros(3), l_max)[1]  # d(0) = E(u)
 
-    def objective(b: np.ndarray) -> float:
-        return _distance(target, b, l_max) if np.linalg.norm(b) <= _T_EDGE else math.inf
+    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
+        _, d, grad = _distance(target, b, l_max)
+        return d, grad
 
     starts = {"scan": _scan(target, l_max, grid)}
     note = None
@@ -236,29 +286,39 @@ def distance_to_manifold(
         starts["recentering"] = _ball_of(warm)
     except ConvergenceError as exc:  # the scan alone still seeds the polish
         note = str(exc)
-    values = {kind: objective(b) for kind, b in starts.items()}
+    values = {kind: objective(b)[0] for kind, b in starts.items()}
     chosen = min(values, key=values.get)
     rows = [{"kind": k, "start_value": v, "polished": k == chosen} for k, v in values.items()]
     if note is not None:
         rows.append({"kind": "recentering", "error": note})
-    b0 = starts[chosen]
     res = minimize(
-        objective,
-        b0,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-10,
-            "fatol": 1e-15 * (1.0 + values[chosen]),
-            "maxiter": 4000,
-            "initial_simplex": np.vstack([b0, b0 + 0.05 * np.eye(3)]),
-        },
+        objective, starts[chosen], jac=True, method="BFGS",
+        options={"gtol": 1e-8 * (1.0 + values[chosen])},
     )
+    b, nfev = res.x, res.nfev + len(starts)
+    band, d, grad = _distance(target, b, l_max)
+    # d carries rounding of order eps E(u), which can stall the line search
+    # short of the gradient test: finish by quasi-Newton steps on the exact
+    # gradient alone, kept while they shrink it
+    for _ in range(3):
+        if np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d):
+            break
+        step = b - res.hess_inv @ grad
+        polished = _distance(target, step, l_max)
+        nfev += 1
+        if np.linalg.norm(polished[2]) >= np.linalg.norm(grad):
+            break
+        b, (band, d, grad) = step, polished
     return DistanceResult(
-        distance=float(res.fun),
-        argmin=_chart_of_ball(res.x),
-        converged=bool(res.success and np.linalg.norm(res.x) < _T_EDGE - 1e-6),
-        nfev=int(res.nfev) + len(starts),
+        distance=d,
+        argmin=_chart_of_ball(b),
+        converged=bool(
+            np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d)
+            and _psi_energy(float(np.linalg.norm(b)))[0] <= 4.0 * energy * (1.0 + 1e-12)
+        ),
+        nfev=int(nfev),
         starts=tuple(rows),
+        band_distance=band,
     )
 
 

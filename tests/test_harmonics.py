@@ -17,7 +17,15 @@ from onofri import (
     laplacian,
     synthesize,
 )
-from onofri.harmonics import _grid_table, _layout, _legendre_table, _rotated, harmonics_at
+from onofri.harmonics import (
+    _azimuth_tables,
+    _grid_table,
+    _layout,
+    _legendre_table,
+    _rotated,
+    harmonic_gradients_at,
+    harmonics_at,
+)
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import SphericalGrid
 
@@ -230,6 +238,47 @@ def test_layout_cached_read_only():
     for r, (_, m) in enumerate(rows):
         expected[m, r] = 1.0 if m == 0 else math.sqrt(2.0)
     assert np.array_equal(lay.sum_m, expected)
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 8, 32, 64])
+def test_azimuth_tables_cached_read_only(l_max):
+    grid = build_grid(max(l_max, 1))
+    cos_t, sin_t = _azimuth_tables(grid, l_max)
+    # the tables computed afresh on every call before they were cached
+    arg = np.arange(l_max + 1)[:, None] * grid.phi[None, :]
+    assert np.array_equal(cos_t, np.cos(arg)) and np.array_equal(sin_t, np.sin(arg))
+    assert not cos_t.flags.writeable and not sin_t.flags.writeable
+    again = _azimuth_tables(build_grid(max(l_max, 1)), l_max)
+    assert again[0] is cos_t and again[1] is sin_t
+
+
+def test_harmonic_gradients_at(rng):
+    # tangent, equal to geodesic differences of harmonics_at away from the
+    # poles, and the right limit at them: grad Y_1m = sqrt(3) (e_m - (e_m.w) w)
+    pts = [rng.normal(size=3) for _ in range(6)]
+    for w in pts:
+        w = w / np.linalg.norm(w)
+        a = np.cross(w, [0.3, 0.5, 0.8])
+        a /= np.linalg.norm(a)
+        for l_max in (0, 1, 7, 32):
+            y, grad = harmonic_gradients_at(w, l_max)
+            assert np.array_equal(y, harmonics_at(w, l_max))
+            assert np.max(np.abs(grad @ w)) < 1e-13
+            for e in (a, np.cross(w, a)):
+                h = 1e-4
+                ahead = harmonics_at(math.cos(h) * w + math.sin(h) * e, l_max)
+                behind = harmonics_at(math.cos(h) * w - math.sin(h) * e, l_max)
+                diff = (ahead - behind) / (2 * math.sin(h))
+                assert np.max(np.abs(grad @ e - diff)) < 1e-5 * (1 + l_max) ** 2
+    for pole in (1.0, -1.0):
+        w = np.array([0.0, 0.0, pole])
+        _, grad = harmonic_gradients_at(w, 5)
+        axes = np.eye(3)[[1, 2, 0]]  # flat slots (1, -1), (1, 0), (1, 1): y, z, x
+        expect = math.sqrt(3.0) * (axes - np.outer(axes @ w, w))
+        assert np.max(np.abs(grad[1:4] - expect)) < 1e-15
+        # every other degree's gradient at a pole comes from its m = 1 pair only
+        m_abs = np.abs(np.arange(36) - _layout(5).degrees ** 2 - _layout(5).degrees)
+        assert np.all(grad[m_abs != 1] == 0.0)
 
 
 def _legendre_loop(l_max, t):

@@ -20,10 +20,33 @@ from onofri import (
     psi_field,
     rotation,
     stability_check,
+    transform,
     translation,
 )
 from onofri.sampling import random_conformal, random_field
-from onofri.stability import _ball_of, _ball_psi, _chart_of_ball, _g
+from onofri.stability import _ball_of, _ball_psi, _band_coeffs, _chart_of_ball, _distance, _g
+
+
+def _whole_distance(u, l_max, b):
+    return _distance(_band_coeffs(u, l_max), np.asarray(b, dtype=float), l_max)[1]
+
+
+def _nelder_mead(u, l_max, b0):
+    # an independent polish of the same objective, from its own start
+    from scipy.optimize import minimize
+
+    res = minimize(
+        lambda b: _whole_distance(u, l_max, b),
+        b0,
+        method="Nelder-Mead",
+        options={
+            "xatol": 1e-10,
+            "fatol": 1e-15 * (1.0 + _whole_distance(u, l_max, b0)),
+            "maxiter": 4000,
+            "initial_simplex": np.vstack([b0, b0 + 0.05 * np.eye(3)]),
+        },
+    )
+    return float(res.fun)
 
 
 def test_manifold_point_map():
@@ -163,38 +186,51 @@ def test_stability_far_out_extremal(grid72):
     assert rep.slack >= 0.0
     assert rep.trace["converged"]
     # the grid-72 projection of psi aliases its tail, which moves the argmin
-    assert abs(rep.argmin.log_lambda - math.log(20.0)) < 1e-4
+    # off ln 20; it must score no worse than the extremal's own point
+    start = _ball_of(chart_params(dilation(20.0)))
+    assert rep.distance <= _whole_distance(u, 32, start)
+    assert rep.distance == pytest.approx(_nelder_mead(u, 32, start), rel=1e-10)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.995, 0.9999])
 def test_g_matches_legendre_q(r):
     mpmath = pytest.importorskip("mpmath")
-    g = _g(40, math.atanh(r))
+    g, dg = _g(40, math.atanh(r))
+
+    def g_of(l, t):  # t = atanh r, so 1/r = coth t
+        z = mpmath.coth(t)
+        q_up = mpmath.re(mpmath.legenq(l + 1, 0, z, type=3))
+        q_down = mpmath.re(mpmath.legenq(l - 1, 0, z, type=3))
+        return -1.5 * (q_up - q_down) / (2 * l + 1)
+
     with mpmath.workdps(40):
-        z = 1 / mpmath.mpf(r)
+        t = mpmath.atanh(mpmath.mpf(r))
         for l in range(1, 41):
-            q_up = mpmath.re(mpmath.legenq(l + 1, 0, z, type=3))
-            q_down = mpmath.re(mpmath.legenq(l - 1, 0, z, type=3))
-            expect = float(-1.5 * (q_up - q_down) / (2 * l + 1))
-            assert g[l] == pytest.approx(expect, rel=1e-12)
-    assert g[0] == 0.0
+            assert g[l] == pytest.approx(float(g_of(l, t)), rel=1e-12)
+        for l in (1, 2, 3, 8, 20, 40):
+            assert dg[l] == pytest.approx(float(mpmath.diff(lambda s: g_of(l, s), t)), rel=1e-10)
+    assert g[0] == 0.0 and dg[0] == 0.0
 
 
 def test_g_limit_at_the_sphere():
     from scipy.integrate import quad
     from scipy.special import eval_legendre
 
-    limit = _g(40, math.inf)
-    for l in range(1, 41):
+    l = np.arange(1, 41)
+    limit = 1.5 / (l * (l + 1.0))  # g_l at |a| = 1
+    for k in l:
         # g_l(1) = -(3/4) * integral of ln(1 - t) P_l(t) over [-1, 1]
         integral, _ = quad(
-            lambda t: eval_legendre(l, t), -1, 1, weight="alg-logb", wvar=(0, 0), limit=200
+            lambda t: eval_legendre(k, t), -1, 1, weight="alg-logb", wvar=(0, 0), limit=200
         )
-        assert limit[l] == pytest.approx(-0.75 * integral, rel=1e-10)
+        assert limit[k - 1] == pytest.approx(-0.75 * integral, rel=1e-10)
     # g_l increases to the limit as |a| -> 1, at rate (1 - |a|) ln(1 - |a|)
-    near = _g(40, 8.0)
-    assert np.all(near[1:] < limit[1:])
-    assert np.max(np.abs(near[1:] - limit[1:])) < 1e-5
+    near = _g(40, 8.0)[0]
+    assert np.all(near[1:] < limit)
+    assert np.max(np.abs(near[1:] - limit)) < 1e-5
+    # far past the reach of the backward recurrence (about 10 e^t steps), the
+    # forward one takes over at the same cost
+    assert _g(40, 30.0)[0][1:] == pytest.approx(limit, rel=1e-11)
 
 
 def test_closed_form_psi_coefficients(rng):
@@ -237,3 +273,85 @@ def test_ball_of_matches_lorentz_row(rng):
         s = float(np.linalg.norm(v))
         expect = v * (math.asinh(s) / s)
         assert np.linalg.norm(_ball_of(m) - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+# values of the whole distance d at an interior minimum; a search confined to
+# u's band used to end at |a| = 1 on each of them and report converged: false
+_ENVELOPE = [
+    ("2.5 Y20", HarmonicField.from_entries(2, {(2, 0): 2.5}), 29.552491487851597, 29.552491),
+    ("3 Y20", HarmonicField.from_entries(2, {(2, 0): 3.0}), 43.2604360103665, 43.260436),
+    ("5 Y20", HarmonicField.from_entries(2, {(2, 0): 5.0}), 127.37520946551165, 127.375209),
+    ("-3 Y20", HarmonicField.from_entries(2, {(2, 0): -3.0}), 51.13282802462821, 51.132828),
+    ("random, seed 3", random_field(np.random.default_rng(3), 6, 2.0), 25.070835394386638, 25.0708),
+]
+
+
+@pytest.mark.parametrize(
+    "u, pinned, rounded", [c[1:] for c in _ENVELOPE], ids=[c[0] for c in _ENVELOPE]
+)
+def test_envelope_cases_converge(u, pinned, rounded):
+    rep = stability_check(u)
+    dist = rep.trace["distance"]
+    assert rep.trace["converged"] and dist["converged"]
+    b = _ball_of(rep.argmin)
+    assert 0.5 < np.linalg.norm(b) < 4.0  # interior: well inside the ball |a| < 1
+    assert rep.distance == pytest.approx(pinned, rel=1e-9)
+    assert rep.distance == pytest.approx(rounded, abs=10.0 ** -len(repr(rounded).split(".")[1]))
+    assert rep.distance >= dist["band_distance"]
+    assert rep.distance == pytest.approx(_nelder_mead(u, u.l_max, np.zeros(3) + 0.3), rel=1e-12)
+    assert dist["nfev"] <= 40
+
+
+def _central_gradient(c, b, l_max, h=1e-3):
+    # fourth-order central differences of d
+    out = np.empty(3)
+    for k, e in enumerate(np.eye(3)):
+        f = [_distance(c, b + s * h * e, l_max)[1] for s in (-2, -1, 1, 2)]
+        out[k] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("l_max", [6, 32])
+def test_distance_gradient_matches_differences(rng, l_max):
+    c = _band_coeffs(random_field(rng, l_max, 1.0), l_max)
+    points = [np.zeros(3), np.array([0.0, 0.0, 1.7]), np.array([0.0, 0.0, -0.4])]
+    for _ in range(6):
+        b = rng.normal(size=3)
+        points.append(rng.uniform(0.05, 4.0) * b / np.linalg.norm(b))
+    for b in points:
+        _, d, grad = _distance(c, b, l_max)
+        expect = _central_gradient(c, b, l_max)
+        assert np.max(np.abs(grad - expect)) <= 1e-9 * (1.0 + d)
+
+
+def test_whole_distance_bounds_band_distance_and_matches_nelder_mead(rng):
+    grids = {}
+    for _ in range(12):
+        l_max = int(rng.integers(2, 9))
+        u = random_field(rng, l_max, rng.uniform(0.3, 3.0))
+        grid = grids.setdefault(l_max, build_grid(max(4 * l_max, 48)))
+        res = distance_to_manifold(u, l_max, grid)
+        assert res.converged
+        assert res.distance >= res.band_distance >= 0.0
+        start = _ball_of(res.argmin) + 0.2
+        assert res.distance == pytest.approx(_nelder_mead(u, l_max, start), rel=1e-12)
+
+
+def test_distance_is_conformally_invariant(rng):
+    # d(u o tau) = d(u): the family is a conformal orbit and the gradient
+    # energy is conformally invariant; psi truncated at a band is not
+    grid = build_grid(96)
+    moved_band = []
+    for k, lam in enumerate((1.2, 2.0, 3.0, 2.5)):
+        u = random_field(rng, 6, 0.5)
+        tau = rotation(rng.normal(size=3), rng.uniform(0, 6.3))
+        tau = tau.compose(dilation(lam)).compose(rotation(rng.normal(size=3), 1.0))
+        if k == 3:
+            tau = ConformalMap(tau.mobius, reflect=True)
+        v = transform(u, tau, 40, grid).field
+        before = distance_to_manifold(u, 6, build_grid(48))
+        after = distance_to_manifold(v, 40, grid)
+        assert before.converged and after.converged
+        assert after.distance == pytest.approx(before.distance, rel=1e-10)
+        moved_band.append(abs(after.band_distance - before.band_distance))
+    assert max(moved_band) > 1e-9
