@@ -3,9 +3,10 @@
 For any field u there is a unique chart map z -> lambda0 z + x0 (modulo
 rotations) under which the center of mass of e^{2 u_tau} vanishes; both
 parameters have closed forms, cross-checked here against a root find.  The
-re-centered map is also a candidate for the nearest extremal, whose distance
-has a closed form over the ball of centers of mass; that turns the stability
-bound deficit >= distance/6 into a checkable certificate.
+extremal of the re-centered map bounds the distance to the extremal family
+from above; the distance itself has a closed form over the ball of centers
+of mass and is found by a scan and a polish, which turns the stability bound
+deficit >= distance/6 into a checkable certificate.
 """
 
 import numpy as np

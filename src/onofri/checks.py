@@ -342,7 +342,7 @@ def classification(rng, policy) -> list[Row]:
         c[0] = 0.0
         l = moved.degrees()
         worst_tail = max(worst_tail, float(np.sum(l * (l + 1) * c * c)))
-        worst_dist = max(worst_dist, distance_to_manifold(u, 32, grid, policy).distance)
+        worst_dist = max(worst_dist, distance_to_manifold(u, 32, grid).distance)
     return [
         Row("energy of normalized extremals, 10 maps", worst_tail, scaled(1e-7), "normalize flattens extremals"),
         Row("distance of extremals to the manifold", worst_dist, scaled(1e-6), "distance to manifold"),

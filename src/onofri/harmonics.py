@@ -43,16 +43,19 @@ def coeff_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def _legendre_table(l_max: int, t: np.ndarray) -> np.ndarray:
+def _legendre_table(l_max: int, t: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     """Normalized associated Legendre values P(l, m >= 0) at abscissas ``t``.
 
     Normalization: integral of P_lm(t)^2 dt over [-1, 1] equals 2, which makes
     the real harmonics orthonormal against the normalized sphere measure.
     Stable upward recursion in l for all m at once, diagonal seeded by the
-    sin(theta)^m ladder.
+    sin(theta)^m ladder.  ``s``, the sines, defaults to sqrt(1 - t^2), which
+    rounds to 0 within about 1e-8 of a pole; a caller holding the point
+    passes hypot(w_0, w_1), which keeps its relative accuracy there.
     """
     t = np.asarray(t, dtype=float)
-    s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    if s is None:
+        s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     out = np.empty(((l_max + 1) * (l_max + 2) // 2, t.size))
     out[0] = 1.0
     prev2 = prev = out[:1]
@@ -271,7 +274,7 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
     single = w.ndim == 1
     w = np.atleast_2d(w)
     t = np.clip(w[:, 2], -1.0, 1.0)
-    s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    s = np.hypot(w[:, 0], w[:, 1])
     safe = s > 1e-300
     cos_p = np.where(safe, w[:, 0] / np.where(safe, s, 1.0), 1.0)
     sin_p = np.where(safe, w[:, 1] / np.where(safe, s, 1.0), 0.0)
@@ -324,7 +327,8 @@ def harmonics_at(w, l_max: int) -> np.ndarray:
     """Every basis function Y_lm at one unit vector, in flat coefficient order."""
     w = np.asarray(w, dtype=float)
     lay = _layout(l_max)
-    p = _legendre_table(l_max, np.array([np.clip(w[2], -1.0, 1.0)]))[:, 0]
+    t, s = np.clip(w[2], -1.0, 1.0), math.hypot(w[0], w[1])
+    p = _legendre_table(l_max, np.array([t]), np.array([s]))[:, 0]
     arg = np.arange(l_max + 1) * math.atan2(w[1], w[0])
     y = np.empty((l_max + 1) ** 2)
     y[lay.neg] = p * (np.sin(arg) @ lay.sum_m)
@@ -377,10 +381,10 @@ def harmonic_gradients_at(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     """
     w = np.asarray(w, dtype=float)
     t = float(np.clip(w[2], -1.0, 1.0))
-    s = math.sqrt(max(1.0 - t * t, 0.0))
+    s = math.hypot(w[0], w[1])
     phi = math.atan2(w[1], w[0])
     lay, slope = _layout(l_max), _slope_rows(l_max)
-    table = _legendre_table(l_max + 1, np.array([t]))[:, 0]
+    table = _legendre_table(l_max + 1, np.array([t]), np.array([s]))[:, 0]
     p = table[: lay.pos.size]
     d_theta = np.einsum("kr,kr->r", slope.theta_weights, table[slope.theta_rows])
     d_phi = np.einsum("kr,kr->r", slope.phi_weights, table[slope.phi_rows])

@@ -10,8 +10,6 @@ Lorentz group and is what makes the sharp functional conformally invariant.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .mobius import ConformalMap, MobiusMap, _spinor
@@ -119,11 +117,3 @@ def lorentz_residuals(L: np.ndarray) -> dict:
         "det": float(abs(np.linalg.det(L) - 1.0)),
         "orthochronous": float(max(0.0, 1.0 - L[0, 0])),
     }
-
-
-def lorentz_to_json(L: np.ndarray) -> str:
-    return json.dumps([float(x) for x in np.asarray(L).reshape(-1)])
-
-
-def lorentz_from_json(s: str) -> np.ndarray:
-    return np.asarray(json.loads(s), dtype=float).reshape(4, 4)

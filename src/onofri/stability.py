@@ -19,8 +19,8 @@ E(u) its gradient energy).  Its gradient is closed-form too: dg_l/dt =
 (3/2) Q_l(coth t)/sinh^2 t, and the surface gradient of u_l comes from the
 Legendre derivative relations.  For each t on a scan the cross term is a
 band-limited field in b/t, synthesized on the grid; the best node over the
-scan, or the re-centering candidate when it scores lower, seeds a BFGS
-polish of d with its exact gradient.  The search is deterministic.
+scan seeds a BFGS polish of d with its exact gradient.  The search is
+deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
 beta complex: left rotations leave the Jacobian unchanged, and QR (Iwasawa)
@@ -50,7 +50,6 @@ from .config import scaled
 from .extremals import _ball_point
 from .harmonics import HarmonicField, _layout, harmonic_gradients_at, harmonics_at, synthesize
 from .mobius import ConformalMap, MobiusMap, dilation, rotation
-from .normalize import normalize
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -245,29 +244,23 @@ class DistanceResult:
     argmin: ManifoldPoint
     converged: bool
     nfev: int
-    starts: tuple
+    start_value: float
     band_distance: float
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def distance_to_manifold(
-    u: HarmonicField,
-    l_max: int,
-    grid: SphericalGrid,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> DistanceResult:
+def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> DistanceResult:
     """Infimum of the gradient distance over the ball, by the closed form.
 
-    Candidates: the best node of the scan, and the inverse of the
-    re-centering map (the candidate the stability argument itself
-    produces).  The lower-scoring one seeds a BFGS polish in
-    b = atanh|a| a/|a| with the exact gradient.  The polish has converged
-    when the gradient at its end is at most 1e-7 (1 + d) and the end lies
-    in the a-priori ball: d(b*) <= d(0) = E(u) bounds psi's gradient energy
-    by 4 E(u).  BFGS's own success flag is not used: it reports precision
-    loss on minima whose gradient is already far below that test.
+    The best node of the scan seeds a BFGS polish in b = atanh|a| a/|a|
+    with the exact gradient; ``start_value`` is d there.  The polish has
+    converged when the gradient at its end is at most 1e-7 (1 + d) and the
+    end lies in the a-priori ball: d(b*) <= d(0) = E(u) bounds psi's
+    gradient energy by 4 E(u).  BFGS's own success flag is not used: it
+    reports precision loss on minima whose gradient is already far below
+    that test.
     """
     target = _band_coeffs(u, l_max)
     energy = _distance(target, np.zeros(3), l_max)[1]  # d(0) = E(u)
@@ -276,26 +269,13 @@ def distance_to_manifold(
         _, d, grad = _distance(target, b, l_max)
         return d, grad
 
-    starts = {"scan": _scan(target, l_max, grid)}
-    note = None
-    try:
-        norm_result = normalize(u, policy)
-        warm = ManifoldPoint(
-            -math.log(norm_result.lambda0), -norm_result.x0.real, -norm_result.x0.imag
-        )
-        starts["recentering"] = _ball_of(warm)
-    except ConvergenceError as exc:  # the scan alone still seeds the polish
-        note = str(exc)
-    values = {kind: objective(b)[0] for kind, b in starts.items()}
-    chosen = min(values, key=values.get)
-    rows = [{"kind": k, "start_value": v, "polished": k == chosen} for k, v in values.items()]
-    if note is not None:
-        rows.append({"kind": "recentering", "error": note})
+    start = _scan(target, l_max, grid)
+    start_value = objective(start)[0]
     res = minimize(
-        objective, starts[chosen], jac=True, method="BFGS",
-        options={"gtol": 1e-8 * (1.0 + values[chosen])},
+        objective, start, jac=True, method="BFGS",
+        options={"gtol": 1e-8 * (1.0 + start_value)},
     )
-    b, nfev = res.x, res.nfev + len(starts)
+    b, nfev = res.x, res.nfev + 1
     band, d, grad = _distance(target, b, l_max)
     # d carries rounding of order eps E(u), which can stall the line search
     # short of the gradient test: finish by quasi-Newton steps on the exact
@@ -317,7 +297,7 @@ def distance_to_manifold(
             and _psi_energy(float(np.linalg.norm(b)))[0] <= 4.0 * energy * (1.0 + 1e-12)
         ),
         nfev=int(nfev),
-        starts=tuple(rows),
+        start_value=start_value,
         band_distance=band,
     )
 
@@ -357,22 +337,17 @@ def stability_check(
     if grid is None:
         grid = build_grid(max(4 * l_max, 48))
     report = chang_gui_report(2.0 / 3.0, u, policy)
-    dist = distance_to_manifold(u, l_max, grid, policy=policy)
+    dist = distance_to_manifold(u, l_max, grid)
     slack = report.value - dist.distance / 6.0
     converged = report.converged and dist.converged
     if converged and slack < -scaled(1e-8):
         raise ConvergenceError(
             f"stability certificate violated on a converged run: slack {slack:.3e}"
         )
-    warm = next((s for s in dist.starts if s.get("kind") == "recentering"), None)
-    warm_ok = None
-    if warm is not None and "start_value" in warm:
-        warm_ok = bool(warm["start_value"] <= 6.0 * max(dist.distance, 1e-9))
     trace = {
         "converged": converged,
         "functional_grid": report.grid,
         "distance": dist.to_dict(),
-        "warm_start_dominates": warm_ok,
     }
     return StabilityReport(
         deficit=report.value,

@@ -204,25 +204,46 @@ def test_basis_matches_scipy(rng):
     # outside reference for normalization, Condon-Shortley phase and the
     # cos/sin assignment: Y_lm = sqrt(4 pi) (-1)^m times Re Y_l^0 (m = 0),
     # sqrt(2) Re Y_l^m (m > 0) or sqrt(2) Im Y_l^|m| (m < 0) of scipy's
-    # complex orthonormal harmonics
+    # complex orthonormal harmonics.  Points 1e-9 and 1e-12 off each pole
+    # check that sin(theta) keeps its relative accuracy there; the reference
+    # takes theta = atan2(hypot(x, y), |z|), since arccos(z) rounds to the
+    # pole and pi - theta carries pi's rounding, and the parity
+    # Y_lm(-z) = (-1)^(l+m) Y_lm(z) for z < 0
     from scipy.special import sph_harm_y  # scipy >= 1.15
 
     L = 32
     pts = rng.normal(size=(50, 3))
-    pts = np.vstack([pts / np.linalg.norm(pts, axis=1)[:, None], [[0, 0, 1.0], [0, 0, -1.0]]])
+    near = [
+        [e * c, e * s, z] for e in (1e-9, 1e-12) for z in (1.0, -1.0) for c, s in ((1, 0), (0.6, -0.8))
+    ]
+    near = np.array(near) / np.linalg.norm(near, axis=1)[:, None]
+    pts = np.vstack([pts / np.linalg.norm(pts, axis=1)[:, None], [[0, 0, 1.0], [0, 0, -1.0]], near])
     l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
     m = np.arange(l.size) - l * l - l
-    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))[:, None]
+    theta = np.arctan2(np.hypot(pts[:, 0], pts[:, 1]), np.abs(pts[:, 2]))[:, None]
     phi = np.arctan2(pts[:, 1], pts[:, 0])[:, None]
+    parity = np.where(pts[:, 2:] < 0.0, (-1.0) ** (l + m), 1.0)
     y = sph_harm_y(l, np.abs(m), theta, phi)
     trig = np.where(m == 0, y.real, math.sqrt(2.0) * np.where(m > 0, y.real, y.imag))
-    ref = math.sqrt(4.0 * math.pi) * (-1.0) ** np.abs(m) * trig
+    ref = math.sqrt(4.0 * math.pi) * (-1.0) ** np.abs(m) * parity * trig
     got = np.array([harmonics_at(w, L) for w in pts])
     assert np.max(np.abs(got - ref)) < 1e-12
     for l_max in range(L + 1):
         u = random_field(rng, l_max, 1.0)
         n = u.coeffs.size
         assert np.max(np.abs(evaluate_at(u, pts) - ref[:, :n] @ u.coeffs)) < 1e-12
+    # near the poles the m >= 1 harmonics are of order sin(theta)^|m|: match
+    # them relatively, through all three point evaluators
+    k = np.flatnonzero(m[:81] != 0)  # l <= 8
+    expect = ref[-len(near):, k]
+    evaluated = np.array([evaluate_at(HarmonicField(8, c), near) for c in np.eye(81)[k]]).T
+    with_grad = np.array([harmonic_gradients_at(w, 8)[0] for w in near])[:, k]
+    for values in (got[-len(near):, k], evaluated, with_grad):
+        assert np.all(np.abs(values - expect) <= 1e-12 * np.abs(expect))
+    for w in near:  # surface gradients stay tangent
+        _, grad = harmonic_gradients_at(w, 8)
+        norms = np.linalg.norm(grad, axis=1)
+        assert np.all(np.abs(grad @ w) <= 1e-15 * norms)
 
 
 def test_layout_cached_read_only():

@@ -15,7 +15,7 @@ from onofri import (
     minkowski_of,
     quadratic_form,
 )
-from onofri.lorentz import ETA, lorentz_from_json, lorentz_to_json
+from onofri.lorentz import ETA
 from onofri.sampling import random_unimodular, random_unit_vector
 
 BOOST_SQRT2 = np.array(
@@ -121,12 +121,3 @@ def test_lightcone_identity_random(rng):
 def test_lightcone_rejects_reflect(rng):
     with pytest.raises(ValueError):
         lightcone_residual(inversion(), random_unit_vector(rng))
-
-
-def test_lorentz_json_round_trip():
-    L = lorentz_lift(dilation(3.0).mobius)
-    back = lorentz_from_json(lorentz_to_json(L))
-    assert np.array_equal(back, L)
-    import json
-
-    assert len(json.loads(lorentz_to_json(L))) == 16

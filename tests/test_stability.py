@@ -17,6 +17,7 @@ from onofri import (
     distance_to_manifold,
     grad_distance,
     lorentz_lift,
+    normalize,
     psi_field,
     rotation,
     stability_check,
@@ -163,10 +164,15 @@ def test_stability_random_sweep(rng):
 
 
 def test_warm_start_dominance(rng):
-    u = random_field(rng, 6, 0.4)
-    rep = stability_check(u)
-    warm = next(s for s in rep.trace["distance"]["starts"] if s["kind"] == "recentering")
-    assert warm["start_value"] <= 6.0 * rep.deficit + 1e-9
+    # the paper's candidate: the extremal whose map undoes the re-centering
+    # bounds the distance from above, and by 6 times the deficit
+    for _ in range(10):
+        u = random_field(rng, 6, 0.4)
+        rep = stability_check(u)
+        result = normalize(u)
+        warm = ManifoldPoint(-math.log(result.lambda0), -result.x0.real, -result.x0.imag)
+        d_warm = grad_distance(u, warm, 6)
+        assert rep.distance <= d_warm <= 6.0 * rep.deficit + 1e-9
 
 
 def test_stability_report_json(rng):
@@ -176,6 +182,10 @@ def test_stability_report_json(rng):
     d = json.loads(rep.to_json())
     assert set(d) == {"deficit", "distance", "slack", "argmin", "trace"}
     assert set(d["argmin"]) == {"log_lambda", "beta1", "beta2"}
+    assert set(d["trace"]) == {"converged", "functional_grid", "distance"}
+    assert set(d["trace"]["distance"]) == {
+        "distance", "argmin", "converged", "nfev", "start_value", "band_distance"
+    }
 
 
 def test_stability_far_out_extremal(grid72):
