@@ -32,7 +32,7 @@ print("== re-centering a random field ==")
 u = random_field(rng, 6, 0.4)
 print("center of mass of e^{2u} before:", np.round(com_of_exp(u), 6))
 res = normalize(u)
-print(f"x0 = {res.x0:.6f}, lambda0 = {res.lambda0:.6f} ({res.method})")
+print(f"x0 = {res.x0:.6f}, lambda0 = {res.lambda0:.6f} (closed forms)")
 print("achieved |COM| =", res.residual_com_norm)
 lam_rf = solve_lambda0(u, solve_x0(u), method="root_find")
 print("root-find cross-check of lambda0 agrees to", abs(lam_rf - res.lambda0))

@@ -118,7 +118,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_normalize(args, cfg: RunConfig) -> int:
     u = _load_field(args.field)
-    result = normalize(u, cfg.policy(), method=args.method)
+    result = normalize(u, cfg.policy())
     grid = build_grid(max(2 * cfg.l_max + 8, 72), cfg.oversample)
     moved = transform(u, result.tau, cfg.l_max, grid)
     out_field = Path(args.field).with_suffix(".normalized.json")
@@ -138,11 +138,10 @@ def cmd_stability(args, cfg: RunConfig) -> int:
     if args.random is not None:
         if args.random < 1:
             raise UsageError("--random needs N >= 1")
-        rng = np.random.default_rng(cfg.seed)
-        for k in range(args.random):
-            u = random_field(rng, min(cfg.l_max, 6), 0.4)
-            rep = stability_check(u, policy=cfg.policy())
-            rows.append((cfg.seed + k, rep))
+        # row k is labelled and drawn by its own seed, so one row reruns alone
+        for seed in range(cfg.seed, cfg.seed + args.random):
+            u = random_field(np.random.default_rng(seed), min(cfg.l_max, 6), 0.4)
+            rows.append((seed, stability_check(u, policy=cfg.policy())))
     else:
         if args.field is None:
             raise UsageError("stability needs a field file or --random N")
@@ -242,8 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="zero the center of mass of e^{2u}")
     p.add_argument("field")
-    p.add_argument("--method", choices=("closed_form", "root_find", "hybrid"),
-                   default="closed_form")
     p.set_defaults(handler=cmd_normalize)
 
     p = sub.add_parser("stability", help="stability certificate for fields")

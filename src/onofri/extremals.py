@@ -107,7 +107,7 @@ def _conformal_moments(tau, policy, grid=None) -> tuple[np.ndarray, SphericalGri
         return values(grid), grid
     value, grid, converged = policy.refine(values)
     if not converged:
-        raise ConvergenceError("conformal-map moments did not converge within the grid cap")
+        raise policy.cap_error("conformal-map moments")
     return value, grid
 
 

@@ -61,27 +61,25 @@ class ExpMoments(NamedTuple):
     mass: float
     moment: np.ndarray
     grid: SphericalGrid
-    converged: bool
 
 
-def exp_moments(
-    u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY, strict: bool = True
-) -> ExpMoments:
+def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> ExpMoments:
     """Adaptively refined quadrature of e^{2u} and its first moments.
 
     e^{2u} is not band-limited, so grids grow until the values stabilize to
     the policy's relative tolerance.  They refine e^{2(u - mean)}, whose mass is
     at least 1 by Jensen, so that tolerance is relative however small e^{2u} is.
+    Raises ConvergenceError if the values are still moving at the theta cap.
     """
     mean = u.mean()
     v, grid, converged = policy.refine(
         lambda g: moments(g, np.exp(2.0 * (synthesize(u, g).samples - mean))),
         min_band=u.l_max,
     )
-    if strict and not converged:
-        raise ConvergenceError("exponential moments did not converge within the grid cap")
+    if not converged:
+        raise policy.cap_error("exponential moments")
     v = v * math.exp(2.0 * mean)
-    return ExpMoments(float(v[0]), v[1:], grid, converged)
+    return ExpMoments(float(v[0]), v[1:], grid)
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,6 @@ class FunctionalReport:
     lorentzian: float
     value: float
     grid: dict
-    converged: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,18 +102,17 @@ class FunctionalReport:
 
 
 def chang_gui_report(
-    alpha: float,
-    u: HarmonicField,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-    strict: bool = True,
+    alpha: float, u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY
 ) -> FunctionalReport:
     """Evaluate the sharpened functional with full diagnostics.
 
-    The Lorentzian quantity is strictly positive for genuine measures
-    (strict Cauchy-Schwarz since |w| = 1 and w is not constant); a
-    non-positive value can only come from broken quadrature and raises.
+    The exponential moments come from ``exp_moments``, which raises
+    ConvergenceError if they do not converge.  The Lorentzian quantity is
+    strictly positive for genuine measures (strict Cauchy-Schwarz since
+    |w| = 1 and w is not constant); a non-positive value can only come from
+    broken quadrature and raises too.
     """
-    mom = exp_moments(u, policy, strict=strict)
+    mom = exp_moments(u, policy)
     lorentzian = mom.mass**2 - float(mom.moment @ mom.moment)
     if lorentzian <= 0.0:
         raise ConvergenceError(
@@ -133,7 +129,6 @@ def chang_gui_report(
         lorentzian=lorentzian,
         value=value,
         grid=mom.grid.descriptor(),
-        converged=mom.converged,
     )
 
 

@@ -10,8 +10,9 @@ sphere-side integrals:
     lambda0^2 = (2 int e^{2u} - (1 + |x0|^2) int (1 - w3) e^{2u})
                 / int (1 - w3) e^{2u}
 
-The root-finding path finds the zero of the third moment of e^{2 u_tau} in
-lambda by Brent's method; the moment is strictly decreasing (it equals
+``normalize`` uses these closed forms alone.  The root-finding path of
+``solve_lambda0`` finds the zero of the third moment of e^{2 u_tau} in lambda
+by Brent's method; the moment is strictly decreasing (it equals
 A/lambda - B*lambda with A, B > 0 up to a positive factor).  The path exists
 as an independent check of the closed form.
 """
@@ -94,11 +95,7 @@ def _grid_com(u: HarmonicField, tau: ConformalMap, grid: SphericalGrid) -> np.nd
 
 
 def _root_find_lambda0(
-    u: HarmonicField,
-    x0: complex,
-    policy: RefinementPolicy,
-    theta_count: int,
-    bracket_init: float = 1.0,
+    u: HarmonicField, x0: complex, policy: RefinementPolicy, theta_count: int
 ) -> float:
     # Fix one grid, 2.25x finer than the tight exponential moments needed, for
     # all lambda evaluations so the root-found function is smooth in lambda.
@@ -114,8 +111,8 @@ def _root_find_lambda0(
             values[lam] = float(_grid_com(u, recentering_map(x0, lam), grid)[2])
         return values[lam]
 
-    # g is decreasing: grow the bracket by decades until the sign changes
-    lo = hi = float(bracket_init)
+    # g is decreasing: grow the bracket from 1 by decades until the sign changes
+    lo = hi = 1.0
     g_lo = g_hi = g(lo)
     while g_hi > 0:
         lo, g_lo, hi = hi, g_hi, hi * 10.0
@@ -133,35 +130,12 @@ def _root_find_lambda0(
     return root
 
 
-def _lambda0(
-    u: HarmonicField,
-    x0: complex,
-    mom: ExpMoments,
-    policy: RefinementPolicy,
-    method: str,
-    bracket_init: float = 1.0,
-) -> float:
-    # mom: the tight exponential moments of u, shared by both paths
-    if method not in ("closed_form", "root_find", "hybrid"):
-        raise ValueError(f"unknown method {method!r}")
-    lam_cf = lam_rf = None
-    if method in ("closed_form", "hybrid"):
-        denom = mom.mass - mom.moment[2]
-        numer = 2.0 * mom.mass - (1.0 + abs(x0) ** 2) * denom
-        if numer <= 0.0:
-            raise ConvergenceError(
-                "closed-form numerator for lambda0 is non-positive: quadrature failure"
-            )
-        lam_cf = math.sqrt(numer / denom)
-    if method in ("root_find", "hybrid"):
-        lam_rf = _root_find_lambda0(u, x0, policy, mom.grid.theta_count, bracket_init)
-    if method == "hybrid":
-        if abs(lam_cf - lam_rf) > scaled(1e-8):
-            raise ConvergenceError(
-                f"lambda0 paths disagree: closed form {lam_cf!r} vs root find {lam_rf!r}"
-            )
-        return lam_cf
-    return lam_cf if method == "closed_form" else lam_rf
+def _closed_form_lambda0(x0: complex, mom: ExpMoments) -> float:
+    denom = mom.mass - mom.moment[2]
+    numer = 2.0 * mom.mass - (1.0 + abs(x0) ** 2) * denom
+    if numer <= 0.0:
+        raise ConvergenceError("closed-form numerator for lambda0 is non-positive: quadrature failure")
+    return math.sqrt(numer / denom)
 
 
 def solve_lambda0(
@@ -169,16 +143,20 @@ def solve_lambda0(
     x0: complex,
     policy: RefinementPolicy = DEFAULT_POLICY,
     method: str = "closed_form",
-    bracket_init: float = 1.0,
 ) -> float:
     """The dilation factor zeroing the third transported moment.
 
     ``closed_form`` evaluates the moment identity above (the numerator is a
-    variance, so non-positivity flags quadrature failure); ``root_find``
-    finds the root by Brent's method; ``hybrid`` runs both and insists they
-    agree to 1e-8.
+    variance, so non-positivity flags quadrature failure), as ``normalize``
+    does; ``root_find`` finds the root by Brent's method, bracketing it from 1
+    by decades, and serves as an independent check of the closed form.
     """
-    return _lambda0(u, x0, exp_moments(u, _tight(policy)), policy, method, bracket_init)
+    if method not in ("closed_form", "root_find"):
+        raise ValueError(f"unknown method {method!r}")
+    mom = exp_moments(u, _tight(policy))
+    if method == "root_find":
+        return _root_find_lambda0(u, x0, policy, mom.grid.theta_count)
+    return _closed_form_lambda0(x0, mom)
 
 
 @dataclass(frozen=True)
@@ -189,7 +167,6 @@ class NormalizationResult:
     lambda0: float
     tau: ConformalMap
     residual_com_norm: float
-    method: str
 
     def to_dict(self) -> dict:
         return {
@@ -197,7 +174,6 @@ class NormalizationResult:
             "lambda0": self.lambda0,
             "tau": self.tau.to_dict(),
             "residual_com_norm": self.residual_com_norm,
-            "method": self.method,
         }
 
     def to_json(self) -> str:
@@ -220,35 +196,22 @@ def transported_com(
         lambda grid: _composed_com(comp, grid), min_band=u.l_max
     )
     if not converged:
-        raise ConvergenceError("transported center of mass did not converge")
+        raise policy.cap_error("transported center of mass")
     return com
 
 
-def normalize(
-    u: HarmonicField,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-    method: str = "closed_form",
-    residual_tol: float = 1e-10,
-) -> NormalizationResult:
+def normalize(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> NormalizationResult:
     """Find tau = (z -> lambda0 z + x0) zeroing the center of mass of e^{2 u_tau}.
 
-    Falls back to the root-find path if the closed form misses the residual
-    tolerance, and raises if both paths do.
+    x0 and lambda0 are the closed forms above, from one tight quadrature of the
+    exponential moments.  Raises ConvergenceError if the transported center of
+    mass is not below 1e-10 (scaled).
     """
     mom = exp_moments(u, _tight(policy))
     x0 = _x0(mom)
-    lam0 = _lambda0(u, x0, mom, policy, method)
+    lam0 = _closed_form_lambda0(x0, mom)
     tau = recentering_map(x0, lam0)
     residual = float(np.linalg.norm(transported_com(u, tau, policy)))
-    used = method
-    if residual >= scaled(residual_tol) and method in ("closed_form", "root_find"):
-        other = "root_find" if method == "closed_form" else "closed_form"
-        lam0 = _lambda0(u, x0, mom, policy, other)
-        tau = recentering_map(x0, lam0)
-        residual = float(np.linalg.norm(transported_com(u, tau, policy)))
-        used = "hybrid"
-    if residual >= scaled(residual_tol):
-        raise ConvergenceError(
-            f"normalization residual {residual:.3e} above tolerance after both paths"
-        )
-    return NormalizationResult(x0, lam0, tau, residual, used)
+    if residual >= scaled(1e-10):
+        raise ConvergenceError(f"normalization residual {residual:.3e} not below {scaled(1e-10):.1e}")
+    return NormalizationResult(x0, lam0, tau, residual)

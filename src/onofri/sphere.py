@@ -239,6 +239,10 @@ class RefinementPolicy:
     theta_cap: int = 512
     rtol: float = 1e-9
 
+    def cap_error(self, what: str) -> ConvergenceError:
+        """The error for ``what`` still moving at the theta cap, naming the cap."""
+        return ConvergenceError(f"{what} did not converge within the grid cap (theta cap {self.theta_cap})")
+
     def grids(self, min_band: int = 0) -> Iterator[SphericalGrid]:
         n = max(self.start_band, min_band) + 1
         while n <= self.theta_cap:

@@ -339,13 +339,12 @@ def stability_check(
     report = chang_gui_report(2.0 / 3.0, u, policy)
     dist = distance_to_manifold(u, l_max, grid)
     slack = report.value - dist.distance / 6.0
-    converged = report.converged and dist.converged
-    if converged and slack < -scaled(1e-8):
+    if dist.converged and slack < -scaled(1e-8):
         raise ConvergenceError(
             f"stability certificate violated on a converged run: slack {slack:.3e}"
         )
     trace = {
-        "converged": converged,
+        "converged": dist.converged,
         "functional_grid": report.grid,
         "distance": dist.to_dict(),
     }

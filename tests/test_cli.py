@@ -138,10 +138,13 @@ def test_normalize_writes_field(capsys, random_field_file):
     assert np.linalg.norm(com_of_exp(moved)) < 1e-4  # band-limited projection only
 
 
-def test_normalize_hybrid_method(capsys, random_field_file):
-    code, out = run(capsys, "normalize", random_field_file, "--method", "hybrid")
+def test_normalize_method_flag_is_rejected(capsys, random_field_file):
+    # normalize has one path, the closed form; the old switch is a usage error
+    assert main(["normalize", random_field_file, "--method", "hybrid"]) == 2
+    assert "--method" in capsys.readouterr().err
+    code, out = run(capsys, "normalize", random_field_file)
     assert code == 0
-    assert json.loads(out)["result"]["method"] == "hybrid"
+    assert set(json.loads(out)["result"]) == {"x0", "lambda0", "tau", "residual_com_norm"}
 
 
 def test_normalize_extremal_near_constant(capsys, extremal_field_file):
@@ -176,6 +179,17 @@ def test_stability_random_sweep(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["min_slack"] >= -1e-8
     assert len(csv_path.read_text().strip().splitlines()) == 3
+
+
+def test_stability_random_rows_rerun_alone(capsys, tmp_path):
+    # the row labelled 43 of a sweep from seed 42 is the sweep of one from seed 43
+    pair, single = tmp_path / "pair.csv", tmp_path / "single.csv"
+    assert main(["--seed", "42", "stability", "--random", "2", "--csv", str(pair)]) == 0
+    assert main(["--seed", "43", "stability", "--random", "1", "--csv", str(single)]) == 0
+    capsys.readouterr()
+    rows = pair.read_text().splitlines()
+    assert rows[2].startswith("43,")
+    assert rows[2] == single.read_text().splitlines()[1]
 
 
 def test_stability_usage(capsys):
@@ -274,7 +288,9 @@ def test_out_flag_writes_file(tmp_path, capsys, zero_field_file):
     code, out = run(capsys, "--out", str(target), "eval", zero_field_file)
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text())["report"]["converged"] is True
+    report = json.loads(target.read_text())["report"]
+    assert set(report) == {"alpha", "energy", "mean", "log_mass", "lorentzian", "value", "grid"}
+    assert report["value"] == 0.0
 
 
 def test_jobs_flag_is_rejected(capsys):

@@ -76,7 +76,7 @@ def test_mass_numeric_on_pinned_grid(grid48):
 
 def test_mass_numeric_nonconvergent():
     starved = RefinementPolicy(start_band=4, theta_cap=6)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="conformal-map moments .* grid cap .theta cap 6."):
         conformal_mass(dilation(4.0), policy=starved)
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from onofri import (
     ConformalMap,
+    ConvergenceError,
     HarmonicField,
+    RefinementPolicy,
     build_extremal,
     build_grid,
     com_of_exp,
@@ -95,19 +97,20 @@ def test_lambda0_methods_agree(rng):
     lam_cf = solve_lambda0(u, x0, method="closed_form")
     lam_rf = solve_lambda0(u, x0, method="root_find")
     assert abs(lam_cf - lam_rf) < 1e-8
-    assert abs(solve_lambda0(u, x0, method="hybrid") - lam_cf) < 1e-15
-    with pytest.raises(ValueError):
-        solve_lambda0(u, x0, method="newton")
+    for method in ("hybrid", "newton"):
+        with pytest.raises(ValueError):
+            solve_lambda0(u, x0, method=method)
 
 
-def test_bisection_bracket_initializations(rng):
-    u = random_field(rng, 6, 0.4)
-    x0 = solve_x0(u)
-    lams = [
-        solve_lambda0(u, x0, method="root_find", bracket_init=b)
-        for b in (0.2, 0.7, 1.0, 3.0, 8.0)
-    ]
-    assert max(lams) - min(lams) < 1e-8
+def test_root_find_brackets_both_directions():
+    # the bracket grows from 1: upward for w3_times(0.3), whose lambda0 > 1,
+    # downward for w3_times(-0.3), whose lambda0 < 1
+    for eps in (0.3, -0.3):
+        u = w3_times(eps)
+        x0 = solve_x0(u)
+        lam_cf = solve_lambda0(u, x0)
+        assert (lam_cf > 1.0) == (eps > 0.0)
+        assert abs(solve_lambda0(u, x0, method="root_find") - lam_cf) < 1e-8
 
 
 def test_grid_com_matches_scattered_evaluation(rng):
@@ -125,11 +128,12 @@ def test_grid_com_matches_scattered_evaluation(rng):
 
 def test_root_find_keeps_mapped_tables_out_of_the_grid_cache():
     # the mapped abscissas change with every lambda; only real grids are cached
-    u = random_field(np.random.default_rng(0), 8, 0.5)
-    x0 = solve_x0(u)
-    solve_lambda0(u, x0, method="root_find")
+    rng = np.random.default_rng(0)
+    u, v = random_field(rng, 8, 0.5), random_field(rng, 8, 0.5)
+    x0_u, x0_v = solve_x0(u), solve_x0(v)  # every real grid of both is cached now
+    solve_lambda0(u, x0_u, method="root_find")
     before = _grid_table.cache_info()
-    solve_lambda0(u, x0, method="root_find", bracket_init=3.0)
+    solve_lambda0(v, x0_v, method="root_find")  # v's root find meets new lambdas
     after = _grid_table.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
@@ -196,7 +200,7 @@ def test_normalize_computes_exp_moments_once(monkeypatch, rng):
     u = random_field(rng, 6, 0.5)
     monkeypatch.setattr(module, "exp_moments", counted)
     result = normalize(u)
-    assert result.method == "closed_form" and len(calls) == 1
+    assert len(calls) == 1
     monkeypatch.undo()
     assert result.x0 == solve_x0(u)
     assert result.lambda0 == solve_lambda0(u, result.x0)
@@ -208,7 +212,6 @@ def test_normalize_random_fields(rng):
         res = normalize(u)
         assert res.residual_com_norm < 1e-10
         assert res.lambda0 > 0
-        assert res.method in ("closed_form", "root_find", "hybrid")
 
 
 def test_normalize_extremal_gives_constant(grid72, rng):
@@ -229,6 +232,28 @@ def test_normalize_first_two_components_translation_only(rng):
     x0 = solve_x0(u)
     com = transported_com(u, recentering_map(x0, 1.0))
     assert abs(com[0]) < 1e-10 and abs(com[1]) < 1e-10
+
+
+def test_normalize_raises_above_the_residual_tolerance(monkeypatch):
+    # the closed form leaves a residual of rounding size; a tolerance far below
+    # it must raise, not return
+    monkeypatch.setenv("ONOFRI_TOL_SCALE", "1e-12")
+    with pytest.raises(ConvergenceError, match="normalization residual"):
+        normalize(w3_times(0.25))
+
+
+def test_transported_com_names_the_theta_cap():
+    starved = RefinementPolicy(start_band=8, theta_cap=9)
+    with pytest.raises(ConvergenceError, match="transported center of mass .* grid cap .theta cap 9."):
+        transported_com(w3_times(2.0), dilation(4.0), starved)
+
+
+def test_normalize_names_the_theta_cap(grid72):
+    # the open dilation(20) case: its tight exponential moments still move at
+    # the default cap, and the error says which cap
+    u = psi_field(build_extremal(dilation(20.0)), 32, grid72, tail_threshold=None).field
+    with pytest.raises(ConvergenceError, match="theta cap 512"):
+        normalize(u)
 
 
 def test_normalize_zonal_field(rng):
@@ -257,7 +282,7 @@ def test_normalization_result_json(rng):
 
     res = normalize(random_field(rng, 4, 0.3))
     d = json.loads(res.to_json())
-    assert set(d) == {"x0", "lambda0", "tau", "residual_com_norm", "method"}
+    assert set(d) == {"x0", "lambda0", "tau", "residual_com_norm"}
     assert len(d["x0"]) == 2
 
 
