@@ -11,9 +11,9 @@ deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -44,20 +44,18 @@ from .sampling import random_field
 
 @dataclass
 class RunConfig:
-    oversample: float = 1.0
     theta_cap: int = 512
     l_max: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.oversample) or self.oversample < 1.0 or self.l_max < 0:
+        if self.theta_cap < 1 or self.l_max < 0:
             raise UsageError("invalid grid settings")
         if not 0 <= self.seed < 2**64:
             raise UsageError("seed must be a 64-bit unsigned integer")
 
     def policy(self) -> RefinementPolicy:
-        start = min(24, max(0, self.theta_cap - 1))
-        return RefinementPolicy(start_band=start, theta_cap=self.theta_cap)
+        return RefinementPolicy(theta_cap=self.theta_cap)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -119,7 +117,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_normalize(args, cfg: RunConfig) -> int:
     u = _load_field(args.field)
     result = normalize(u, cfg.policy())
-    grid = build_grid(max(2 * cfg.l_max + 8, 72), cfg.oversample)
+    grid = build_grid(max(2 * cfg.l_max + 8, 72))
     moved = transform(u, result.tau, cfg.l_max, grid)
     out_field = Path(args.field).with_suffix(".normalized.json")
     out_field.write_text(field_to_json(moved.field) + "\n")
@@ -184,16 +182,17 @@ _LIFT_SAMPLE_POINTS = np.array(
 def cmd_lift(args, cfg: RunConfig) -> int:
     try:
         data = json.loads(Path(args.mobius).read_text())
-        a, b = complex(*data["a"]), complex(*data["b"])
-        c, d = complex(*data["c"]), complex(*data["d"])
+        a, b, c, d = (complex(*data[k]) for k in "abcd")
+        det = a * d - b * c
+        if not all(cmath.isfinite(x) for x in (a, b, c, d, det)):
+            raise ValueError("matrix entries and determinant must be finite")
+        m = MobiusMap(a, b, c, d)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read Mobius file {args.mobius}: {exc}") from exc
     if data.get("reflect"):
         raise UsageError("the Lorentz lift is defined for orientation-preserving maps only")
-    det = a * d - b * c
     if abs(det - 1.0) > 1e-12:
         print(f"warning: determinant {det} renormalized to 1", file=sys.stderr)
-    m = MobiusMap(a, b, c, d)
     L = lorentz_lift(m)
     residuals = lorentz_residuals(L)
     residuals["lightcone"] = float(np.max(lightcone_residual(ConformalMap(m), _LIFT_SAMPLE_POINTS)))
@@ -209,7 +208,6 @@ def cmd_lift(args, cfg: RunConfig) -> int:
 
 def _global_parser(**kwargs) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="onofri", **kwargs)
-    parser.add_argument("--oversample", type=float, default=1.0)
     parser.add_argument("--theta-cap", type=int, default=512, help="refinement cap on theta nodes")
     parser.add_argument("--lmax", type=int, default=32, help="projection band limit")
     parser.add_argument("--seed", type=int, default=0)
@@ -265,7 +263,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig(oversample=args.oversample, theta_cap=args.theta_cap, l_max=args.lmax, seed=args.seed)
+        cfg = RunConfig(theta_cap=args.theta_cap, l_max=args.lmax, seed=args.seed)
         return args.handler(args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

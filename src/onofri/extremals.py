@@ -97,36 +97,19 @@ def _translation_point(param) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quadrature
 
-def _conformal_moments(tau, policy, grid=None) -> tuple[np.ndarray, SphericalGrid]:
-    """Moments of J^(3/2) on the pinned grid, else on a refined one, with the grid used."""
-
-    def values(g: SphericalGrid) -> np.ndarray:
-        return moments(g, tau.jacobian(g.nodes) ** 1.5)
-
-    if grid is not None:
-        return values(grid), grid
-    value, grid, converged = policy.refine(values)
-    if not converged:
-        raise policy.cap_error("conformal-map moments")
-    return value, grid
+def _conformal_moments(tau, policy) -> np.ndarray:
+    """Moments of J^(3/2) on a refined grid."""
+    return policy.refine(lambda g: moments(g, tau.jacobian(g.nodes) ** 1.5), "conformal-map moments")[0]
 
 
-def conformal_mass(
-    tau: ConformalMap,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-    grid: SphericalGrid | None = None,
-) -> float:
-    """Quadrature of J^(3/2); refined adaptively unless a grid is pinned."""
-    return float(_conformal_moments(tau, policy, grid)[0][0])
+def conformal_mass(tau: ConformalMap, policy: RefinementPolicy = DEFAULT_POLICY) -> float:
+    """Quadrature of J^(3/2), refined adaptively."""
+    return float(_conformal_moments(tau, policy)[0])
 
 
-def center_of_mass(
-    tau: ConformalMap,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-    grid: SphericalGrid | None = None,
-) -> np.ndarray:
+def center_of_mass(tau: ConformalMap, policy: RefinementPolicy = DEFAULT_POLICY) -> np.ndarray:
     """J^(3/2)-weighted mean position; always strictly inside the unit ball."""
-    v, _ = _conformal_moments(tau, policy, grid)
+    v = _conformal_moments(tau, policy)
     return v[1:] / v[0]
 
 

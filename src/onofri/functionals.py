@@ -72,12 +72,11 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
     Raises ConvergenceError if the values are still moving at the theta cap.
     """
     mean = u.mean()
-    v, grid, converged = policy.refine(
+    v, grid = policy.refine(
         lambda g: moments(g, np.exp(2.0 * (synthesize(u, g).samples - mean))),
+        "exponential moments",
         min_band=u.l_max,
     )
-    if not converged:
-        raise policy.cap_error("exponential moments")
     v = v * math.exp(2.0 * mean)
     return ExpMoments(float(v[0]), v[1:], grid)
 

@@ -443,4 +443,7 @@ def field_to_json(f: HarmonicField) -> str:
 
 def field_from_json(s: str) -> HarmonicField:
     d = json.loads(s)
-    return HarmonicField(int(d["l_max"]), np.asarray(d["coeffs"], dtype=float))
+    coeffs = np.asarray(d["coeffs"], dtype=float)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("field coefficients must be finite")
+    return HarmonicField(int(d["l_max"]), coeffs)

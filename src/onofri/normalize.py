@@ -192,11 +192,7 @@ def transported_com(
     alone.
     """
     comp = _compose(u, tau)
-    com, _, converged = _tight(policy).refine(
-        lambda grid: _composed_com(comp, grid), min_band=u.l_max
-    )
-    if not converged:
-        raise policy.cap_error("transported center of mass")
+    com, _ = _tight(policy).refine(lambda g: _composed_com(comp, g), "transported center of mass", u.l_max)
     return com
 
 

@@ -187,18 +187,15 @@ def _make_grid(n_theta: int, n_phi: int) -> SphericalGrid:
     return SphericalGrid(t, wt, phi, band)
 
 
-def build_grid(target_band: int, oversample: float = 1.0) -> SphericalGrid:
+def build_grid(target_band: int) -> SphericalGrid:
     """Grid integrating all band-``target_band`` products exactly.
 
-    ``ceil(oversample * (target_band + 1))`` Gauss-Legendre nodes in cos(theta)
-    crossed with ``2 * n_theta - 1`` uniform azimuths (>= 2*target_band + 1).
+    ``target_band + 1`` Gauss-Legendre nodes in cos(theta) crossed with
+    ``2 * target_band + 1`` uniform azimuths.
     """
     if target_band < 0:
         raise ValueError("target_band must be >= 0")
-    if oversample < 1.0:
-        raise ValueError("oversample must be >= 1")
-    n_theta = math.ceil(oversample * (target_band + 1))
-    return _make_grid(n_theta, 2 * n_theta - 1)
+    return _make_grid(target_band + 1, 2 * target_band + 1)
 
 
 def integrate(grid: SphericalGrid, samples) -> float:
@@ -225,53 +222,46 @@ def moments(grid: SphericalGrid, weight) -> np.ndarray:
     return np.array([np.sum(weights * f), *first])
 
 
+_START_THETA = 25
+_GROWTH = 1.5
+
+
 @dataclass(frozen=True)
 class RefinementPolicy:
     """Adaptive quadrature policy for integrands that are not band-limited.
 
-    Grids grow by ~1.5x in theta-node count per step (azimuths matched) until
+    The first grid has ``max(min(25, theta_cap), min_band + 1)`` theta nodes;
+    grids grow by ~1.5x in theta-node count per step (azimuths matched) until
     two successive values differ by less than ``rtol * (1 + |value|)`` in every
     component, with a hard cap on theta nodes.
     """
 
-    start_band: int = 24
-    growth: float = 1.5
     theta_cap: int = 512
     rtol: float = 1e-9
 
-    def cap_error(self, what: str) -> ConvergenceError:
-        """The error for ``what`` still moving at the theta cap, naming the cap."""
-        return ConvergenceError(f"{what} did not converge within the grid cap (theta cap {self.theta_cap})")
-
     def grids(self, min_band: int = 0) -> Iterator[SphericalGrid]:
-        n = max(self.start_band, min_band) + 1
+        n = max(min(_START_THETA, self.theta_cap), min_band + 1)
         while n <= self.theta_cap:
             yield _make_grid(n, 2 * n - 1)
-            n = math.ceil(self.growth * n)
+            n = math.ceil(_GROWTH * n)
 
     def refine(
-        self, func: Callable[[SphericalGrid], np.ndarray], min_band: int = 0
-    ) -> tuple[np.ndarray, SphericalGrid, bool]:
+        self, func: Callable[[SphericalGrid], np.ndarray], what: str, min_band: int = 0
+    ) -> tuple[np.ndarray, SphericalGrid]:
         """Evaluate ``func`` on successively finer grids until stable.
 
-        Returns (value, grid, converged).  Never raises on non-convergence;
-        callers decide whether that is an error.
+        Returns (value, grid).  Raises ConvergenceError naming ``what`` and the
+        cap if the value is still moving at the theta cap.
         """
         prev = None
-        value = None
-        grid = None
         for grid in self.grids(min_band):
             value = np.atleast_1d(np.asarray(func(grid), dtype=float))
             if prev is not None and prev.shape == value.shape:
                 delta = np.max(np.abs(value - prev))
                 if delta < self.rtol * (1.0 + np.max(np.abs(value))):
-                    return value, grid, True
+                    return value, grid
             prev = value
-        if value is None:
-            raise ConvergenceError(
-                f"theta cap {self.theta_cap} is below the minimum admissible grid"
-            )
-        return value, grid, False
+        raise ConvergenceError(f"{what} did not converge within the grid cap (theta cap {self.theta_cap})")
 
 
 DEFAULT_POLICY = RefinementPolicy()

@@ -243,6 +243,22 @@ def test_lift_rejects_reflect(tmp_path, capsys):
     assert main(["lift", str(path)]) == 2
 
 
+def test_lift_singular_matrix_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"a": [1, 0], "b": [2, 0], "c": [1, 0], "d": [2, 0]}))
+    assert main(["lift", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "singular" in err and "renormalized" not in err
+
+
+def test_lift_nonfinite_matrix_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"a": [float("nan"), 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]}))
+    assert main(["lift", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "finite" in err
+
+
 def test_tol_scale_env(monkeypatch, tmp_path, capsys):
     # a microscopic tolerance scale makes even machine-precision lifts fail
     path = tmp_path / "m.json"
@@ -302,10 +318,21 @@ def test_jobs_flag_is_rejected(capsys):
     assert "--grid-band" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_nonfinite_oversample_is_rejected(capsys, zero_field_file, value):
-    assert main(["--oversample", value, "normalize", zero_field_file]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("command", ["eval", "normalize", "stability"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_field_is_a_usage_error(capsys, tmp_path, command, value):
+    # not a quadrature that fails to converge: the file itself is invalid
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"l_max": 1, "coeffs": [0.0, value, 0.0, 0.0]}))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_theta_cap_below_one_is_a_usage_error(capsys, zero_field_file, cap):
+    for argv in (["eval", zero_field_file], ["verify", "geometry"]):
+        assert main(["--theta-cap", cap, *argv]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_eval_nonconvergence_exit_one(capsys, random_field_file):

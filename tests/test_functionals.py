@@ -75,7 +75,7 @@ def test_chang_gui_small_perturbation():
 
 def test_nonconvergence_raises(rng):
     u = random_field(rng, 5, 0.4)
-    starved = RefinementPolicy(start_band=8, theta_cap=9)
+    starved = RefinementPolicy(theta_cap=9)
     with pytest.raises(ConvergenceError, match="exponential moments .* grid cap .theta cap 9."):
         chang_gui_report(1.0, u, policy=starved)
     with pytest.raises(ConvergenceError, match="theta cap 9"):

@@ -243,7 +243,7 @@ def test_normalize_raises_above_the_residual_tolerance(monkeypatch):
 
 
 def test_transported_com_names_the_theta_cap():
-    starved = RefinementPolicy(start_band=8, theta_cap=9)
+    starved = RefinementPolicy(theta_cap=9)
     with pytest.raises(ConvergenceError, match="transported center of mass .* grid cap .theta cap 9."):
         transported_com(w3_times(2.0), dilation(4.0), starved)
 

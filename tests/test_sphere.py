@@ -17,7 +17,7 @@ from onofri import (
     synthesize,
     unit_point,
 )
-from onofri.sphere import RefinementPolicy, _leggauss
+from onofri.sphere import ConvergenceError, RefinementPolicy, _leggauss
 
 
 def test_stereo_project_examples():
@@ -62,8 +62,6 @@ def test_round_trip_on_grid(grid16):
 def test_build_grid_validation():
     with pytest.raises(ValueError):
         build_grid(-1)
-    with pytest.raises(ValueError):
-        build_grid(4, oversample=0.5)
 
 
 def test_grid_invariants(grid48):
@@ -75,7 +73,7 @@ def test_grid_invariants(grid48):
 
 
 def test_trivial_grid():
-    g = build_grid(0, oversample=1.0)
+    g = build_grid(0)
     assert abs(g.weights.sum() - 1.0) < 1e-14
     assert abs(integrate(g, np.ones(g.node_count)) - 1.0) < 1e-15
 
@@ -164,15 +162,14 @@ def test_tol_scale_validation(monkeypatch):
 
 
 def test_refinement_policy_growth_and_cap():
-    policy = RefinementPolicy(start_band=8, theta_cap=40)
-    counts = [g.theta_count for g in policy.grids()]
-    assert counts[0] == 9
-    assert all(b == math.ceil(1.5 * a) for a, b in zip(counts, counts[1:]))
-    assert counts[-1] <= 40
+    counts = [g.theta_count for g in RefinementPolicy().grids()]
+    assert counts == [25, 38, 57, 86, 129, 194, 291, 437]
+    assert [g.theta_count for g in RefinementPolicy(theta_cap=16).grids()] == [16]
+    assert [g.theta_count for g in RefinementPolicy().grids(min_band=40)][:2] == [41, 62]
 
-    # smooth integrand converges; a one-grid policy cannot
-    value, _, ok = policy.refine(lambda g: integrate(g, np.exp(g.nodes[:, 2])))
-    assert ok and abs(value[0] - math.sinh(1.0)) < 1e-12
-    starved = RefinementPolicy(start_band=8, theta_cap=9)
-    _, _, ok = starved.refine(lambda g: integrate(g, np.exp(g.nodes[:, 2])))
-    assert not ok
+    # smooth integrand converges; a one-grid policy cannot and names the cap
+    value, grid = RefinementPolicy().refine(lambda g: integrate(g, np.exp(g.nodes[:, 2])), "the integral")
+    assert abs(value[0] - math.sinh(1.0)) < 1e-12 and grid.theta_count == 38
+    starved = RefinementPolicy(theta_cap=16)
+    with pytest.raises(ConvergenceError, match="^the integral did not converge within the grid cap .theta cap 16.$"):
+        starved.refine(lambda g: integrate(g, np.exp(g.nodes[:, 2])), "the integral")
