@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sphere import SphericalGrid, build_grid
+from .sphere import SphericalGrid
 
 __all__ = [
     "GridField",
@@ -312,15 +312,82 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
     return total[0] if single else total
 
 
+@functools.lru_cache(maxsize=129)  # degrees 0..128, 23 MB when full
+def _turn_block(l: int) -> np.ndarray:
+    """Read-only D of degree l with Y_l(T w) = D Y_l(w), slots m = -l..l.
+
+    T = [[1, 0, 0], [0, 0, 1], [0, -1, 0]] is the quarter turn about x with
+    T e_z = e_y, so T R_z(b) T^T = R_y(b).  As T = R_z(-pi/2) R_y(-pi/2)
+    R_z(pi/2), D comes from the Wigner d(pi/2) of degree l, built by the
+    Trapani-Navaza recursion (Acta Cryst. A 62 (2006) 262), which stays
+    orthogonal to rounding at any degree and samples no basis.
+    """
+    m = np.arange(l + 1)
+    # d(l, m') = (-1)^(l - m') 2^-l sqrt(binom(2l, l + m')), then down in m for m' <= m
+    d = np.zeros((l + 2, l + 1))
+    ratio = np.ones(l + 1)
+    ratio[:-1] = -np.sqrt((l + m[1:]) / (l - m[1:] + 1.0))
+    d[l] = 0.5**l * np.cumprod(ratio[::-1])[::-1]
+    for k in range(l - 1, -1, -1):
+        a = 2.0 * m / math.sqrt((l - k) * (l + k + 1))
+        b = math.sqrt((l - k - 1) * (l + k + 2) / ((l - k) * (l + k + 1)))
+        d[k] = np.where(m <= k, a * d[k + 1] - b * d[k + 2], 0.0)
+    sign = (-1.0) ** (m[:, None] + m)
+    d = np.where(m > m[:, None], sign * d[: l + 1].T, d[: l + 1])  # d(m, m') = (-1)^(m+m') d(m', m)
+    # the real R_y(pi/2) keeps cosines and sines apart: d(m, m') ((-1)^(m+m') +- (-1)^l),
+    # over sqrt(2) for each m = 0
+    scale = np.where(m == 0, math.sqrt(0.5), 1.0)
+    y_turn = np.zeros((2 * l + 1, 2 * l + 1))
+    y_turn[l:, l:] = np.outer(scale, scale) * (sign + (-1.0) ** l) * d
+    y_turn[:l, :l] = ((sign - (-1.0) ** l) * d)[:0:-1, :0:-1]
+    # Y_l(R_z(pi/2) w) = z_turn Y_l(w): cos(k pi/2) on the diagonal, -sin(k pi/2) across
+    k = np.arange(-l, l + 1) % 4
+    cos, sin = np.array([1.0, 0.0, -1.0, 0.0])[k], np.array([0.0, 1.0, 0.0, -1.0])[k]
+    z_turn = np.diag(cos) - np.diag(sin)[:, ::-1]
+    block = z_turn.T @ y_turn.T @ z_turn
+    block.setflags(write=False)
+    return block
+
+
 def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     """The field w -> f(frame @ w) for an orthogonal 3x3 ``frame``, exactly.
 
-    An orthogonal change of frame keeps the band, so analyzing samples at
-    the nodes of ``build_grid(f.l_max)`` is exact quadrature: one scattered
-    evaluation of (L+1)(2L+1) points, and no rotation-matrix tables.
+    A reflected frame is R diag(1, 1, -1) with R a rotation, and R splits as
+    R_z(a) T R_z(b) T^T R_z(c) with T the quarter turn of :func:`_turn_block`.
+    Coefficient maps compose in reverse (f o (AB) takes c to M(B) M(A) c):
+    a turn about z mixes each (l, +-m) pair in closed form, T and T^T act by
+    the cached per-degree blocks, and z -> -z is the sign (-1)^(l+m) of each
+    flat slot.  The angles need no gimbal branch: a = atan2(R_12, R_02), and
+    M = R_z(a)^T R = R_y(b) R_z(c) gives c = atan2(M_10, M_11) and
+    b = atan2(M_02, M_22), backward-stable at b = 0 and b = pi as well.
     """
-    grid = build_grid(f.l_max)
-    return analyze(GridField(grid, evaluate_at(f, grid.nodes @ frame.T)), f.l_max)
+    l = f.degrees()
+    m = np.arange(l.size) - l * (l + 1)  # signed order of each flat slot
+    swap = np.arange(l.size) - 2 * m     # the slot of (l, -m)
+    reflect = np.linalg.det(frame) < 0.0
+    rot = frame * [1.0, 1.0, -1.0 if reflect else 1.0]
+    a = math.atan2(rot[1, 2], rot[0, 2])
+    ca, sa = math.cos(a), math.sin(a)
+    tilt = np.array([[ca, sa, 0.0], [-sa, ca, 0.0], [0.0, 0.0, 1.0]]) @ rot
+    b = math.atan2(tilt[0, 2], tilt[2, 2])
+    c = math.atan2(tilt[1, 0], tilt[1, 1])
+
+    def turn_z(x, angle):  # M(R_z(angle))
+        return x * np.cos(m * angle) + x[swap] * np.sin(m * angle)
+
+    def turn(x, transpose):  # M(T) = D^T per degree, M(T^T) = D
+        out = np.empty_like(x)
+        for deg in range(f.l_max + 1):
+            block, part = _turn_block(deg), slice(deg * deg, (deg + 1) ** 2)
+            out[part] = (block.T if transpose else block) @ x[part]
+        return out
+
+    x = turn_z(f.coeffs, a)
+    x = turn_z(turn(x, True), b)
+    x = turn_z(turn(x, False), c)
+    if reflect:
+        x = x * (1.0 - 2.0 * ((l + m) % 2))
+    return HarmonicField(f.l_max, x)
 
 
 def harmonics_at(w, l_max: int) -> np.ndarray:

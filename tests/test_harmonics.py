@@ -1,28 +1,39 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from onofri import (
+    ConformalMap,
     GridField,
     HarmonicField,
     analyze,
     build_grid,
     coeff_index,
+    dilation,
     dirichlet_energy,
+    dirichlet_invariance_check,
     evaluate_at,
     field_from_json,
     field_to_json,
     integrate,
     laplacian,
+    normalize,
+    rotation,
+    solve_lambda0,
+    stability_check,
     synthesize,
+    transform,
 )
+from onofri import harmonics
 from onofri.harmonics import (
     _azimuth_tables,
     _grid_table,
     _layout,
     _legendre_table,
     _rotated,
+    _turn_block,
     harmonic_gradients_at,
     harmonics_at,
 )
@@ -369,7 +380,7 @@ def test_coeff_index_layout():
         coeff_index(1, 2)
 
 
-@pytest.mark.parametrize("l_max", [0, 1, 8, 32])
+@pytest.mark.parametrize("l_max", [0, 1, 8, 32, 64])
 def test_frame_change_is_exact(l_max, rng):
     # w -> f(Q w) for orthogonal Q, a rotation and a reflected frame
     u = random_field(rng, l_max, 1.0)
@@ -385,3 +396,100 @@ def test_frame_change_is_exact(l_max, rng):
         assert np.max(np.abs(evaluate_at(moved, pts) - evaluate_at(u, pts @ frame.T))) < 1e-13
         energy = np.bincount(l, u.coeffs**2)
         assert np.max(np.abs(np.bincount(l, moved.coeffs**2) - energy)) < 1e-13 * (1.0 + energy.max())
+
+
+def _turn_z(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _turn_y(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def _random_frame(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0.0 else -q
+
+
+def _sampled_rotation(f, frame):
+    # the frame change by exact quadrature of scattered samples, the formula
+    # _rotated had before its per-degree blocks: the reference here
+    grid = build_grid(f.l_max)
+    return analyze(GridField(grid, evaluate_at(f, grid.nodes @ frame.T)), f.l_max)
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 8, 32, 64])
+def test_frame_change_matches_sampled_rotation(l_max, rng):
+    # random rotations, pure z-turns, b = pi and b next to 0 and pi, where
+    # the Euler angles a and c are ill-determined, and reflected frames
+    u = random_field(rng, l_max, 1.0)
+    rotations = [_random_frame(rng) for _ in range(3)]
+    frames = [np.eye(3), _turn_z(0.7), _turn_z(-2.9), *rotations]
+    frames += [np.diag([-1.0, 1.0, -1.0]), np.diag([1.0, -1.0, -1.0])]
+    frames += [_turn_z(0.4) @ _turn_y(b) @ _turn_z(-1.3) for b in (1e-9, math.pi - 1e-9)]
+    frames += [_turn_y(1e-9), _turn_y(math.pi - 1e-9)]
+    frames += [np.diag([1.0, 1.0, -1.0]), np.diag([1.0, -1.0, 1.0])]
+    frames += [q @ np.diag([1.0, 1.0, -1.0]) for q in rotations[:2]]
+    frames += [rotations[2] @ np.diag([-1.0, 1.0, 1.0])]
+    for frame in frames:
+        moved = _rotated(u, frame)
+        assert np.max(np.abs(moved.coeffs - _sampled_rotation(u, frame).coeffs)) <= 1e-13
+
+
+@pytest.mark.parametrize("l_max", [1, 8, 32])
+def test_frame_changes_compose(l_max, rng):
+    # f o (AB) = (f o A) o B, so the coefficient maps compose in reverse
+    u = random_field(rng, l_max, 1.0)
+    for flip_a, flip_b in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        a = _random_frame(rng) @ np.diag([1.0, 1.0, flip_a])
+        b = _random_frame(rng) @ np.diag([flip_b, 1.0, 1.0])
+        twice = _rotated(_rotated(u, a), b)
+        assert np.max(np.abs(twice.coeffs - _rotated(u, a @ b).coeffs)) <= 1e-13
+
+
+def test_turn_blocks_cached_orthogonal_and_lean(rng):
+    # one read-only block per degree in a bounded cache; built with no basis
+    # matrix, the band-32 blocks take a fraction of the 19 MB such a
+    # (L+1)^2 x N matrix would hold
+    assert _turn_block.cache_info().maxsize is not None
+    _turn_block.cache_clear()
+    tracemalloc.start()
+    try:
+        blocks = [_turn_block(l) for l in range(33)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    turn = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    pts = rng.normal(size=(40, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    y = np.array([harmonics_at(w, 12) for w in pts])
+    y_turned = np.array([harmonics_at(turn @ w, 12) for w in pts])
+    for l, block in enumerate(blocks):
+        assert _turn_block(l) is block and not block.flags.writeable
+    for l in range(13):  # Y_l(T w) = D Y_l(w)
+        part = slice(l * l, (l + 1) ** 2)
+        assert np.max(np.abs(y_turned[:, part] - y[:, part] @ _turn_block(l).T)) < 1e-13
+    for l in range(65):
+        block = _turn_block(l)
+        assert np.max(np.abs(block @ block.T - np.eye(2 * l + 1))) < 1e-14
+
+
+def test_no_hot_path_calls_evaluate_at(monkeypatch, rng):
+    # evaluate_at stays the reference of the frame-change tests alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluate_at called")
+
+    monkeypatch.setattr(harmonics, "evaluate_at", forbidden)
+    u = random_field(rng, 6, 0.4)
+    result = normalize(u)
+    assert abs(solve_lambda0(u, result.x0, method="root_find") - result.lambda0) < 1e-8
+    tau = rotation(rng.normal(size=3), 0.8).compose(dilation(1.5))
+    tau = ConformalMap(tau.compose(rotation(rng.normal(size=3), 2.0)).mobius, reflect=True)
+    grid = build_grid(48)
+    transform(u, tau, 16, grid, tail_threshold=None)
+    dirichlet_invariance_check(u, tau, grid)
+    stability_check(u)

@@ -10,6 +10,7 @@ from onofri import (
     build_extremal,
     build_grid,
     center_of_mass,
+    chang_gui_report,
     chart_params,
     conformal_mass,
     dilation,
@@ -347,21 +348,38 @@ def test_whole_distance_bounds_band_distance_and_matches_nelder_mead(rng):
         assert res.distance == pytest.approx(_nelder_mead(u, l_max, start), rel=1e-12)
 
 
-def test_distance_is_conformally_invariant(rng):
-    # d(u o tau) = d(u): the family is a conformal orbit and the gradient
-    # energy is conformally invariant; psi truncated at a band is not
-    grid = build_grid(96)
-    moved_band = []
+def _moved_fields(rng, grid):
+    # four band-6 fields u and v = u o tau + psi_tau at band 40, for maps of
+    # dilation 1.2-3, the last one reflected
+    pairs = []
     for k, lam in enumerate((1.2, 2.0, 3.0, 2.5)):
         u = random_field(rng, 6, 0.5)
         tau = rotation(rng.normal(size=3), rng.uniform(0, 6.3))
         tau = tau.compose(dilation(lam)).compose(rotation(rng.normal(size=3), 1.0))
         if k == 3:
             tau = ConformalMap(tau.mobius, reflect=True)
-        v = transform(u, tau, 40, grid).field
+        pairs.append((u, transform(u, tau, 40, grid).field))
+    return pairs
+
+
+def test_distance_is_conformally_invariant(rng):
+    # d(u o tau) = d(u): the family is a conformal orbit and the gradient
+    # energy is conformally invariant; psi truncated at a band is not
+    grid = build_grid(96)
+    moved_band = []
+    for u, v in _moved_fields(rng, grid):
         before = distance_to_manifold(u, 6, build_grid(48))
         after = distance_to_manifold(v, 40, grid)
         assert before.converged and after.converged
         assert after.distance == pytest.approx(before.distance, rel=1e-10)
         moved_band.append(abs(after.band_distance - before.band_distance))
     assert max(moved_band) > 1e-9
+
+
+def test_deficit_is_conformally_invariant(rng):
+    # the sharp functional at alpha = 2/3 is invariant under u -> u o tau + psi_tau;
+    # the deficit feels the band-40 tail of v to first order, which sets the
+    # worst agreement, 3.4e-10 at the dilation 3
+    for u, v in _moved_fields(rng, build_grid(96)):
+        before = chang_gui_report(2.0 / 3.0, u).value
+        assert chang_gui_report(2.0 / 3.0, v).value == pytest.approx(before, rel=1e-9)
