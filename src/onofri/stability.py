@@ -238,6 +238,14 @@ def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
     return b
 
 
+class _Reached(Exception):
+    """Ends the polish at a point b that passes the gradient tests, with its _distance."""
+
+    def __init__(self, point: np.ndarray, found: tuple[float, float, np.ndarray]):
+        super().__init__()
+        self.point, self.found = point, found
+
+
 @dataclass(frozen=True)
 class DistanceResult:
     distance: float
@@ -258,32 +266,44 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
     with the exact gradient; ``start_value`` is d there.  The polish has
     converged when the gradient at its end is at most 1e-7 (1 + d) and the
     end lies in the a-priori ball: d(b*) <= d(0) = E(u) bounds psi's
-    gradient energy by 4 E(u).  BFGS's own success flag is not used: it
-    reports precision loss on minima whose gradient is already far below
-    that test.
+    gradient energy by 4 E(u).  The polish ends at the first point it
+    evaluates that passes both BFGS's gradient test and this one.  BFGS's
+    own success flag is not used: it reports precision loss on minima whose
+    gradient is already far below that test.
     """
     target = _band_coeffs(u, l_max)
     energy = _distance(target, np.zeros(3), l_max)[1]  # d(0) = E(u)
+    start = _scan(target, l_max, grid)
+    start_value = _distance(target, start, l_max)[1]
+    gtol = 1e-8 * (1.0 + start_value)
+    nfev = 1
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
-        _, d, grad = _distance(target, b, l_max)
+        nonlocal nfev
+        nfev += 1
+        found = _distance(target, b, l_max)
+        _, d, grad = found
+        # d carries rounding of order eps E(u), so at a minimum the line
+        # search can reject a point for a rise of d by rounding alone and
+        # try dozens more: a point that passes BFGS's test and the final
+        # one ends the polish
+        if np.max(np.abs(grad)) <= gtol and np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d):
+            raise _Reached(b.copy(), found)
         return d, grad
 
-    start = _scan(target, l_max, grid)
-    start_value = objective(start)[0]
-    res = minimize(
-        objective, start, jac=True, method="BFGS",
-        options={"gtol": 1e-8 * (1.0 + start_value)},
-    )
-    b, nfev = res.x, res.nfev + 1
-    band, d, grad = _distance(target, b, l_max)
-    # d carries rounding of order eps E(u), which can stall the line search
-    # short of the gradient test: finish by quasi-Newton steps on the exact
-    # gradient alone, kept while they shrink it
+    try:
+        res = minimize(objective, start, jac=True, method="BFGS", options={"gtol": gtol})
+    except _Reached as reached:  # passes the gradient test below
+        b, (band, d, grad), hess_inv = reached.point, reached.found, None
+    else:
+        b, hess_inv = res.x, res.hess_inv
+        band, d, grad = _distance(target, b, l_max)
+    # a stalled line search can also end short of the gradient test: finish
+    # by quasi-Newton steps on the exact gradient alone, kept while they shrink it
     for _ in range(3):
         if np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d):
             break
-        step = b - res.hess_inv @ grad
+        step = b - hess_inv @ grad
         polished = _distance(target, step, l_max)
         nfev += 1
         if np.linalg.norm(polished[2]) >= np.linalg.norm(grad):

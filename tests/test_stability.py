@@ -25,7 +25,7 @@ from onofri import (
     transform,
     translation,
 )
-from onofri.sampling import random_conformal, random_field
+from onofri.sampling import random_conformal, random_field, random_rotation
 from onofri.stability import _ball_of, _ball_psi, _band_coeffs, _chart_of_ball, _distance, _g
 
 
@@ -137,6 +137,30 @@ def test_distance_chart_completeness(rng, grid72):
         assert res.distance < 1e-6
         target = chart_params(tau)
         assert abs(res.argmin.log_lambda - target.log_lambda) < 1e-3
+
+
+def _stalling_maps():
+    # two extremals whose distance search used to stall: a map at dilation 6
+    # between random rotations (59 evaluations), and the second of a run of
+    # random maps (44 evaluations)
+    rng = np.random.default_rng(3)
+    at_cap = random_rotation(rng).compose(dilation(6.0)).compose(random_rotation(rng))
+    rng = np.random.default_rng(8)
+    random_rotation(rng), random_rotation(rng)
+    random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
+    return [at_cap, random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_polish_ends_at_a_minimum_of_rounding_size(grid72, k):
+    # d is of rounding size at these minima, and the line search used to
+    # reject points there for a rise of d by rounding alone, again and again;
+    # the polish now ends at the first point that passes its gradient tests
+    u = psi_field(build_extremal(_stalling_maps()[k]), 32, grid72).field
+    res = distance_to_manifold(u, 32, grid72)
+    assert res.converged
+    assert res.distance < 1e-8
+    assert res.nfev <= 12
 
 
 def test_stability_zero_field():
