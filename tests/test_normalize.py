@@ -11,14 +11,17 @@ from onofri import (
     ConvergenceError,
     HarmonicField,
     RefinementPolicy,
+    SphericalGrid,
     build_extremal,
     build_grid,
+    chang_gui_report,
     com_of_exp,
     dilation,
     evaluate_at,
     exp_moments,
     moments,
     normalize,
+    onofri_value,
     psi_field,
     recentering_map,
     rotation,
@@ -179,6 +182,25 @@ def test_root_find_leaves_no_node_arrays_behind():
         if enabled:
             gc.enable()
     assert left <= 256 * 1024
+
+
+def test_hot_paths_read_no_nodes_or_flat_weights(monkeypatch):
+    # every quadrature on these paths sums by theta row; the (N, 3) nodes and
+    # the flat weights are for checks and tests only
+    u = random_field(np.random.default_rng(1), 8, 0.5)
+    grid = build_grid(48)
+
+    def refuse(_grid):
+        raise AssertionError("a hot path built a node-sized array")
+
+    monkeypatch.setattr(SphericalGrid, "nodes", property(refuse))
+    monkeypatch.setattr(SphericalGrid, "weights", property(refuse))
+    exp_moments(u)
+    chang_gui_report(2.0 / 3.0, u)
+    onofri_value(1.0, u)
+    res = normalize(u)
+    solve_lambda0(u, res.x0, method="root_find")
+    transform(u, res.tau, 16, grid, tail_threshold=None)
 
 
 def test_normalize_zero_field():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from onofri import (
     synthesize,
     unit_point,
 )
-from onofri.sphere import ConvergenceError, RefinementPolicy, _leggauss
+from onofri.sphere import ConvergenceError, RefinementPolicy, SphericalGrid, _leggauss
 
 
 def test_stereo_project_examples():
@@ -107,6 +108,60 @@ def test_moments_match_integrate(grid48):
     assert np.array_equal(moments(grid48, f), got)
     with pytest.raises(ValueError):
         moments(grid48, f[:-1])
+
+
+def _mp_gauss_point(n, x):
+    # Newton from a double node to the 40-digit root of P_n, and its weight
+    def pair(x):
+        prev, cur = mpmath.mpf(1), x
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        return cur, prev
+
+    x = mpmath.mpf(x)
+    for _ in range(2):
+        p, q = pair(x)
+        x -= p * (x * x - 1) / (n * (x * p - q))
+    p, q = pair(x)
+    return x, 2 * (1 - x * x) / (n * (x * p - q)) ** 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 25, 57, 129, 194])
+def test_leggauss_against_mpmath(n):
+    t, w = _leggauss(n)
+    assert np.all(np.diff(t) > 0)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    with mpmath.workdps(40):
+        for k in range((n + 1) // 2):  # the rule is symmetric
+            x, weight = _mp_gauss_point(n, t[k])
+            assert abs(float(x - mpmath.mpf(t[k]))) <= 1e-16
+            assert abs(float((mpmath.mpf(w[k]) - weight) / weight)) <= 1e-12
+
+
+def _hand_grid(n_theta, n_phi, scale):
+    # theta weights that sum to 2 * scale, not 2
+    t, wt = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    return SphericalGrid(t, scale * wt, phi, min(n_theta - 1, (n_phi - 1) // 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 81),
+    st.floats(0.25, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_moments_match_nodes_and_weights(n_theta, n_phi, scale, seed):
+    grid = _hand_grid(n_theta, n_phi, scale)
+    nodes, weights = grid.nodes, grid.weights
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(grid.node_count) * np.exp(rng.uniform(-3.0, 3.0, grid.node_count))
+    ref = np.array([np.sum(weights * f)] + [np.sum(weights * nodes[:, k] * f) for k in range(3)])
+    got = moments(grid, f)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.sum(weights * np.abs(f))
+    assert integrate(grid, f) == got[0]
+    assert integrate(grid, np.ones(grid.node_count)) == 1.0
 
 
 def test_cached_arrays_read_only(grid16):
