@@ -239,6 +239,26 @@ def _synthesis(f: HarmonicField, table: np.ndarray, grid: SphericalGrid) -> np.n
     return (A.T @ cos_t + B.T @ sin_t).reshape(-1)
 
 
+def _degree_parts(coeffs: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
+    """Flat samples of the degree-l parts of band-``l_max`` ``coeffs``, l = 1..l_max, as (l_max, N).
+
+    One product of every degree's per-theta-row Fourier coefficients with the
+    stacked [cos m phi; sin m phi] table.
+    """
+    if grid.band_limit_exact < l_max:
+        raise ValueError(f"grid resolves band {grid.band_limit_exact} < field l_max {l_max}")
+    lay = _layout(l_max)
+    table = _grid_table(l_max, grid.cos_theta.tobytes())
+    l, m = np.tril_indices(l_max + 1)  # the table's rows, as in _layout
+    scale = lay.sum_m.sum(axis=0)
+    # per degree l >= 1 and theta row: s_m c(l, m) P(l, m) beside s_m c(l, -m) P(l, m)
+    split = np.zeros((l_max, grid.theta_count, 2 * (l_max + 1)))
+    split[l[1:] - 1, :, m[1:]] = (scale * coeffs[lay.pos])[1:, None] * table[1:]
+    split[l[1:] - 1, :, l_max + 1 + m[1:]] = (scale * coeffs[lay.neg])[1:, None] * table[1:]
+    azimuth = np.concatenate(_azimuth_tables(grid, l_max))
+    return (split.reshape(-1, 2 * (l_max + 1)) @ azimuth).reshape(l_max, grid.node_count)
+
+
 def analyze(g: GridField, l_max: int) -> HarmonicField:
     """Project grid samples onto the basis by quadrature.
 

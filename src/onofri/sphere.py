@@ -170,13 +170,7 @@ class SphericalGrid:
     @property
     def nodes(self) -> np.ndarray:
         """All nodes as an (N, 3) array of unit vectors."""
-        t = self.cos_theta[:, None]
-        s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-        w = np.empty((self.theta_count, self.phi_count, 3))
-        w[:, :, 0] = s * np.cos(self.phi)[None, :]
-        w[:, :, 1] = s * np.sin(self.phi)[None, :]
-        w[:, :, 2] = t
-        return w.reshape(-1, 3)
+        return _ring_nodes(self.cos_theta, self.phi).reshape(-1, 3)
 
     @property
     def weights(self) -> np.ndarray:
@@ -205,6 +199,27 @@ class SphericalGrid:
     @classmethod
     def from_json(cls, s: str) -> "SphericalGrid":
         return cls.from_descriptor(json.loads(s))
+
+
+def _ring_nodes(cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit vectors at the abscissas ``cos_theta`` times the azimuths ``phi``, as (rows, phi, 3)."""
+    t = cos_theta[:, None]
+    s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    w = np.empty((cos_theta.size, phi.size, 3))
+    w[:, :, 0] = s * np.cos(phi)[None, :]
+    w[:, :, 1] = s * np.sin(phi)[None, :]
+    w[:, :, 2] = t
+    return w
+
+
+def _node(grid: SphericalGrid, index: int) -> np.ndarray:
+    """Node ``index`` of ``grid``, equal bit for bit to ``grid.nodes[index]``.
+
+    Its whole theta row is built as :attr:`SphericalGrid.nodes` builds it, so
+    vector and scalar cos/sin never meet.
+    """
+    i, j = divmod(index, grid.phi_count)
+    return _ring_nodes(grid.cos_theta[i : i + 1], grid.phi)[0, j]
 
 
 def _make_grid(n_theta: int, n_phi: int) -> SphericalGrid:

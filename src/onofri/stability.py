@@ -17,9 +17,12 @@ in closed form, so the gradient distance from a band-L field u to psi,
 needs no quadrature and no truncation of psi (u_l is the degree-l part of u,
 E(u) its gradient energy).  Its gradient is closed-form too: dg_l/dt =
 (3/2) Q_l(coth t)/sinh^2 t, and the surface gradient of u_l comes from the
-Legendre derivative relations.  For each t on a scan the cross term is a
-band-limited field in b/t, synthesized on the grid; the best node over the
-scan seeds a BFGS polish of d with its exact gradient.  The search is
+Legendre derivative relations.  A scan over t and the grid's nodes seeds
+the search: the degree-l parts u_l of u at every node come from one product
+of their per-theta-row Fourier coefficients with the grid's [cos m phi;
+sin m phi] table, and the cross terms of a block of scanned t from one
+product of their weights l(l+1) g_l with those parts.  The best (t, node)
+seeds a BFGS polish of d with its exact gradient.  The search is
 deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
@@ -48,13 +51,14 @@ from scipy.optimize import minimize
 
 from .config import scaled
 from .extremals import _ball_point
-from .harmonics import HarmonicField, _layout, harmonic_gradients_at, harmonics_at, synthesize
+from .harmonics import HarmonicField, _degree_parts, _layout, harmonic_gradients_at
 from .mobius import ConformalMap, MobiusMap, dilation, rotation
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
     RefinementPolicy,
     SphericalGrid,
+    _node,
     build_grid,
 )
 from .functionals import chang_gui_report
@@ -71,6 +75,8 @@ __all__ = [
 
 # scanned values of atanh|a| besides 0; the last is |a| = 1 - 1.2e-5
 _SCAN_T = np.linspace(0.1, 6.0, 60)
+# scanned t per product: the (block, nodes) values stay about 1 MiB at band 32
+_SCAN_BLOCK = 12
 # a polish has converged when |grad d| <= _GRAD_TOL (1 + d)
 _GRAD_TOL = 1e-7
 
@@ -169,14 +175,6 @@ def _psi_energy(t: float) -> tuple[float, float]:
     return 4.5 * (t / math.tanh(t) - 1.0), 4.5 * (1.0 / math.tanh(t) - t * csch * csch)
 
 
-def _ball_psi(b: np.ndarray, l_max: int) -> np.ndarray:
-    """Coefficients of -(3/2) ln(1 - a.w), a = tanh|b| b/|b|, with the l = 0 slot zeroed."""
-    t = float(np.linalg.norm(b))
-    if t == 0.0:
-        return np.zeros((l_max + 1) ** 2)
-    return _g(l_max, t)[0][_layout(l_max).degrees] * harmonics_at(b / t, l_max)
-
-
 def _distance(c: np.ndarray, b: np.ndarray, l_max: int) -> tuple[float, float, np.ndarray]:
     """Band part, whole distance d(b) and its gradient, for coefficients c with c[0] = 0.
 
@@ -218,24 +216,36 @@ def _scan_weights(l_max: int) -> tuple[np.ndarray, np.ndarray]:
     # per scanned t: l(l+1) g_l for l >= 1, and psi's gradient energy
     l = np.arange(l_max + 1)
     g = np.array([_g(l_max, t)[0] for t in _SCAN_T])
-    return (l * (l + 1) * g)[:, 1:], np.array([_psi_energy(t)[0] for t in _SCAN_T])
+    weights = (l * (l + 1) * g)[:, 1:]
+    energy = np.array([_psi_energy(t)[0] for t in _SCAN_T])
+    weights.setflags(write=False)
+    energy.setflags(write=False)
+    return weights, energy
 
 
 def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
-    """Best scanned t and best grid node of the cross term, as a point b."""
-    degrees = _layout(l_max).degrees
-    parts = np.empty((l_max, grid.node_count))  # degree-l parts of u on the grid
-    for l in range(1, l_max + 1):
-        part = HarmonicField(l_max, np.where(degrees == l, target, 0.0))
-        parts[l - 1] = synthesize(part, grid).samples
+    """Best scanned t and best grid node of the cross term, as a point b.
+
+    The best is the first (t, node), t-major and node-minor, of the least
+    value below that of t = 0.
+    """
+    parts = _degree_parts(target, l_max, grid)  # degree-l parts of u on the grid
     weights, psi_energy = _scan_weights(l_max)
-    best, b = 0.0, np.zeros(3)  # t = 0: the constant extremal
-    for t, w, e in zip(_SCAN_T, weights, psi_energy):
-        values = e - 2.0 * (w @ parts)
-        i = int(np.argmin(values))
-        if values[i] < best:
-            best, b = float(values[i]), t * grid.nodes[i]
-    return b
+    values = np.empty((_SCAN_BLOCK, grid.node_count))
+    best, found = 0.0, None  # t = 0: the constant extremal
+    for start in range(0, _SCAN_T.size, _SCAN_BLOCK):
+        w = weights[start : start + _SCAN_BLOCK]
+        block = values[: len(w)]
+        np.matmul(w, parts, out=block)
+        block *= -2.0
+        block += psi_energy[start : start + len(w), None]
+        k = int(np.argmin(block))
+        if block.flat[k] < best:
+            best, found = float(block.flat[k]), start * grid.node_count + k
+    if found is None:
+        return np.zeros(3)
+    i_t, index = divmod(found, grid.node_count)
+    return _SCAN_T[i_t] * _node(grid, index)
 
 
 class _Reached(Exception):

@@ -18,7 +18,7 @@ from onofri import (
     synthesize,
     unit_point,
 )
-from onofri.sphere import ConvergenceError, RefinementPolicy, SphericalGrid, _leggauss
+from onofri.sphere import ConvergenceError, RefinementPolicy, SphericalGrid, _leggauss, _node
 
 
 def test_stereo_project_examples():
@@ -228,3 +228,11 @@ def test_refinement_policy_growth_and_cap():
     starved = RefinementPolicy(theta_cap=16)
     with pytest.raises(ConvergenceError, match="^the integral did not converge within the grid cap .theta cap 16.$"):
         starved.refine(lambda g: integrate(g, np.exp(g.nodes[:, 2])), "the integral")
+
+
+@pytest.mark.parametrize("band", [0, 6, 33, 72])
+def test_one_node_equals_the_node_array(band):
+    grid = build_grid(band)
+    nodes = grid.nodes
+    for index in range(grid.node_count):
+        assert np.array_equal(_node(grid, index), nodes[index])

@@ -25,8 +25,20 @@ from onofri import (
     transform,
     translation,
 )
+from onofri import stability
+from onofri.harmonics import _degree_parts, _layout, harmonics_at, synthesize
 from onofri.sampling import random_conformal, random_field, random_rotation
-from onofri.stability import _ball_of, _ball_psi, _band_coeffs, _chart_of_ball, _distance, _g
+from onofri.sphere import SphericalGrid
+from onofri.stability import (
+    _SCAN_T,
+    _ball_of,
+    _band_coeffs,
+    _chart_of_ball,
+    _distance,
+    _g,
+    _scan,
+    _scan_weights,
+)
 
 
 def _whole_distance(u, l_max, b):
@@ -268,6 +280,14 @@ def test_g_limit_at_the_sphere():
     assert _g(40, 30.0)[0][1:] == pytest.approx(limit, rel=1e-11)
 
 
+def _ball_psi(b, l_max):
+    # coefficients of -(3/2) ln(1 - a.w), a = tanh|b| b/|b|, with the l = 0 slot zeroed
+    t = float(np.linalg.norm(b))
+    if t == 0.0:
+        return np.zeros((l_max + 1) ** 2)
+    return _g(l_max, t)[0][_layout(l_max).degrees] * harmonics_at(b / t, l_max)
+
+
 def test_closed_form_psi_coefficients(rng):
     grid = build_grid(300)
     for _ in range(3):
@@ -407,3 +427,106 @@ def test_deficit_is_conformally_invariant(rng):
     for u, v in _moved_fields(rng, build_grid(96)):
         before = chang_gui_report(2.0 / 3.0, u).value
         assert chang_gui_report(2.0 / 3.0, v).value == pytest.approx(before, rel=1e-9)
+
+
+def _reference_scan(target, l_max, grid):
+    # the scan as one synthesis per degree and one product per scanned t over
+    # grid.nodes: the first strict improvement on the best value so far wins
+    degrees = _layout(l_max).degrees
+    parts = np.empty((l_max, grid.node_count))
+    for l in range(1, l_max + 1):
+        parts[l - 1] = synthesize(HarmonicField(l_max, np.where(degrees == l, target, 0.0)), grid).samples
+    weights, psi_energy = stability._scan_weights(l_max)
+    best, b = 0.0, np.zeros(3)
+    for t, w, e in zip(_SCAN_T, weights, psi_energy):
+        values = e - 2.0 * (w @ parts)
+        i = int(np.argmin(values))
+        if values[i] < best:
+            best, b = float(values[i]), t * grid.nodes[i]
+    return b
+
+
+@pytest.mark.parametrize("l_max", [2, 6, 8, 32])
+def test_scan_matches_the_per_degree_reference(l_max):
+    # values that are equal, or nearly so, can round apart differently in the
+    # blocked and the per-t products, so a tie at rounding level (the nodes of
+    # one polar ring) may resolve otherwise; these fields have none
+    if l_max == 32:
+        tau = random_conformal(np.random.default_rng(4), lam_eff_cap=6.0, allow_reflect=True)
+        grid = build_grid(72)
+        u = psi_field(build_extremal(tau), 32, grid).field
+    else:
+        grid = build_grid(48)
+        u = random_field(np.random.default_rng(17 + l_max), l_max, 1.5)
+    target = _band_coeffs(u, l_max)
+    b = _scan(target, l_max, grid)
+    assert np.linalg.norm(b) > 0.0
+    assert np.array_equal(b, _reference_scan(target, l_max, grid))
+
+
+def test_scan_of_a_zero_field_stays_at_the_constant_extremal():
+    assert np.array_equal(_scan(np.zeros(49), 6, build_grid(48)), np.zeros(3))
+
+
+def test_scan_of_band_zero_stays_at_the_constant_extremal():
+    assert np.array_equal(_scan(np.zeros(1), 0, build_grid(48)), np.zeros(3))
+    d = distance_to_manifold(HarmonicField.constant(0.7), 0, build_grid(48))
+    assert d.converged and d.distance == 0.0
+    assert stability_check(HarmonicField.constant(1.0)).trace["converged"]
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 5])
+def test_degree_parts_are_the_synthesized_degrees(l_max):
+    grid = build_grid(12)
+    u = random_field(np.random.default_rng(40 + l_max), l_max, 1.0)
+    degrees = _layout(l_max).degrees
+    parts = _degree_parts(u.coeffs, l_max, grid)
+    assert parts.shape == (l_max, grid.node_count)
+    for l in range(1, l_max + 1):
+        part = HarmonicField(l_max, np.where(degrees == l, u.coeffs, 0.0))
+        assert np.allclose(parts[l - 1], synthesize(part, grid).samples, rtol=0.0, atol=1e-13)
+
+
+def test_distance_refuses_a_grid_below_the_band():
+    with pytest.raises(ValueError, match="grid resolves band"):
+        distance_to_manifold(random_field(np.random.default_rng(2), 8, 0.5), 8, build_grid(4))
+
+
+def test_scan_ties_resolve_to_the_first_t_then_the_first_node(monkeypatch):
+    # a zonal field ties every node of a theta row, and equal weights with
+    # equal energies at t indices 5, 17 and 18 tie those t across two blocks
+    # (the per-t reference is no oracle here: its matrix-vector product
+    # rounds the last node apart from the rest of its row)
+    grid = build_grid(48)
+    u = HarmonicField.from_entries(2, {(1, 0): 0.8, (2, 0): -0.3})
+    weights = np.tile(_scan_weights(2)[0][5], (_SCAN_T.size, 1))
+    energy = np.full(_SCAN_T.size, 1e3)
+    energy[[5, 17, 18]] = _scan_weights(2)[1][5]
+    monkeypatch.setattr(stability, "_scan_weights", lambda l_max: (weights, energy))
+    b = _scan(_band_coeffs(u, 2), 2, grid)
+    parts = [HarmonicField.from_entries(2, {(l, 0): u.coeff(l, 0)}) for l in (1, 2)]
+    rows = np.array([synthesize(p, grid).samples[:: grid.phi_count] for p in parts])
+    best_row = int(np.argmax(weights[5] @ rows))
+    assert np.array_equal(b, _SCAN_T[5] * grid.nodes[best_row * grid.phi_count])
+
+
+def test_scan_weights_are_read_only():
+    weights, energy = _scan_weights(5)
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        energy[0] = 1.0
+
+
+def test_distance_reads_no_nodes_or_flat_weights(monkeypatch, grid72):
+    # the scan and the polish build no node-sized array of the grid
+    u = psi_field(build_extremal(dilation(2.0)), 32, grid72).field
+    v = random_field(np.random.default_rng(5), 6, 0.5)
+
+    def refuse(_grid):
+        raise AssertionError("the distance built a node-sized array")
+
+    monkeypatch.setattr(SphericalGrid, "nodes", property(refuse))
+    monkeypatch.setattr(SphericalGrid, "weights", property(refuse))
+    assert distance_to_manifold(u, 32, build_grid(72)).converged
+    assert stability_check(v).trace["converged"]
