@@ -99,6 +99,8 @@ def _translation_point(param) -> np.ndarray:
 
 def _conformal_moments(tau, policy) -> np.ndarray:
     """Moments of J^(3/2) on a refined grid."""
+    # every node through tau.jacobian, not the Cartan split: this is the
+    # oracle of build_extremal, whose closed forms come from _cartan
     return policy.refine(lambda g: moments(g, tau.jacobian(g.nodes) ** 1.5), "conformal-map moments")[0]
 
 
@@ -186,18 +188,13 @@ def sqrt_jacobian_residual(e: Extremal, grid: SphericalGrid) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def euler_lagrange_residual(
-    e: Extremal,
-    l_max: int,
-    grid: SphericalGrid,
-    tail_threshold: float | None = None,
-) -> float:
+def euler_lagrange_residual(e: Extremal, l_max: int, grid: SphericalGrid) -> float:
     """Sup-norm residual of (2/3) Lap(psi) + (1 - a.w)/(1 - |a|^2) e^{2 psi} - 1.
 
     The Laplacian acts on the band-limited projection (the only truncation in
     play); the exponential uses exact psi samples.
     """
-    proj = psi_field(e, l_max, grid, tail_threshold)
+    proj = psi_field(e, l_max, grid, tail_threshold=None)
     lap = synthesize(laplacian(proj.field), grid).samples
     nodes = grid.nodes
     a2 = float(e.com @ e.com)

@@ -30,7 +30,6 @@ __all__ = [
     "field_from_json",
     "field_to_json",
     "harmonic_gradients_at",
-    "harmonics_at",
     "laplacian",
     "synthesize",
 ]
@@ -408,19 +407,6 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     if reflect:
         x = x * (1.0 - 2.0 * ((l + m) % 2))
     return HarmonicField(f.l_max, x)
-
-
-def harmonics_at(w, l_max: int) -> np.ndarray:
-    """Every basis function Y_lm at one unit vector, in flat coefficient order."""
-    w = np.asarray(w, dtype=float)
-    lay = _layout(l_max)
-    t, s = np.clip(w[2], -1.0, 1.0), math.hypot(w[0], w[1])
-    p = _legendre_table(l_max, np.array([t]), np.array([s]))[:, 0]
-    arg = np.arange(l_max + 1) * math.atan2(w[1], w[0])
-    y = np.empty((l_max + 1) ** 2)
-    y[lay.neg] = p * (np.sin(arg) @ lay.sum_m)
-    y[lay.pos] = p * (np.cos(arg) @ lay.sum_m)  # last: m = 0 rows keep the cosine
-    return y
 
 
 class _SlopeRows(NamedTuple):

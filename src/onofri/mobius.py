@@ -307,9 +307,10 @@ def _fft_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n)
 
 
-def jacobian_area_oracle(
-    tau: ConformalMap, p, r: float, boundary_samples: int = 1024
-) -> float:
+_CAP_BOUNDARY_SAMPLES = 1024
+
+
+def jacobian_area_oracle(tau: ConformalMap, p, r: float) -> float:
     """Jacobian estimate from the area-distortion of a small geodesic cap.
 
     Maps a dense sampling of the cap boundary and integrates the enclosed
@@ -330,7 +331,7 @@ def jacobian_area_oracle(
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(p, e1)
 
-    s = 2.0 * math.pi * np.arange(boundary_samples) / boundary_samples
+    s = 2.0 * math.pi * np.arange(_CAP_BOUNDARY_SAMPLES) / _CAP_BOUNDARY_SAMPLES
     circle = (
         math.cos(r) * p[None, :]
         + math.sin(r) * (np.cos(s)[:, None] * e1[None, :] + np.sin(s)[:, None] * e2[None, :])
@@ -347,5 +348,5 @@ def jacobian_area_oracle(
     du = _fft_derivative(u)
     dv = _fft_derivative(v)
     dphi = (u * dv - v * du) / (u * u + v * v)
-    area = abs(float(np.sum((1.0 - ct) * dphi)) * (2.0 * math.pi / boundary_samples))
+    area = abs(float(np.sum((1.0 - ct) * dphi)) * (2.0 * math.pi / _CAP_BOUNDARY_SAMPLES))
     return area / cap_area(r)

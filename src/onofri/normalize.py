@@ -10,11 +10,14 @@ sphere-side integrals:
     lambda0^2 = (2 int e^{2u} - (1 + |x0|^2) int (1 - w3) e^{2u})
                 / int (1 - w3) e^{2u}
 
-``normalize`` uses these closed forms alone.  The root-finding path of
-``solve_lambda0`` finds the zero of the third moment of e^{2 u_tau} in lambda
-by Brent's method; the moment is strictly decreasing (it equals
-A/lambda - B*lambda with A, B > 0 up to a positive factor).  The path exists
-as an independent check of the closed form.
+``normalize`` uses these closed forms alone, and checks them by one composed
+quadrature of u o tau (``transported_com``).  The root-finding path of
+``solve_lambda0`` checks the closed-form algebra instead: the light-cone
+identity (1, tau(w)) = sqrt(J_tau(w)) L (1, w), with L the Lorentz lift of
+tau, makes L^{-1} m the moment 4-vector of e^{2 u o tau} J_tau^{3/2}, where
+m = (int e^{2u}, int w e^{2u}).  Brent's method finds the zero in lambda of
+its third center-of-mass component, which is strictly decreasing (it equals
+A/lambda - B*lambda with A, B > 0 up to a positive factor).
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ from scipy.optimize import brentq
 from .config import scaled
 from .functionals import ExpMoments, _compose, _Composition, exp_moments
 from .harmonics import HarmonicField
+from .lorentz import ETA, lorentz_lift
 from .mobius import ConformalMap, dilation, translation
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
     RefinementPolicy,
     SphericalGrid,
-    _make_grid,
     moments,
 )
 
@@ -90,26 +93,14 @@ def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
     return comp.frame.T @ v[1:] / v[0]
 
 
-def _grid_com(u: HarmonicField, tau: ConformalMap, grid: SphericalGrid) -> np.ndarray:
-    return _composed_com(_compose(u, tau), grid)
+def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
+    m = np.concatenate([[mom.mass], mom.moment])
 
-
-def _root_find_lambda0(
-    u: HarmonicField, x0: complex, policy: RefinementPolicy, theta_count: int
-) -> float:
-    # Fix one grid, 2.25x finer than the tight exponential moments needed, for
-    # all lambda evaluations so the root-found function is smooth in lambda.
-    n = min(policy.theta_cap, max(math.ceil(2.25 * theta_count), 96))
-    grid = _make_grid(n, 2 * n - 1)
-    values = {}
-
-    # brentq keeps g in a reference cycle until the next garbage collection,
-    # so g's closure must own nothing node-sized; brentq re-evaluates the
-    # bracket ends, hence the memo
+    # L^{-1} = eta L^T eta; brentq keeps g in a reference cycle until the next
+    # garbage collection, so g's closure must own nothing node-sized
     def g(lam: float) -> float:
-        if lam not in values:
-            values[lam] = float(_grid_com(u, recentering_map(x0, lam), grid)[2])
-        return values[lam]
+        v = ETA @ lorentz_lift(recentering_map(x0, lam).mobius).T @ ETA @ m
+        return float(v[3] / v[0])
 
     # g is decreasing: grow the bracket from 1 by decades until the sign changes
     lo = hi = 1.0
@@ -148,14 +139,17 @@ def solve_lambda0(
 
     ``closed_form`` evaluates the moment identity above (the numerator is a
     variance, so non-positivity flags quadrature failure), as ``normalize``
-    does; ``root_find`` finds the root by Brent's method, bracketing it from 1
-    by decades, and serves as an independent check of the closed form.
+    does.  ``root_find`` transports the same tight moment 4-vector m by the
+    Lorentz lift of ``recentering_map(x0, lambda)`` and finds the zero of the
+    third center-of-mass component of L^{-1} m by Brent's method, bracketing
+    it from 1 by decades; it checks the closed-form algebra against the map
+    that ``recentering_map`` builds, with no second quadrature.
     """
     if method not in ("closed_form", "root_find"):
         raise ValueError(f"unknown method {method!r}")
     mom = exp_moments(u, _tight(policy))
     if method == "root_find":
-        return _root_find_lambda0(u, x0, policy, mom.grid.theta_count)
+        return _root_find_lambda0(x0, mom)
     return _closed_form_lambda0(x0, mom)
 
 

@@ -8,7 +8,9 @@ Amplitude and parameter caps (the "test manifest"):
   [1/4, 4] and plane offsets |beta| <= 2; suites that project ln J at a
   finite band additionally cap the composite's *effective* dilation (top
   singular value squared), because the spectral tail of ln J decays like
-  rho(lambda_eff)^-l and three legal factors can reach lambda_eff ~ 80.
+  rho(lambda_eff)^-l and three legal factors can reach lambda_eff ~ 80;
+* translation targets: unit vectors with w3 <= 1/2;
+* unimodular matrices: normalized entries of modulus <= 2.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ __all__ = [
     "random_unit_vector",
 ]
 
+_P3_MAX = 0.5
+_MAX_FACTORS = 3
+_LAM_RANGE = (0.25, 4.0)
+_BETA_MAX = 2.0
+_ENTRY_BOUND = 2.0
+
 
 def random_field(rng: np.random.Generator, l_max: int, scale: float) -> HarmonicField:
     """Band-limited field with degree-damped Gaussian coefficients."""
@@ -47,13 +55,11 @@ def random_rotation(rng: np.random.Generator) -> ConformalMap:
     return rotation(random_unit_vector(rng), rng.uniform(0.0, 2.0 * math.pi))
 
 
-def random_translation_point(
-    rng: np.random.Generator, p3_max: float = 0.5
-) -> np.ndarray:
+def random_translation_point(rng: np.random.Generator) -> np.ndarray:
     """Unit vector bounded away from the north pole (keeps |S(p)| moderate)."""
     while True:
         p = random_unit_vector(rng)
-        if p[2] <= p3_max:
+        if p[2] <= _P3_MAX:
             return p
 
 
@@ -63,12 +69,7 @@ def effective_dilation(tau: ConformalMap) -> float:
     return float(s[0] ** 2)
 
 
-def _random_factor(
-    rng: np.random.Generator,
-    lam_range: tuple[float, float],
-    beta_max: float,
-    allow_reflect: bool,
-) -> ConformalMap:
+def _random_factor(rng: np.random.Generator, allow_reflect: bool) -> ConformalMap:
     kinds = ["rotation", "dilation", "translation"]
     if allow_reflect:
         kinds.append("inversion")
@@ -76,10 +77,10 @@ def _random_factor(
     if kind == "rotation":
         return random_rotation(rng)
     if kind == "dilation":
-        lo, hi = math.log(lam_range[0]), math.log(lam_range[1])
+        lo, hi = math.log(_LAM_RANGE[0]), math.log(_LAM_RANGE[1])
         return dilation(math.exp(rng.uniform(lo, hi)))
     if kind == "translation":
-        radius = beta_max * math.sqrt(rng.uniform())
+        radius = _BETA_MAX * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * math.pi)
         return translation(radius * complex(math.cos(angle), math.sin(angle)))
     return inversion()
@@ -87,26 +88,21 @@ def _random_factor(
 
 def random_conformal(
     rng: np.random.Generator,
-    max_factors: int = 3,
-    lam_range: tuple[float, float] = (0.25, 4.0),
-    beta_max: float = 2.0,
     lam_eff_cap: float | None = None,
     allow_reflect: bool = False,
 ) -> ConformalMap:
-    """Composition of 1..max_factors bounded generators, optionally capped
-    in effective dilation (resampled until the cap holds)."""
+    """Composition of 1..3 bounded generators, optionally capped in
+    effective dilation (resampled until the cap holds)."""
     for _ in range(1000):
-        tau = _random_factor(rng, lam_range, beta_max, allow_reflect)
-        for _ in range(int(rng.integers(0, max_factors))):
-            tau = tau.compose(_random_factor(rng, lam_range, beta_max, allow_reflect))
+        tau = _random_factor(rng, allow_reflect)
+        for _ in range(int(rng.integers(0, _MAX_FACTORS))):
+            tau = tau.compose(_random_factor(rng, allow_reflect))
         if lam_eff_cap is None or effective_dilation(tau) <= lam_eff_cap:
             return tau
     raise RuntimeError("could not sample a map under the effective-dilation cap")
 
 
-def random_unimodular(
-    rng: np.random.Generator, entry_bound: float = 2.0
-) -> MobiusMap:
+def random_unimodular(rng: np.random.Generator) -> MobiusMap:
     """Determinant-one matrix whose normalized entries stay within a bound.
 
     Rejection-sampled to keep the Lorentz-lift conditioning tame.
@@ -117,6 +113,6 @@ def random_unimodular(
         if abs(det) < 0.3:
             continue
         m = MobiusMap.from_matrix(raw)
-        if np.max(np.abs(m.mat)) <= entry_bound:
+        if np.max(np.abs(m.mat)) <= _ENTRY_BOUND:
             return m
     raise RuntimeError("could not sample a bounded unimodular matrix")

@@ -35,7 +35,6 @@ from onofri.harmonics import (
     _rotated,
     _turn_block,
     harmonic_gradients_at,
-    harmonics_at,
 )
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import SphericalGrid
@@ -203,12 +202,12 @@ def test_evaluate_at_poles(rng):
         assert np.isfinite(val)
 
 
-def test_harmonics_at_matches_evaluate_at(rng):
+def test_basis_values_match_evaluate_at(rng):
     u = random_field(rng, 12, 0.5)
     points = [rng.normal(size=3), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
     for w in points:
         w = np.asarray(w, dtype=float) / np.linalg.norm(w)
-        assert abs(harmonics_at(w, 12) @ u.coeffs - evaluate_at(u, w)) < 1e-12
+        assert abs(harmonic_gradients_at(w, 12)[0] @ u.coeffs - evaluate_at(u, w)) < 1e-12
 
 
 def test_basis_matches_scipy(rng):
@@ -237,19 +236,18 @@ def test_basis_matches_scipy(rng):
     y = sph_harm_y(l, np.abs(m), theta, phi)
     trig = np.where(m == 0, y.real, math.sqrt(2.0) * np.where(m > 0, y.real, y.imag))
     ref = math.sqrt(4.0 * math.pi) * (-1.0) ** np.abs(m) * parity * trig
-    got = np.array([harmonics_at(w, L) for w in pts])
+    got = np.array([harmonic_gradients_at(w, L)[0] for w in pts])
     assert np.max(np.abs(got - ref)) < 1e-12
     for l_max in range(L + 1):
         u = random_field(rng, l_max, 1.0)
         n = u.coeffs.size
         assert np.max(np.abs(evaluate_at(u, pts) - ref[:, :n] @ u.coeffs)) < 1e-12
     # near the poles the m >= 1 harmonics are of order sin(theta)^|m|: match
-    # them relatively, through all three point evaluators
+    # them relatively, through both point evaluators
     k = np.flatnonzero(m[:81] != 0)  # l <= 8
     expect = ref[-len(near):, k]
     evaluated = np.array([evaluate_at(HarmonicField(8, c), near) for c in np.eye(81)[k]]).T
-    with_grad = np.array([harmonic_gradients_at(w, 8)[0] for w in near])[:, k]
-    for values in (got[-len(near):, k], evaluated, with_grad):
+    for values in (got[-len(near):, k], evaluated):
         assert np.all(np.abs(values - expect) <= 1e-12 * np.abs(expect))
     for w in near:  # surface gradients stay tangent
         _, grad = harmonic_gradients_at(w, 8)
@@ -285,7 +283,7 @@ def test_azimuth_tables_cached_read_only(l_max):
 
 
 def test_harmonic_gradients_at(rng):
-    # tangent, equal to geodesic differences of harmonics_at away from the
+    # tangent, equal to geodesic differences of the values away from the
     # poles, and the right limit at them: grad Y_1m = sqrt(3) (e_m - (e_m.w) w)
     pts = [rng.normal(size=3) for _ in range(6)]
     for w in pts:
@@ -293,13 +291,12 @@ def test_harmonic_gradients_at(rng):
         a = np.cross(w, [0.3, 0.5, 0.8])
         a /= np.linalg.norm(a)
         for l_max in (0, 1, 7, 32):
-            y, grad = harmonic_gradients_at(w, l_max)
-            assert np.array_equal(y, harmonics_at(w, l_max))
+            _, grad = harmonic_gradients_at(w, l_max)
             assert np.max(np.abs(grad @ w)) < 1e-13
             for e in (a, np.cross(w, a)):
                 h = 1e-4
-                ahead = harmonics_at(math.cos(h) * w + math.sin(h) * e, l_max)
-                behind = harmonics_at(math.cos(h) * w - math.sin(h) * e, l_max)
+                ahead = harmonic_gradients_at(math.cos(h) * w + math.sin(h) * e, l_max)[0]
+                behind = harmonic_gradients_at(math.cos(h) * w - math.sin(h) * e, l_max)[0]
                 diff = (ahead - behind) / (2 * math.sin(h))
                 assert np.max(np.abs(grad @ e - diff)) < 1e-5 * (1 + l_max) ** 2
     for pole in (1.0, -1.0):
@@ -466,8 +463,8 @@ def test_turn_blocks_cached_orthogonal_and_lean(rng):
     turn = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
     pts = rng.normal(size=(40, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    y = np.array([harmonics_at(w, 12) for w in pts])
-    y_turned = np.array([harmonics_at(turn @ w, 12) for w in pts])
+    y = np.array([harmonic_gradients_at(w, 12)[0] for w in pts])
+    y_turned = np.array([harmonic_gradients_at(turn @ w, 12)[0] for w in pts])
     for l, block in enumerate(blocks):
         assert _turn_block(l) is block and not block.flags.writeable
     for l in range(13):  # Y_l(T w) = D Y_l(w)

@@ -27,11 +27,14 @@ from onofri import (
     rotation,
     solve_lambda0,
     solve_x0,
+    synthesize,
     transform,
     translation_to,
 )
+from onofri.functionals import _compose
 from onofri.harmonics import _grid_table
-from onofri.normalize import _grid_com, transported_com
+from onofri.lorentz import ETA, lorentz_lift
+from onofri.normalize import _composed_com, transported_com
 from onofri.sampling import random_conformal, random_field
 
 
@@ -126,41 +129,49 @@ def test_grid_com_matches_scattered_evaluation(rng):
     for tau in maps:
         mapped, jac = tau.apply(grid.nodes), tau.jacobian(grid.nodes)
         v = moments(grid, np.exp(2.0 * evaluate_at(u, mapped)) * jac**1.5)
-        assert np.max(np.abs(_grid_com(u, tau, grid) - v[1:] / v[0])) <= 1e-13
+        assert np.max(np.abs(_composed_com(_compose(u, tau), grid) - v[1:] / v[0])) <= 1e-13
 
 
-def test_root_find_keeps_mapped_tables_out_of_the_grid_cache():
-    # the mapped abscissas change with every lambda; only real grids are cached
-    rng = np.random.default_rng(0)
-    u, v = random_field(rng, 8, 0.5), random_field(rng, 8, 0.5)
-    x0_u, x0_v = solve_x0(u), solve_x0(v)  # every real grid of both is cached now
-    solve_lambda0(u, x0_u, method="root_find")
-    before = _grid_table.cache_info()
-    solve_lambda0(v, x0_v, method="root_find")  # v's root find meets new lambdas
-    after = _grid_table.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+def test_composed_com_is_the_lorentz_transport_of_the_moments(rng):
+    # (1, tau w) = sqrt(J) L (1, w) makes the moments of e^{2 u o tau} J^{3/2}
+    # equal to L^{-1} m; the conjugation z -> conj(z) that a reflected map
+    # applies first is w2 -> -w2, so it acts on them by S = diag(1, 1, -1, 1)
+    grid = build_grid(160)
+    flip = np.diag([1.0, 1.0, -1.0, 1.0])
+    for _ in range(8):
+        u = random_field(rng, 8, 0.5)
+        m = moments(grid, np.exp(2.0 * synthesize(u, grid).samples))
+        drawn = random_conformal(rng, lam_eff_cap=4.0)
+        for tau in (drawn, ConformalMap(drawn.mobius, reflect=True)):
+            v = ETA @ lorentz_lift(tau.mobius).T @ ETA @ m
+            if tau.reflect:
+                v = flip @ v
+            assert np.max(np.abs(_composed_com(_compose(u, tau), grid) - v[1:] / v[0])) <= 1e-13
 
 
-def test_root_find_evaluates_each_lambda_once(monkeypatch):
+def test_root_find_composes_no_field(monkeypatch):
+    # the root find transports the tight moments; only normalize's residual
+    # samples u o tau
     module = importlib.import_module("onofri.normalize")
-    made, lams = [], []
-
-    def made_map(x0, lam):
-        tau = recentering_map(x0, lam)
-        made.append((tau, lam))
-        return tau
-
-    def recorded(u, tau, *args):
-        lams.append(next(lam for t, lam in made if t is tau))
-        return _grid_com(u, tau, *args)
-
     u = random_field(np.random.default_rng(0), 8, 0.5)
     x0 = solve_x0(u)
-    monkeypatch.setattr(module, "recentering_map", made_map)
-    monkeypatch.setattr(module, "_grid_com", recorded)
-    solve_lambda0(u, x0, method="root_find")
-    assert len(lams) > 2
-    assert len(lams) == len(set(lams))
+
+    def refuse(*_args):
+        raise AssertionError("the root find composed u with a map")
+
+    monkeypatch.setattr(module, "_compose", refuse)
+    assert abs(solve_lambda0(u, x0, method="root_find") - solve_lambda0(u, x0)) < 1e-14
+
+
+def test_normalize_keeps_mapped_tables_out_of_the_grid_cache():
+    # transported_com tabulates at mapped abscissas, new with every map; only
+    # real grids are cached
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    solve_x0(u)  # every real grid of u is cached now
+    before = _grid_table.cache_info()
+    normalize(u)
+    after = _grid_table.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_root_find_leaves_no_node_arrays_behind():

@@ -26,7 +26,7 @@ from onofri import (
     translation,
 )
 from onofri import stability
-from onofri.harmonics import _degree_parts, _layout, harmonics_at, synthesize
+from onofri.harmonics import _degree_parts, _layout, harmonic_gradients_at, synthesize
 from onofri.sampling import random_conformal, random_field, random_rotation
 from onofri.sphere import SphericalGrid
 from onofri.stability import (
@@ -285,7 +285,7 @@ def _ball_psi(b, l_max):
     t = float(np.linalg.norm(b))
     if t == 0.0:
         return np.zeros((l_max + 1) ** 2)
-    return _g(l_max, t)[0][_layout(l_max).degrees] * harmonics_at(b / t, l_max)
+    return _g(l_max, t)[0][_layout(l_max).degrees] * harmonic_gradients_at(b / t, l_max)[0]
 
 
 def test_closed_form_psi_coefficients(rng):
