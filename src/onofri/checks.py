@@ -61,6 +61,7 @@ from . import (
 )
 from .config import scaled
 from .lorentz import ETA, lorentz_residuals
+from .normalize import transported_com
 from .sampling import (
     random_conformal,
     random_field,
@@ -317,15 +318,19 @@ def euler_lagrange(rng, policy) -> list[Row]:
 
 
 def com_zeroing(rng, policy) -> list[Row]:
-    worst_res = worst_agree = 0.0
+    worst_res = worst_oracle = worst_agree = 0.0
     for _ in range(20):
         u = random_field(rng, 8, 0.5)
         result = normalize(u, policy)
         worst_res = max(worst_res, result.residual_com_norm)
+        # normalize's residual is algebraic (the Lorentz transport of the
+        # moments); the composed quadrature of u o tau is its oracle
+        worst_oracle = max(worst_oracle, float(np.linalg.norm(transported_com(u, result.tau, policy))))
         lam_rf = solve_lambda0(u, solve_x0(u, policy), policy, method="root_find")
         worst_agree = max(worst_agree, abs(lam_rf - result.lambda0))
     return [
         Row("|com| after normalize, 20 fields", worst_res, scaled(1e-10), "COM zeroing residual"),
+        Row("Lorentz vs composed quadrature", worst_oracle, scaled(1e-10)),
         Row("|lambda0 root find - closed form|", worst_agree, scaled(1e-8), "lambda0 path agreement"),
     ]
 

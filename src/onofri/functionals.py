@@ -56,11 +56,16 @@ __all__ = [
 
 
 class ExpMoments(NamedTuple):
-    """Exponential moments: int e^{2u} and the vector int w e^{2u}."""
+    """Exponential moments: int e^{2u} and the vector int w e^{2u}.
+
+    ``delta`` is the last refinement step of the 4-vector (mass, moment): its
+    value on ``grid`` less its value on the grid before.
+    """
 
     mass: float
     moment: np.ndarray
     grid: SphericalGrid
+    delta: np.ndarray
 
 
 def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> ExpMoments:
@@ -72,13 +77,16 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
     Raises ConvergenceError if the values are still moving at the theta cap.
     """
     mean = u.mean()
-    v, grid = policy.refine(
-        lambda g: moments(g, np.exp(2.0 * (synthesize(u, g).samples - mean))),
-        "exponential moments",
-        min_band=u.l_max,
-    )
-    v = v * math.exp(2.0 * mean)
-    return ExpMoments(float(v[0]), v[1:], grid)
+    last = []  # the values on the last two grids
+
+    def func(g: SphericalGrid) -> np.ndarray:
+        last[:] = [*last[-1:], moments(g, np.exp(2.0 * (synthesize(u, g).samples - mean)))]
+        return last[-1]
+
+    v, grid = policy.refine(func, "exponential moments", min_band=u.l_max)
+    scale = math.exp(2.0 * mean)
+    v = v * scale
+    return ExpMoments(float(v[0]), v[1:], grid, (last[1] - last[0]) * scale)
 
 
 @dataclass(frozen=True)

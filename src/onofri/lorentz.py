@@ -28,17 +28,6 @@ __all__ = [
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
-# lightlike/spacelike basis on which the conjugation action is decoded
-_BASIS = np.array(
-    [
-        [1.0, 0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0, -1.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 1.0, -1.0, 0.0],
-    ]
-)
-
-
 def quadratic_form(v) -> float:
     """t^2 - q1^2 - q2^2 - q3^2, computed exactly as written."""
     v = np.asarray(v, dtype=float)
@@ -54,24 +43,34 @@ def hermitian_of(v) -> np.ndarray:
 
 
 def minkowski_of(h) -> np.ndarray:
-    """Inverse of :func:`hermitian_of` (imaginary round-off discarded)."""
+    """Inverse of :func:`hermitian_of` (imaginary round-off discarded).
+
+    Decodes a stack of matrices along its leading axes too.
+    """
     h = np.asarray(h, dtype=complex)
-    t = (h[0, 0] + h[1, 1]).real / 2.0
-    q3 = (h[0, 0] - h[1, 1]).real / 2.0
-    return np.array([t, h[0, 1].real, h[0, 1].imag, q3])
+    t = (h[..., 0, 0] + h[..., 1, 1]).real / 2.0
+    q3 = (h[..., 0, 0] - h[..., 1, 1]).real / 2.0
+    return np.stack([t, h[..., 0, 1].real, h[..., 0, 1].imag, q3], axis=-1)
+
+
+# Hermitian images of the lightlike/spacelike basis (1, 0, 0, +-1), (0, 1, +-1, 0)
+# on which the conjugation action is decoded
+_BASIS_IMAGES = np.stack(
+    [hermitian_of(b) for b in ((1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, -1.0),
+                               (0.0, 1.0, 1.0, 0.0), (0.0, 1.0, -1.0, 0.0))]
+)
 
 
 def lorentz_lift(a: MobiusMap) -> np.ndarray:
     """The unique Lorentz matrix with A H(v) A* = H(L v) for all v.
 
-    Built by conjugating the Hermitian images of the lightlike basis and
-    changing back to the standard basis; -A gives the same matrix.
-    Raises if the result fails the SO+(1,3) invariants beyond a tolerance
-    scaled by the entry magnitudes.
+    Conjugates the Hermitian images of the lightlike basis in one stacked
+    product, decodes them and changes back to the standard basis; -A gives
+    the same matrix.  Raises if the result fails the SO+(1,3) invariants
+    beyond a tolerance scaled by the entry magnitudes.
     """
     m = a.mat
-    imgs = [minkowski_of(m @ hermitian_of(b) @ m.conj().T) for b in _BASIS]
-    u1, u2, u3, u4 = imgs
+    u1, u2, u3, u4 = minkowski_of(m @ _BASIS_IMAGES @ m.conj().T)
     L = np.column_stack(
         [(u1 + u2) / 2.0, (u3 + u4) / 2.0, (u3 - u4) / 2.0, (u1 - u2) / 2.0]
     )

@@ -10,13 +10,16 @@ sphere-side integrals:
     lambda0^2 = (2 int e^{2u} - (1 + |x0|^2) int (1 - w3) e^{2u})
                 / int (1 - w3) e^{2u}
 
-``normalize`` uses these closed forms alone, and checks them by one composed
-quadrature of u o tau (``transported_com``).  The root-finding path of
-``solve_lambda0`` checks the closed-form algebra instead: the light-cone
-identity (1, tau(w)) = sqrt(J_tau(w)) L (1, w), with L the Lorentz lift of
-tau, makes L^{-1} m the moment 4-vector of e^{2 u o tau} J_tau^{3/2}, where
-m = (int e^{2u}, int w e^{2u}).  Brent's method finds the zero in lambda of
-its third center-of-mass component, which is strictly decreasing (it equals
+``normalize`` uses these closed forms alone and checks them without a second
+quadrature: the light-cone identity (1, tau(w)) = sqrt(J_tau(w)) L (1, w),
+with L the Lorentz lift of tau, makes L^{-1} m the moment 4-vector of
+e^{2 u o tau} J_tau^{3/2}, where m = (int e^{2u}, int w e^{2u}).  So the
+residual is the center of mass of L^{-1} m, and the last refinement step of m,
+transported the same way, estimates its error.  The composed quadrature of
+u o tau (``transported_com``) stays as the checks' oracle for that identity.
+The root-finding path of ``solve_lambda0`` checks the closed-form algebra:
+Brent's method finds the zero in lambda of the third center-of-mass
+component of L^{-1} m, which is strictly decreasing (it equals
 A/lambda - B*lambda with A, B > 0 up to a positive factor).
 """
 
@@ -93,13 +96,22 @@ def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
     return comp.frame.T @ v[1:] / v[0]
 
 
-def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
-    m = np.concatenate([[mom.mass], mom.moment])
+def _inverse_lift(tau: ConformalMap) -> np.ndarray:
+    """L^{-1} = eta L^T eta, with L the Lorentz lift of an orientation-preserving tau."""
+    return ETA @ lorentz_lift(tau.mobius).T @ ETA
 
-    # L^{-1} = eta L^T eta; brentq keeps g in a reference cycle until the next
-    # garbage collection, so g's closure must own nothing node-sized
+
+def _four_vector(mom: ExpMoments) -> np.ndarray:
+    return np.concatenate([[mom.mass], mom.moment])
+
+
+def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
+    m = _four_vector(mom)
+
+    # brentq keeps g in a reference cycle until the next garbage collection,
+    # so g's closure must own nothing node-sized
     def g(lam: float) -> float:
-        v = ETA @ lorentz_lift(recentering_map(x0, lam).mobius).T @ ETA @ m
+        v = _inverse_lift(recentering_map(x0, lam)) @ m
         return float(v[3] / v[0])
 
     # g is decreasing: grow the bracket from 1 by decades until the sign changes
@@ -155,12 +167,13 @@ def solve_lambda0(
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    """The re-centering map together with the achieved residual."""
+    """The re-centering map together with the achieved residual and its error estimate."""
 
     x0: complex
     lambda0: float
     tau: ConformalMap
     residual_com_norm: float
+    com_error_estimate: float
 
     def to_dict(self) -> dict:
         return {
@@ -168,6 +181,7 @@ class NormalizationResult:
             "lambda0": self.lambda0,
             "tau": self.tau.to_dict(),
             "residual_com_norm": self.residual_com_norm,
+            "com_error_estimate": self.com_error_estimate,
         }
 
     def to_json(self) -> str:
@@ -183,7 +197,8 @@ def transported_com(
 
     u o tau is synthesized exactly for the stored expansion (see
     ``functionals._Composition``), so the residual is limited by quadrature
-    alone.
+    alone.  ``normalize`` does not call it; it is the checks' oracle for the
+    Lorentz transport of the moments.
     """
     comp = _compose(u, tau)
     com, _ = _tight(policy).refine(lambda g: _composed_com(comp, g), "transported center of mass", u.l_max)
@@ -194,14 +209,25 @@ def normalize(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> No
     """Find tau = (z -> lambda0 z + x0) zeroing the center of mass of e^{2 u_tau}.
 
     x0 and lambda0 are the closed forms above, from one tight quadrature of the
-    exponential moments.  Raises ConvergenceError if the transported center of
-    mass is not below 1e-10 (scaled).
+    exponential moments m.  The residual is the center of mass of L^{-1} m,
+    with L the Lorentz lift of tau; its error estimate is the same first-order
+    transport of the last refinement step dm of m, |(L^{-1} dm)[1:]| divided by
+    (L^{-1} m)[0].  Raises ConvergenceError if either is not below 1e-10
+    (scaled), the residual checked first.
     """
     mom = exp_moments(u, _tight(policy))
     x0 = _x0(mom)
     lam0 = _closed_form_lambda0(x0, mom)
     tau = recentering_map(x0, lam0)
-    residual = float(np.linalg.norm(transported_com(u, tau, policy)))
+    inverse = _inverse_lift(tau)
+    v = inverse @ _four_vector(mom)
+    residual = float(np.linalg.norm(v[1:]) / v[0])
     if residual >= scaled(1e-10):
         raise ConvergenceError(f"normalization residual {residual:.3e} not below {scaled(1e-10):.1e}")
-    return NormalizationResult(x0, lam0, tau, residual)
+    error = float(np.linalg.norm((inverse @ mom.delta)[1:]) / v[0])
+    if error >= scaled(1e-10):
+        raise ConvergenceError(
+            f"normalization error estimate {error:.3e} from the last refinement of the "
+            f"exponential moments not below {scaled(1e-10):.1e}"
+        )
+    return NormalizationResult(x0, lam0, tau, residual, error)

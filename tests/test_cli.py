@@ -144,7 +144,7 @@ def test_normalize_method_flag_is_rejected(capsys, random_field_file):
     assert "--method" in capsys.readouterr().err
     code, out = run(capsys, "normalize", random_field_file)
     assert code == 0
-    assert set(json.loads(out)["result"]) == {"x0", "lambda0", "tau", "residual_com_norm"}
+    assert set(json.loads(out)["result"]) == {"x0", "lambda0", "tau", "residual_com_norm", "com_error_estimate"}
 
 
 def test_normalize_extremal_near_constant(capsys, extremal_field_file):

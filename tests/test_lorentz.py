@@ -68,6 +68,20 @@ def test_lift_invariants(rng):
         assert L[0, 0] >= 1.0 - 1e-12
 
 
+def _lift_by_loop(a: MobiusMap) -> np.ndarray:
+    # the reference: one conjugation per basis vector, decoded one at a time
+    basis = ([1.0, 0, 0, 1.0], [1.0, 0, 0, -1.0], [0, 1.0, 1.0, 0], [0, 1.0, -1.0, 0])
+    m = a.mat
+    u1, u2, u3, u4 = [minkowski_of(m @ hermitian_of(b) @ m.conj().T) for b in basis]
+    return np.column_stack([(u1 + u2) / 2.0, (u3 + u4) / 2.0, (u3 - u4) / 2.0, (u1 - u2) / 2.0])
+
+
+def test_stacked_lift_is_the_loop_bit_for_bit(rng):
+    for _ in range(200):
+        a = random_unimodular(rng)
+        assert np.array_equal(lorentz_lift(a), _lift_by_loop(a))
+
+
 def test_homomorphism(rng):
     i = MobiusMap.identity()
     assert homomorphism_check(i, i) == 0.0

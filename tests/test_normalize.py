@@ -36,6 +36,7 @@ from onofri.harmonics import _grid_table
 from onofri.lorentz import ETA, lorentz_lift
 from onofri.normalize import _composed_com, transported_com
 from onofri.sampling import random_conformal, random_field
+from onofri.sphere import _make_grid
 
 
 def w3_times(eps):
@@ -150,7 +151,7 @@ def test_composed_com_is_the_lorentz_transport_of_the_moments(rng):
 
 
 def test_root_find_composes_no_field(monkeypatch):
-    # the root find transports the tight moments; only normalize's residual
+    # the root find transports the tight moments; only the checks' oracle
     # samples u o tau
     module = importlib.import_module("onofri.normalize")
     u = random_field(np.random.default_rng(0), 8, 0.5)
@@ -169,7 +170,7 @@ def test_normalize_keeps_mapped_tables_out_of_the_grid_cache():
     u = random_field(np.random.default_rng(0), 8, 0.5)
     solve_x0(u)  # every real grid of u is cached now
     before = _grid_table.cache_info()
-    normalize(u)
+    transported_com(u, normalize(u).tau)
     after = _grid_table.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
@@ -281,12 +282,89 @@ def test_transported_com_names_the_theta_cap():
         transported_com(w3_times(2.0), dilation(4.0), starved)
 
 
-def test_normalize_names_the_theta_cap(grid72):
-    # the open dilation(20) case: its tight exponential moments still move at
-    # the default cap, and the error says which cap
-    u = psi_field(build_extremal(dilation(20.0)), 32, grid72, tail_threshold=None).field
-    with pytest.raises(ConvergenceError, match="theta cap 512"):
-        normalize(u)
+def test_normalize_names_the_theta_cap():
+    # a starved policy stops the tight exponential moments, and the error says
+    # which quadrature and which cap
+    starved = RefinementPolicy(theta_cap=9)
+    with pytest.raises(ConvergenceError, match="exponential moments .* grid cap .theta cap 9."):
+        normalize(w3_times(2.0), starved)
+
+
+@pytest.mark.parametrize("lam", [10.0, 20.0])
+def test_normalize_dilation_cap_projections(lam, grid72):
+    # the band-32 projections at the dilation cap normalize, and the composed
+    # quadrature on a fine grid confirms the algebraic residual
+    u = psi_field(build_extremal(dilation(lam)), 32, grid72, tail_threshold=None).field
+    res = normalize(u)
+    assert res.residual_com_norm < 1e-10 and res.com_error_estimate < 1e-10
+    com = _composed_com(_compose(u, res.tau), _make_grid(900, 1799))
+    assert np.linalg.norm(com) <= 1e-12
+
+
+def test_normalize_dilation_50_converges_or_names_its_limit(grid72):
+    u = psi_field(build_extremal(dilation(50.0)), 32, grid72, tail_threshold=None).field
+    try:
+        res = normalize(u)
+    except ConvergenceError as exc:
+        assert "theta cap" in str(exc) or "not below" in str(exc), str(exc)
+    else:
+        assert res.com_error_estimate < 1e-10
+
+
+def _sweep_draw(k):
+    # draw k of the sweep over band 6-32 and amplitude 1.2-3, seed 7
+    rng = np.random.default_rng(7)
+    for _ in range(k + 1):
+        band, amplitude = int(rng.integers(6, 33)), rng.uniform(1.2, 3.0)
+        u = random_field(rng, band, amplitude)
+    return u
+
+
+@pytest.mark.parametrize("k, band", [(5, 18), (17, 11)])
+def test_normalize_large_random_fields(k, band):
+    # the composed quadrature's refinement does not settle on these by the
+    # theta cap, but on a fine grid it agrees with the Lorentz residual
+    u = _sweep_draw(k)
+    assert u.l_max == band
+    res = normalize(u)
+    com = _composed_com(_compose(u, res.tau), _make_grid(768, 1535))
+    assert np.linalg.norm(com) <= 1e-12
+
+
+def test_normalize_composes_no_field(monkeypatch, rng):
+    # the residual is the Lorentz transport of the tight moments; u o tau is
+    # sampled only by the checks' oracle
+    module = importlib.import_module("onofri.normalize")
+
+    def refuse(*_args):
+        raise AssertionError("normalize composed u with a map")
+
+    monkeypatch.setattr(module, "_compose", refuse)
+    res = normalize(random_field(rng, 8, 0.5))
+    assert res.residual_com_norm < 1e-10
+
+
+def test_normalize_error_estimate_names_itself(monkeypatch, rng):
+    # a large last refinement step of the moments must raise, not return
+    module = importlib.import_module("onofri.normalize")
+
+    def coarse(*args, **kwargs):
+        mom = exp_moments(*args, **kwargs)
+        return mom._replace(delta=np.full(4, 1e-6 * mom.mass))
+
+    monkeypatch.setattr(module, "exp_moments", coarse)
+    with pytest.raises(ConvergenceError, match="normalization error estimate .* exponential moments"):
+        normalize(random_field(rng, 6, 0.4))
+
+
+def test_error_estimate_is_the_transported_refinement_step(rng):
+    u = random_field(rng, 6, 0.4)
+    res = normalize(u)
+    mom = exp_moments(u, RefinementPolicy(rtol=1e-12))
+    v = ETA @ lorentz_lift(res.tau.mobius).T @ ETA
+    m = np.concatenate([[mom.mass], mom.moment])
+    assert res.com_error_estimate == np.linalg.norm((v @ mom.delta)[1:]) / (v @ m)[0]
+    assert 0.0 < res.com_error_estimate < 1e-10
 
 
 def test_normalize_zonal_field(rng):
@@ -315,7 +393,7 @@ def test_normalization_result_json(rng):
 
     res = normalize(random_field(rng, 4, 0.3))
     d = json.loads(res.to_json())
-    assert set(d) == {"x0", "lambda0", "tau", "residual_com_norm"}
+    assert set(d) == {"x0", "lambda0", "tau", "residual_com_norm", "com_error_estimate"}
     assert len(d["x0"]) == 2
 
 
