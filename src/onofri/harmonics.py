@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .sphere import SphericalGrid
 
@@ -409,21 +410,79 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     return HarmonicField(f.l_max, x)
 
 
-class _SlopeRows(NamedTuple):
-    """Per :func:`_legendre_table` row (l, m >= 0) of one band: the rows and weights
-    of a band-(l_max + 1) table that give dP/dtheta and m P/sin(theta)."""
+class _Chains(NamedTuple):
+    """Read-only banded form of one band's Legendre recurrences, for a single abscissa.
 
-    theta_rows: np.ndarray    # rows (l, m - 1), (l, m + 1)
-    theta_weights: np.ndarray
-    phi_rows: np.ndarray      # rows (l + 1, m - 1), (l + 1, m + 1)
-    phi_weights: np.ndarray
+    In m-major order (the chain l = m..l_max of each m in turn) the rows of
+    :func:`_legendre_table` solve a unit lower-triangular system of bandwidth 2:
+    P(l, m) - a t P(l-1, m) + b P(l-2, m) = 0 below each chain's diagonal
+    seed P(m, m), with no coupling from one chain to the next.
+    """
+
+    bands: np.ndarray   # (3, rows) LAPACK lower band storage at t = 1: 1, -a, b
+    seeds: np.ndarray   # m-major position of each P(m, m)
+    ladder: np.ndarray  # P(m, m) / sin(theta)^m = prod over k <= m of sqrt((2k+1)/(2k))
+    rows: np.ndarray    # per table row (l, m): its m-major position
 
 
 @functools.lru_cache(maxsize=16)
-def _slope_rows(l_max: int) -> _SlopeRows:
+def _chains(l_max: int) -> _Chains:
+    # a, b of P(l, m) = a t P(l-1, m) - b P(l-2, m) per table row, 0 where they
+    # do not apply; as in _legendre_table, a = sqrt(2l+1), b = 0 at m = l - 1
+    a, b = np.zeros((2, (l_max + 1) * (l_max + 2) // 2))
+    for l in range(1, l_max + 1):
+        first = l * (l + 1) // 2
+        a[first + l - 1] = math.sqrt(2 * l + 1)
+        if l > 1:
+            deep_a, deep_b = _recurrence(l)
+            a[first : first + l - 1], b[first : first + l - 1] = deep_a[:, 0], deep_b[:, 0]
     l, m = np.tril_indices(l_max + 1)
-    l, m = l.astype(float), m.astype(float)
-    row = l * (l + 1) // 2 + m
+    order = np.lexsort((l, m))  # table rows in m-major order
+    bands = np.zeros((3, l.size), order="F")  # bands[k, j] couples unknown j into equation j + k
+    bands[0] = 1.0
+    bands[1, :-1] = -a[order][1:]
+    bands[2, :-2] = b[order][2:]
+    k = np.arange(1, l_max + 1)
+    ladder = np.cumprod(np.concatenate([[1.0], np.sqrt((2 * k + 1) / (2 * k))]))
+    chains = _Chains(bands, np.flatnonzero(l[order] == m[order]), ladder, np.argsort(order))
+    for arr in chains:
+        arr.setflags(write=False)
+    return chains
+
+
+def _legendre_point(l_max: int, t: float, s: float) -> np.ndarray:
+    """:func:`_legendre_table` at the single abscissa ``t`` with sine ``s``, by one banded solve.
+
+    Forward substitution runs the table's three-term recurrences, every m at
+    once inside LAPACK; the seeds carry s^m, so the rows m > 0 are exactly 0
+    where ``s`` is.
+    """
+    chains = _chains(l_max)
+    bands = chains.bands.copy(order="F")  # LAPACK's own order: f2py passes it uncopied
+    bands[1] *= t
+    rhs = np.zeros(chains.rows.size)
+    rhs[chains.seeds] = chains.ladder * np.power(s, np.arange(l_max + 1))
+    x, info = dtbtrs(bands, rhs, uplo="L")
+    if info != 0:
+        raise ValueError(f"banded Legendre solve failed: LAPACK dtbtrs info {info}")
+    return x[chains.rows]
+
+
+class _PointRows(NamedTuple):
+    """Read-only map of one band's flat slots onto a band-(l_max + 1) table at one point."""
+
+    rows: np.ndarray     # (2, 3, n): the two table rows giving P, dP/dtheta and m P/sin(theta)
+    weights: np.ndarray  # (2, 3, n): their weights, with the real-basis scale (1, else sqrt(2))
+    trig: np.ndarray     # (3, n): each slot's azimuthal factors in [cos m phi; sin m phi; -sin m phi]
+
+
+@functools.lru_cache(maxsize=16)
+def _point_rows(l_max: int) -> _PointRows:
+    l = _layout(l_max).degrees
+    signed = np.arange(l.size) - l * (l + 1)
+    k, sine = np.abs(signed), signed < 0
+    l, m = l.astype(float), k.astype(float)
+    row = l * (l + 1) / 2 + m
     up = row + l + 1  # row (l + 1, m)
     # dP(l, m)/dtheta = (sqrt((l+m)(l-m+1)) P(l, m-1) - sqrt((l+m+1)(l-m)) P(l, m+1)) / 2,
     # and -sqrt(l(l+1)) P(l, 1) at m = 0
@@ -437,12 +496,38 @@ def _slope_rows(l_max: int) -> _SlopeRows:
     phi_w = scale * np.stack(
         [np.sqrt((l - m + 1) * (l - m + 2)), np.sqrt((l + m + 1) * (l + m + 2))]
     )
-    theta_rows = np.stack([np.maximum(row - 1, 0), row + 1]).astype(int)
-    phi_rows = np.stack([up - 1, up + 1]).astype(int)
-    rows = _SlopeRows(theta_rows, theta_w, phi_rows, phi_w)
-    for arr in rows:
+    value_w = np.stack([np.ones_like(l), np.zeros_like(l)])
+    rows = np.stack([[row, np.maximum(row - 1, 0), up - 1], [row, row + 1, up + 1]])
+    weights = np.stack([value_w, theta_w, phi_w], axis=1) * np.where(m > 0, math.sqrt(2.0), 1.0)
+    # Y(l, m) carries cos(m phi) and Y(l, -m) sin(m phi); d/dphi turns one into the other
+    cos, sin, minus_sin = k, k + l_max + 1, k + 2 * (l_max + 1)
+    trig = np.stack([np.where(sine, sin, cos)] * 2 + [np.where(sine, cos, minus_sin)])
+    point = _PointRows(rows.astype(int), weights, trig)
+    for arr in point:
         arr.setflags(write=False)
-    return rows
+    return point
+
+
+def _harmonic_slopes(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Y_lm at one unit vector with dY/dtheta and (1/sin theta) dY/dphi.
+
+    Returns the three as the rows of a (3, n) array in flat slot order, and the
+    frame rows e_theta and e_phi as a (2, 3) array, so a surface gradient is
+    ``slopes[1:].T @ frame`` and any weighted sum of them two contractions.
+    """
+    t = min(max(float(w[2]), -1.0), 1.0)
+    s = math.hypot(w[0], w[1])
+    phi = math.atan2(w[1], w[0])
+    point = _point_rows(l_max)
+    gathered = _legendre_point(l_max + 1, t, s)[point.rows]
+    gathered *= point.weights
+    slopes = gathered[0] + gathered[1]
+    arg = np.arange(l_max + 1) * phi
+    sin_m = np.sin(arg)
+    slopes *= np.concatenate((np.cos(arg), sin_m, -sin_m))[point.trig]
+    cos_p, sin_p = math.cos(phi), math.sin(phi)
+    frame = np.array([[t * cos_p, t * sin_p, -s], [-sin_p, cos_p, 0.0]])
+    return slopes, frame
 
 
 def harmonic_gradients_at(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -450,28 +535,11 @@ def harmonic_gradients_at(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     The gradient is dY/dtheta e_theta + (1/sin theta) dY/dphi e_phi, both
     parts from degree-raising and -lowering relations on one band-(l_max + 1)
-    Legendre table, so it stays finite at the poles (phi = 0 there).
+    Legendre table, solved at the point as one banded system, so it stays
+    finite at the poles (phi = 0 there).
     """
-    w = np.asarray(w, dtype=float)
-    t = float(np.clip(w[2], -1.0, 1.0))
-    s = math.hypot(w[0], w[1])
-    phi = math.atan2(w[1], w[0])
-    lay, slope = _layout(l_max), _slope_rows(l_max)
-    table = _legendre_table(l_max + 1, np.array([t]), np.array([s]))[:, 0]
-    p = table[: lay.pos.size]
-    d_theta = np.einsum("kr,kr->r", slope.theta_weights, table[slope.theta_rows])
-    d_phi = np.einsum("kr,kr->r", slope.phi_weights, table[slope.phi_rows])
-    arg = np.arange(l_max + 1) * phi
-    cos_m, sin_m = np.cos(arg) @ lay.sum_m, np.sin(arg) @ lay.sum_m
-    e_theta = np.array([t * math.cos(phi), t * math.sin(phi), -s])
-    e_phi = np.array([-math.sin(phi), math.cos(phi), 0.0])
-    y = np.empty((l_max + 1) ** 2)
-    grad = np.empty((y.size, 3))
-    y[lay.neg] = p * sin_m
-    grad[lay.neg] = np.outer(sin_m * d_theta, e_theta) + np.outer(cos_m * d_phi, e_phi)
-    y[lay.pos] = p * cos_m  # last: m = 0 rows keep the cosine
-    grad[lay.pos] = np.outer(cos_m * d_theta, e_theta) - np.outer(sin_m * d_phi, e_phi)
-    return y, grad
+    slopes, frame = _harmonic_slopes(w, l_max)
+    return slopes[0], slopes[1:].T @ frame
 
 
 def dirichlet_energy(f: HarmonicField) -> float:

@@ -22,8 +22,11 @@ the search: the degree-l parts u_l of u at every node come from one product
 of their per-theta-row Fourier coefficients with the grid's [cos m phi;
 sin m phi] table, and the cross terms of a block of scanned t from one
 product of their weights l(l+1) g_l with those parts.  The best (t, node)
-seeds a BFGS polish of d with its exact gradient.  The search is
-deterministic.
+seeds a BFGS polish of d with its exact gradient, run in this module: Armijo
+backtracking from scipy's first step, ended at the first point whose gradient
+is at most 1e-8 (1 + d at the start) in every component and 1e-7 (1 + d) in
+norm, or by at most three quasi-Newton steps where rounding stalls the line
+search.  The search is deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
 beta complex: left rotations leave the Jacobian unchanged, and QR (Iwasawa)
@@ -47,11 +50,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import scaled
 from .extremals import _ball_point
-from .harmonics import HarmonicField, _degree_parts, _layout, harmonic_gradients_at
+from .harmonics import HarmonicField, _degree_parts, _harmonic_slopes, _layout
 from .mobius import ConformalMap, MobiusMap, dilation, rotation
 from .sphere import (
     DEFAULT_POLICY,
@@ -79,6 +81,12 @@ _SCAN_T = np.linspace(0.1, 6.0, 60)
 _SCAN_BLOCK = 12
 # a polish has converged when |grad d| <= _GRAD_TOL (1 + d)
 _GRAD_TOL = 1e-7
+# BFGS iterations of a polish at most, scipy's default for three variables
+_MAX_STEPS = 600
+# Armijo's sufficient-decrease constant, scipy's c1
+_ARMIJO = 1e-4
+# decreases of d below _ROUNDING (1 + d) are not resolved: d rounds at eps E(u)
+_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -180,23 +188,24 @@ def _distance(c: np.ndarray, b: np.ndarray, l_max: int) -> tuple[float, float, n
 
     d is summed as the band part, the non-negative sum of l(l+1)(c_lm - psi_lm)^2
     for l <= l_max, plus psi's energy beyond the band, so d >= band part >= 0.
+    The surface gradient of sum_l l(l+1) g_l u_l at b/t is two contractions of
+    the weighted coefficients, with the theta and phi slopes of the basis.
     """
     deg = _layout(l_max).degrees
     ll = np.arange(l_max + 1) * np.arange(1.0, l_max + 2)  # l(l+1)
-    t = float(np.linalg.norm(b))
+    t = math.hypot(b[0], b[1], b[2])
     if t == 0.0:  # psi = 0, and only g_1 ~ t/2 has a slope: Y_1m = sqrt(3) (y, z, x)
         band = float(ll[deg] @ (c * c))
         grad = -2.0 * math.sqrt(3.0) * c[[3, 1, 2]] if l_max > 0 else np.zeros(3)
         return band, band, grad
     g, dg = _g(l_max, t)
-    y, dy = harmonic_gradients_at(b / t, l_max)
-    diff = c - g[deg] * y
+    slopes, frame = _harmonic_slopes(b / t, l_max)
+    diff = c - g[deg] * slopes[0]
     band = float(ll[deg] @ (diff * diff))
     psi, dpsi = _psi_energy(t)
     tail = max(psi - float((ll * (2 * np.arange(l_max + 1) + 1)) @ (g * g)), 0.0)
-    parts = np.bincount(deg, c * y, minlength=l_max + 1)  # u_l(b/t)
-    radial = dpsi - 2.0 * float((ll * dg) @ parts)
-    grad = radial * (b / t) - (2.0 / t) * (((ll * g)[deg] * c) @ dy)
+    radial = dpsi - 2.0 * float((ll * dg)[deg] @ (c * slopes[0]))  # d/dt at fixed b/t
+    grad = radial * (b / t) - (2.0 / t) * ((slopes[1:] @ ((ll * g)[deg] * c)) @ frame)
     return band, band + tail, grad
 
 
@@ -248,12 +257,74 @@ def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
     return _SCAN_T[i_t] * _node(grid, index)
 
 
-class _Reached(Exception):
-    """Ends the polish at a point b that passes the gradient tests, with its _distance."""
+def _small_gradient(d: float, grad: np.ndarray) -> bool:
+    """The convergence test of the polish: |grad d| <= _GRAD_TOL (1 + d)."""
+    return bool(np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d))
 
-    def __init__(self, point: np.ndarray, found: tuple[float, float, np.ndarray]):
-        super().__init__()
-        self.point, self.found = point, found
+
+def _polish(
+    target: np.ndarray, b: np.ndarray, found: tuple[float, float, np.ndarray], l_max: int
+) -> tuple[np.ndarray, tuple[float, float, np.ndarray], int]:
+    """BFGS on d from b, whose _distance is ``found``: the end, its _distance, and the calls made.
+
+    The inverse Hessian starts at I, each line search tries scipy's BFGS first
+    step min(1, 2.02 (d_prev - d) / -slope) and backtracks by safeguarded
+    quadratic interpolation until Armijo's decrease holds, and an update is
+    made only where s.y > 0, which keeps the inverse Hessian positive
+    definite.  The polish ends at the first point it evaluates whose gradient
+    is at most 1e-8 (1 + d_start) in every component and 1e-7 (1 + d) in
+    norm.  d carries rounding of order eps E(u), so near a minimum Armijo's
+    test can fail on rounding alone: where the decrease it asks for is below
+    that, the polish ends with at most three quasi-Newton steps on the
+    gradient alone, each kept while it shrinks the gradient.
+    """
+    gtol = 1e-8 * (1.0 + found[1])
+
+    def passes(found: tuple[float, float, np.ndarray]) -> bool:
+        _, d, grad = found
+        return bool(np.max(np.abs(grad)) <= gtol) and _small_gradient(d, grad)
+
+    nfev = 1
+    if passes(found):
+        return b, found, nfev
+    _, d, grad = found
+    inverse = np.eye(3)
+    d_prev = d + float(np.linalg.norm(grad)) / 2.0
+    for _ in range(_MAX_STEPS):
+        step = -inverse @ grad
+        slope = float(grad @ step)
+        first = 2.02 * (d - d_prev) / slope if slope != 0.0 else 0.0
+        alpha = min(1.0, first) if first > 0.0 else 1.0
+        while -alpha * slope > _ROUNDING * (1.0 + d):
+            trial = b + alpha * step
+            tried = _distance(target, trial, l_max)
+            nfev += 1
+            if passes(tried):
+                return trial, tried, nfev
+            if tried[1] <= d + _ARMIJO * alpha * slope:
+                break
+            q = -slope * alpha * alpha / (2.0 * (tried[1] - d - slope * alpha))
+            alpha = min(max(q, 0.1 * alpha), 0.5 * alpha) if math.isfinite(q) else 0.1 * alpha
+        else:  # the line search cannot lower d
+            for _ in range(3):
+                if _small_gradient(d, grad):
+                    break
+                trial = b - inverse @ grad
+                tried = _distance(target, trial, l_max)
+                nfev += 1
+                if np.linalg.norm(tried[2]) >= np.linalg.norm(grad):
+                    break
+                b, found = trial, tried
+                _, d, grad = found
+            return b, found, nfev
+        s, y = trial - b, tried[2] - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            left = np.eye(3) - np.outer(s, y) / sy
+            inverse = left @ inverse @ left.T + np.outer(s, s) / sy
+        d_prev, b, found = d, trial, tried
+        _, d, grad = found
+    return b, found, nfev
 
 
 @dataclass(frozen=True)
@@ -273,61 +344,27 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
     """Infimum of the gradient distance over the ball, by the closed form.
 
     The best node of the scan seeds a BFGS polish in b = atanh|a| a/|a|
-    with the exact gradient; ``start_value`` is d there.  The polish has
-    converged when the gradient at its end is at most 1e-7 (1 + d) and the
-    end lies in the a-priori ball: d(b*) <= d(0) = E(u) bounds psi's
-    gradient energy by 4 E(u).  The polish ends at the first point it
-    evaluates that passes both BFGS's gradient test and this one.  BFGS's
-    own success flag is not used: it reports precision loss on minima whose
-    gradient is already far below that test.
+    with the exact gradient; ``start_value`` is d there, and ``nfev`` counts
+    the evaluations of d from there on.  The polish ends at the first point
+    it evaluates whose gradient is at most 1e-8 (1 + start_value) in every
+    component and 1e-7 (1 + d) in norm, or, where its line search can no
+    longer lower d beyond rounding, after at most three quasi-Newton steps
+    that shrink the gradient.  It has converged when the gradient at its end
+    is at most 1e-7 (1 + d) and the end lies in the a-priori ball:
+    d(b*) <= d(0) = E(u) bounds psi's gradient energy by 4 E(u).
     """
     target = _band_coeffs(u, l_max)
     energy = _distance(target, np.zeros(3), l_max)[1]  # d(0) = E(u)
     start = _scan(target, l_max, grid)
-    start_value = _distance(target, start, l_max)[1]
-    gtol = 1e-8 * (1.0 + start_value)
-    nfev = 1
-
-    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal nfev
-        nfev += 1
-        found = _distance(target, b, l_max)
-        _, d, grad = found
-        # d carries rounding of order eps E(u), so at a minimum the line
-        # search can reject a point for a rise of d by rounding alone and
-        # try dozens more: a point that passes BFGS's test and the final
-        # one ends the polish
-        if np.max(np.abs(grad)) <= gtol and np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d):
-            raise _Reached(b.copy(), found)
-        return d, grad
-
-    try:
-        res = minimize(objective, start, jac=True, method="BFGS", options={"gtol": gtol})
-    except _Reached as reached:  # passes the gradient test below
-        b, (band, d, grad), hess_inv = reached.point, reached.found, None
-    else:
-        b, hess_inv = res.x, res.hess_inv
-        band, d, grad = _distance(target, b, l_max)
-    # a stalled line search can also end short of the gradient test: finish
-    # by quasi-Newton steps on the exact gradient alone, kept while they shrink it
-    for _ in range(3):
-        if np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d):
-            break
-        step = b - hess_inv @ grad
-        polished = _distance(target, step, l_max)
-        nfev += 1
-        if np.linalg.norm(polished[2]) >= np.linalg.norm(grad):
-            break
-        b, (band, d, grad) = step, polished
+    found = _distance(target, start, l_max)
+    b, (band, d, grad), nfev = _polish(target, start, found, l_max)
     return DistanceResult(
         distance=d,
         argmin=_chart_of_ball(b),
-        converged=bool(
-            np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d)
-            and _psi_energy(float(np.linalg.norm(b)))[0] <= 4.0 * energy * (1.0 + 1e-12)
-        ),
-        nfev=int(nfev),
-        start_value=start_value,
+        converged=_small_gradient(d, grad)
+        and _psi_energy(float(np.linalg.norm(b)))[0] <= 4.0 * energy * (1.0 + 1e-12),
+        nfev=nfev,
+        start_value=found[1],
         band_distance=band,
     )
 

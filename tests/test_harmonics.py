@@ -337,6 +337,37 @@ def test_legendre_table_matches_pairwise_loop(rng):
         assert np.array_equal(_legendre_table(l_max, t), _legendre_loop(l_max, t))
 
 
+@pytest.mark.parametrize("l_max", [0, 1, 2, 7, 33, 65])
+def test_legendre_point_matches_table(rng, l_max):
+    # the banded one-point solve against _legendre_table's recurrence at the
+    # same abscissa and sine: random points, then the caller-supplied sines
+    # of points 1e-9, 1e-200 and 0 off each pole
+    w = rng.normal(size=(200, 3))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    points = [(p[2], math.hypot(p[0], p[1])) for p in w]
+    points += [(z * math.sqrt(1.0 - s * s), s) for s in (1e-9, 1e-200, 0.0) for z in (1.0, -1.0)]
+    for t, s in points:
+        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[:, 0]
+        got = harmonics._legendre_point(l_max, t, s)
+        assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
+    _, m = np.tril_indices(l_max + 1)
+    for pole in (1.0, -1.0):
+        assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[m > 0] == 0.0)
+
+
+def test_legendre_point_bands_cached_and_info_checked(monkeypatch):
+    chains = harmonics._chains(9)
+    assert harmonics._chains(9) is chains
+    for arr in chains:
+        assert not arr.flags.writeable
+    before = chains.bands.copy()
+    harmonics._legendre_point(9, 0.3, math.sqrt(0.91))
+    assert np.array_equal(chains.bands, before)
+    monkeypatch.setattr(harmonics, "dtbtrs", lambda bands, rhs, uplo: (rhs, 3))
+    with pytest.raises(ValueError, match="info 3"):
+        harmonics._legendre_point(9, 0.3, math.sqrt(0.91))
+
+
 def test_grid_table_keyed_on_abscissas(grid16, rng):
     # a hand-built grid with the canonical theta count but shifted abscissas
     # must not be served the canonical grid's cached table

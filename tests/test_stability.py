@@ -379,6 +379,77 @@ def test_distance_gradient_matches_differences(rng, l_max):
         assert np.max(np.abs(grad - expect)) <= 1e-9 * (1.0 + d)
 
 
+def _scipy_polish(target, start, l_max):
+    # reference: the polish as it ran through scipy's BFGS, ended at the first
+    # evaluated point that passes both gradient tests, else finished by at most
+    # three quasi-Newton steps on the gradient alone; returns d and nfev
+    from scipy.optimize import minimize
+
+    gtol = 1e-8 * (1.0 + _distance(target, start, l_max)[1])
+    nfev = 1
+
+    class Reached(Exception):
+        pass
+
+    def objective(b):
+        nonlocal nfev
+        nfev += 1
+        found = _distance(target, b, l_max)
+        _, d, grad = found
+        if np.max(np.abs(grad)) <= gtol and np.linalg.norm(grad) <= 1e-7 * (1.0 + d):
+            raise Reached(found)
+        return d, grad
+
+    try:
+        res = minimize(objective, start, jac=True, method="BFGS", options={"gtol": gtol})
+    except Reached as reached:
+        return reached.args[0][1], nfev
+    b = res.x
+    _, d, grad = _distance(target, b, l_max)
+    for _ in range(3):
+        if np.linalg.norm(grad) <= 1e-7 * (1.0 + d):
+            break
+        step = b - res.hess_inv @ grad
+        _, d_step, grad_step = _distance(target, step, l_max)
+        nfev += 1
+        if np.linalg.norm(grad_step) >= np.linalg.norm(grad):
+            break
+        b, d, grad = step, d_step, grad_step
+    return d, nfev
+
+
+def test_polish_matches_scipy_bfgs():
+    rng = np.random.default_rng(7)
+    grids, ours, theirs = {}, [], []
+    for _ in range(50):
+        l_max = int(rng.integers(2, 9))
+        u = random_field(rng, l_max, rng.uniform(0.3, 3.0))
+        grid = grids.setdefault(l_max, build_grid(max(4 * l_max, 48)))
+        res = distance_to_manifold(u, l_max, grid)
+        target = _band_coeffs(u, l_max)
+        d_ref, nfev_ref = _scipy_polish(target, _scan(target, l_max, grid), l_max)
+        assert res.converged
+        assert abs(res.distance - d_ref) <= 1e-12 * max(1.0, d_ref)
+        ours.append(res.nfev)
+        theirs.append(nfev_ref)
+    assert np.median(ours) <= np.median(theirs) + 1
+    assert max(ours) <= 40
+
+
+def test_polish_does_not_call_scipy_minimize(monkeypatch, rng):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize was called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    # a module-level import binds its own name, which the patch above misses
+    monkeypatch.setattr(stability, "minimize", refuse, raising=False)
+    for l_max, n in ((6, 48), (32, 72)):
+        assert distance_to_manifold(random_field(rng, l_max, 1.0), l_max, build_grid(n)).converged
+    assert stability_check(random_field(rng, 6, 0.4)).trace["converged"]
+
+
 def test_whole_distance_bounds_band_distance_and_matches_nelder_mead(rng):
     grids = {}
     for _ in range(12):
