@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import scaled
 from .harmonics import Projection, laplacian, project_samples, synthesize
-from .mobius import ConformalMap
+from .mobius import ConformalMap, _lift
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -99,8 +99,8 @@ def _translation_point(param) -> np.ndarray:
 
 def _conformal_moments(tau, policy) -> np.ndarray:
     """Moments of J^(3/2) on a refined grid."""
-    # every node through tau.jacobian, not the Cartan split: this is the
-    # oracle of build_extremal, whose closed forms come from _cartan
+    # every node through tau.jacobian, not M^H M: this is the oracle of
+    # build_extremal, whose closed forms come from _ball_point
     return policy.refine(lambda g: moments(g, tau.jacobian(g.nodes) ** 1.5), "conformal-map moments")[0]
 
 
@@ -118,11 +118,12 @@ def center_of_mass(tau: ConformalMap, policy: RefinementPolicy = DEFAULT_POLICY)
 def _ball_point(tau: ConformalMap) -> np.ndarray:
     """Hyperbolic coordinate b = atanh|a| a/|a| of tau's center of mass a.
 
-    tau = R_U o dilation(lam) o O_V gives J_tau(w) = J_dilation(O_V w), and
-    dilation(lam) has a = -tanh(ln lam) e3, so b = -ln(lam) O_V^T e3.
+    J_tau depends on M^H M alone (M conjugated if reflected); its Minkowski vector (t, q) is the first
+    row of M's lift.  dilation(e^t) has a = -tanh(t) e3 and q = sinh(t) e3; rotations turn both alike.
     """
-    _, lam, frame = tau._cartan()
-    return -math.log(lam) * frame[2]
+    q = _lift(np.conj(tau.mobius.mat) if tau.reflect else tau.mobius.mat)[0, 1:]
+    s = math.hypot(*q)
+    return -math.asinh(s) / s * q if s > 0.0 else np.zeros(3)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Hermitian-matrix model of Minkowski space and the lift to SO+(1,3).
 
 A determinant-one complex 2x2 matrix A acts on Hermitian matrices by
-H -> A H A*, preserving det = t^2 - |q|^2; decoding that action on a
-lightlike basis yields the proper orthochronous Lorentz matrix of A.
+H -> A H A*, preserving det = t^2 - |q|^2; in the coordinates (t, q) that
+action is the proper orthochronous Lorentz matrix of A.
 On the sphere the lift satisfies (1, tau(w)) = sqrt(J_tau(w)) * L @ (1, w)
 for orientation-preserving tau, which ties the conformal group to the
 Lorentz group and is what makes the sharp functional conformally invariant.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mobius import ConformalMap, MobiusMap, _spinor
+from .mobius import ConformalMap, MobiusMap, _lift, _spinor
 from .sphere import unit_point
 
 __all__ = [
@@ -53,27 +53,14 @@ def minkowski_of(h) -> np.ndarray:
     return np.stack([t, h[..., 0, 1].real, h[..., 0, 1].imag, q3], axis=-1)
 
 
-# Hermitian images of the lightlike/spacelike basis (1, 0, 0, +-1), (0, 1, +-1, 0)
-# on which the conjugation action is decoded
-_BASIS_IMAGES = np.stack(
-    [hermitian_of(b) for b in ((1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, -1.0),
-                               (0.0, 1.0, 1.0, 0.0), (0.0, 1.0, -1.0, 0.0))]
-)
-
-
 def lorentz_lift(a: MobiusMap) -> np.ndarray:
     """The unique Lorentz matrix with A H(v) A* = H(L v) for all v.
 
-    Conjugates the Hermitian images of the lightlike basis in one stacked
-    product, decodes them and changes back to the standard basis; -A gives
-    the same matrix.  Raises if the result fails the SO+(1,3) invariants
-    beyond a tolerance scaled by the entry magnitudes.
+    Its sixteen entries are closed forms in the entries of A (``mobius._lift``);
+    -A gives the same matrix.  Raises if the result fails the SO+(1,3)
+    invariants beyond a tolerance scaled by the entry magnitudes.
     """
-    m = a.mat
-    u1, u2, u3, u4 = minkowski_of(m @ _BASIS_IMAGES @ m.conj().T)
-    L = np.column_stack(
-        [(u1 + u2) / 2.0, (u3 + u4) / 2.0, (u3 - u4) / 2.0, (u1 - u2) / 2.0]
-    )
+    L = _lift(a.mat)
     scale = 1.0 + float(np.abs(L).max()) ** 2
     tol = 1e-11 * scale
     if np.max(np.abs(L.T @ ETA @ L - ETA)) > tol:

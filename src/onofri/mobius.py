@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -113,6 +114,18 @@ def _point_of_spinor(x1: np.ndarray, x2: np.ndarray, n: np.ndarray) -> np.ndarra
     return unit_point(w)
 
 
+def _lift(m: np.ndarray) -> np.ndarray:
+    """The unchecked 4x4 matrix of H -> m H m^H in the (t, q) of ``lorentz.hermitian_of``:
+    column nu is (1/2) tr(E_mu m E_nu m^H), with E = (I, sigma1, -sigma2, sigma3)."""
+    a, b, c, d = m.ravel().tolist()
+    na, nb, nc, nd = ((x.real * x.real + x.imag * x.imag) / 2.0 for x in (a, b, c, d))
+    ab, ac, ad, bc, bd, cd = (x * y.conjugate() for x, y in combinations((a, b, c, d), 2))
+    return np.array([[na + nb + nc + nd, ab.real + cd.real, -(ab.imag + cd.imag), na - nb + nc - nd],
+                     [ac.real + bd.real, ad.real + bc.real, bc.imag - ad.imag, ac.real - bd.real],
+                     [ac.imag + bd.imag, ad.imag + bc.imag, ad.real - bc.real, ac.imag - bd.imag],
+                     [na + nb - nc - nd, ab.real - cd.real, cd.imag - ab.imag, na - nb - nc + nd]])
+
+
 class ConformalMap:
     """A conformal self-map of the sphere: Mobius matrix plus reflect flag.
 
@@ -162,15 +175,14 @@ class ConformalMap:
     def _cartan(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Factors ``(R_U, lam, O_V)`` with ``self = R_U o dilation(lam) o O_V``, lam >= 1.
 
-        From the SVD M = U diag(s1, 1/s1) V^H, with U and V^H scaled into SU(2):
-        both are rotations, returned as 3x3 matrices acting on column vectors.
-        A reflected map's conjugation diag(1, -1, 1) is folded into O_V.
-        lam = s1^2 keeps full relative accuracy where s2 = 1/s1 is tiny.
+        From the SVD M = U diag(s1, 1/s1) V^H: the rotations, acting on column vectors, are the
+        spatial blocks of the lifts of U and V^H (columns renormalized), with a reflected map's
+        conjugation diag(1, -1, 1) folded into O_V.  lam = s1^2 stays accurate where 1/s1 is tiny.
         """
         u, s, vh = np.linalg.svd(self.mobius.mat)
-        basis = np.eye(3)
-        rot = ConformalMap(MobiusMap.from_matrix(u)).apply(basis).T
-        frame = ConformalMap(MobiusMap.from_matrix(vh), self.reflect).apply(basis).T
+        rot, frame = pair = np.stack([_lift(u)[1:, 1:], _lift(vh)[1:, 1:]])
+        frame[:, 1] *= -1.0 if self.reflect else 1.0
+        pair /= np.linalg.norm(pair, axis=1, keepdims=True)
         return rot, max(float(s[0]) ** 2, 1.0), frame
 
     def plane_image(self, z):

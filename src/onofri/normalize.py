@@ -36,9 +36,10 @@ from .config import scaled
 from .functionals import ExpMoments, _compose, _Composition, exp_moments
 from .harmonics import HarmonicField
 from .lorentz import ETA, lorentz_lift
-from .mobius import ConformalMap, dilation, translation
+from .mobius import ConformalMap, MobiusMap
 from .sphere import (
     DEFAULT_POLICY,
+    INFINITY,
     ConvergenceError,
     RefinementPolicy,
     SphericalGrid,
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 _LAMBDA_RANGE = (1e-6, 1e6)
+_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))  # eta L^T eta = _SIGNS * L^T
 
 
 def _tight(policy: RefinementPolicy) -> RefinementPolicy:
@@ -84,8 +86,10 @@ def solve_x0(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> com
 
 
 def recentering_map(x0: complex, lam0: float) -> ConformalMap:
-    """The chart map z -> lam0 * z + x0 (translation after dilation)."""
-    return translation(x0).compose(dilation(lam0))
+    """The chart map z -> lam0 * z + x0: [[lam0, x0], [0, 1]], scaled to determinant one."""
+    if not lam0 > 0 or x0 is INFINITY:
+        raise ValueError("re-centering needs lam0 > 0 and a finite x0")
+    return ConformalMap(MobiusMap(lam0, x0, 0.0, 1.0))
 
 
 def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
@@ -98,7 +102,7 @@ def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
 
 def _inverse_lift(tau: ConformalMap) -> np.ndarray:
     """L^{-1} = eta L^T eta, with L the Lorentz lift of an orientation-preserving tau."""
-    return ETA @ lorentz_lift(tau.mobius).T @ ETA
+    return _SIGNS * lorentz_lift(tau.mobius).T
 
 
 def _four_vector(mom: ExpMoments) -> np.ndarray:

@@ -29,8 +29,8 @@ norm, or by at most three quasi-Newton steps where rounding stalls the line
 search.  The search is deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
-beta complex: left rotations leave the Jacobian unchanged, and QR (Iwasawa)
-decomposition puts exactly one representative of each rotation-coset in it.
+beta complex: left rotations leave the Jacobian and M^H M unchanged, and the
+chart, read off M^H M, holds exactly one representative of each rotation-coset.
 The certificate checked here is
 
     deficit >= distance / 6,
@@ -54,7 +54,7 @@ import numpy as np
 from .config import scaled
 from .extremals import _ball_point
 from .harmonics import HarmonicField, _degree_parts, _harmonic_slopes, _layout
-from .mobius import ConformalMap, MobiusMap, dilation, rotation
+from .mobius import ConformalMap, MobiusMap
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -107,19 +107,12 @@ class ManifoldPoint:
 
 
 def chart_params(tau: ConformalMap) -> ManifoldPoint:
-    """Chart coordinates of the rotation-coset of tau.
-
-    QR-decompose the matrix as (rotation) @ (upper triangular, positive
-    diagonal); reflections conjugate the matrix first, since the Jacobian of
-    a reflected map equals that of the conjugated holomorphic one.
-    """
+    """Chart coordinates of tau's rotation-coset: lambda and lambda beta are the first row of
+    M^H M (M conjugated if reflected), as for the chart map [[r, r beta], [0, 1/r]], r^2 = lambda."""
     m = np.conj(tau.mobius.mat) if tau.reflect else tau.mobius.mat
-    _, r = np.linalg.qr(m)
-    d = np.diag(r)
-    r = (np.conj(d / np.abs(d))[:, None]) * r
-    lam = float(r[0, 0].real) ** 2
-    beta = complex(r[0, 1] / r[0, 0])
-    return ManifoldPoint(math.log(lam), beta.real, beta.imag)
+    h = m.conj().T @ m
+    beta = complex(h[0, 1] / h[0, 0])
+    return ManifoldPoint(math.log(h[0, 0].real), beta.real, beta.imag)
 
 
 def _ball_of(m: ManifoldPoint) -> np.ndarray:
@@ -130,14 +123,17 @@ def _ball_of(m: ManifoldPoint) -> np.ndarray:
 def _chart_of_ball(b: np.ndarray) -> ManifoldPoint:
     """Chart point of the extremal with center of mass tanh|b| b/|b|.
 
-    dilation(lambda) with lambda = exp(-|b|) has its center of mass at
-    tanh|b| times the north pole, and composing with a rotation R moves the
-    center of mass to R^T of it; R turns b/|b| to the north pole.
+    Its M^H M has Minkowski vector (cosh t, -sinh(t) b/t), t = |b|: lambda = cosh t - sinh(t) b3/t
+    and lambda beta = -sinh(t) (b1 + i b2)/t.  With s = t sign(b3), lambda is summed as
+    (e^-s (1 + |b3|/t) + e^s rho^2/(t (t + |b3|)))/2, rho^2 = b1^2 + b2^2, free of cancellation.
     """
-    axis = np.cross(b, [0.0, 0.0, 1.0])
-    s = float(np.linalg.norm(axis))
-    turn = rotation(axis / s if s > 0.0 else [1.0, 0.0, 0.0], math.atan2(s, b[2]))
-    return chart_params(dilation(math.exp(-np.linalg.norm(b))).compose(turn))
+    t = math.hypot(*b)
+    if t == 0.0:
+        return ManifoldPoint(0.0, 0.0, 0.0)
+    e, z = math.exp(-math.copysign(t, b[2])), abs(b[2])
+    lam = 0.5 * (e * (1.0 + z / t) + (b[0] * b[0] + b[1] * b[1]) / (e * t * (t + z)))
+    beta = -(math.sinh(t) / t) * complex(b[0], b[1]) / lam
+    return ManifoldPoint(math.log(lam), beta.real, beta.imag)
 
 
 def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -21,12 +21,14 @@ from onofri import (
     moments,
     psi_field,
     psi_values,
+    recentering_map,
     rotation,
     sqrt_jacobian_residual,
     synthesize,
     transform,
     translation_to,
 )
+from onofri.extremals import _ball_point
 from onofri.harmonics import coeff_index
 from onofri.sampling import (
     random_conformal,
@@ -120,6 +122,25 @@ def test_build_extremal_matches_quadrature(rng):
         assert abs(e.mass - mass) < 1e-12
         assert np.max(np.abs(e.com - center_of_mass(tau))) < 1e-12
         assert abs(e.normalizer + 0.5 * math.log(mass)) < 1e-12
+
+
+def test_ball_point_matches_cartan_frame(rng):
+    # the reference: b = -ln(lam) O_V^T e3 from the Cartan split
+    maps = [random_conformal(rng, allow_reflect=True) for _ in range(400)]
+    maps += [
+        identity_map(),
+        inversion(),
+        dilation(1e4),
+        recentering_map(0.3 + 0.2j, 1e-6),
+        recentering_map(0.3 + 0.2j, 1e6),
+    ]
+    for tau in maps:
+        _, lam, frame = tau._cartan()
+        ref = -math.log(lam) * frame[2]
+        b = _ball_point(tau)
+        assert np.max(np.abs(b - ref)) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+    for tau in (random_rotation(rng), rotation([1.0, -2.0, 0.5], 2.3), inversion()):
+        assert np.linalg.norm(_ball_point(tau)) <= 1e-15
 
 
 def test_build_extremal_matches_generator_closed_forms(rng):

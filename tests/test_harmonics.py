@@ -521,3 +521,13 @@ def test_no_hot_path_calls_evaluate_at(monkeypatch, rng):
     transform(u, tau, 16, grid, tail_threshold=None)
     dirichlet_invariance_check(u, tau, grid)
     stability_check(u)
+
+
+def test_lapack_has_the_banded_triangular_solve():
+    # _legendre_point needs scipy's dtbtrs; a lower-banded 3x3 system, in LAPACK band storage
+    from scipy.linalg.lapack import dtbtrs
+
+    bands = np.array([[2.0, 3.0, 4.0], [1.0, -1.0, 0.0]], order="F")  # diagonal, subdiagonal
+    x, info = dtbtrs(bands, np.array([2.0, 7.0, 4.0]), uplo="L")
+    assert info == 0
+    assert np.allclose(x, [1.0, 2.0, 1.5], rtol=0.0, atol=1e-15)

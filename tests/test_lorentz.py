@@ -76,10 +76,13 @@ def _lift_by_loop(a: MobiusMap) -> np.ndarray:
     return np.column_stack([(u1 + u2) / 2.0, (u3 + u4) / 2.0, (u3 - u4) / 2.0, (u1 - u2) / 2.0])
 
 
-def test_stacked_lift_is_the_loop_bit_for_bit(rng):
-    for _ in range(200):
+def test_closed_form_lift_matches_the_loop(rng):
+    for _ in range(500):
         a = random_unimodular(rng)
-        assert np.array_equal(lorentz_lift(a), _lift_by_loop(a))
+        ref = _lift_by_loop(a)
+        assert np.max(np.abs(lorentz_lift(a) - ref)) <= 1e-15 * np.max(np.abs(ref)) ** 2
+    assert np.array_equal(lorentz_lift(MobiusMap(-1, 0, 0, -1)), np.eye(4))
+    assert np.array_equal(lorentz_lift(MobiusMap.identity()), np.eye(4))
 
 
 def test_homomorphism(rng):

@@ -220,6 +220,36 @@ def test_cartan_factors_reproduce_map(rng):
         assert np.max(np.abs(image - tau.apply(pts))) <= 1e-14
 
 
+def _cartan_by_spinors(tau):
+    # the reference: each SVD factor's rotation from its spinor action on the basis
+    u, s, vh = np.linalg.svd(tau.mobius.mat)
+    basis = np.eye(3)
+    rot = ConformalMap(MobiusMap.from_matrix(u)).apply(basis).T
+    frame = ConformalMap(MobiusMap.from_matrix(vh), tau.reflect).apply(basis).T
+    return rot, max(float(s[0]) ** 2, 1.0), frame
+
+
+def test_cartan_lift_blocks_match_spinor_frames(rng):
+    # the spatial blocks of the closed-form lift agree with the spinor images
+    maps = [random_conformal(rng, allow_reflect=True) for _ in range(400)]
+    maps += [
+        identity_map(),
+        inversion(),
+        dilation(1e4),
+        recentering_map(0.3 + 0.2j, 1e-6),
+        recentering_map(0.3 + 0.2j, 1e6),
+        rotation([1.0, -2.0, 0.5], 2.3),
+        rotation([0.0, 0.0, 1.0], 1.0),
+        ConformalMap(rotation([1.0, 1.0, 1.0], 0.7).mobius, reflect=True),
+    ]
+    for tau in maps:
+        rot, lam, frame = tau._cartan()
+        ref_rot, ref_lam, ref_frame = _cartan_by_spinors(tau)
+        assert lam == ref_lam
+        assert np.max(np.abs(rot - ref_rot)) <= 1e-14
+        assert np.max(np.abs(frame - ref_frame)) <= 1e-14
+
+
 def test_jacobian_chart_agreement(rng):
     # the spinor evaluation agrees with the explicit chart formula on both
     # sides of the chart switch, and the two chart formulas agree in overlap

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from onofri import (
+    INFINITY,
     ConformalMap,
     ConvergenceError,
     HarmonicField,
@@ -29,6 +30,7 @@ from onofri import (
     solve_x0,
     synthesize,
     transform,
+    translation,
     translation_to,
 )
 from onofri.functionals import _compose
@@ -96,6 +98,17 @@ def test_solve_lambda0_direction():
     com = transported_com(u, recentering_map(0j, lam))
     assert np.linalg.norm(com) < 1e-12
     assert np.linalg.norm(transported_com(u, recentering_map(0j, 1.0 / lam))) > 1e-2
+
+
+def test_recentering_map_matches_translation_after_dilation():
+    for x0 in (0.3 + 0.2j, -1.5 + 2.0j, 0j):
+        for lam in (1e-6, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e6):
+            ref = translation(x0).compose(dilation(lam)).mobius.mat
+            got = recentering_map(x0, lam).mobius.mat
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for x0, lam in ((0.3 + 0.2j, 0.0), (0.3 + 0.2j, -1.0), (0.3 + 0.2j, math.nan), (INFINITY, 1.0)):
+        with pytest.raises(ValueError):
+            recentering_map(x0, lam)
 
 
 def test_lambda0_methods_agree(rng):

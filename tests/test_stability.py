@@ -17,9 +17,12 @@ from onofri import (
     dirichlet_energy,
     distance_to_manifold,
     grad_distance,
+    identity_map,
+    inversion,
     lorentz_lift,
     normalize,
     psi_field,
+    recentering_map,
     rotation,
     stability_check,
     transform,
@@ -318,6 +321,71 @@ def test_ball_chart_round_trip():
     assert np.linalg.norm(com) > 0.5
     assert np.max(np.abs(_com_of_ball(b) - com)) < 1e-10
     assert abs(math.cosh(np.linalg.norm(b)) - conformal_mass(tau)) < 1e-10
+
+
+def _chart_by_qr(tau):
+    # the reference: the QR of the (conjugated) matrix, upper factor with positive diagonal
+    m = np.conj(tau.mobius.mat) if tau.reflect else tau.mobius.mat
+    _, r = np.linalg.qr(m)
+    d = np.diag(r)
+    r = (np.conj(d / np.abs(d))[:, None]) * r
+    beta = complex(r[0, 1] / r[0, 0])
+    return np.array([math.log(float(r[0, 0].real) ** 2), beta.real, beta.imag])
+
+
+def _chart_of_ball_by_qr(b):
+    # the reference: a rotation turning b/|b| to the north pole, then dilation(e^-|b|)
+    axis = np.cross(b, [0.0, 0.0, 1.0])
+    s = float(np.linalg.norm(axis))
+    turn = rotation(axis / s if s > 0.0 else [1.0, 0.0, 0.0], math.atan2(s, b[2]))
+    return _chart_by_qr(dilation(math.exp(-np.linalg.norm(b))).compose(turn))
+
+
+def _chart_array(m):
+    return np.array([m.log_lambda, m.beta1, m.beta2])
+
+
+def test_chart_params_matches_qr(rng):
+    maps = [random_conformal(rng, allow_reflect=True) for _ in range(400)]
+    maps += [
+        identity_map(),
+        inversion(),
+        dilation(1e4),
+        recentering_map(0.3 + 0.2j, 1e-6),
+        recentering_map(0.3 + 0.2j, 1e6),
+        rotation([1.0, -2.0, 0.5], 2.3),
+    ]
+    for tau in maps:
+        ref = _chart_by_qr(tau)
+        got = _chart_array(chart_params(tau))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_chart_of_ball_matches_rotation_dilation_qr(rng):
+    points = rng.normal(size=(300, 3))
+    points *= (rng.uniform(0.0, 6.0, size=300) / np.linalg.norm(points, axis=1))[:, None]
+    edges = [np.zeros(3)] + [
+        np.array(b, dtype=float)
+        for t in (10.0, 20.0, 30.0)
+        for b in ((0.0, 0.0, t), (0.0, 0.0, -t), (1e-9, 0.0, t), (1e-9, 0.0, -t))
+    ]
+    for b in list(points) + edges:
+        ref = _chart_of_ball_by_qr(b)
+        got = _chart_array(_chart_of_ball(b))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    mpmath = pytest.importorskip("mpmath")
+    # where b/|b| is near e3, lambda = e^-t (1 + b3/t)/2 + e^t rho^2/(2 t (t + b3)) keeps
+    # the e^t term that cosh t - sinh t b3/t would cancel away; near -e3 the QR reference
+    # itself is off by 1e-6 relative in beta, within the absolute gate above
+    for t in (10.0, 20.0, 30.0, -10.0, -20.0, -30.0):
+        with mpmath.workdps(40):
+            rho, z = mpmath.mpf("1e-9"), mpmath.mpf(t)
+            r = mpmath.sqrt(rho**2 + z**2)
+            lam = mpmath.cosh(r) - mpmath.sinh(r) * z / r
+            expect = [float(mpmath.log(lam)), float(-mpmath.sinh(r) / r * rho / lam)]
+        got = _chart_of_ball(np.array([1e-9, 0.0, t]))
+        assert abs(got.log_lambda - expect[0]) <= 1e-14 * abs(expect[0])
+        assert abs(got.beta1 - expect[1]) <= 1e-14 * abs(expect[1])
 
 
 def test_ball_of_matches_lorentz_row(rng):
