@@ -5,8 +5,10 @@ and center of mass of build_extremal (closed forms read off the map's Cartan
 split) against the generator formulas and the J^(3/2) quadrature.  Then the
 normalizer identity exp(4c) = 1 - |a|^2, the pointwise sqrt-J relation, the
 Euler-Lagrange equation, and the defining property I(psi) = 0 at the
-critical coupling 2/3.  Ends with the blow-down curve showing the functional
-is unbounded below for alpha < 2/3.
+critical coupling 2/3, on psi's band-limited coefficients, which psi_field
+reads from their Funk-Hecke closed form with an exact tail, sampling no grid.
+Ends with the blow-down curve showing the functional is unbounded below for
+alpha < 2/3.
 """
 
 import math
@@ -71,12 +73,13 @@ for lam in (0.5, 2.0):
 print()
 print("== the functional vanishes on the family ==")
 for lam in (0.5, 2.0, 3.0):
-    proj = psi_field(build_extremal(dilation(lam)), 32, grid)
-    print(f"I_(2/3)(psi of dilation({lam})) = {chang_gui_value(2/3, proj.field):+.3e}")
+    proj = psi_field(build_extremal(dilation(lam)), 32)
+    print(f"I_(2/3)(psi of dilation({lam})) = {chang_gui_value(2/3, proj.field):+.3e}"
+          f"   (tail energy beyond band 32: {proj.tail_fraction:.1e})")
 
 print()
 print("== below the critical coupling the functional collapses ==")
 print("alpha = 0.6 along the dilation curve (monotone decrease, no lower bound):")
 for lam in (1.0, 2.0, 4.0, 8.0):
-    proj = psi_field(build_extremal(dilation(lam)), 40, build_grid(96))
+    proj = psi_field(build_extremal(dilation(lam)), 40)
     print(f"  lambda = {lam:4.1f}   I_0.6 = {chang_gui_value(0.6, proj.field):+.6f}")

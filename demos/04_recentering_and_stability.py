@@ -39,7 +39,7 @@ print("root-find cross-check of lambda0 agrees to", abs(lam_rf - res.lambda0))
 
 print()
 print("== re-centering an extremal flattens it ==")
-psi = psi_field(build_extremal(dilation(2.0)), 32, grid).field
+psi = psi_field(build_extremal(dilation(2.0)), 32).field  # closed form, no grid
 res = normalize(psi)
 moved = transform(psi, res.tau, 32, grid, tail_threshold=None).field
 c = moved.coeffs.copy()

@@ -283,11 +283,10 @@ def normalizer_identity(rng, policy) -> list[Row]:
 
 
 def extremal_zero_value(rng, policy) -> list[Row]:
-    grid = build_grid(72)
     worst = 0.0
     for _ in range(8):
         tau = random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
-        proj = psi_field(build_extremal(tau), 32, grid)
+        proj = psi_field(build_extremal(tau), 32)
         worst = max(worst, abs(chang_gui_value(2.0 / 3.0, proj.field, policy)))
     return [Row("extremal zero value |I(psi)|", worst, scaled(1e-8), "extremal zero value")]
 
@@ -323,8 +322,8 @@ def com_zeroing(rng, policy) -> list[Row]:
         u = random_field(rng, 8, 0.5)
         result = normalize(u, policy)
         worst_res = max(worst_res, result.residual_com_norm)
-        # normalize's residual is algebraic (the Lorentz transport of the
-        # moments); the composed quadrature of u o tau is its oracle
+        # normalize's residual is algebraic (the Lorentz transport of the moments); the composed
+        # quadrature of u o tau is its oracle on mild fields like these only (see transported_com)
         worst_oracle = max(worst_oracle, float(np.linalg.norm(transported_com(u, result.tau, policy))))
         lam_rf = solve_lambda0(u, solve_x0(u, policy), policy, method="root_find")
         worst_agree = max(worst_agree, abs(lam_rf - result.lambda0))
@@ -340,7 +339,7 @@ def classification(rng, policy) -> list[Row]:
     worst_tail = worst_dist = 0.0
     for _ in range(10):
         tau = random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
-        u = psi_field(build_extremal(tau), 32, grid).field
+        u = psi_field(build_extremal(tau), 32).field
         result = normalize(u, policy)
         moved = transform(u, result.tau, 32, grid, tail_threshold=None).field
         c = moved.coeffs.copy()
@@ -363,7 +362,7 @@ def stability_certificate(rng, policy) -> list[Row]:
     worst_manifold = 0.0
     for lam, beta in ((2.0, 0j), (0.7, 0.4 - 0.2j)):
         tau = dilation(lam).compose(translation(beta))
-        u = psi_field(build_extremal(tau), 32, grid).field
+        u = psi_field(build_extremal(tau), 32).field
         rep = stability_check(u, 32, grid, policy)
         worst_manifold = max(worst_manifold, abs(rep.deficit), rep.distance)
     return [

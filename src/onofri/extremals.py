@@ -6,6 +6,14 @@ normalizer c = -(1/2) ln(mass) makes exp(2 psi) integrate to 1.  These
 quantities satisfy two exact identities checked throughout the suite:
 exp(4c) = 1 - |a|^2, and sqrt(J(w)) = mass * (1 - |a|^2) / (1 - a.w).
 `build_extremal` has all three in closed form; the quadrature is the oracle.
+
+So has psi's expansion (`psi_field`).  The second identity makes psi equal to
+-(3/2) ln(1 - a.w) plus a constant, so by Funk-Hecke its coefficients of degree
+l >= 1 are g_l(r) Y_lm(a/r), r = |a|, with Q_n the Legendre function of the
+second kind and g_l(r) = -(3/2) (Q_{l+1}(1/r) - Q_{l-1}(1/r)) / (2l + 1).  With
+t = atanh(r), psi's gradient energy is (9/2)(t coth t - 1), and as the sharp
+functional vanishes on psi, its mean is c less a third of that.  The quadrature
+of psi's samples is their oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import scaled
-from .harmonics import Projection, laplacian, project_samples, synthesize
+from .harmonics import HarmonicField, Projection, _harmonic_slopes, _layout, dirichlet_energy
+from .harmonics import laplacian, synthesize
 from .mobius import ConformalMap, _lift
 from .sphere import (
     DEFAULT_POLICY,
@@ -126,6 +135,49 @@ def _ball_point(tau: ConformalMap) -> np.ndarray:
     return -math.asinh(s) / s * q if s > 0.0 else np.zeros(3)
 
 
+def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """g_l(tanh t) and dg_l/dt for l = 0..l_max and t > 0, with g_0 = 0.
+
+    Q_0(coth t) = t, and the Q_n decay like exp(-n xi), xi = acosh(coth t).
+    Where they decay over the band (xi (l_max + 2) >= 1) the ratios
+    Q_n/Q_{n-1} come from the continued fraction of the recurrence, run
+    backward from the asymptotic ratio exp(-xi) for 20/xi steps beyond the
+    band, so that the error dies out.  Nearer the sphere they barely decay,
+    and the forward recurrence loses at most a factor exp(2 xi (l_max + 2))
+    to rounding; so no t costs more than O(l_max) steps.  The derivative
+    follows from (2l+1) Q_l = Q'_{l+1} - Q'_{l-1} and coth' = -1/sinh^2.
+    """
+    z = 1.0 / math.tanh(t)
+    delta = 2.0 * math.exp(-2.0 * t) / -math.expm1(-2.0 * t)  # z - 1, never overflowing
+    xi = math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
+    q = np.empty(l_max + 2)  # Q_0 .. Q_{l_max+1}
+    if xi * (l_max + 2) < 1.0:
+        q[0], q[1] = t, (t - 1.0) + delta * t
+        for n in range(1, l_max + 1):
+            q[n + 1] = ((2 * n + 1) * z * q[n] - n * q[n - 1]) / (n + 1)
+    else:
+        h = math.exp(-xi)
+        for n in range(l_max + 2 + math.ceil(20.0 / xi), 0, -1):
+            h = n / ((2 * n + 1) * z - (n + 1) * h)
+            if n <= l_max + 1:
+                q[n] = h
+        q[0] = 1.0
+        q = t * np.cumprod(q)
+    l = np.arange(1, l_max + 1)
+    g, dg = np.zeros(l_max + 1), np.zeros(l_max + 1)
+    g[1:] = -1.5 * (q[2:] - q[:-2]) / (2 * l + 1)
+    dg[1:] = 1.5 * q[1:-1] * delta * (2.0 + delta)  # z^2 - 1 = 1/sinh^2 t
+    return g, dg
+
+
+def _psi_energy(t: float) -> tuple[float, float]:
+    """Gradient energy (9/2)(t coth t - 1) of psi at |b| = t, and its t-derivative."""
+    if t < 1e-3:  # series, where the closed forms cancel
+        return 1.5 * t * t * (1.0 - t * t / 15.0), 3.0 * t * (1.0 - 2.0 * t * t / 15.0)
+    csch = 2.0 * math.exp(-t) / -math.expm1(-2.0 * t)
+    return 4.5 * (t / math.tanh(t) - 1.0), 4.5 * (1.0 / math.tanh(t) - t * csch * csch)
+
+
 @dataclass(frozen=True)
 class Extremal:
     """A conformal map with cached mass, center of mass and normalizer."""
@@ -168,16 +220,22 @@ def _psi_of_jacobian(e: Extremal, jac: np.ndarray) -> np.ndarray:
 def psi_field(
     e: Extremal,
     l_max: int,
-    grid: SphericalGrid,
+    grid: SphericalGrid | None = None,
     tail_threshold: float | None = 1e-6,
 ) -> Projection:
-    """Band-limited projection of psi plus its tail-energy fraction."""
-    proj = project_samples(psi_values(e, grid.nodes), grid, l_max)
-    if tail_threshold is not None and proj.tail_fraction > scaled(tail_threshold):
-        raise ConvergenceError(
-            f"psi tail energy fraction {proj.tail_fraction:.3e} exceeds threshold"
-        )
-    return proj
+    """Band-limited coefficients of psi in closed form, with its exact tail-energy fraction;
+    ``grid`` is accepted for callers that pass one by position and is unused."""
+    b = _ball_point(e.tau)
+    t = math.hypot(*b)
+    energy, coeffs = _psi_energy(t)[0], np.zeros((l_max + 1) ** 2)
+    if t > 0.0:
+        coeffs = _g(l_max, t)[0][_layout(l_max).degrees] * _harmonic_slopes(b / t, l_max)[0][0]
+    coeffs[0] = e.normalizer - energy / 3.0
+    field = HarmonicField(l_max, coeffs)
+    frac = max(energy - dirichlet_energy(field), 0.0) / energy if energy > 1e-18 else 0.0
+    if tail_threshold is not None and frac > scaled(tail_threshold):
+        raise ConvergenceError(f"psi tail energy fraction {frac:.3e} exceeds threshold")
+    return Projection(field, frac)
 
 
 def sqrt_jacobian_residual(e: Extremal, grid: SphericalGrid) -> float:
@@ -192,10 +250,10 @@ def sqrt_jacobian_residual(e: Extremal, grid: SphericalGrid) -> float:
 def euler_lagrange_residual(e: Extremal, l_max: int, grid: SphericalGrid) -> float:
     """Sup-norm residual of (2/3) Lap(psi) + (1 - a.w)/(1 - |a|^2) e^{2 psi} - 1.
 
-    The Laplacian acts on the band-limited projection (the only truncation in
-    play); the exponential uses exact psi samples.
+    The Laplacian acts on psi's band-limited coefficients (the only truncation
+    in play); the exponential uses exact psi samples.
     """
-    proj = psi_field(e, l_max, grid, tail_threshold=None)
+    proj = psi_field(e, l_max, tail_threshold=None)
     lap = synthesize(laplacian(proj.field), grid).samples
     nodes = grid.nodes
     a2 = float(e.com @ e.com)

@@ -209,7 +209,7 @@ class GridField:
 
 
 class Projection(NamedTuple):
-    """A band-limited projection plus its estimated relative tail energy."""
+    """A band-limited field and its relative tail energy: exact from psi_field, estimated by project_samples."""
 
     field: HarmonicField
     tail_fraction: float
@@ -565,6 +565,8 @@ def project_samples(
     Fields whose entire energy sits at rounding scale (e.g. the zero field,
     or ln J of an isometry) report a zero tail.
     """
+    if grid.band_limit_exact < l_max:
+        raise ValueError(f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}")
     L2 = min(2 * l_max, grid.band_limit_exact)
     wide = analyze(GridField(grid, samples), L2)
     field = wide.to_lmax(l_max)

@@ -62,10 +62,10 @@ def lorentz_lift(a: MobiusMap) -> np.ndarray:
     """
     L = _lift(a.mat)
     scale = 1.0 + float(np.abs(L).max()) ** 2
-    tol = 1e-11 * scale
-    if np.max(np.abs(L.T @ ETA @ L - ETA)) > tol:
+    res = lorentz_residuals(L)
+    if res["metric"] > 1e-11 * scale:
         raise ArithmeticError("lift does not preserve the Lorentzian form")
-    if abs(np.linalg.det(L) - 1.0) > tol or L[0, 0] < 1.0 - 1e-12 * scale:
+    if res["det"] > 1e-11 * scale or res["orthochronous"] > 1e-12 * scale:
         raise ArithmeticError("lift is not proper orthochronous")
     return L
 

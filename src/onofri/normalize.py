@@ -201,8 +201,9 @@ def transported_com(
 
     u o tau is synthesized exactly for the stored expansion (see
     ``functionals._Composition``), so the residual is limited by quadrature
-    alone.  ``normalize`` does not call it; it is the checks' oracle for the
-    Lorentz transport of the moments.
+    alone.  ``normalize`` does not call it; it is the checks' oracle for the Lorentz transport
+    of the moments, on mild fields only (criterion 8's band 8, amplitude 0.5): a band-32 field of
+    amplitude 2.6 reads 2.5e-6 at 1,024 theta nodes, where its tau's Lorentz residual is 5.2e-14.
     """
     comp = _compose(u, tau)
     com, _ = _tight(policy).refine(lambda g: _composed_com(comp, g), "transported center of mass", u.l_max)

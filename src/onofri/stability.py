@@ -1,16 +1,8 @@
 """Distance to the extremal family and the quantitative stability certificate.
 
-Every extremal is psi = (3/4) ln J_tau + c, and the identity
-sqrt(J) = M (1 - |a|^2) / (1 - a.w) makes psi = -(3/2) ln(1 - a.w) modulo
-constants, where a, the center of mass, is a point of the open unit ball
-that fixes the extremal.  By Funk-Hecke the coefficients of psi are
-g_l(r) Y_lm(a/r) with r = |a| and
-
-    g_l(r) = -(3/2) (Q_{l+1}(1/r) - Q_{l-1}(1/r)) / (2l + 1),
-
-Q_n the Legendre function of the second kind.  In the hyperbolic coordinate
-b = atanh(r) a/r, t = |b|, the gradient energy of psi is (9/2)(t coth t - 1)
-in closed form, so the gradient distance from a band-L field u to psi,
+With psi's coefficients g_l(tanh t) Y_lm(b/t) and gradient energy
+(9/2)(t coth t - 1) in closed form (see :mod:`onofri.extremals`), the
+gradient distance from a band-L field u to psi,
 
     d(b) = E(u) - 2 sum_{l<=L} l(l+1) g_l(tanh t) u_l(b/t) + (9/2)(t coth t - 1),
 
@@ -52,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import scaled
-from .extremals import _ball_point
+from .extremals import _ball_point, _g, _psi_energy
 from .harmonics import HarmonicField, _degree_parts, _harmonic_slopes, _layout
 from .mobius import ConformalMap, MobiusMap
 from .sphere import (
@@ -134,49 +126,6 @@ def _chart_of_ball(b: np.ndarray) -> ManifoldPoint:
     lam = 0.5 * (e * (1.0 + z / t) + (b[0] * b[0] + b[1] * b[1]) / (e * t * (t + z)))
     beta = -(math.sinh(t) / t) * complex(b[0], b[1]) / lam
     return ManifoldPoint(math.log(lam), beta.real, beta.imag)
-
-
-def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """g_l(tanh t) and dg_l/dt for l = 0..l_max and t > 0, with g_0 = 0.
-
-    Q_0(coth t) = t, and the Q_n decay like exp(-n xi), xi = acosh(coth t).
-    Where they decay over the band (xi (l_max + 2) >= 1) the ratios
-    Q_n/Q_{n-1} come from the continued fraction of the recurrence, run
-    backward from the asymptotic ratio exp(-xi) for 20/xi steps beyond the
-    band, so that the error dies out.  Nearer the sphere they barely decay,
-    and the forward recurrence loses at most a factor exp(2 xi (l_max + 2))
-    to rounding; so no t costs more than O(l_max) steps.  The derivative
-    follows from (2l+1) Q_l = Q'_{l+1} - Q'_{l-1} and coth' = -1/sinh^2.
-    """
-    z = 1.0 / math.tanh(t)
-    delta = 2.0 * math.exp(-2.0 * t) / -math.expm1(-2.0 * t)  # z - 1, never overflowing
-    xi = math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
-    q = np.empty(l_max + 2)  # Q_0 .. Q_{l_max+1}
-    if xi * (l_max + 2) < 1.0:
-        q[0], q[1] = t, (t - 1.0) + delta * t
-        for n in range(1, l_max + 1):
-            q[n + 1] = ((2 * n + 1) * z * q[n] - n * q[n - 1]) / (n + 1)
-    else:
-        h = math.exp(-xi)
-        for n in range(l_max + 2 + math.ceil(20.0 / xi), 0, -1):
-            h = n / ((2 * n + 1) * z - (n + 1) * h)
-            if n <= l_max + 1:
-                q[n] = h
-        q[0] = 1.0
-        q = t * np.cumprod(q)
-    l = np.arange(1, l_max + 1)
-    g, dg = np.zeros(l_max + 1), np.zeros(l_max + 1)
-    g[1:] = -1.5 * (q[2:] - q[:-2]) / (2 * l + 1)
-    dg[1:] = 1.5 * q[1:-1] * delta * (2.0 + delta)  # z^2 - 1 = 1/sinh^2 t
-    return g, dg
-
-
-def _psi_energy(t: float) -> tuple[float, float]:
-    """Gradient energy (9/2)(t coth t - 1) of psi at |b| = t, and its t-derivative."""
-    if t < 1e-3:  # series, where the closed forms cancel
-        return 1.5 * t * t * (1.0 - t * t / 15.0), 3.0 * t * (1.0 - 2.0 * t * t / 15.0)
-    csch = 2.0 * math.exp(-t) / -math.expm1(-2.0 * t)
-    return 4.5 * (t / math.tanh(t) - 1.0), 4.5 * (1.0 / math.tanh(t) - t * csch * csch)
 
 
 def _distance(c: np.ndarray, b: np.ndarray, l_max: int) -> tuple[float, float, np.ndarray]:

@@ -28,6 +28,7 @@ from onofri import (
     transform,
     translation_to,
 )
+from onofri import harmonics
 from onofri.extremals import _ball_point
 from onofri.harmonics import coeff_index
 from onofri.sampling import (
@@ -196,6 +197,21 @@ def test_psi_field_identity(grid48):
     proj = psi_field(build_extremal(identity_map()), 8, grid48)
     assert np.max(np.abs(proj.field.coeffs)) < 1e-14
     assert proj.tail_fraction == 0.0
+
+
+def test_psi_field_samples_no_grid(monkeypatch, rng):
+    # the quadrature of psi's samples is the tests' reference alone
+    taus = [identity_map(), dilation(50.0), random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)]
+    extremals = [build_extremal(tau) for tau in taus]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("psi_field sampled a grid")
+
+    monkeypatch.setattr(harmonics, "project_samples", forbidden)
+    monkeypatch.setattr(harmonics, "analyze", forbidden)
+    monkeypatch.setattr(ConformalMap, "jacobian", forbidden)
+    for e in extremals:
+        assert psi_field(e, 32, tail_threshold=None).field.l_max == 32
 
 
 def test_psi_field_zonal(grid72):

@@ -118,6 +118,15 @@ def test_transform_tail_gate(grid48, rng):
         transform(u, dilation(4.0), 8, grid48, tail_threshold=1e-10)
 
 
+def test_transform_refuses_a_grid_below_the_band(grid16, grid72):
+    # on build_grid(16) the band-32 tail slice would be empty and read 0, passing the gate
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    with pytest.raises(ValueError, match="grid resolves band 16 < requested l_max 32"):
+        transform(u, dilation(3.0), 32, grid16)
+    with pytest.raises(ConvergenceError):
+        transform(u, dilation(3.0), 32, grid72)
+
+
 def test_conformal_invariance(grid104, rng):
     worst = 0.0
     for _ in range(3):

@@ -15,6 +15,7 @@ from onofri import (
     minkowski_of,
     quadratic_form,
 )
+from onofri import lorentz
 from onofri.lorentz import ETA
 from onofri.sampling import random_unimodular, random_unit_vector
 
@@ -74,6 +75,21 @@ def _lift_by_loop(a: MobiusMap) -> np.ndarray:
     m = a.mat
     u1, u2, u3, u4 = [minkowski_of(m @ hermitian_of(b) @ m.conj().T) for b in basis]
     return np.column_stack([(u1 + u2) / 2.0, (u3 + u4) / 2.0, (u3 - u4) / 2.0, (u1 - u2) / 2.0])
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (2.0 * np.eye(4), "does not preserve the Lorentzian form"),
+        (np.diag([1.0, 1.0, 1.0, -1.0]), "is not proper orthochronous"),  # det -1
+        (np.diag([-1.0, -1.0, 1.0, 1.0]), "is not proper orthochronous"),  # L00 = -1
+    ],
+)
+def test_lift_raises_on_each_broken_invariant(monkeypatch, broken, message):
+    # the closed-form entries carry no check of their own; lorentz_lift's raises do
+    monkeypatch.setattr(lorentz, "_lift", lambda m: broken)
+    with pytest.raises(ArithmeticError, match=message):
+        lorentz_lift(MobiusMap.identity())
 
 
 def test_closed_form_lift_matches_the_loop(rng):

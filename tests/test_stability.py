@@ -18,10 +18,12 @@ from onofri import (
     distance_to_manifold,
     grad_distance,
     identity_map,
+    integrate,
     inversion,
     lorentz_lift,
     normalize,
     psi_field,
+    psi_values,
     recentering_map,
     rotation,
     stability_check,
@@ -29,7 +31,7 @@ from onofri import (
     translation,
 )
 from onofri import stability
-from onofri.harmonics import _degree_parts, _layout, harmonic_gradients_at, synthesize
+from onofri.harmonics import _degree_parts, _layout, project_samples, synthesize
 from onofri.sampling import random_conformal, random_field, random_rotation
 from onofri.sphere import SphericalGrid
 from onofri.stability import (
@@ -235,7 +237,7 @@ def test_stability_far_out_extremal(grid72):
     rep = stability_check(u, 32, grid72)
     assert rep.slack >= 0.0
     assert rep.trace["converged"]
-    # the grid-72 projection of psi aliases its tail, which moves the argmin
+    # psi's energy beyond band 32 stays in d, and its slope moves the argmin
     # off ln 20; it must score no worse than the extremal's own point
     start = _ball_of(chart_params(dilation(20.0)))
     assert rep.distance <= _whole_distance(u, 32, start)
@@ -283,23 +285,31 @@ def test_g_limit_at_the_sphere():
     assert _g(40, 30.0)[0][1:] == pytest.approx(limit, rel=1e-11)
 
 
-def _ball_psi(b, l_max):
-    # coefficients of -(3/2) ln(1 - a.w), a = tanh|b| b/|b|, with the l = 0 slot zeroed
-    t = float(np.linalg.norm(b))
-    if t == 0.0:
-        return np.zeros((l_max + 1) ** 2)
-    return _g(l_max, t)[0][_layout(l_max).degrees] * harmonic_gradients_at(b / t, l_max)[0]
-
-
 def test_closed_form_psi_coefficients(rng):
+    # psi_field's closed form against the quadrature of psi's samples, the mean included; the
+    # reference tail is the quadrature's band energy against that of |grad psi|^2, which is
+    # (9/4)(|a|^2 - (a.w)^2)/(1 - a.w)^2 as psi = -(3/2) ln(1 - a.w) + const
     grid = build_grid(300)
+    reflected = ConformalMap(translation(0.4 - 0.3j).compose(dilation(1.7)).mobius, reflect=True)
+    # at dilation(50) psi's coefficients fall only like exp(-0.04 l), and the reference
+    # aliases at 1.3e-13; the closed form is within 2e-14 of mpmath there
+    cases = [(identity_map(), 1e-14), (reflected, 1e-14), (dilation(50.0), 3e-13)]
     for _ in range(3):
         b = rng.normal(size=3)
-        b *= rng.uniform(0.2, 2.0) / np.linalg.norm(b)
-        e = build_extremal(_chart_of_ball(b).to_map())
-        quad = psi_field(e, 32, grid, tail_threshold=None).field.coeffs.copy()
-        quad[0] = 0.0
-        assert np.max(np.abs(quad - _ball_psi(b, 32))) < 1e-12
+        b *= rng.uniform(1.5, 2.5) / np.linalg.norm(b)
+        cases.append((_chart_of_ball(b).to_map(), 1e-14))
+    for tau, tol in cases:
+        e = build_extremal(tau)
+        proj = psi_field(e, 32, tail_threshold=None)
+        quad = project_samples(psi_values(e, grid.nodes), grid, 32).field
+        assert np.max(np.abs(proj.field.coeffs - quad.coeffs)) < tol
+        aw = grid.nodes @ e.com
+        energy = integrate(grid, 2.25 * (e.com @ e.com - aw * aw) / (1.0 - aw) ** 2)
+        tail = 1.0 - dirichlet_energy(quad) / energy if energy > 0.0 else 0.0
+        if max(tail, proj.tail_fraction) > 1e-12:
+            assert proj.tail_fraction == pytest.approx(tail, rel=1e-2)
+        else:
+            assert abs(tail) <= 1e-12 and proj.tail_fraction <= 1e-12
 
 
 def _com_of_ball(b):
