@@ -169,8 +169,8 @@ class _Composition(NamedTuple):
         """u(tau(O_V^T g)) at the nodes g of ``grid``, and J_tau there per theta row.
 
         The dilation keeps every azimuth and moves cos(theta) alone, so the
-        samples are one synthesis from the Legendre table at the image of one
-        meridian, and the Jacobian is zonal.
+        samples are one synthesis from the order-major Legendre table at the
+        image of one meridian, and the Jacobian is zonal.
         """
         t = grid.cos_theta
         meridian = np.stack([np.sqrt(np.maximum(1.0 - t * t, 0.0)), np.zeros_like(t), t], axis=-1)

@@ -27,6 +27,7 @@ from onofri import (
     transform,
 )
 from onofri import harmonics
+from onofri.functionals import _compose
 from onofri.harmonics import (
     _azimuth_tables,
     _grid_table,
@@ -37,7 +38,7 @@ from onofri.harmonics import (
     harmonic_gradients_at,
 )
 from onofri.sampling import random_conformal, random_field
-from onofri.sphere import SphericalGrid
+from onofri.sphere import SphericalGrid, _make_grid
 
 
 def w3_field():
@@ -261,13 +262,12 @@ def test_layout_cached_read_only():
     assert HarmonicField.zero(7).degrees() is lay.degrees
     for arr in lay:
         assert not arr.flags.writeable
-    rows = [(l, m) for l in range(8) for m in range(l + 1)]
-    assert lay.pos.tolist() == [coeff_index(l, m) for l, m in rows]
-    assert lay.neg.tolist() == [coeff_index(l, -m) for l, m in rows]
-    expected = np.zeros((8, len(rows)))
-    for r, (_, m) in enumerate(rows):
-        expected[m, r] = 1.0 if m == 0 else math.sqrt(2.0)
-    assert np.array_equal(lay.sum_m, expected)
+    # flat slot (l, m) sits at [|m|, m < 0, l] of an order-major (8, 2, 8) array
+    slots = [(l, m) for l in range(8) for m in range(-l, l + 1)]
+    assert [coeff_index(l, m) for l, m in slots] == list(range(64))
+    expected = [np.ravel_multi_index((abs(m), int(m < 0), l), (8, 2, 8)) for l, m in slots]
+    assert lay.slots.tolist() == expected
+    assert np.array_equal(lay.scale, [1.0 if m == 0 else math.sqrt(2.0) for _, m in slots])
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 8, 32, 64])
@@ -334,7 +334,11 @@ def _legendre_loop(l_max, t):
 def test_legendre_table_matches_pairwise_loop(rng):
     t = np.cos(rng.uniform(0.0, math.pi, 40))
     for l_max in (0, 1, 2, 7, 33):
-        assert np.array_equal(_legendre_table(l_max, t), _legendre_loop(l_max, t))
+        table = _legendre_table(l_max, t)
+        assert table.shape == (l_max + 1, l_max + 1, t.size)
+        l, m = np.tril_indices(l_max + 1)  # the loop's rows
+        assert np.array_equal(table[m, l], _legendre_loop(l_max, t))
+        assert np.all(table[np.tril_indices(l_max + 1, -1)] == 0.0)  # l < m
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 7, 33, 65])
@@ -346,11 +350,11 @@ def test_legendre_point_matches_table(rng, l_max):
     w /= np.linalg.norm(w, axis=1)[:, None]
     points = [(p[2], math.hypot(p[0], p[1])) for p in w]
     points += [(z * math.sqrt(1.0 - s * s), s) for s in (1e-9, 1e-200, 0.0) for z in (1.0, -1.0)]
+    l, m = np.tril_indices(l_max + 1)  # the point's rows
     for t, s in points:
-        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[:, 0]
+        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[m, l, 0]
         got = harmonics._legendre_point(l_max, t, s)
         assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
-    _, m = np.tril_indices(l_max + 1)
     for pole in (1.0, -1.0):
         assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[m > 0] == 0.0)
 
@@ -379,6 +383,51 @@ def test_grid_table_keyed_on_abscissas(grid16, rng):
     table = _grid_table(8, t.tobytes())
     assert np.array_equal(table, _legendre_table(8, t))
     assert not table.flags.writeable
+
+
+def _dense_analyze(g, l_max):
+    # the dense contraction analyze ran before its tables were order-major:
+    # every row of a (l, m >= 0) table against every order's azimuthal sums,
+    # keeping the diagonal through a (m, rows) matrix that sums rows of equal m
+    grid = g.grid
+    table = _legendre_loop(l_max, grid.cos_theta)
+    l, m = np.tril_indices(l_max + 1)
+    sum_m = np.zeros((l_max + 1, l.size))
+    sum_m[m, np.arange(l.size)] = np.where(m == 0, 1.0, math.sqrt(2.0))
+    f2d = g.samples.reshape(grid.theta_count, grid.phi_count)
+    cos_t, sin_t = _azimuth_tables(grid, l_max)
+    wt = grid.theta_weights[:, None] / (2.0 * grid.phi_count)
+    coeffs = np.empty((l_max + 1) ** 2)
+    coeffs[l * l + l - m] = np.einsum("rm,mr->r", table @ (wt * (f2d @ sin_t.T)), sum_m)
+    coeffs[l * l + l + m] = np.einsum("rm,mr->r", table @ (wt * (f2d @ cos_t.T)), sum_m)
+    return coeffs
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 8, 32, 64])
+def test_analyze_matches_dense_contraction(rng, l_max):
+    # canonical grids and a hand-built one with unequal node counts, on samples
+    # that are not band-limited
+    for grid in (build_grid(max(l_max, 1)), _make_grid(l_max + 3, 2 * l_max + 7)):
+        g = GridField(grid, rng.standard_normal(grid.node_count))
+        got = analyze(g, l_max).coeffs
+        expect = _dense_analyze(g, l_max)
+        assert np.max(np.abs(got - expect)) <= 1e-15 * max(1.0, np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 8, 32])
+def test_synthesis_matches_evaluate_at(rng, l_max):
+    # synthesize at the grid's abscissas, and a composition's samples at the
+    # abscissas a dilation maps the meridian to
+    u = random_field(rng, l_max, 0.5)
+    grid = build_grid(max(l_max, 1))
+    expect = evaluate_at(u, grid.nodes)
+    got = synthesize(u, grid).samples
+    assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+    for _ in range(3):
+        comp = _compose(u, random_conformal(rng, allow_reflect=True))
+        expect = evaluate_at(comp.field, dilation(comp.lam).apply(grid.nodes))
+        got = comp.samples(grid)[0]
+        assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
 
 
 def test_field_json_round_trip(rng):
