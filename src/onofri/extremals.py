@@ -146,6 +146,9 @@ def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     and the forward recurrence loses at most a factor exp(2 xi (l_max + 2))
     to rounding; so no t costs more than O(l_max) steps.  The derivative
     follows from (2l+1) Q_l = Q'_{l+1} - Q'_{l-1} and coth' = -1/sinh^2.
+    For t >= 1, g_1 comes from the closed form Q_2 - Q_0 = (3/2)((z^2 - 1) Q_0 - z):
+    2e-16 relative, where the ratios give 1.5e-14 (band 32, t = ln 50).  Below
+    t = 1 the closed form cancels (3e-14 at t = 0.05), and the ratios stay.
     """
     z = 1.0 / math.tanh(t)
     delta = 2.0 * math.exp(-2.0 * t) / -math.expm1(-2.0 * t)  # z - 1, never overflowing
@@ -167,6 +170,8 @@ def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     g, dg = np.zeros(l_max + 1), np.zeros(l_max + 1)
     g[1:] = -1.5 * (q[2:] - q[:-2]) / (2 * l + 1)
     dg[1:] = 1.5 * q[1:-1] * delta * (2.0 + delta)  # z^2 - 1 = 1/sinh^2 t
+    if l_max >= 1 and t >= 1.0:
+        g[1] = 0.75 * (z - delta * (2.0 + delta) * t)
     return g, dg
 
 

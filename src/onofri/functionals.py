@@ -14,6 +14,7 @@ psi = (3/4) ln J + c, which transform() transports fields along.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -75,7 +76,21 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
     the policy's relative tolerance.  They refine e^{2(u - mean)}, whose mass is
     at least 1 by Jensen, so that tolerance is relative however small e^{2u} is.
     Raises ConvergenceError if the values are still moving at the theta cap.
+
+    The result is kept under the key (u.l_max, the bytes of u.coeffs, policy),
+    for the last 4 keys: a second call with an equal field and an equal policy
+    (a frozen dataclass, compared by value) returns the first call's moments,
+    so the sharp and classical functionals of one field share one quadrature,
+    as do ``normalize``, ``solve_x0`` and ``solve_lambda0``.  Its ``moment``
+    and ``delta`` are read-only.  A ConvergenceError is never kept: every call
+    that fails runs the quadrature again.
     """
+    return _exp_moments(u.l_max, u.coeffs.tobytes(), policy)
+
+
+@functools.lru_cache(maxsize=4)
+def _exp_moments(l_max: int, coeffs: bytes, policy: RefinementPolicy) -> ExpMoments:
+    u = HarmonicField(l_max, np.frombuffer(coeffs))
     mean = u.mean()
     last = []  # the values on the last two grids
 
@@ -86,7 +101,10 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
     v, grid = policy.refine(func, "exponential moments", min_band=u.l_max)
     scale = math.exp(2.0 * mean)
     v = v * scale
-    return ExpMoments(float(v[0]), v[1:], grid, (last[1] - last[0]) * scale)
+    delta = (last[1] - last[0]) * scale
+    v.setflags(write=False)
+    delta.setflags(write=False)
+    return ExpMoments(float(v[0]), v[1:], grid, delta)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,14 @@ def _azimuth_table(l_max: int, phi: bytes) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@functools.lru_cache(maxsize=25)
+def _azimuth_rows(l_max: int, phi: bytes) -> np.ndarray:
+    """Read-only cos(m phi) and sin(m phi) interleaved, as rows 2m and 2m + 1, m = 0..l_max."""
+    rows = np.stack(_azimuth_table(l_max, phi), axis=1).reshape(2 * (l_max + 1), -1)
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class HarmonicField:
     """Real function on the sphere given by coefficients up to degree l_max."""
@@ -237,10 +245,12 @@ def _synthesis(f: HarmonicField, table: np.ndarray, grid: SphericalGrid) -> np.n
     ``table``: a band-``f.l_max`` :func:`_legendre_table` at any abscissas.
     One product per order m gives A[m] = s_m sum_l c(l, m) P(l, m) and
     B[m] = s_m sum_l c(l, -m) P(l, m); B[0] is zero and meets sin(0 phi) = 0.
+    Read as rows (A[0], B[0], A[1], ...), they meet the interleaved azimuth
+    rows in one product.
     """
     AB = _by_order(f.coeffs, f.l_max) @ table  # (m, part, theta)
-    cos_t, sin_t = _azimuth_tables(grid, f.l_max)
-    return (AB[:, 0].T @ cos_t + AB[:, 1].T @ sin_t).reshape(-1)
+    rows = _azimuth_rows(f.l_max, grid.phi.tobytes())
+    return (AB.reshape(-1, table.shape[-1]).T @ rows).reshape(-1)
 
 
 def _degree_parts(coeffs: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:

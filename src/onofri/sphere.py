@@ -222,7 +222,9 @@ def _node(grid: SphericalGrid, index: int) -> np.ndarray:
     return _ring_nodes(grid.cos_theta[i : i + 1], grid.phi)[0, j]
 
 
+@functools.lru_cache(maxsize=65)
 def _make_grid(n_theta: int, n_phi: int) -> SphericalGrid:
+    """The (read-only, shared) grid of ``n_theta`` Gauss-Legendre rows by ``n_phi`` azimuths."""
     t, wt = _leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     # Products of two degree-L fields need theta-degree 2L <= 2*n_theta - 1

@@ -190,15 +190,16 @@ def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
     for start in range(0, _SCAN_T.size, _SCAN_BLOCK):
         w = weights[start : start + _SCAN_BLOCK]
         block = values[: len(w)]
-        np.matmul(w, parts, out=block)
-        block *= -2.0
-        block += psi_energy[start : start + len(w), None]
-        k = int(np.argmin(block))
-        if block.flat[k] < best:
-            best, found = float(block.flat[k]), start * grid.node_count + k
+        # -2 w scales exactly, so this is bit for bit -2 (w @ parts)
+        np.matmul(-2.0 * w, parts, out=block)
+        nodes = np.argmin(block, axis=1)
+        least = block[np.arange(len(w)), nodes] + psi_energy[start : start + len(w)]
+        i = int(np.argmin(least))
+        if least[i] < best:
+            best, found = float(least[i]), (start + i, int(nodes[i]))
     if found is None:
         return np.zeros(3)
-    i_t, index = divmod(found, grid.node_count)
+    i_t, index = found
     return _SCAN_T[i_t] * _node(grid, index)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from onofri import build_grid
+from onofri import RefinementPolicy, build_grid
+from onofri.functionals import _exp_moments
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +28,18 @@ def grid104():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """The policies of the RefinementPolicy.refine calls a test makes, from an empty moments cache."""
+    calls = []
+    refine = RefinementPolicy.refine
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return refine(self, *args, **kwargs)
+
+    monkeypatch.setattr(RefinementPolicy, "refine", counted)
+    _exp_moments.cache_clear()  # no moments kept from an earlier test
+    return calls

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from onofri import (
     transform,
 )
 from onofri.sampling import random_conformal, random_field
-from onofri.sphere import ConvergenceError, RefinementPolicy
+from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy
 
 
 def w3_times(eps):
@@ -80,6 +81,52 @@ def test_nonconvergence_raises(rng):
         chang_gui_report(1.0, u, policy=starved)
     with pytest.raises(ConvergenceError, match="theta cap 9"):
         exp_moments(u, starved)
+
+
+def test_exp_moments_shared_by_equal_fields_and_policies(refine_calls, rng):
+    u = random_field(rng, 4, 0.6)
+    first = exp_moments(u)
+    assert exp_moments(HarmonicField(u.l_max, u.coeffs.copy())) is first
+    assert exp_moments(u, replace(DEFAULT_POLICY)) is first
+    assert len(refine_calls) == 1
+    # a different tolerance or cap is a different quadrature
+    assert exp_moments(u, RefinementPolicy(rtol=1e-10)) is not first
+    assert exp_moments(u, RefinementPolicy(theta_cap=400)) is not first
+    assert len(refine_calls) == 3
+    # the two functionals of one field share one quadrature
+    refine_calls.clear()
+    v = random_field(rng, 4, 0.6)
+    chang_gui_report(1.0, v)
+    onofri_value(1.0, v)
+    assert len(refine_calls) == 1
+
+
+def test_exp_moments_keeps_four_fields(rng):
+    u, *others = (random_field(rng, 2, 0.5) for _ in range(8))
+    first = exp_moments(u)
+    for v in others[:3]:
+        exp_moments(v)
+    assert exp_moments(u) is first
+    for v in others[3:]:
+        exp_moments(v)
+    assert exp_moments(u) is not first
+
+
+def test_exp_moments_read_only(rng):
+    mom = exp_moments(random_field(rng, 3, 0.5))
+    for arr in (mom.moment, mom.delta):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_exp_moments_errors_not_kept(refine_calls, rng):
+    u = random_field(rng, 5, 0.4)
+    starved = RefinementPolicy(theta_cap=9)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="theta cap 9"):
+            exp_moments(u, starved)
+    assert len(refine_calls) == 2
 
 
 def test_exp_moments_constant():

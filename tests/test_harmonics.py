@@ -29,6 +29,7 @@ from onofri import (
 from onofri import harmonics
 from onofri.functionals import _compose
 from onofri.harmonics import (
+    _azimuth_rows,
     _azimuth_tables,
     _grid_table,
     _layout,
@@ -280,6 +281,10 @@ def test_azimuth_tables_cached_read_only(l_max):
     assert not cos_t.flags.writeable and not sin_t.flags.writeable
     again = _azimuth_tables(build_grid(max(l_max, 1)), l_max)
     assert again[0] is cos_t and again[1] is sin_t
+    # synthesis reads them interleaved, cos(m phi) in row 2m and sin(m phi) in row 2m + 1
+    rows = _azimuth_rows(l_max, grid.phi.tobytes())
+    assert np.array_equal(rows[0::2], cos_t) and np.array_equal(rows[1::2], sin_t)
+    assert not rows.flags.writeable and _azimuth_rows(l_max, grid.phi.tobytes()) is rows
 
 
 def test_harmonic_gradients_at(rng):

@@ -253,6 +253,16 @@ def test_normalize_computes_exp_moments_once(monkeypatch, rng):
     assert result.lambda0 == solve_lambda0(u, result.x0)
 
 
+def test_recentering_runs_one_quadrature(refine_calls, rng):
+    # normalize, solve_x0 and both solve_lambda0 paths read one tight quadrature
+    u = random_field(rng, 6, 0.5)
+    result = normalize(u)
+    x0 = solve_x0(u)
+    lam_rf = solve_lambda0(u, x0, method="root_find")
+    assert len(refine_calls) == 1
+    assert x0 == result.x0 and abs(lam_rf - result.lambda0) < 1e-8
+
+
 def test_normalize_random_fields(rng):
     for _ in range(3):
         u = random_field(rng, 6, 0.4)

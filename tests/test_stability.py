@@ -264,6 +264,18 @@ def test_g_matches_legendre_q(r):
     assert g[0] == 0.0 and dg[0] == 0.0
 
 
+@pytest.mark.parametrize("l_max", [6, 32, 64])
+def test_g1_within_rounding(l_max):
+    # g_1 = -(Q_2 - Q_0)/2: the closed form from t = 1 on, the ratios below it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for t in (0.05, 0.3, 1.0, 2.0, math.log(20.0), math.log(50.0), 5.0):
+            z = mpmath.coth(mpmath.mpf(t))
+            q2, q0 = (mpmath.re(mpmath.legenq(n, 0, z, type=3)) for n in (2, 0))
+            expect = float(-0.5 * (q2 - q0))
+            assert abs(_g(l_max, t)[0][1] - expect) <= 1e-15 * abs(expect)
+
+
 def test_g_limit_at_the_sphere():
     from scipy.integrate import quad
     from scipy.special import eval_legendre
