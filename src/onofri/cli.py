@@ -14,6 +14,7 @@ import argparse
 import cmath
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -83,7 +84,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def _load_field(path: str) -> HarmonicField:
     try:
         return field_from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read field file {path}: {exc}") from exc
 
 
@@ -107,6 +108,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
+    if not math.isfinite(args.alpha):
+        raise UsageError(f"--alpha must be finite, got {args.alpha}")
     u = _load_field(args.field)
     rep = chang_gui_report(args.alpha, u, cfg.policy())
     payload = {"config": cfg.to_dict(), "report": rep.to_dict()}

@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .sphere import SphericalGrid
+from .sphere import SphericalGrid, _azimuth_rows
 
 __all__ = [
     "GridField",
@@ -52,8 +53,9 @@ def _legendre_table(l_max: int, t: np.ndarray, s: np.ndarray | None = None) -> n
     the real harmonics orthonormal against the normalized sphere measure.
     Stable upward recursion in l for all m at once, diagonal seeded by the
     sin(theta)^m ladder.  ``s``, the sines, defaults to sqrt(1 - t^2), which
-    rounds to 0 within about 1e-8 of a pole; a caller holding the point
-    passes hypot(w_0, w_1), which keeps its relative accuracy there.
+    rounds to 0 within about 1e-8 of a pole.  Every library caller takes the
+    default; the tests pass hypot(w_0, w_1) to hold the table against
+    :func:`_legendre_point` at points that close to a pole.
     """
     t = np.asarray(t, dtype=float)
     if s is None:
@@ -118,29 +120,6 @@ def _by_order(coeffs: np.ndarray, l_max: int) -> np.ndarray:
     return out
 
 
-def _azimuth_tables(grid: SphericalGrid, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only cos(m phi) and sin(m phi), m = 0..l_max, at the grid's azimuths."""
-    return _azimuth_table(l_max, grid.phi.tobytes())
-
-
-@functools.lru_cache(maxsize=25)
-def _azimuth_table(l_max: int, phi: bytes) -> tuple[np.ndarray, np.ndarray]:
-    # keyed on the azimuths' bytes, like _grid_table
-    arg = np.arange(l_max + 1)[:, None] * np.frombuffer(phi)[None, :]
-    tables = np.cos(arg), np.sin(arg)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-@functools.lru_cache(maxsize=25)
-def _azimuth_rows(l_max: int, phi: bytes) -> np.ndarray:
-    """Read-only cos(m phi) and sin(m phi) interleaved, as rows 2m and 2m + 1, m = 0..l_max."""
-    rows = np.stack(_azimuth_table(l_max, phi), axis=1).reshape(2 * (l_max + 1), -1)
-    rows.setflags(write=False)
-    return rows
-
-
 @dataclass(frozen=True)
 class HarmonicField:
     """Real function on the sphere given by coefficients up to degree l_max."""
@@ -149,6 +128,10 @@ class HarmonicField:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        l_max = operator.index(self.l_max)  # an integer, not a float or a string
+        if l_max < 0:
+            raise ValueError(f"l_max must be >= 0, got {l_max}")
+        object.__setattr__(self, "l_max", l_max)  # a numpy integer would not write to JSON
         c = np.array(self.coeffs, dtype=float)  # defensive copy; fields are immutable
         if c.shape != ((self.l_max + 1) ** 2,):
             raise ValueError(
@@ -258,14 +241,15 @@ def _degree_parts(coeffs: np.ndarray, l_max: int, grid: SphericalGrid) -> np.nda
 
     The Fourier coefficients s_m c(l, +-m) P(l, m) of each degree and theta
     row, broadcast from the table and the coefficients with m put last, meet
-    the stacked [cos m phi; sin m phi] table in one product.
+    the azimuth rows read part-major, [cos m phi; sin m phi], in one product.
     """
     if grid.band_limit_exact < l_max:
         raise ValueError(f"grid resolves band {grid.band_limit_exact} < field l_max {l_max}")
     table = _grid_table(l_max, grid.cos_theta.tobytes())
     by_degree = _by_order(coeffs, l_max).T[1:, None]  # (l, 1, part, m)
     split = np.multiply(by_degree, table.transpose(1, 2, 0)[1:, :, None], order="C")
-    azimuth = np.concatenate(_azimuth_tables(grid, l_max))
+    rows = _azimuth_rows(l_max, grid.phi.tobytes())
+    azimuth = rows.reshape(l_max + 1, 2, -1).transpose(1, 0, 2).reshape(2 * (l_max + 1), -1)
     return (split.reshape(-1, 2 * (l_max + 1)) @ azimuth).reshape(l_max, grid.node_count)
 
 
@@ -273,8 +257,9 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
     """Project grid samples onto the basis by quadrature.
 
     Exact (analyze o synthesize = identity) for band-limited inputs whenever
-    the grid's band_limit_exact covers ``l_max``.  Each order m contracts its
-    rows' weighted azimuthal sums with its own (degree x theta) table.
+    the grid's band_limit_exact covers ``l_max``.  One product with the
+    interleaved azimuth rows gives every order's azimuthal sums, and each
+    order m contracts them with its own (degree x theta) table.
     """
     grid = g.grid
     if grid.band_limit_exact < l_max:
@@ -283,9 +268,9 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
         )
     lay = _layout(l_max)
     f2d = g.samples.reshape(grid.theta_count, grid.phi_count)
-    cos_t, sin_t = _azimuth_tables(grid, l_max)
+    rows = _azimuth_rows(l_max, grid.phi.tobytes())
     wt = grid.theta_weights / (2.0 * grid.phi_count)
-    sums = wt * np.stack((cos_t @ f2d.T, sin_t @ f2d.T), axis=1)  # (m, part, theta): azimuthal sums
+    sums = wt * (rows @ f2d.T).reshape(l_max + 1, 2, -1)  # (m, part, theta): azimuthal sums
     table = _grid_table(l_max, grid.cos_theta.tobytes())
     # c(l, +-m) = s_m sum_theta P(l, m) sums(m, theta): one product per order m
     coeffs = lay.scale * (sums @ table.transpose(0, 2, 1)).reshape(-1)[lay.slots]
@@ -595,8 +580,14 @@ def field_to_json(f: HarmonicField) -> str:
 
 
 def field_from_json(s: str) -> HarmonicField:
+    """Read a field written by :func:`field_to_json`; ValueError if the document is malformed."""
     d = json.loads(s)
+    if not isinstance(d, dict):
+        raise ValueError("a field file holds a JSON object")
+    l_max = d["l_max"]
+    if type(l_max) is not int:  # a JSON float or bool is not a band
+        raise ValueError(f"l_max must be a JSON integer, got {l_max!r}")
     coeffs = np.asarray(d["coeffs"], dtype=float)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("field coefficients must be finite")
-    return HarmonicField(int(d["l_max"]), coeffs)
+    return HarmonicField(l_max, coeffs)

@@ -11,7 +11,8 @@ relative for n <= 200, where numpy's end weights are off by up to 2e-11.
 
 Quadrature works on the tensor grid: every moment factors by theta row, so
 :func:`moments` sums over the azimuths first and never builds the (N, 3)
-nodes or the flat weights.
+nodes or the flat weights.  These sums and every spectral transform read
+one cached table of cos(m phi) and sin(m phi), :func:`_azimuth_rows`.
 """
 
 from __future__ import annotations
@@ -246,12 +247,15 @@ def build_grid(target_band: int) -> SphericalGrid:
 
 
 @functools.lru_cache(maxsize=25)
-def _azimuth_basis(phi: bytes) -> np.ndarray:
-    """Read-only rows [1, cos(phi), sin(phi)] at the azimuths, keyed on their bytes."""
-    phi = np.frombuffer(phi)
-    basis = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
-    basis.setflags(write=False)
-    return basis
+def _azimuth_rows(l_max: int, phi: bytes) -> np.ndarray:
+    """Read-only cos(m phi) and sin(m phi) interleaved, as rows 2m and 2m + 1, m = 0..l_max.
+
+    Keyed on the azimuths' bytes: a hand-built grid gets its own table.
+    """
+    arg = np.arange(l_max + 1)[:, None] * np.frombuffer(phi)[None, :]
+    rows = np.stack((np.cos(arg), np.sin(arg)), axis=1).reshape(2 * (l_max + 1), -1)
+    rows.setflags(write=False)
+    return rows
 
 
 def integrate(grid: SphericalGrid, samples) -> float:
@@ -263,22 +267,23 @@ def moments(grid: SphericalGrid, samples) -> np.ndarray:
     """The moment 4-vector [int f, int w1 f, int w2 f, int w3 f] of node samples f.
 
     On a theta row w3 = cos(theta) is constant and (w1, w2) = sin(theta) *
-    (cos(phi), sin(phi)), so one product with [1, cos(phi), sin(phi)] gives
-    each row's azimuthal means, and four dot products with the theta weights
-    finish the sums.  Nothing node-sized is built, and the summation order is
-    fixed by the grid's shape, so values repeat bit for bit.
+    (cos(phi), sin(phi)), so one product with the band-1 azimuth rows 1,
+    0, cos(phi), sin(phi) gives each row's azimuthal means, and four dot
+    products with the theta weights finish the sums.  Nothing node-sized is
+    built, and the summation order is fixed by the grid's shape, so values
+    repeat bit for bit.
     """
     f = np.asarray(samples, dtype=float)
     if f.shape != (grid.node_count,):
         raise ValueError(f"sample shape {f.shape} != ({grid.node_count},) nodes")
     f = f.reshape(grid.theta_count, grid.phi_count)
-    rows = (_azimuth_basis(grid.phi.tobytes()) @ f.T) / grid.phi_count
+    rows = (_azimuth_rows(1, grid.phi.tobytes()) @ f.T) / grid.phi_count
     t, wt = grid.cos_theta, grid.theta_weights
     s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     # the mass and the total weight are the same dot product, so the constant 1
     # integrates to exactly 1 whatever the theta weights sum to
     total = wt @ np.ones_like(wt)
-    return np.array([wt @ rows[0], wt @ (s * rows[1]), wt @ (s * rows[2]), wt @ (t * rows[0])]) / total
+    return np.array([wt @ rows[0], wt @ (s * rows[2]), wt @ (s * rows[3]), wt @ (t * rows[0])]) / total
 
 
 _START_THETA = 25

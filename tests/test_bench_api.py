@@ -1,21 +1,30 @@
-"""The benchmark's workloads run against the current API.
+"""The benchmark's workloads and tracer run against the current API.
 
 Each workload in ``perfbench/workloads.py`` goes once through its whole
 cycle (set-up, one input, the timed call, the output checks and the digest
-record), so a library change that breaks a call the benchmark makes fails
-here, not only in a benchmark run.
+record), and every target of ``perfbench/tracer.py`` resolves in the
+library, so a library change that breaks a call the benchmark makes or a
+function it times fails here, not only in a benchmark run.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(workloads)
+
+def _load(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -28,3 +37,13 @@ def test_workload_runs_and_passes(name):
     assert not failed, failed
     record = np.asarray(workload.record(out), dtype=np.float64)
     assert record.size > 0 and np.all(np.isfinite(record))
+
+
+@pytest.mark.parametrize("module, path", [(module, path) for module, path, _ in tracer.TARGETS])
+def test_tracer_target_resolves(module, path):
+    # the tracer skips a target it cannot find, and its metrics then read
+    # zero: a rename in the library would pass every other check
+    owner = importlib.import_module(f"onofri.{module}")
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+    assert callable(owner), f"onofri.{module}.{path} is not in the library"

@@ -319,12 +319,31 @@ def test_jobs_flag_is_rejected(capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "normalize", "stability"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_nonfinite_field_is_a_usage_error(capsys, tmp_path, command, value):
-    # not a quadrature that fails to converge: the file itself is invalid
+@pytest.mark.parametrize(
+    "document",
+    [
+        pytest.param({"l_max": 1, "coeffs": [0.0, float("nan"), 0.0, 0.0]}, id="nan"),
+        pytest.param({"l_max": 1, "coeffs": [0.0, float("inf"), 0.0, 0.0]}, id="inf"),
+        pytest.param([1, 2], id="not-an-object"),
+        pytest.param({"l_max": -1, "coeffs": []}, id="negative-lmax"),
+        pytest.param({"l_max": 1.7, "coeffs": [0, 0, 0, 0]}, id="float-lmax"),
+        pytest.param({"l_max": True, "coeffs": [0, 0, 0, 0]}, id="bool-lmax"),
+        pytest.param({"l_max": 1, "coeffs": {}}, id="object-coeffs"),
+    ],
+)
+def test_nonfinite_field_is_a_usage_error(capsys, tmp_path, command, document):
+    # not a quadrature that fails to converge, nor a traceback or a band read
+    # off a truncated float: the file itself is invalid
     path = tmp_path / "u.json"
-    path.write_text(json.dumps({"l_max": 1, "coeffs": [0.0, value, 0.0, 0.0]}))
+    path.write_text(json.dumps(document))
     assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_nonfinite_alpha_is_a_usage_error(capsys, zero_field_file, alpha):
+    # the report would print NaN or Infinity, which strict JSON parsers reject
+    assert main(["eval", zero_field_file, f"--alpha={alpha}"]) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
 
 

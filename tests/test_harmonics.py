@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -29,8 +30,6 @@ from onofri import (
 from onofri import harmonics
 from onofri.functionals import _compose
 from onofri.harmonics import (
-    _azimuth_rows,
-    _azimuth_tables,
     _grid_table,
     _layout,
     _legendre_table,
@@ -39,7 +38,7 @@ from onofri.harmonics import (
     harmonic_gradients_at,
 )
 from onofri.sampling import random_conformal, random_field
-from onofri.sphere import SphericalGrid, _make_grid
+from onofri.sphere import SphericalGrid, _azimuth_rows, _make_grid
 
 
 def w3_field():
@@ -272,19 +271,26 @@ def test_layout_cached_read_only():
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 8, 32, 64])
-def test_azimuth_tables_cached_read_only(l_max):
+def test_azimuth_tables_cached_read_only(rng, l_max):
+    # the one azimuth table: cos(m phi) in row 2m and sin(m phi) in row 2m + 1,
+    # bit for bit the values the transforms computed afresh before it was cached
     grid = build_grid(max(l_max, 1))
-    cos_t, sin_t = _azimuth_tables(grid, l_max)
-    # the tables computed afresh on every call before they were cached
-    arg = np.arange(l_max + 1)[:, None] * grid.phi[None, :]
-    assert np.array_equal(cos_t, np.cos(arg)) and np.array_equal(sin_t, np.sin(arg))
-    assert not cos_t.flags.writeable and not sin_t.flags.writeable
-    again = _azimuth_tables(build_grid(max(l_max, 1)), l_max)
-    assert again[0] is cos_t and again[1] is sin_t
-    # synthesis reads them interleaved, cos(m phi) in row 2m and sin(m phi) in row 2m + 1
     rows = _azimuth_rows(l_max, grid.phi.tobytes())
-    assert np.array_equal(rows[0::2], cos_t) and np.array_equal(rows[1::2], sin_t)
-    assert not rows.flags.writeable and _azimuth_rows(l_max, grid.phi.tobytes()) is rows
+    arg = np.arange(l_max + 1)[:, None] * grid.phi[None, :]
+    assert np.array_equal(rows[0::2], np.cos(arg)) and np.array_equal(rows[1::2], np.sin(arg))
+    assert not rows.flags.writeable
+    assert _azimuth_rows(l_max, build_grid(max(l_max, 1)).phi.tobytes()) is rows
+    # a hand-built grid with the canonical azimuth count but shifted azimuths
+    # gets its own table, and the transforms read it
+    phi = grid.phi + 0.1
+    hand = SphericalGrid(grid.cos_theta, grid.theta_weights, phi, grid.band_limit_exact)
+    shifted = _azimuth_rows(l_max, phi.tobytes())
+    arg = np.arange(l_max + 1)[:, None] * phi[None, :]
+    assert np.array_equal(shifted[0::2], np.cos(arg)) and np.array_equal(shifted[1::2], np.sin(arg))
+    u = random_field(rng, l_max, 0.5)
+    samples = synthesize(u, hand).samples
+    assert np.max(np.abs(samples - evaluate_at(u, hand.nodes))) < 1e-12
+    assert np.max(np.abs(analyze(GridField(hand, samples), l_max).coeffs - u.coeffs)) < 1e-12
 
 
 def test_harmonic_gradients_at(rng):
@@ -400,7 +406,8 @@ def _dense_analyze(g, l_max):
     sum_m = np.zeros((l_max + 1, l.size))
     sum_m[m, np.arange(l.size)] = np.where(m == 0, 1.0, math.sqrt(2.0))
     f2d = g.samples.reshape(grid.theta_count, grid.phi_count)
-    cos_t, sin_t = _azimuth_tables(grid, l_max)
+    arg = np.arange(l_max + 1)[:, None] * grid.phi[None, :]
+    cos_t, sin_t = np.cos(arg), np.sin(arg)
     wt = grid.theta_weights[:, None] / (2.0 * grid.phi_count)
     coeffs = np.empty((l_max + 1) ** 2)
     coeffs[l * l + l - m] = np.einsum("rm,mr->r", table @ (wt * (f2d @ sin_t.T)), sum_m)
@@ -442,10 +449,18 @@ def test_field_json_round_trip(rng):
     assert np.array_equal(back.coeffs, u.coeffs)
     # flat order is (l ascending, m ascending): c[1] is (1,-1), c[2] is (1,0)
     f = HarmonicField.from_entries(1, {(1, -1): 5.0, (1, 0): 7.0})
-    import json
-
     coeffs = json.loads(field_to_json(f))["coeffs"]
     assert coeffs[1] == 5.0 and coeffs[2] == 7.0
+    # a numpy integer band is stored as a Python int, which JSON can write
+    assert json.loads(field_to_json(HarmonicField(np.int64(1), np.zeros(4))))["l_max"] == 1
+
+
+def test_field_rejects_malformed_band():
+    # a negative band passed the length check at (l_max + 1)^2 = 0 or 1, and a
+    # float band was taken as given; the file reader's cases are in test_cli
+    for l_max in (-1, -2, 1.7, "1"):
+        with pytest.raises((ValueError, TypeError)):
+            HarmonicField(l_max, np.zeros(1))
 
 
 def test_field_immutable(rng):
