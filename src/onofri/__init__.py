@@ -74,7 +74,6 @@ from .functionals import (
     cg_bound_slack,
     chang_gui_report,
     chang_gui_value,
-    dirichlet_invariance_check,
     exp_moments,
     onofri_value,
     transform,

@@ -49,7 +49,6 @@ __all__ = [
     "cg_bound_slack",
     "chang_gui_report",
     "chang_gui_value",
-    "dirichlet_invariance_check",
     "exp_moments",
     "onofri_value",
     "transform",
@@ -244,28 +243,3 @@ def cg_bound_slack(
         raise ValueError("the lower bound requires alpha >= 2/3")
     report = chang_gui_report(alpha, u, policy)
     return report.value - (alpha - 2.0 / 3.0) * report.energy
-
-
-class InvarianceCheck(NamedTuple):
-    value: float
-    tail_fraction: float
-
-
-def dirichlet_invariance_check(
-    u: HarmonicField,
-    tau: ConformalMap,
-    grid: SphericalGrid,
-    l_max: int | None = None,
-) -> InvarianceCheck:
-    """|E(project(u o tau)) - E(u)|, with the projection tail reported separately.
-
-    The two-dimensional Dirichlet integral is conformally invariant, so the
-    residual measures only truncation and quadrature error.
-    """
-    if l_max is None:
-        l_max = grid.band_limit_exact // 2
-    # the energy is rotation-invariant, so the dilation's frame serves as well
-    proj = project_samples(_compose(u, tau).samples(grid)[0], grid, l_max)
-    return InvarianceCheck(
-        abs(dirichlet_energy(proj.field) - dirichlet_energy(u)), proj.tail_fraction
-    )

@@ -31,7 +31,6 @@ __all__ = [
     "evaluate_at",
     "field_from_json",
     "field_to_json",
-    "harmonic_gradients_at",
     "laplacian",
     "synthesize",
 ]
@@ -53,9 +52,9 @@ def _legendre_table(l_max: int, t: np.ndarray, s: np.ndarray | None = None) -> n
     the real harmonics orthonormal against the normalized sphere measure.
     Stable upward recursion in l for all m at once, diagonal seeded by the
     sin(theta)^m ladder.  ``s``, the sines, defaults to sqrt(1 - t^2), which
-    rounds to 0 within about 1e-8 of a pole.  Every library caller takes the
-    default; the tests pass hypot(w_0, w_1) to hold the table against
-    :func:`_legendre_point` at points that close to a pole.
+    rounds to 0 within about 1e-8 of a pole; :func:`evaluate_at` passes
+    hypot(x, y), which keeps its relative accuracy there.  The grid
+    transforms take the default.
     """
     t = np.asarray(t, dtype=float)
     if s is None:
@@ -277,51 +276,31 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
     return HarmonicField(l_max, coeffs)
 
 
-def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
-    """Evaluate a field at arbitrary unit vectors (shape (..., 3)).
+_POINT_BLOCK = 256  # points per Legendre table in evaluate_at
 
-    Exact (up to rounding) for the stored band-limited expansion.
+
+def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
+    """Evaluate a field at unit vectors ``points`` of shape (..., 3); the result has shape (...).
+
+    Exact (up to rounding) for the stored band-limited expansion.  Each block
+    of ``_POINT_BLOCK`` (256) points gets one order-major
+    :func:`_legendre_table`, with the sines taken as hypot(x, y), whose orders
+    meet cos m phi and sin m phi: at most (l_max + 1)^2 x 256 table values
+    live at once, 8.3 MiB at band 64.
     """
     w = np.asarray(points, dtype=float)
-    single = w.ndim == 1
-    w = np.atleast_2d(w)
-    t = np.clip(w[:, 2], -1.0, 1.0)
-    s = np.hypot(w[:, 0], w[:, 1])
-    safe = s > 1e-300
-    cos_p = np.where(safe, w[:, 0] / np.where(safe, s, 1.0), 1.0)
-    sin_p = np.where(safe, w[:, 1] / np.where(safe, s, 1.0), 0.0)
-
-    L = f.l_max
-    total = np.zeros(w.shape[0])
-    pmm = np.ones(w.shape[0])
-    cos_m = np.ones(w.shape[0])
-    sin_m = np.zeros(w.shape[0])
-    for m in range(L + 1):
-        if m > 0:
-            pmm = pmm * s * math.sqrt((2 * m + 1) / (2 * m))
-            cos_m, sin_m = cos_m * cos_p - sin_m * sin_p, sin_m * cos_p + cos_m * sin_p
-        acc_a = f.coeffs[coeff_index(m, m)] * pmm
-        acc_b = f.coeffs[coeff_index(m, -m)] * pmm if m > 0 else None
-        p_prev, p_curr = pmm, None
-        if m + 1 <= L:
-            p_curr = math.sqrt(2 * m + 3) * t * pmm
-            acc_a = acc_a + f.coeffs[coeff_index(m + 1, m)] * p_curr
-            if m > 0:
-                acc_b = acc_b + f.coeffs[coeff_index(m + 1, -m)] * p_curr
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((2 * l + 1) * (2 * l - 1) / ((l - m) * (l + m)))
-            b = math.sqrt(
-                (2 * l + 1) * (l - 1 - m) * (l - 1 + m) / ((2 * l - 3) * (l - m) * (l + m))
-            )
-            p_prev, p_curr = p_curr, a * t * p_curr - b * p_prev
-            acc_a = acc_a + f.coeffs[coeff_index(l, m)] * p_curr
-            if m > 0:
-                acc_b = acc_b + f.coeffs[coeff_index(l, -m)] * p_curr
-        if m == 0:
-            total += acc_a
-        else:
-            total += math.sqrt(2.0) * (acc_a * cos_m + acc_b * sin_m)
-    return total[0] if single else total
+    if w.ndim == 0 or w.shape[-1] != 3:
+        raise ValueError(f"points must have shape (..., 3), got {w.shape}")
+    flat = w.reshape(-1, 3)
+    by_order = _by_order(f.coeffs, f.l_max)
+    m = np.arange(f.l_max + 1)[:, None]
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), _POINT_BLOCK):
+        x, y, z = flat[start : start + _POINT_BLOCK].T
+        AB = by_order @ _legendre_table(f.l_max, np.clip(z, -1.0, 1.0), np.hypot(x, y))
+        arg = m * np.arctan2(y, x)
+        out[start : start + _POINT_BLOCK] = np.sum(AB[:, 0] * np.cos(arg) + AB[:, 1] * np.sin(arg), axis=0)
+    return out[0] if w.ndim == 1 else out.reshape(w.shape[:-1])
 
 
 @functools.lru_cache(maxsize=129)  # degrees 0..128, 23 MB when full
@@ -521,18 +500,6 @@ def _harmonic_slopes(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     cos_p, sin_p = math.cos(phi), math.sin(phi)
     frame = np.array([[t * cos_p, t * sin_p, -s], [-sin_p, cos_p, 0.0]])
     return slopes, frame
-
-
-def harmonic_gradients_at(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every Y_lm at one unit vector and its surface gradient, shapes (n,) and (n, 3).
-
-    The gradient is dY/dtheta e_theta + (1/sin theta) dY/dphi e_phi, both
-    parts from degree-raising and -lowering relations on one band-(l_max + 1)
-    Legendre table, solved at the point as one banded system, so it stays
-    finite at the poles (phi = 0 there).
-    """
-    slopes, frame = _harmonic_slopes(w, l_max)
-    return slopes[0], slopes[1:].T @ frame
 
 
 def dirichlet_energy(f: HarmonicField) -> float:

@@ -315,7 +315,8 @@ class RefinementPolicy:
         """Evaluate ``func`` on successively finer grids until stable.
 
         Returns (value, grid).  Raises ConvergenceError naming ``what`` and the
-        cap if the value is still moving at the theta cap.
+        cap if the value is still moving at the theta cap, or if the cap is
+        below the first grid of ``min_band`` and nothing was evaluated.
         """
         prev = None
         for grid in self.grids(min_band):
@@ -325,6 +326,11 @@ class RefinementPolicy:
                 if delta < self.rtol * (1.0 + np.max(np.abs(value))):
                     return value, grid
             prev = value
+        if prev is None:
+            raise ConvergenceError(
+                f"{what} has no grid: theta cap {self.theta_cap} is below "
+                f"the {min_band + 1} theta rows that band {min_band} needs"
+            )
         raise ConvergenceError(f"{what} did not converge within the grid cap (theta cap {self.theta_cap})")
 
 

@@ -13,7 +13,6 @@ from onofri import (
     dilation,
     dirichlet_energy,
     evaluate_at,
-    dirichlet_invariance_check,
     exp_moments,
     identity_map,
     onofri_value,
@@ -21,6 +20,8 @@ from onofri import (
     rotation,
     transform,
 )
+from onofri.functionals import _compose
+from onofri.harmonics import project_samples
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy
 
@@ -225,22 +226,20 @@ def test_cg_bound_random_sweep(alpha, rng):
         assert cg_bound_slack(alpha, u) >= -1e-8
 
 
-def test_dirichlet_invariance_rotation(grid48, rng):
-    u = random_field(rng, 6, 0.5)
-    check = dirichlet_invariance_check(u, rotation([0.0, 1.0, 0.0], 0.9), grid48)
-    assert check.value < 1e-10
-
-
-def test_dirichlet_invariance_dilation(grid72):
-    u = HarmonicField.from_entries(1, {(1, 0): 1.0 / math.sqrt(3.0)})
-    check = dirichlet_invariance_check(u, dilation(2.0), grid72, l_max=32)
-    assert check.value < 1e-6
-    assert check.tail_fraction < 1e-6
-
-
-def test_dirichlet_invariance_constant(grid48):
-    check = dirichlet_invariance_check(HarmonicField.constant(2.0), dilation(3.0), grid48)
-    assert check.value < 1e-12
+@pytest.mark.parametrize(
+    "make_u, tau, grid_name, l_max, bound",
+    [
+        pytest.param(lambda r: random_field(r, 6, 0.5), rotation([0, 1, 0], 0.9), "grid48", 24, 1e-10, id="rotation"),
+        pytest.param(lambda r: w3_times(1.0), dilation(2.0), "grid72", 32, 1e-6, id="dilation"),
+        pytest.param(lambda r: HarmonicField.constant(2.0), dilation(3.0), "grid48", 24, 1e-12, id="constant"),
+    ],
+)
+def test_dirichlet_invariance(request, rng, make_u, tau, grid_name, l_max, bound):
+    # E is conformally invariant: projecting u o tau loses only truncation and quadrature error
+    u, grid = make_u(rng), request.getfixturevalue(grid_name)
+    proj = project_samples(_compose(u, tau).samples(grid)[0], grid, l_max)
+    assert abs(dirichlet_energy(proj.field) - dirichlet_energy(u)) < bound
+    assert proj.tail_fraction < 1e-6
 
 
 def test_report_json(rng):

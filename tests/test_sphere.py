@@ -228,6 +228,8 @@ def test_refinement_policy_growth_and_cap():
     starved = RefinementPolicy(theta_cap=16)
     with pytest.raises(ConvergenceError, match="^the integral did not converge within the grid cap .theta cap 16.$"):
         starved.refine(lambda g: integrate(g, np.exp(g.nodes[:, 2])), "the integral")
+    with pytest.raises(ConvergenceError, match="^the integral has no grid: theta cap 2 is below the 3 theta rows that band 2 needs$"):
+        RefinementPolicy(theta_cap=2).refine(lambda g: integrate(g, g.nodes[:, 2]), "the integral", min_band=2)
 
 
 @pytest.mark.parametrize("band", [0, 6, 33, 72])
