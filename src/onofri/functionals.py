@@ -27,12 +27,13 @@ from .extremals import _psi_of_jacobian, build_extremal
 from .harmonics import (
     HarmonicField,
     Projection,
+    _by_order,
+    _grid_table,
     _legendre_table,
     _rotated,
     _synthesis,
     dirichlet_energy,
     project_samples,
-    synthesize,
 )
 from .mobius import ConformalMap, _spinor, dilation
 from .sphere import (
@@ -74,7 +75,8 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
     e^{2u} is not band-limited, so grids grow until the values stabilize to
     the policy's relative tolerance.  They refine e^{2(u - mean)}, whose mass is
     at least 1 by Jensen, so that tolerance is relative however small e^{2u} is.
-    Raises ConvergenceError if the values are still moving at the theta cap.
+    Raises ConvergenceError if the values are still moving at the theta cap,
+    and at once, naming the grid, if e^{2(u - mean)} overflows on a grid.
 
     The result is kept under the key (u.l_max, the bytes of u.coeffs, policy),
     for the last 4 keys: a second call with an equal field and an equal policy
@@ -89,15 +91,27 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
 
 @functools.lru_cache(maxsize=4)
 def _exp_moments(l_max: int, coeffs: bytes, policy: RefinementPolicy) -> ExpMoments:
-    u = HarmonicField(l_max, np.frombuffer(coeffs))
-    mean = u.mean()
+    c = np.frombuffer(coeffs)
+    mean = float(c[0])
+    # doubling is exact, so each step's f is 2 * (synthesize(u, g).samples - mean) bit for bit
+    twice = _by_order(2.0 * c, l_max)
     last = []  # the values on the last two grids
 
     def func(g: SphericalGrid) -> np.ndarray:
-        last[:] = [*last[-1:], moments(g, np.exp(2.0 * (synthesize(u, g).samples - mean)))]
-        return last[-1]
+        f = _synthesis(twice, _grid_table(l_max, g.cos_theta.tobytes()), g)
+        f -= 2.0 * mean
+        np.exp(f, out=f)
+        value = moments(g, f)
+        if not np.isfinite(value[0]):
+            raise ConvergenceError(
+                f"exponential moments overflow: e^(2(u - mean)) is not finite on the grid of "
+                f"{g.theta_count} theta rows"
+            )
+        last[:] = [*last[-1:], value]
+        return value
 
-    v, grid = policy.refine(func, "exponential moments", min_band=u.l_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises above instead
+        v, grid = policy.refine(func, "exponential moments", min_band=l_max)
     scale = math.exp(2.0 * mean)
     v = v * scale
     delta = (last[1] - last[0]) * scale
@@ -193,7 +207,7 @@ class _Composition(NamedTuple):
         meridian = np.stack([np.sqrt(np.maximum(1.0 - t * t, 0.0)), np.zeros_like(t), t], axis=-1)
         image, jac = dilation(self.lam)._image_and_jacobian(_spinor(meridian))
         table = _legendre_table(self.field.l_max, image[:, 2])
-        return _synthesis(self.field, table, grid), jac
+        return _synthesis(_by_order(self.field.coeffs, self.field.l_max), table, grid), jac
 
 
 def _compose(u: HarmonicField, tau: ConformalMap) -> _Composition:

@@ -218,20 +218,21 @@ def synthesize(f: HarmonicField, grid: SphericalGrid) -> GridField:
             f"grid resolves band {grid.band_limit_exact} < field l_max {f.l_max}"
         )
     table = _grid_table(f.l_max, grid.cos_theta.tobytes())
-    return GridField(grid, _synthesis(f, table, grid))
+    return GridField(grid, _synthesis(_by_order(f.coeffs, f.l_max), table, grid))
 
 
-def _synthesis(f: HarmonicField, table: np.ndarray, grid: SphericalGrid) -> np.ndarray:
-    """Flat samples of ``f`` at ``table``'s abscissas crossed with ``grid``'s azimuths.
+def _synthesis(by_order: np.ndarray, table: np.ndarray, grid: SphericalGrid) -> np.ndarray:
+    """Flat samples, a new array, of a field at ``table``'s abscissas crossed with ``grid``'s azimuths.
 
-    ``table``: a band-``f.l_max`` :func:`_legendre_table` at any abscissas.
-    One product per order m gives A[m] = s_m sum_l c(l, m) P(l, m) and
+    ``by_order``: the field's :func:`_by_order` coefficients; ``table``: a
+    :func:`_legendre_table` of the same band at any abscissas.  One product
+    per order m gives A[m] = s_m sum_l c(l, m) P(l, m) and
     B[m] = s_m sum_l c(l, -m) P(l, m); B[0] is zero and meets sin(0 phi) = 0.
     Read as rows (A[0], B[0], A[1], ...), they meet the interleaved azimuth
     rows in one product.
     """
-    AB = _by_order(f.coeffs, f.l_max) @ table  # (m, part, theta)
-    rows = _azimuth_rows(f.l_max, grid.phi.tobytes())
+    AB = by_order @ table  # (m, part, theta)
+    rows = _azimuth_rows(table.shape[0] - 1, grid.phi.tobytes())
     return (AB.reshape(-1, table.shape[-1]).T @ rows).reshape(-1)
 
 
@@ -303,9 +304,8 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
     return out[0] if w.ndim == 1 else out.reshape(w.shape[:-1])
 
 
-@functools.lru_cache(maxsize=129)  # degrees 0..128, 23 MB when full
 def _turn_block(l: int) -> np.ndarray:
-    """Read-only D of degree l with Y_l(T w) = D Y_l(w), slots m = -l..l.
+    """D of degree l with Y_l(T w) = D Y_l(w), slots m = -l..l; :func:`_turn_stack` keeps it.
 
     T = [[1, 0, 0], [0, 0, 1], [0, -1, 0]] is the quarter turn about x with
     T e_z = e_y, so T R_z(b) T^T = R_y(b).  As T = R_z(-pi/2) R_y(-pi/2)
@@ -335,9 +335,35 @@ def _turn_block(l: int) -> np.ndarray:
     k = np.arange(-l, l + 1) % 4
     cos, sin = np.array([1.0, 0.0, -1.0, 0.0])[k], np.array([0.0, 1.0, 0.0, -1.0])[k]
     z_turn = np.diag(cos) - np.diag(sin)[:, ::-1]
-    block = z_turn.T @ y_turn.T @ z_turn
-    block.setflags(write=False)
-    return block
+    return z_turn.T @ y_turn.T @ z_turn
+
+
+class _TurnStack(NamedTuple):
+    """Read-only turn blocks of one band, two degrees to a matrix, for one batched product.
+
+    Degree k and degree l_max - k share one (2 l_max + 2)-square matrix, which
+    they fill but for one row and column, so the stack holds half of what one
+    padded matrix per degree would: 0.56 MiB at band 32.
+    """
+
+    blocks: np.ndarray  # (pairs, 2 l_max + 2, 2 l_max + 2): D of degrees k and l_max - k on the diagonal
+    places: np.ndarray  # per flat slot: its index in the flattened (pairs, 2 l_max + 2) vectors
+
+
+@functools.lru_cache(maxsize=16)  # 4.4 MB for band 64
+def _turn_stack(l_max: int) -> _TurnStack:
+    size = 2 * l_max + 2
+    blocks = np.zeros(((l_max + 2) // 2, size, size))
+    places = np.empty((l_max + 1) ** 2, dtype=int)
+    for l in range(l_max + 1):
+        k = min(l, l_max - l)
+        part = np.arange(2 * l + 1) + (0 if l == k else 2 * k + 1)
+        blocks[k, part[:, None], part] = _turn_block(l)
+        places[l * l : (l + 1) ** 2] = k * size + part
+    stack = _TurnStack(blocks, places)
+    for arr in stack:
+        arr.setflags(write=False)
+    return stack
 
 
 def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
@@ -346,9 +372,10 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     A reflected frame is R diag(1, 1, -1) with R a rotation, and R splits as
     R_z(a) T R_z(b) T^T R_z(c) with T the quarter turn of :func:`_turn_block`.
     Coefficient maps compose in reverse (f o (AB) takes c to M(B) M(A) c):
-    a turn about z mixes each (l, +-m) pair in closed form, T and T^T act by
-    the cached per-degree blocks, and z -> -z is the sign (-1)^(l+m) of each
-    flat slot.  The angles need no gimbal branch: a = atan2(R_12, R_02), and
+    a turn about z mixes each (l, +-m) pair in closed form, T and T^T act on
+    every degree at once by one batched product with :func:`_turn_stack`,
+    and z -> -z is the sign (-1)^(l+m) of each flat slot.  The angles need
+    no gimbal branch: a = atan2(R_12, R_02), and
     M = R_z(a)^T R = R_y(b) R_z(c) gives c = atan2(M_10, M_11) and
     b = atan2(M_02, M_22), backward-stable at b = 0 and b = pi as well.
     """
@@ -366,12 +393,13 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     def turn_z(x, angle):  # M(R_z(angle))
         return x * np.cos(m * angle) + x[swap] * np.sin(m * angle)
 
-    def turn(x, transpose):  # M(T) = D^T per degree, M(T^T) = D
-        out = np.empty_like(x)
-        for deg in range(f.l_max + 1):
-            block, part = _turn_block(deg), slice(deg * deg, (deg + 1) ** 2)
-            out[part] = (block.T if transpose else block) @ x[part]
-        return out
+    stack = _turn_stack(f.l_max)
+
+    def turn(x, transpose):  # M(T) = D^T per degree, M(T^T) = D: every degree in one product
+        padded = np.zeros(stack.blocks.shape[:2])
+        padded.reshape(-1)[stack.places] = x
+        blocks = stack.blocks.transpose(0, 2, 1) if transpose else stack.blocks
+        return (blocks @ padded[:, :, None]).reshape(-1)[stack.places]
 
     x = turn_z(f.coeffs, a)
     x = turn_z(turn(x, True), b)

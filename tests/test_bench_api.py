@@ -47,3 +47,25 @@ def test_tracer_target_resolves(module, path):
     for part in path.split("."):
         owner = getattr(owner, part, None)
     assert callable(owner), f"onofri.{module}.{path} is not in the library"
+
+
+@pytest.mark.parametrize("seed", [2701, 2702])
+def test_exp_moments_grids_on_evaluate_inputs(seed):
+    # on the evaluate workload's inputs at --seconds 20, exp_moments accepts
+    # the grid, and the moments, of a refinement whose step is synthesize,
+    # the exponential and moments
+    from onofri import exp_moments, moments, synthesize
+    from onofri.sphere import DEFAULT_POLICY
+
+    evaluate = workloads.WORKLOADS["evaluate"]
+    for u in evaluate.make_inputs(np.random.default_rng(seed), 635):
+        mean = u.mean()
+        ref, grid = DEFAULT_POLICY.refine(
+            lambda g: moments(g, np.exp(2.0 * (synthesize(u, g).samples - mean))),
+            "reference moments",
+            min_band=u.l_max,
+        )
+        mom = exp_moments(u)
+        assert mom.grid is grid
+        got = np.array([mom.mass, *mom.moment]) / np.exp(2.0 * mean)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * ref[0]

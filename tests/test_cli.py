@@ -354,11 +354,18 @@ def test_theta_cap_below_one_is_a_usage_error(capsys, zero_field_file, cap):
         assert capsys.readouterr().err.startswith("usage error: ")
 
 
-def test_eval_nonconvergence_exit_one(capsys, random_field_file):
+def test_eval_nonconvergence_exit_one(capsys, random_field_file, tmp_path):
     # a starved refinement cap cannot certify the exponential integrals
     code = main(["--theta-cap", "16", "eval", random_field_file])
     capsys.readouterr()
     assert code == 1
+    # nor can any grid hold e^{2u} of a field this large: a refusal too
+    huge = tmp_path / "huge.json"
+    huge.write_text(field_to_json(random_field(np.random.default_rng(0), 8, 400.0)))
+    code = main(["eval", str(huge)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "overflow" in err
 
 
 def test_verify_nonconvergence_exit_one(capsys):

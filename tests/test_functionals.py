@@ -20,10 +20,10 @@ from onofri import (
     rotation,
     transform,
 )
-from onofri.functionals import _compose
-from onofri.harmonics import project_samples
+from onofri.functionals import _compose, _exp_moments
+from onofri.harmonics import project_samples, synthesize
 from onofri.sampling import random_conformal, random_field
-from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy
+from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy, moments
 
 
 def w3_times(eps):
@@ -128,6 +128,41 @@ def test_exp_moments_errors_not_kept(refine_calls, rng):
         with pytest.raises(ConvergenceError, match="theta cap 9"):
             exp_moments(u, starved)
     assert len(refine_calls) == 2
+
+
+@pytest.mark.parametrize("band", [0, 1, 8, 16, 32])
+def test_exp_moments_step_matches_synthesize(monkeypatch, band, rng):
+    # each refinement step, observed on every grid of the ladder, is the
+    # quadrature of e^{2(u - mean)} from synthesize and moments
+    steps = []
+
+    def every_grid(policy, func, what, min_band=0):
+        for grid in policy.grids(min_band):
+            steps.append((grid, func(grid).copy()))
+        return steps[-1][1], steps[-1][0]
+
+    monkeypatch.setattr(RefinementPolicy, "refine", every_grid)
+    _exp_moments.cache_clear()
+    try:
+        for amplitude in (0.25, 0.8, 3.0):
+            u = random_field(rng, band, amplitude)
+            steps.clear()
+            exp_moments(u)
+            assert len(steps) == len(list(DEFAULT_POLICY.grids(band)))
+            for grid, got in steps:
+                ref = moments(grid, np.exp(2.0 * (synthesize(u, grid).samples - u.mean())))
+                assert np.max(np.abs(got - ref)) <= 1e-15 * ref[0]
+    finally:
+        _exp_moments.cache_clear()  # keep no moments of the stubbed refinement
+
+
+def test_exp_moments_overflow_fails_at_once(refine_calls):
+    # e^{2u} overflows on the first grid: no climb to the cap, and no warning
+    # (warnings fail the suite)
+    u = random_field(np.random.default_rng(0), 8, 400.0)
+    with pytest.raises(ConvergenceError, match=r"overflow: .* not finite on the grid of 25 theta rows"):
+        exp_moments(u)
+    assert len(refine_calls) == 1
 
 
 def test_exp_moments_constant():

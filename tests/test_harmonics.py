@@ -36,6 +36,7 @@ from onofri.harmonics import (
     _legendre_table,
     _rotated,
     _turn_block,
+    _turn_stack,
 )
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import SphericalGrid, _azimuth_rows, _make_grid
@@ -573,31 +574,45 @@ def test_frame_changes_compose(l_max, rng):
 
 
 def test_turn_blocks_cached_orthogonal_and_lean(rng):
-    # one read-only block per degree in a bounded cache; built with no basis
-    # matrix, the band-32 blocks take a fraction of the 19 MB such a
-    # (L+1)^2 x N matrix would hold
-    assert _turn_block.cache_info().maxsize is not None
-    _turn_block.cache_clear()
+    # one read-only stack of the blocks per band in a bounded cache; built
+    # with no basis matrix, the band-32 stack takes a fraction of the 19 MB
+    # such a (L+1)^2 x N matrix would hold
+    assert _turn_stack.cache_info().maxsize is not None
+    _turn_stack.cache_clear()
     tracemalloc.start()
     try:
-        blocks = [_turn_block(l) for l in range(33)]
+        stack = _turn_stack(32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+    assert _turn_stack(32) is stack and not stack.blocks.flags.writeable
     turn = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
     pts = rng.normal(size=(40, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     y = np.array([_harmonic_slopes(w, 12)[0][0] for w in pts])
     y_turned = np.array([_harmonic_slopes(turn @ w, 12)[0][0] for w in pts])
-    for l, block in enumerate(blocks):
-        assert _turn_block(l) is block and not block.flags.writeable
     for l in range(13):  # Y_l(T w) = D Y_l(w)
         part = slice(l * l, (l + 1) ** 2)
         assert np.max(np.abs(y_turned[:, part] - y[:, part] @ _turn_block(l).T)) < 1e-13
     for l in range(65):
         block = _turn_block(l)
         assert np.max(np.abs(block @ block.T - np.eye(2 * l + 1))) < 1e-14
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 7, 8, 32])
+def test_turn_stack_holds_every_block(l_max):
+    # degrees k and l_max - k share one padded matrix; every flat slot has its
+    # own place, and each degree's block sits at its slots' places
+    stack = _turn_stack(l_max)
+    size = 2 * l_max + 2
+    assert stack.blocks.shape == ((l_max + 2) // 2, size, size)
+    assert np.unique(stack.places).size == (l_max + 1) ** 2
+    for l in range(l_max + 1):
+        places = stack.places[l * l : (l + 1) ** 2]
+        pair, cols = np.divmod(places, size)
+        assert np.all(pair == min(l, l_max - l))
+        assert np.array_equal(stack.blocks[pair[0]][np.ix_(cols, cols)], _turn_block(l))
 
 
 def test_no_hot_path_calls_evaluate_at(monkeypatch, rng):

@@ -18,7 +18,7 @@ from onofri import (
     synthesize,
     unit_point,
 )
-from onofri.sphere import ConvergenceError, RefinementPolicy, SphericalGrid, _leggauss, _node
+from onofri.sphere import ConvergenceError, RefinementPolicy, SphericalGrid, _leggauss, _make_grid, _node
 
 
 def test_stereo_project_examples():
@@ -162,6 +162,21 @@ def test_moments_match_nodes_and_weights(n_theta, n_phi, scale, seed):
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.sum(weights * np.abs(f))
     assert integrate(grid, f) == got[0]
     assert integrate(grid, np.ones(grid.node_count)) == 1.0
+
+
+def test_moment_constants_per_grid_instance():
+    # read-only, built once per grid, and a hand-built grid with a canonical
+    # grid's counts gets its own: its weights sum to 2 * 1.5, not 2
+    canonical = _make_grid(9, 17)
+    hand = _hand_grid(9, 17, 1.5)
+    c = canonical._moment_constants
+    assert canonical._moment_constants is c and _make_grid(9, 17)._moment_constants is c
+    assert hand._moment_constants is not c
+    assert hand._moment_constants.total == pytest.approx(1.5 * c.total, rel=1e-14)
+    for arr in (c.rows, c.weights):
+        assert not arr.flags.writeable
+    for grid in [hand, *RefinementPolicy(theta_cap=200).grids()]:
+        assert integrate(grid, np.ones(grid.node_count)) == 1.0
 
 
 def test_cached_arrays_read_only(grid16):
