@@ -27,13 +27,12 @@ from .extremals import _psi_of_jacobian, build_extremal
 from .harmonics import (
     HarmonicField,
     Projection,
-    _by_order,
-    _grid_table,
     _legendre_table,
     _rotated,
     _synthesis,
     dirichlet_energy,
     project_samples,
+    synthesize,
 )
 from .mobius import ConformalMap, _spinor, dilation
 from .sphere import (
@@ -76,7 +75,8 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
     the policy's relative tolerance.  They refine e^{2(u - mean)}, whose mass is
     at least 1 by Jensen, so that tolerance is relative however small e^{2u} is.
     Raises ConvergenceError if the values are still moving at the theta cap,
-    and at once, naming the grid, if e^{2(u - mean)} overflows on a grid.
+    and at once, naming the grid, if the mass of e^{2(u - mean)} on a grid is
+    not finite.
 
     The result is kept under the key (u.l_max, the bytes of u.coeffs, policy),
     for the last 4 keys: a second call with an equal field and an equal policy
@@ -91,28 +91,30 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
 
 @functools.lru_cache(maxsize=4)
 def _exp_moments(l_max: int, coeffs: bytes, policy: RefinementPolicy) -> ExpMoments:
-    c = np.frombuffer(coeffs)
-    mean = float(c[0])
-    # doubling is exact, so each step's f is 2 * (synthesize(u, g).samples - mean) bit for bit
-    twice = _by_order(2.0 * c, l_max)
+    # 2u, one field for every step: its order-major coefficients are built
+    # once, and doubling is exact, so each step's exponent is
+    # 2 * (synthesize(u, g).samples - mean) bit for bit
+    twice = HarmonicField(l_max, 2.0 * np.frombuffer(coeffs))
+    shift = twice.mean()  # 2 mean(u)
     last = []  # the values on the last two grids
 
     def func(g: SphericalGrid) -> np.ndarray:
-        f = _synthesis(twice, _grid_table(l_max, g.cos_theta.tobytes()), g)
-        f -= 2.0 * mean
+        f = synthesize(twice, g).samples  # a new array, exponentiated in place
+        f -= shift
         np.exp(f, out=f)
         value = moments(g, f)
         if not np.isfinite(value[0]):
+            finite = np.isfinite(twice.coeffs).all()
+            cause = "e^(2(u - mean)) overflows" if finite else "a coefficient of u is not finite"
             raise ConvergenceError(
-                f"exponential moments overflow: e^(2(u - mean)) is not finite on the grid of "
-                f"{g.theta_count} theta rows"
+                f"exponential moments are not finite on the grid of {g.theta_count} theta rows: {cause}"
             )
         last[:] = [*last[-1:], value]
         return value
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises above instead
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass raises above instead
         v, grid = policy.refine(func, "exponential moments", min_band=l_max)
-    scale = math.exp(2.0 * mean)
+    scale = math.exp(shift)
     v = v * scale
     delta = (last[1] - last[0]) * scale
     v.setflags(write=False)
@@ -207,7 +209,7 @@ class _Composition(NamedTuple):
         meridian = np.stack([np.sqrt(np.maximum(1.0 - t * t, 0.0)), np.zeros_like(t), t], axis=-1)
         image, jac = dilation(self.lam)._image_and_jacobian(_spinor(meridian))
         table = _legendre_table(self.field.l_max, image[:, 2])
-        return _synthesis(_by_order(self.field.coeffs, self.field.l_max), table, grid), jac
+        return _synthesis(self.field, table, grid), jac
 
 
 def _compose(u: HarmonicField, tau: ConformalMap) -> _Composition:

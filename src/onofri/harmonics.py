@@ -168,6 +168,13 @@ class HarmonicField:
         """Degree l of each flat coefficient slot (a shared, read-only array)."""
         return _layout(self.l_max).degrees
 
+    @functools.cached_property
+    def _order_major(self) -> np.ndarray:
+        """Read-only :func:`_by_order` coefficients, built once per field for every synthesis."""
+        by_order = _by_order(self.coeffs, self.l_max)
+        by_order.setflags(write=False)
+        return by_order
+
     def to_lmax(self, l_max: int) -> "HarmonicField":
         """Pad with zeros or truncate to the requested band limit."""
         n = (l_max + 1) ** 2
@@ -218,21 +225,21 @@ def synthesize(f: HarmonicField, grid: SphericalGrid) -> GridField:
             f"grid resolves band {grid.band_limit_exact} < field l_max {f.l_max}"
         )
     table = _grid_table(f.l_max, grid.cos_theta.tobytes())
-    return GridField(grid, _synthesis(_by_order(f.coeffs, f.l_max), table, grid))
+    return GridField(grid, _synthesis(f, table, grid))
 
 
-def _synthesis(by_order: np.ndarray, table: np.ndarray, grid: SphericalGrid) -> np.ndarray:
-    """Flat samples, a new array, of a field at ``table``'s abscissas crossed with ``grid``'s azimuths.
+def _synthesis(f: HarmonicField, table: np.ndarray, grid: SphericalGrid) -> np.ndarray:
+    """Flat samples of ``f`` at ``table``'s abscissas crossed with ``grid``'s azimuths.
 
-    ``by_order``: the field's :func:`_by_order` coefficients; ``table``: a
-    :func:`_legendre_table` of the same band at any abscissas.  One product
-    per order m gives A[m] = s_m sum_l c(l, m) P(l, m) and
+    ``table``: a band-``f.l_max`` :func:`_legendre_table` at any abscissas.
+    One product per order m of the field's cached order-major coefficients
+    gives A[m] = s_m sum_l c(l, m) P(l, m) and
     B[m] = s_m sum_l c(l, -m) P(l, m); B[0] is zero and meets sin(0 phi) = 0.
     Read as rows (A[0], B[0], A[1], ...), they meet the interleaved azimuth
     rows in one product.
     """
-    AB = by_order @ table  # (m, part, theta)
-    rows = _azimuth_rows(table.shape[0] - 1, grid.phi.tobytes())
+    AB = f._order_major @ table  # (m, part, theta)
+    rows = _azimuth_rows(f.l_max, grid.phi.tobytes())
     return (AB.reshape(-1, table.shape[-1]).T @ rows).reshape(-1)
 
 
@@ -293,7 +300,7 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
     if w.ndim == 0 or w.shape[-1] != 3:
         raise ValueError(f"points must have shape (..., 3), got {w.shape}")
     flat = w.reshape(-1, 3)
-    by_order = _by_order(f.coeffs, f.l_max)
+    by_order = f._order_major
     m = np.arange(f.l_max + 1)[:, None]
     out = np.empty(len(flat))
     for start in range(0, len(flat), _POINT_BLOCK):
@@ -338,31 +345,14 @@ def _turn_block(l: int) -> np.ndarray:
     return z_turn.T @ y_turn.T @ z_turn
 
 
-class _TurnStack(NamedTuple):
-    """Read-only turn blocks of one band, two degrees to a matrix, for one batched product.
-
-    Degree k and degree l_max - k share one (2 l_max + 2)-square matrix, which
-    they fill but for one row and column, so the stack holds half of what one
-    padded matrix per degree would: 0.56 MiB at band 32.
-    """
-
-    blocks: np.ndarray  # (pairs, 2 l_max + 2, 2 l_max + 2): D of degrees k and l_max - k on the diagonal
-    places: np.ndarray  # per flat slot: its index in the flattened (pairs, 2 l_max + 2) vectors
-
-
-@functools.lru_cache(maxsize=16)  # 4.4 MB for band 64
-def _turn_stack(l_max: int) -> _TurnStack:
-    size = 2 * l_max + 2
-    blocks = np.zeros(((l_max + 2) // 2, size, size))
-    places = np.empty((l_max + 1) ** 2, dtype=int)
+@functools.lru_cache(maxsize=8)  # 1.1 MB for band 32, 8.7 MB for band 64
+def _turn_stack(l_max: int) -> np.ndarray:
+    """Read-only (l_max + 1, 2 l_max + 1, 2 l_max + 1) stack of the turn blocks, each zero-padded."""
+    size = 2 * l_max + 1
+    stack = np.zeros((l_max + 1, size, size))
     for l in range(l_max + 1):
-        k = min(l, l_max - l)
-        part = np.arange(2 * l + 1) + (0 if l == k else 2 * k + 1)
-        blocks[k, part[:, None], part] = _turn_block(l)
-        places[l * l : (l + 1) ** 2] = k * size + part
-    stack = _TurnStack(blocks, places)
-    for arr in stack:
-        arr.setflags(write=False)
+        stack[l, : 2 * l + 1, : 2 * l + 1] = _turn_block(l)
+    stack.setflags(write=False)
     return stack
 
 
@@ -394,12 +384,13 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
         return x * np.cos(m * angle) + x[swap] * np.sin(m * angle)
 
     stack = _turn_stack(f.l_max)
+    places = l * (2 * f.l_max + 1) + l + m  # row l, column l + m of the padded vectors
 
     def turn(x, transpose):  # M(T) = D^T per degree, M(T^T) = D: every degree in one product
-        padded = np.zeros(stack.blocks.shape[:2])
-        padded.reshape(-1)[stack.places] = x
-        blocks = stack.blocks.transpose(0, 2, 1) if transpose else stack.blocks
-        return (blocks @ padded[:, :, None]).reshape(-1)[stack.places]
+        padded = np.zeros(stack.shape[:2])
+        padded.reshape(-1)[places] = x
+        blocks = stack.transpose(0, 2, 1) if transpose else stack
+        return (blocks @ padded[:, :, None]).reshape(-1)[places]
 
     x = turn_z(f.coeffs, a)
     x = turn_z(turn(x, True), b)

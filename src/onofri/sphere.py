@@ -361,8 +361,8 @@ class RefinementPolicy:
         for grid in self.grids(min_band):
             value = np.atleast_1d(np.asarray(func(grid), dtype=float))
             if prev is not None and prev.shape == value.shape:
-                delta = np.abs(value - prev).max()
-                if delta < self.rtol * (1.0 + np.abs(value).max()):
+                delta = np.max(np.abs(value - prev))
+                if delta < self.rtol * (1.0 + np.max(np.abs(value))):
                     return value, grid
             prev = value
         if prev is None:

@@ -160,7 +160,16 @@ def test_exp_moments_overflow_fails_at_once(refine_calls):
     # e^{2u} overflows on the first grid: no climb to the cap, and no warning
     # (warnings fail the suite)
     u = random_field(np.random.default_rng(0), 8, 400.0)
-    with pytest.raises(ConvergenceError, match=r"overflow: .* not finite on the grid of 25 theta rows"):
+    with pytest.raises(ConvergenceError, match=r"not finite on the grid of 25 theta rows: e\^\(2\(u - mean\)\) overflows$"):
+        exp_moments(u)
+    assert len(refine_calls) == 1
+
+
+def test_exp_moments_nan_coefficient_fails_at_once(refine_calls):
+    # a field with a NaN coefficient is not finite anywhere: the error says so
+    # and does not blame an overflow
+    u = HarmonicField.from_entries(2, {(0, 0): 0.1, (2, 1): float("nan")})
+    with pytest.raises(ConvergenceError, match=r"grid of 25 theta rows: a coefficient of u is not finite$"):
         exp_moments(u)
     assert len(refine_calls) == 1
 

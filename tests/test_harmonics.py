@@ -586,7 +586,7 @@ def test_turn_blocks_cached_orthogonal_and_lean(rng):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert _turn_stack(32) is stack and not stack.blocks.flags.writeable
+    assert _turn_stack(32) is stack and not stack.flags.writeable
     turn = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
     pts = rng.normal(size=(40, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
@@ -600,19 +600,15 @@ def test_turn_blocks_cached_orthogonal_and_lean(rng):
         assert np.max(np.abs(block @ block.T - np.eye(2 * l + 1))) < 1e-14
 
 
-@pytest.mark.parametrize("l_max", [0, 1, 7, 8, 32])
+@pytest.mark.parametrize("l_max", [0, 1, 8, 32])
 def test_turn_stack_holds_every_block(l_max):
-    # degrees k and l_max - k share one padded matrix; every flat slot has its
-    # own place, and each degree's block sits at its slots' places
+    # one zero-padded block per degree, in the top-left corner of its matrix
     stack = _turn_stack(l_max)
-    size = 2 * l_max + 2
-    assert stack.blocks.shape == ((l_max + 2) // 2, size, size)
-    assert np.unique(stack.places).size == (l_max + 1) ** 2
+    assert stack.shape == (l_max + 1, 2 * l_max + 1, 2 * l_max + 1)
     for l in range(l_max + 1):
-        places = stack.places[l * l : (l + 1) ** 2]
-        pair, cols = np.divmod(places, size)
-        assert np.all(pair == min(l, l_max - l))
-        assert np.array_equal(stack.blocks[pair[0]][np.ix_(cols, cols)], _turn_block(l))
+        part = slice(0, 2 * l + 1)
+        assert np.array_equal(stack[l, part, part], _turn_block(l))
+        assert not stack[l, part, 2 * l + 1 :].any() and not stack[l, 2 * l + 1 :].any()
 
 
 def test_no_hot_path_calls_evaluate_at(monkeypatch, rng):
