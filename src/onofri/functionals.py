@@ -104,10 +104,9 @@ def _exp_moments(l_max: int, coeffs: bytes, policy: RefinementPolicy) -> ExpMome
         np.exp(f, out=f)
         value = moments(g, f)
         if not np.isfinite(value[0]):
-            finite = np.isfinite(twice.coeffs).all()
-            cause = "e^(2(u - mean)) overflows" if finite else "a coefficient of u is not finite"
             raise ConvergenceError(
-                f"exponential moments are not finite on the grid of {g.theta_count} theta rows: {cause}"
+                f"exponential moments are not finite on the grid of {g.theta_count} theta rows: "
+                "e^(2(u - mean)) overflows"
             )
         last[:] = [*last[-1:], value]
         return value

@@ -136,6 +136,8 @@ class HarmonicField:
             raise ValueError(
                 f"coefficient array must have length {(self.l_max + 1) ** 2}"
             )
+        if not np.isfinite(c).all():
+            raise ValueError("field coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -241,23 +243,6 @@ def _synthesis(f: HarmonicField, table: np.ndarray, grid: SphericalGrid) -> np.n
     AB = f._order_major @ table  # (m, part, theta)
     rows = _azimuth_rows(f.l_max, grid.phi.tobytes())
     return (AB.reshape(-1, table.shape[-1]).T @ rows).reshape(-1)
-
-
-def _degree_parts(coeffs: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
-    """Flat samples of the degree-l parts of band-``l_max`` ``coeffs``, l = 1..l_max, as (l_max, N).
-
-    The Fourier coefficients s_m c(l, +-m) P(l, m) of each degree and theta
-    row, broadcast from the table and the coefficients with m put last, meet
-    the azimuth rows read part-major, [cos m phi; sin m phi], in one product.
-    """
-    if grid.band_limit_exact < l_max:
-        raise ValueError(f"grid resolves band {grid.band_limit_exact} < field l_max {l_max}")
-    table = _grid_table(l_max, grid.cos_theta.tobytes())
-    by_degree = _by_order(coeffs, l_max).T[1:, None]  # (l, 1, part, m)
-    split = np.multiply(by_degree, table.transpose(1, 2, 0)[1:, :, None], order="C")
-    rows = _azimuth_rows(l_max, grid.phi.tobytes())
-    azimuth = rows.reshape(l_max + 1, 2, -1).transpose(1, 0, 2).reshape(2 * (l_max + 1), -1)
-    return (split.reshape(-1, 2 * (l_max + 1)) @ azimuth).reshape(l_max, grid.node_count)
 
 
 def analyze(g: GridField, l_max: int) -> HarmonicField:
@@ -573,7 +558,4 @@ def field_from_json(s: str) -> HarmonicField:
     l_max = d["l_max"]
     if type(l_max) is not int:  # a JSON float or bool is not a band
         raise ValueError(f"l_max must be a JSON integer, got {l_max!r}")
-    coeffs = np.asarray(d["coeffs"], dtype=float)
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("field coefficients must be finite")
-    return HarmonicField(l_max, coeffs)
+    return HarmonicField(l_max, d["coeffs"])

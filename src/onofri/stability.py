@@ -9,16 +9,13 @@ gradient distance from a band-L field u to psi,
 needs no quadrature and no truncation of psi (u_l is the degree-l part of u,
 E(u) its gradient energy).  Its gradient is closed-form too: dg_l/dt =
 (3/2) Q_l(coth t)/sinh^2 t, and the surface gradient of u_l comes from the
-Legendre derivative relations.  A scan over t and the grid's nodes seeds
-the search: the degree-l parts u_l of u at every node come from one product
-of their per-theta-row Fourier coefficients with the grid's [cos m phi;
-sin m phi] table, and the cross terms of a block of scanned t from one
-product of their weights l(l+1) g_l with those parts.  The best (t, node)
-seeds a BFGS polish of d with its exact gradient, run in this module: Armijo
-backtracking from scipy's first step, ended at the first point whose gradient
-is at most 1e-8 (1 + d at the start) in every component and 1e-7 (1 + d) in
-norm, or by at most three quasi-Newton steps where rounding stalls the line
-search.  The search is deterministic.
+Legendre derivative relations.  A scan over t and the grid's nodes, which
+synthesizes only the t that Unsold's bound cannot rule out (see
+:func:`_best_first`), seeds a BFGS polish of d with its exact gradient, run
+in this module: Armijo backtracking from scipy's first step, ended at the
+first point whose gradient is at most 1e-8 (1 + d at the start) in every
+component and 1e-7 (1 + d) in norm, or by at most three quasi-Newton steps
+where rounding stalls the line search.  The search is deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
 beta complex: left rotations leave the Jacobian and M^H M unchanged, and the
@@ -45,7 +42,7 @@ import numpy as np
 
 from .config import scaled
 from .extremals import _ball_point, _g, _psi_energy
-from .harmonics import HarmonicField, _degree_parts, _harmonic_slopes, _layout
+from .harmonics import HarmonicField, _grid_table, _harmonic_slopes, _layout, _synthesis
 from .mobius import ConformalMap, MobiusMap
 from .sphere import (
     DEFAULT_POLICY,
@@ -69,8 +66,8 @@ __all__ = [
 
 # scanned values of atanh|a| besides 0; the last is |a| = 1 - 1.2e-5
 _SCAN_T = np.linspace(0.1, 6.0, 60)
-# scanned t per product: the (block, nodes) values stay about 1 MiB at band 32
-_SCAN_BLOCK = 12
+# a scanned t's floor is lowered by _SCAN_MARGIN (1 + its reach) against rounding (see _best_first)
+_SCAN_MARGIN = 1e-12
 # a polish has converged when |grad d| <= _GRAD_TOL (1 + d)
 _GRAD_TOL = 1e-7
 # BFGS iterations of a polish at most, scipy's default for three variables
@@ -178,29 +175,48 @@ def _scan_weights(l_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
-    """Best scanned t and best grid node of the cross term, as a point b.
+    """Best scanned t and best grid node of the cross term, as a point b (see :func:`_best_first`)."""
+    return _best_first(target, l_max, grid)[0]
 
-    The best is the first (t, node), t-major and node-minor, of the least
-    value below that of t = 0.
+
+def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid) -> tuple[np.ndarray, int]:
+    """The scan's point b, and the number of scanned t it synthesized.
+
+    At a scanned t, d - E(u) at node w is psi's energy less 2 sum_l w_l u_l(w),
+    w_l = l(l+1) g_l > 0: one synthesis of coefficients x_lm = -2 w_l c_lm.  As
+    sum_m Y_lm(w)^2 = 2l + 1 (Unsold), no node goes below psi's energy less the
+    reach 2 sum_l w_l sqrt(2l + 1) |c_l|.  The floor is that less _SCAN_MARGIN
+    (1 + reach), above the rounding: in the synthesis (3L + 3) eps times
+    sum_lm |x_lm Y_lm| <= reach, in the table at most 260 eps sqrt(2l + 1) per
+    degree on band-64 grids (1600 eps at |cos theta| = 1 - 1e-6), and eps of
+    psi's energy (at most 22.5).  The t go in stable ascending order of floor
+    until one is not below the best value so far, which it can then neither
+    beat nor tie.  The best is the first least (t, node), t-major, among the
+    values below 0, that of t = 0.
     """
-    parts = _degree_parts(target, l_max, grid)  # degree-l parts of u on the grid
+    if grid.band_limit_exact < l_max:
+        raise ValueError(f"grid resolves band {grid.band_limit_exact} < field l_max {l_max}")
     weights, psi_energy = _scan_weights(l_max)
-    values = np.empty((_SCAN_BLOCK, grid.node_count))
-    best, found = 0.0, None  # t = 0: the constant extremal
-    for start in range(0, _SCAN_T.size, _SCAN_BLOCK):
-        w = weights[start : start + _SCAN_BLOCK]
-        block = values[: len(w)]
-        # -2 w scales exactly, so this is bit for bit -2 (w @ parts)
-        np.matmul(-2.0 * w, parts, out=block)
-        nodes = np.argmin(block, axis=1)
-        least = block[np.arange(len(w)), nodes] + psi_energy[start : start + len(w)]
-        i = int(np.argmin(least))
-        if least[i] < best:
-            best, found = float(least[i]), (start + i, int(nodes[i]))
-    if found is None:
-        return np.zeros(3)
-    i_t, index = found
-    return _SCAN_T[i_t] * _node(grid, index)
+    deg = _layout(l_max).degrees
+    # sqrt(2l + 1) |c_l|, the most |u_l| reaches on the sphere, for l >= 1
+    bounds = np.sqrt((2 * np.arange(l_max + 1) + 1) * np.bincount(deg, target * target, l_max + 1))
+    reach = 2.0 * (weights @ bounds[1:])
+    floor = psi_energy - reach - _SCAN_MARGIN * (1.0 + reach)
+    table = _grid_table(l_max, grid.cos_theta.tobytes())
+    best, found, scanned = 0.0, (-1, 0), 0  # t index -1: t = 0, the constant extremal
+    for i in np.argsort(floor, kind="stable"):
+        if floor[i] >= best:
+            break
+        x = np.concatenate(([0.0], -2.0 * weights[i]))[deg] * target
+        values = _synthesis(HarmonicField(l_max, x), table, grid)
+        node = int(np.argmin(values))
+        value = float(values[node] + psi_energy[i])
+        scanned += 1
+        if value < best or (value == best and i < found[0]):
+            best, found = value, (int(i), node)
+    if found[0] < 0:
+        return np.zeros(3), scanned
+    return _SCAN_T[found[0]] * _node(grid, found[1]), scanned
 
 
 def _small_gradient(d: float, grad: np.ndarray) -> bool:
@@ -281,6 +297,7 @@ class DistanceResult:
     nfev: int
     start_value: float
     band_distance: float
+    scanned: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -290,8 +307,9 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
     """Infimum of the gradient distance over the ball, by the closed form.
 
     The best node of the scan seeds a BFGS polish in b = atanh|a| a/|a|
-    with the exact gradient; ``start_value`` is d there, and ``nfev`` counts
-    the evaluations of d from there on.  The polish ends at the first point
+    with the exact gradient; ``start_value`` is d there, ``nfev`` counts
+    the evaluations of d from there on, and ``scanned`` the scanned t that
+    the scan synthesized (of 60).  The polish ends at the first point
     it evaluates whose gradient is at most 1e-8 (1 + start_value) in every
     component and 1e-7 (1 + d) in norm, or, where its line search can no
     longer lower d beyond rounding, after at most three quasi-Newton steps
@@ -301,7 +319,7 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
     """
     target = _band_coeffs(u, l_max)
     energy = _distance(target, np.zeros(3), l_max)[1]  # d(0) = E(u)
-    start = _scan(target, l_max, grid)
+    start, scanned = _best_first(target, l_max, grid)
     found = _distance(target, start, l_max)
     b, (band, d, grad), nfev = _polish(target, start, found, l_max)
     return DistanceResult(
@@ -312,6 +330,7 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
         nfev=nfev,
         start_value=found[1],
         band_distance=band,
+        scanned=scanned,
     )
 
 

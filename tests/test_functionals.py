@@ -165,15 +165,6 @@ def test_exp_moments_overflow_fails_at_once(refine_calls):
     assert len(refine_calls) == 1
 
 
-def test_exp_moments_nan_coefficient_fails_at_once(refine_calls):
-    # a field with a NaN coefficient is not finite anywhere: the error says so
-    # and does not blame an overflow
-    u = HarmonicField.from_entries(2, {(0, 0): 0.1, (2, 1): float("nan")})
-    with pytest.raises(ConvergenceError, match=r"grid of 25 theta rows: a coefficient of u is not finite$"):
-        exp_moments(u)
-    assert len(refine_calls) == 1
-
-
 def test_exp_moments_constant():
     mom = exp_moments(HarmonicField.constant(0.5))
     assert abs(mom.mass - math.exp(1.0)) < 1e-12

@@ -489,6 +489,14 @@ def test_field_rejects_malformed_band():
             HarmonicField(l_max, np.zeros(1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_field_rejects_nonfinite_coefficients(bad):
+    # a non-finite field is refused where it is made, in the words the file
+    # reader gives, and never reaches a synthesis or exp_moments
+    with pytest.raises(ValueError, match="^field coefficients must be finite$"):
+        HarmonicField.from_entries(2, {(0, 0): 0.1, (2, 1): bad})
+
+
 def test_field_immutable(rng):
     u = random_field(rng, 3, 0.5)
     with pytest.raises((ValueError, RuntimeError)):

@@ -31,13 +31,14 @@ from onofri import (
     translation,
 )
 from onofri import stability
-from onofri.harmonics import _degree_parts, _layout, project_samples, synthesize
+from onofri.harmonics import _grid_table, _layout, _synthesis, project_samples, synthesize
 from onofri.sampling import random_conformal, random_field, random_rotation
 from onofri.sphere import SphericalGrid
 from onofri.stability import (
     _SCAN_T,
     _ball_of,
     _band_coeffs,
+    _best_first,
     _chart_of_ball,
     _distance,
     _g,
@@ -226,8 +227,9 @@ def test_stability_report_json(rng):
     assert set(d["argmin"]) == {"log_lambda", "beta1", "beta2"}
     assert set(d["trace"]) == {"converged", "functional_grid", "distance"}
     assert set(d["trace"]["distance"]) == {
-        "distance", "argmin", "converged", "nfev", "start_value", "band_distance"
+        "distance", "argmin", "converged", "nfev", "start_value", "band_distance", "scanned"
     }
+    assert 0 <= d["trace"]["distance"]["scanned"] <= _SCAN_T.size
 
 
 def test_stability_far_out_extremal(grid72):
@@ -627,6 +629,9 @@ def test_scan_matches_the_per_degree_reference(l_max):
 
 def test_scan_of_a_zero_field_stays_at_the_constant_extremal():
     assert np.array_equal(_scan(np.zeros(49), 6, build_grid(48)), np.zeros(3))
+    # every floor is psi's energy, above t = 0's value: no t is synthesized
+    assert _best_first(np.zeros(49), 6, build_grid(48))[1] == 0
+    assert distance_to_manifold(HarmonicField.zero(6), 6, build_grid(48)).scanned == 0
 
 
 def test_scan_of_band_zero_stays_at_the_constant_extremal():
@@ -636,16 +641,73 @@ def test_scan_of_band_zero_stays_at_the_constant_extremal():
     assert stability_check(HarmonicField.constant(1.0)).trace["converged"]
 
 
-@pytest.mark.parametrize("l_max", [0, 1, 5])
-def test_degree_parts_are_the_synthesized_degrees(l_max):
-    grid = build_grid(12)
-    u = random_field(np.random.default_rng(40 + l_max), l_max, 1.0)
+def _every_radius(target, l_max, grid):
+    # each scanned t synthesized as the scan synthesizes it: per t, its least
+    # node and value; and the first least (t, node) below 0, t ascending
+    weights, psi_energy = _scan_weights(l_max)
     degrees = _layout(l_max).degrees
-    parts = _degree_parts(u.coeffs, l_max, grid)
-    assert parts.shape == (l_max, grid.node_count)
-    for l in range(1, l_max + 1):
-        part = HarmonicField(l_max, np.where(degrees == l, u.coeffs, 0.0))
-        assert np.allclose(parts[l - 1], synthesize(part, grid).samples, rtol=0.0, atol=1e-13)
+    table = _grid_table(l_max, grid.cos_theta.tobytes())
+    least, best, b = [], 0.0, np.zeros(3)
+    for t, w, e in zip(_SCAN_T, weights, psi_energy):
+        x = np.concatenate(([0.0], -2.0 * w))[degrees] * target
+        values = _synthesis(HarmonicField(l_max, x), table, grid)
+        i = int(np.argmin(values))
+        least.append(float(values[i] + e))
+        if least[-1] < best:
+            best, b = least[-1], t * grid.nodes[i]
+    return np.array(least), b
+
+
+def _bound_inputs(rng, l_max, grid, count):
+    # random fields of amplitude 0.4-3, and psi of random maps with
+    # lambda_eff <= 20, in turn
+    for k in range(count):
+        if k % 2:
+            tau = random_conformal(rng, lam_eff_cap=20.0, allow_reflect=True)
+            yield psi_field(build_extremal(tau), l_max, grid, tail_threshold=None).field
+        else:
+            yield random_field(rng, l_max, rng.uniform(0.4, 3.0))
+
+
+@pytest.mark.parametrize("l_max", [6, 16, 32, 64])
+def test_no_scanned_value_goes_below_the_unsold_bound(l_max):
+    # sum_m Y_lm^2 = 2l + 1 bounds |u_l| by sqrt(2l + 1) |c_l| at every node:
+    # the least computed value of every scanned t is at least psi's energy
+    # less the reach, the scan's floor before its rounding margin
+    rng = np.random.default_rng(280 + l_max)
+    grid = build_grid(max(l_max, 48))
+    weights, psi_energy = _scan_weights(l_max)
+    for u in _bound_inputs(rng, l_max, grid, 10):
+        target = _band_coeffs(u, l_max)
+        norms = [np.linalg.norm(target[l * l : (l + 1) ** 2]) for l in range(1, l_max + 1)]
+        reach = 2.0 * (weights @ (np.sqrt(2.0 * np.arange(1, l_max + 1) + 1.0) * norms))
+        least, _ = _every_radius(target, l_max, grid)
+        assert np.all(least >= psi_energy - reach)
+
+
+def test_best_first_scan_equals_the_exhaustive_scan():
+    # the scan stops once no floor can beat its best value; synthesizing all
+    # 60 scanned t under the same tie rule gives the same start bit for bit
+    rng = np.random.default_rng(2828)
+    grids = {n: build_grid(n) for n in (48, 72)}
+    psi_scanned = []
+    for k in range(120):
+        if k % 6 == 5:  # the classify inputs: psi of a map with lambda_eff <= 6 at band 32
+            l_max, grid = 32, grids[72]
+            tau = random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
+            u = psi_field(build_extremal(tau), 32, grid).field
+        else:  # the certify inputs and their neighbours
+            l_max, grid = int(rng.integers(1, 9)), grids[48]
+            u = random_field(rng, l_max, rng.uniform(0.3, 3.0))
+        target = _band_coeffs(u, l_max)
+        b, scanned = _best_first(target, l_max, grid)
+        assert np.array_equal(b, _every_radius(target, l_max, grid)[1])
+        assert np.array_equal(b, _scan(target, l_max, grid))
+        if l_max == 32:
+            psi_scanned.append(scanned)
+    # on psi itself the best value, near -E(psi), is below nearly every
+    # floor: these 20 synthesize at most 2 of the 60 scanned t
+    assert max(psi_scanned) <= 3
 
 
 def test_distance_refuses_a_grid_below_the_band():
