@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -27,14 +28,16 @@ from .extremals import _psi_of_jacobian, build_extremal
 from .harmonics import (
     HarmonicField,
     Projection,
+    _field_of_sums,
     _legendre_table,
     _rotated,
+    _split_tail,
     _synthesis,
+    _tail_band,
     dirichlet_energy,
-    project_samples,
     synthesize,
 )
-from .mobius import ConformalMap, _spinor, dilation
+from .mobius import ConformalMap, _dilated_meridian
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -53,6 +56,9 @@ __all__ = [
     "onofri_value",
     "transform",
 ]
+
+
+_ROOT_MAX = math.sqrt(sys.float_info.max)  # the largest mass whose square is a finite float
 
 
 class ExpMoments(NamedTuple):
@@ -75,8 +81,8 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
     the policy's relative tolerance.  They refine e^{2(u - mean)}, whose mass is
     at least 1 by Jensen, so that tolerance is relative however small e^{2u} is.
     Raises ConvergenceError if the values are still moving at the theta cap,
-    and at once, naming the grid, if the mass of e^{2(u - mean)} on a grid is
-    not finite.
+    at once, naming the grid, if the mass of e^{2(u - mean)} on a grid is
+    not finite, and naming the mean if e^{2 mean(u)} times that mass is not.
 
     The result is kept under the key (u.l_max, the bytes of u.coeffs, policy),
     for the last 4 keys: a second call with an equal field and an equal policy
@@ -111,11 +117,19 @@ def _exp_moments(l_max: int, coeffs: bytes, policy: RefinementPolicy) -> ExpMome
         last[:] = [*last[-1:], value]
         return value
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass raises above instead
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass raises instead
         v, grid = policy.refine(func, "exponential moments", min_band=l_max)
-    scale = math.exp(shift)
-    v = v * scale
-    delta = (last[1] - last[0]) * scale
+        # |moment| <= mass, so the moments are finite wherever the mass is
+        try:
+            scale = math.exp(shift)
+        except OverflowError:
+            scale = math.inf
+        v = v * scale
+        delta = (last[1] - last[0]) * scale
+    if not math.isfinite(v[0]):
+        raise ConvergenceError(
+            f"exponential moments are not finite: e^(2u) overflows at mean(u) = {shift / 2.0:.6g}"
+        )
     v.setflags(write=False)
     delta.setflags(write=False)
     return ExpMoments(float(v[0]), v[1:], grid, delta)
@@ -149,9 +163,12 @@ def chang_gui_report(
     ConvergenceError if they do not converge.  The Lorentzian quantity is
     strictly positive for genuine measures (strict Cauchy-Schwarz since
     |w| = 1 and w is not constant); a non-positive value can only come from
-    broken quadrature and raises too.
+    broken quadrature and raises too, as does a mass whose square overflows
+    (a mean of u above about 177).
     """
     mom = exp_moments(u, policy)
+    if mom.mass > _ROOT_MAX:
+        raise ConvergenceError(f"Lorentzian quantity overflows: the mass of e^(2u) is {mom.mass:.3e}")
     lorentzian = mom.mass**2 - float(mom.moment @ mom.moment)
     if lorentzian <= 0.0:
         raise ConvergenceError(
@@ -204,11 +221,17 @@ class _Composition(NamedTuple):
         samples are one synthesis from the order-major Legendre table at the
         image of one meridian, and the Jacobian is zonal.
         """
-        t = grid.cos_theta
-        meridian = np.stack([np.sqrt(np.maximum(1.0 - t * t, 0.0)), np.zeros_like(t), t], axis=-1)
-        image, jac = dilation(self.lam)._image_and_jacobian(_spinor(meridian))
-        table = _legendre_table(self.field.l_max, image[:, 2])
+        table, jac = self.meridian(grid)
         return _synthesis(self.field, table, grid), jac
+
+    def meridian(self, grid: SphericalGrid) -> tuple[np.ndarray, np.ndarray]:
+        """The field's Legendre table where the dilation takes ``grid``'s abscissas, and J there.
+
+        The image, its sine and J come in closed form
+        (:func:`mobius._dilated_meridian`).
+        """
+        t, s, jac = _dilated_meridian(self.lam, grid.cos_theta)
+        return _legendre_table(self.field.l_max, t, s), jac
 
 
 def _compose(u: HarmonicField, tau: ConformalMap) -> _Composition:
@@ -226,16 +249,34 @@ def transform(
     """Transport u along tau: project u(tau(w)) + psi(w) to band l_max.
 
     Works for reflect maps as well; the Jacobian (hence psi) is insensitive
-    to the reflection.  The projection's tail-energy fraction is returned and
+    to the reflection.  The projection's tail-energy fraction is that of
+    ``project_samples`` at band L2 = min(2 l_max, band_limit_exact), and is
     gated by ``tail_threshold``.
+
+    The projection runs in the dilation's frame, order by order, and is
+    rotated back.  There v = u o R_U, of band L_v, is at a theta row
+    A_0 + sum_m (A_m cos(m phi) + B_m sin(m phi)), with (A_m, B_m) the
+    order-m product of v's coefficients with the Legendre table at the
+    dilated meridian, and psi(J) adds to A_0 alone.  ``analyze`` at band L2
+    would sum these samples against cos(m phi) and sin(m phi); on
+    ``phi_count`` uniform azimuths the sums are exactly phi_count (A_0, 0)
+    and phi_count/2 (A_m, B_m) once phi_count > L_v + L2, and 0 at orders
+    m > L_v.  So the sums come from the first min(L_v, L2) + 1 orders with
+    no azimuth, and meet the theta contraction of ``analyze`` directly.  On
+    a grid with phi_count <= L_v + L2 the sampled projection aliases orders
+    m and phi_count - m into each other; this one does not.
     """
-    e = build_extremal(tau)
+    band = _tail_band(grid, l_max)
     comp = _compose(u, tau)
-    samples, jac = comp.samples(grid)
-    samples = samples + np.repeat(_psi_of_jacobian(e, jac), grid.phi_count)
-    # projected in the dilation's frame and rotated back; the tail fraction
-    # is a ratio of per-degree energies, which the rotation keeps
-    proj = project_samples(samples, grid, l_max)
+    v = comp.field
+    orders = min(v.l_max, band) + 1
+    table, jac = comp.meridian(grid)
+    sums = v._order_major[:orders] @ table[:orders]  # (m, part, theta)
+    sums[0, 0] += _psi_of_jacobian(build_extremal(tau), jac)
+    sums *= grid.theta_weights / 4.0
+    sums[0] *= 2.0
+    proj = _split_tail(_field_of_sums(sums, grid, band), l_max)
+    # the tail fraction is a ratio of per-degree energies, which the rotation keeps
     proj = Projection(_rotated(proj.field, comp.frame), proj.tail_fraction)
     if tail_threshold is not None and proj.tail_fraction > scaled(tail_threshold):
         raise ConvergenceError(

@@ -92,20 +92,28 @@ def _grid_table(l_max: int, cos_theta: bytes) -> np.ndarray:
 
 
 class _Layout(NamedTuple):
-    """Read-only map of one band's flat slots into order-major (m, part, l) arrays, c(l, -m) in part 1."""
+    """Read-only per-slot arrays of one band: its map into order-major (m, part, l) arrays,
+    c(l, -m) in part 1, and the places :func:`_rotated` reads."""
 
     degrees: np.ndarray  # degree l of each flat slot
     slots: np.ndarray    # per flat slot: its index in a flattened (l_max+1, 2, l_max+1) array
     scale: np.ndarray    # per flat slot: the real-basis scale, 1 at m = 0, else sqrt(2)
+    signed: np.ndarray   # per flat slot: its signed order m
+    swap: np.ndarray     # per flat slot: the slot of (l, -m)
+    places: np.ndarray   # per flat slot: row l, column l + m of a flattened (l_max+1, 2 l_max+1) array
 
 
 @functools.lru_cache(maxsize=16)
 def _layout(l_max: int) -> _Layout:
     degrees = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    signed = np.arange(degrees.size) - degrees * (degrees + 1)
+    index = np.arange(degrees.size)
+    signed = index - degrees * (degrees + 1)
     m = np.abs(signed)
     slots = (2 * m + (signed < 0)) * (l_max + 1) + degrees
-    layout = _Layout(degrees, slots, np.where(m == 0, 1.0, math.sqrt(2.0)))
+    places = degrees * (2 * l_max + 1) + degrees + signed
+    layout = _Layout(
+        degrees, slots, np.where(m == 0, 1.0, math.sqrt(2.0)), signed, index - 2 * signed, places
+    )
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -251,22 +259,35 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
     Exact (analyze o synthesize = identity) for band-limited inputs whenever
     the grid's band_limit_exact covers ``l_max``.  One product with the
     interleaved azimuth rows gives every order's azimuthal sums, and each
-    order m contracts them with its own (degree x theta) table.
+    order m contracts them with its own (degree x theta) table
+    (:func:`_field_of_sums`).
     """
     grid = g.grid
     if grid.band_limit_exact < l_max:
         raise ValueError(
             f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}"
         )
-    lay = _layout(l_max)
     f2d = g.samples.reshape(grid.theta_count, grid.phi_count)
     rows = _azimuth_rows(l_max, grid.phi.tobytes())
     wt = grid.theta_weights / (2.0 * grid.phi_count)
-    sums = wt * (rows @ f2d.T).reshape(l_max + 1, 2, -1)  # (m, part, theta): azimuthal sums
+    return _field_of_sums(wt * (rows @ f2d.T).reshape(l_max + 1, 2, -1), grid, l_max)
+
+
+def _field_of_sums(sums: np.ndarray, grid: SphericalGrid, l_max: int) -> HarmonicField:
+    """The band-``l_max`` field whose weighted azimuthal sums on ``grid`` are ``sums``.
+
+    ``sums``: (orders, part, theta), part 0 against cos(m phi) and part 1
+    against sin(m phi), each theta row weighted by theta_weight / (2
+    phi_count) as in :func:`analyze`; the orders past ``sums.shape[0]`` are
+    zero.  c(l, +-m) = s_m sum_theta P(l, m) sums(m, theta): one product per
+    order m.
+    """
+    lay = _layout(l_max)
+    k = sums.shape[0]
+    by_order = np.zeros((l_max + 1, 2, l_max + 1))
     table = _grid_table(l_max, grid.cos_theta.tobytes())
-    # c(l, +-m) = s_m sum_theta P(l, m) sums(m, theta): one product per order m
-    coeffs = lay.scale * (sums @ table.transpose(0, 2, 1)).reshape(-1)[lay.slots]
-    return HarmonicField(l_max, coeffs)
+    np.matmul(sums, table[:k].transpose(0, 2, 1), out=by_order[:k])
+    return HarmonicField(l_max, lay.scale * by_order.reshape(-1)[lay.slots])
 
 
 _POINT_BLOCK = 256  # points per Legendre table in evaluate_at
@@ -354,9 +375,7 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     M = R_z(a)^T R = R_y(b) R_z(c) gives c = atan2(M_10, M_11) and
     b = atan2(M_02, M_22), backward-stable at b = 0 and b = pi as well.
     """
-    l = f.degrees()
-    m = np.arange(l.size) - l * (l + 1)  # signed order of each flat slot
-    swap = np.arange(l.size) - 2 * m     # the slot of (l, -m)
+    lay = _layout(f.l_max)
     reflect = np.linalg.det(frame) < 0.0
     rot = frame * [1.0, 1.0, -1.0 if reflect else 1.0]
     a = math.atan2(rot[1, 2], rot[0, 2])
@@ -364,24 +383,29 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     tilt = np.array([[ca, sa, 0.0], [-sa, ca, 0.0], [0.0, 0.0, 1.0]]) @ rot
     b = math.atan2(tilt[0, 2], tilt[2, 2])
     c = math.atan2(tilt[1, 0], tilt[1, 1])
+    # cos and sin of the orders m = 0..l_max times each angle, laid out as
+    # m = 0..l_max, -l_max..-1, so that each slot's signed order indexes them
+    arg = np.array([[a], [b], [c]]) * np.arange(f.l_max + 1)
+    cos, sin = np.cos(arg), np.sin(arg)
+    cos = np.concatenate((cos, cos[:, :0:-1]), axis=1).take(lay.signed, axis=1)
+    sin = np.concatenate((sin, -sin[:, :0:-1]), axis=1).take(lay.signed, axis=1)
 
-    def turn_z(x, angle):  # M(R_z(angle))
-        return x * np.cos(m * angle) + x[swap] * np.sin(m * angle)
+    def turn_z(x, k):  # M(R_z(angle k))
+        return x * cos[k] + x.take(lay.swap) * sin[k]
 
     stack = _turn_stack(f.l_max)
-    places = l * (2 * f.l_max + 1) + l + m  # row l, column l + m of the padded vectors
 
     def turn(x, transpose):  # M(T) = D^T per degree, M(T^T) = D: every degree in one product
         padded = np.zeros(stack.shape[:2])
-        padded.reshape(-1)[places] = x
+        padded.reshape(-1)[lay.places] = x
         blocks = stack.transpose(0, 2, 1) if transpose else stack
-        return (blocks @ padded[:, :, None]).reshape(-1)[places]
+        return (blocks @ padded[:, :, None]).take(lay.places)
 
-    x = turn_z(f.coeffs, a)
-    x = turn_z(turn(x, True), b)
-    x = turn_z(turn(x, False), c)
+    x = turn_z(f.coeffs, 0)
+    x = turn_z(turn(x, True), 1)
+    x = turn_z(turn(x, False), 2)
     if reflect:
-        x = x * (1.0 - 2.0 * ((l + m) % 2))
+        x = x * (1.0 - 2.0 * ((lay.degrees + lay.signed) % 2))
     return HarmonicField(f.l_max, x)
 
 
@@ -531,17 +555,25 @@ def project_samples(
     against its exact 0.02722 (7% low).  Fields whose entire energy sits at rounding scale
     (e.g. the zero field, or ln J of an isometry) report a zero tail.
     """
+    band = _tail_band(grid, l_max)
+    return _split_tail(analyze(GridField(grid, samples), band), l_max)
+
+
+def _tail_band(grid: SphericalGrid, l_max: int) -> int:
+    """The band :func:`project_samples` analyzes at: min(2 l_max, band_limit_exact)."""
     if grid.band_limit_exact < l_max:
         raise ValueError(f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}")
-    L2 = min(2 * l_max, grid.band_limit_exact)
-    wide = analyze(GridField(grid, samples), L2)
-    field = wide.to_lmax(l_max)
+    return min(2 * l_max, grid.band_limit_exact)
+
+
+def _split_tail(wide: HarmonicField, l_max: int) -> Projection:
+    """``wide`` truncated to ``l_max``, with its degrees above as the tail of :func:`project_samples`."""
     l = wide.degrees()
     spectrum = l * (l + 1) * wide.coeffs**2
     total = float(np.sum(spectrum))
     tail = float(np.sum(spectrum[(l_max + 1) ** 2:]))
     frac = tail / total if total > 1e-18 else 0.0
-    return Projection(field, frac)
+    return Projection(wide.to_lmax(l_max), frac)
 
 
 def field_to_json(f: HarmonicField) -> str:

@@ -264,6 +264,23 @@ def dilation(lam: float) -> ConformalMap:
     return ConformalMap(MobiusMap(r, 0, 0, 1.0 / r))
 
 
+def _dilated_meridian(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``dilation(lam)`` takes the abscissas ``t``: image cos, image sin, Jacobian.
+
+    The dilation keeps the azimuth and takes |z|^2 = (1 + t)/(1 - t) to
+    lam^2 |z|^2.  With D = lam (1 + t) + (1 - t)/lam, the image is
+    (lam (1 + t) - (1 - t)/lam)/D, its sine 2 sqrt((1 + t)(1 - t))/D and the
+    Jacobian (2/D)^2: D is a sum of positive terms and no sine comes from
+    1 - cos^2, so each value is within a few eps of the exact one at any
+    lam, poles included.  (D is lam^2 (1 + t) + (1 - t) over lam, which keeps
+    lam^2 from overflowing.)
+    """
+    p = lam * (1.0 + t)
+    q = (1.0 - t) / lam
+    d = p + q
+    return (p - q) / d, 2.0 * np.sqrt((1.0 + t) * (1.0 - t)) / d, (2.0 / d) ** 2
+
+
 def translation(beta) -> ConformalMap:
     """Plane translation z -> z + beta; beta must be finite."""
     if beta is INFINITY:

@@ -199,11 +199,15 @@ def transported_com(
 ) -> np.ndarray:
     """Center of mass of e^{2(u o tau + psi)} from exact samples (no band limit).
 
-    u o tau is synthesized exactly for the stored expansion (see
-    ``functionals._Composition``), so the residual is limited by quadrature
-    alone.  ``normalize`` does not call it; it is the checks' oracle for the Lorentz transport
-    of the moments, on mild fields only (criterion 8's band 8, amplitude 0.5): a band-32 field of
-    amplitude 2.6 reads 2.5e-6 at 1,024 theta nodes, where its tau's Lorentz residual is 5.2e-14.
+    u o tau is synthesized exactly for the stored expansion, at the closed-form
+    image of the meridian (see ``functionals._Composition``), so the residual
+    is limited by quadrature alone.  ``normalize`` does not call it; it is the
+    checks' oracle for the Lorentz transport of the moments, on mild fields
+    only (criterion 8's band 8, amplitude 0.5).  On a concentrated field, a
+    band-32 one of amplitude 2.6, it reads 1.9e-5 on 768 theta rows and
+    2.5e-6 on 1,024, as it did from the meridian's spinors, and does not
+    settle by the cap of 512, while its tau's Lorentz residual is 5.7e-15:
+    the quadrature, not the meridian, limits it.
     """
     comp = _compose(u, tau)
     com, _ = _tight(policy).refine(lambda g: _composed_com(comp, g), "transported center of mass", u.l_max)

@@ -369,6 +369,17 @@ def test_eval_nonconvergence_exit_one(capsys, random_field_file, tmp_path):
     assert err.startswith("error: ") and "overflow" in err
 
 
+@pytest.mark.parametrize("mean, words", [(400.0, "e^(2u) overflows"), (200.0, "Lorentzian quantity overflows")])
+def test_eval_of_a_large_mean_exits_one(capsys, tmp_path, mean, words):
+    # e^(2 mean) is not a float at 400, and the squared mass is not at 200
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"l_max": 0, "coeffs": [mean]}))
+    code = main(["eval", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and words in err
+
+
 def test_verify_nonconvergence_exit_one(capsys):
     # a starved cap stops the conformal-map moments short of convergence
     code = main(["--theta-cap", "10", "verify", "mass_com"])

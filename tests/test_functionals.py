@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from onofri import (
+    ConformalMap,
     HarmonicField,
     build_extremal,
+    build_grid,
     cg_bound_slack,
     chang_gui_report,
     chang_gui_value,
@@ -20,10 +22,12 @@ from onofri import (
     rotation,
     transform,
 )
+from onofri.extremals import _psi_of_jacobian
 from onofri.functionals import _compose, _exp_moments
-from onofri.harmonics import project_samples, synthesize
+from onofri.harmonics import _rotated, project_samples, synthesize
+from onofri.mobius import _dilated_meridian
 from onofri.sampling import random_conformal, random_field
-from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy, moments
+from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy, _make_grid, moments
 
 
 def w3_times(eps):
@@ -165,6 +169,21 @@ def test_exp_moments_overflow_fails_at_once(refine_calls):
     assert len(refine_calls) == 1
 
 
+def test_exp_moments_large_mean_names_the_overflow():
+    # e^(2 mean) is past the largest float although e^(2(u - mean)) is 1:
+    # a refusal naming the overflow, not a bare OverflowError
+    with pytest.raises(ConvergenceError, match=r"not finite: e\^\(2u\) overflows at mean\(u\) = 400$"):
+        exp_moments(HarmonicField.constant(400.0))
+    assert math.isfinite(exp_moments(HarmonicField.constant(354.0)).mass)
+
+
+def test_sharp_functional_names_an_overflowing_lorentzian():
+    # the mass e^400 is a float, its square is not
+    with pytest.raises(ConvergenceError, match="^Lorentzian quantity overflows: the mass of e\\^\\(2u\\) is 5.221e\\+173$"):
+        chang_gui_report(1.0, HarmonicField.constant(200.0))
+    assert math.isfinite(onofri_value(1.0, HarmonicField.constant(200.0)))
+
+
 def test_exp_moments_constant():
     mom = exp_moments(HarmonicField.constant(0.5))
     assert abs(mom.mass - math.exp(1.0)) < 1e-12
@@ -286,3 +305,75 @@ def test_report_json(rng):
     assert set(d) == {
         "alpha", "energy", "mean", "log_mass", "lorentzian", "value", "grid",
     }
+
+
+def _sampled_transform(u, tau, l_max, grid):
+    # the path transform took before its per-order sums: the composition's
+    # samples at every node plus psi, projected by quadrature over every
+    # azimuth, and rotated back
+    comp = _compose(u, tau)
+    samples, jac = comp.samples(grid)
+    samples = samples + np.repeat(_psi_of_jacobian(build_extremal(tau), jac), grid.phi_count)
+    proj = project_samples(samples, grid, l_max)
+    return _rotated(proj.field, comp.frame).coeffs, proj.tail_fraction
+
+
+@pytest.mark.parametrize("l_max", [8, 32])
+@pytest.mark.parametrize("band", [0, 1, 8, 32])
+def test_transform_matches_the_sampled_path(rng, band, l_max):
+    # build_grid(n) has 2n + 1 azimuths, more than band + min(2 l_max, n):
+    # there the azimuthal sums are exact and the two paths agree to rounding
+    u = random_field(rng, band, 0.5)
+    spin = rotation(rng.normal(size=3), 1.1)
+    maps = [
+        identity_map(),
+        spin,
+        ConformalMap(spin.compose(dilation(3.0)).mobius, reflect=True),
+        random_conformal(rng, lam_eff_cap=50.0, allow_reflect=True),
+        rotation(rng.normal(size=3), 2.3).compose(dilation(50.0)).compose(spin),
+    ]
+    for n in (24, 48, 72, 300):
+        grid = build_grid(n)
+        if n < l_max:
+            continue
+        assert grid.phi_count > band + min(2 * l_max, n)
+        for tau in maps:
+            got = transform(u, tau, l_max, grid, tail_threshold=None)
+            coeffs, tail = _sampled_transform(u, tau, l_max, grid)
+            assert np.max(np.abs(got.field.coeffs - coeffs)) <= 1e-14 * max(1.0, np.max(np.abs(coeffs)))
+            assert abs(got.tail_fraction - tail) <= 1e-14
+
+
+def test_transform_does_not_alias_on_few_azimuths(rng):
+    # 49 azimuths are too few for band 40 plus the tail band 16: sampled
+    # orders 33-40 alias into 9-16 and move the tail, and the per-order sums
+    # give what the sampled path gives on the same rows with 201 azimuths
+    u = random_field(rng, 40, 0.5)
+    tau = rotation([1.0, 2.0, 3.0], 0.7).compose(dilation(2.0))
+    got = transform(u, tau, 8, _make_grid(25, 49), tail_threshold=None)
+    coeffs, tail = _sampled_transform(u, tau, 8, _make_grid(25, 201))
+    assert np.max(np.abs(got.field.coeffs - coeffs)) <= 1e-14 * max(1.0, np.max(np.abs(coeffs)))
+    assert abs(got.tail_fraction - tail) <= 1e-14
+    assert abs(_sampled_transform(u, tau, 8, _make_grid(25, 49))[1] - tail) > 1e-5
+
+
+def test_dilated_meridian_matches_mpmath():
+    # against the chart at 40 digits, each abscissa t taken as exact: z -> lam z
+    # takes |z|^2 = (1 + t)/(1 - t) to r = lam^2 |z|^2, where the image cos is
+    # (r - 1)/(r + 1), its sine 2 sqrt(r)/(r + 1), and the Jacobian
+    # lam^2 (1 + |z|^2)^2 / (1 + r)^2
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for n in (72, 300):
+        t = build_grid(n).cos_theta
+        for lam in (1.0, 1.3, 6.0, 50.0, 1e3):
+            x, s, jac = _dilated_meridian(lam, t)
+            with mpmath.workdps(40):
+                for k, tk in enumerate(t):
+                    z2 = (1 + mpmath.mpf(tk)) / (1 - mpmath.mpf(tk))
+                    r = mpmath.mpf(lam) ** 2 * z2
+                    assert abs(x[k] - (r - 1) / (r + 1)) <= 4 * eps
+                    exact = 2 * mpmath.sqrt(r) / (r + 1)
+                    assert abs(s[k] - exact) <= 8 * eps * exact
+                    exact = mpmath.mpf(lam) ** 2 * (1 + z2) ** 2 / (1 + r) ** 2
+                    assert abs(jac[k] - exact) <= 8 * eps * exact

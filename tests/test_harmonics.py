@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -633,6 +634,21 @@ def test_no_hot_path_calls_evaluate_at(monkeypatch, rng):
     grid = build_grid(48)
     transform(u, tau, 16, grid, tail_threshold=None)
     stability_check(u)
+
+
+def test_transform_runs_no_grid_transform(monkeypatch, rng):
+    # transform sums per order: no synthesis, no analysis and no azimuth
+    # table, under any module's binding of them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid transform called")
+
+    for name in ("synthesize", "analyze", "_azimuth_rows"):
+        for module in [m for key, m in sys.modules.items() if key.startswith("onofri")]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    tau = ConformalMap(rotation(rng.normal(size=3), 0.8).compose(dilation(4.0)).mobius, reflect=True)
+    for u in (random_field(rng, 8, 0.5), random_field(rng, 32, 0.5)):
+        transform(u, tau, 32, build_grid(72), tail_threshold=None)
 
 
 def test_lapack_has_the_banded_triangular_solve():
