@@ -18,9 +18,10 @@ residual is the center of mass of L^{-1} m, and the last refinement step of m,
 transported the same way, estimates its error.  The composed quadrature of
 u o tau (``transported_com``) stays as the checks' oracle for that identity.
 The root-finding path of ``solve_lambda0`` checks the closed-form algebra:
-Brent's method finds the zero in lambda of the third center-of-mass
-component of L^{-1} m, which is strictly decreasing (it equals
-A/lambda - B*lambda with A, B > 0 up to a positive factor).
+Brent's method, run in this module (``_brent``), finds the zero in lambda of
+the third center-of-mass component of L^{-1} m, which is strictly
+decreasing (it equals A/lambda - B*lambda with A, B > 0 up to a positive
+factor).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import scaled
 from .functionals import ExpMoments, _compose, _Composition, exp_moments
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _LAMBDA_RANGE = (1e-6, 1e6)
+_EPS = float(np.finfo(float).eps)
 _SIGNS = np.outer(np.diag(ETA), np.diag(ETA))  # eta L^T eta = _SIGNS * L^T
 
 
@@ -109,14 +110,74 @@ def _four_vector(mom: ExpMoments) -> np.ndarray:
     return np.concatenate([[mom.mass], mom.moment])
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float = 4 * _EPS, maxiter: int = 100):
+    """Brent's root of f on [a, b], f(a) and f(b) of opposite signs: (root, converged).
+
+    Step for step scipy's ``brentq.c`` (Brent 1973, ch. 4), the same float
+    operations in the same order, so it evaluates f at the same points and
+    returns the same root: inverse quadratic interpolation, or the secant
+    when only two points are distinct, accepted while the step is short
+    against the last two, else bisection; done when half the bracket is
+    below delta = (xtol + rtol |x|)/2.  After ``maxiter`` steps it returns
+    the current iterate unconverged.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre, True
+    if fcur == 0:
+        return xcur, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have opposite signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to inf or nan here, a step the test below rejects
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur, False
+
+
 def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
     m = _four_vector(mom)
 
-    # brentq keeps g in a reference cycle until the next garbage collection,
-    # so g's closure must own nothing node-sized
+    # g's closure holds m and x0 alone, so the root find keeps nothing
+    # node-sized alive
     def g(lam: float) -> float:
         v = _inverse_lift(recentering_map(x0, lam)) @ m
-        return float(v[3] / v[0])
+        value = float(v[3] / v[0])
+        if not math.isfinite(value):
+            raise ConvergenceError(f"root-find objective for lambda0 is {value} at lambda = {lam!r}")
+        return value
 
     # g is decreasing: grow the bracket from 1 by decades until the sign changes
     lo = hi = 1.0
@@ -131,9 +192,9 @@ def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
         if lo < _LAMBDA_RANGE[0]:
             raise ConvergenceError("no bracket for lambda0 above 1e-6")
         g_lo = g(lo)
-    root, info = brentq(g, lo, hi, xtol=1e-15, full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceError(f"Brent iteration for lambda0 did not converge: {info.flag}")
+    root, converged = _brent(g, lo, hi, xtol=1e-15)
+    if not converged:
+        raise ConvergenceError(f"Brent iteration for lambda0 did not converge: lambda = {root!r}")
     return root
 
 

@@ -1,13 +1,31 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onofri
 from onofri import HarmonicField, dilation, field_to_json, psi_field, build_extremal, build_grid
 from onofri import checks
 from onofri.cli import main
 from onofri.sampling import random_field
+
+
+def test_import_loads_no_scipy_optimize():
+    # a CLI run is a fresh process: importing the library and its CLI loads
+    # scipy.linalg for the banded solve, and not scipy's optimizers, special
+    # functions or FFTs
+    src = str(Path(onofri.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import onofri, onofri.cli; "
+        "print(sorted(name for name in sys.modules if name.split('.')[:2] in "
+        "(['scipy', 'optimize'], ['scipy', 'special'], ['scipy', 'fft'])))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import math
@@ -36,7 +37,7 @@ from onofri import (
 from onofri.functionals import _compose
 from onofri.harmonics import _grid_table
 from onofri.lorentz import ETA, lorentz_lift
-from onofri.normalize import _composed_com, transported_com
+from onofri.normalize import _brent, _composed_com, transported_com
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import _make_grid
 
@@ -133,6 +134,103 @@ def test_root_find_brackets_both_directions():
         assert abs(solve_lambda0(u, x0, method="root_find") - lam_cf) < 1e-8
 
 
+def _recorded(f):
+    seen = []
+
+    def wrapped(x):
+        seen.append(x)
+        return f(x)
+
+    return wrapped, seen
+
+
+def _assert_brent_is_brentq(f, a, b, xtol, maxiter=100):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    ours, ours_seen = _recorded(f)
+    theirs, theirs_seen = _recorded(f)
+    root, converged = _brent(ours, a, b, xtol, maxiter=maxiter)
+    ref, info = brentq(theirs, a, b, xtol=xtol, maxiter=maxiter, full_output=True, disp=False)
+    assert (root, converged) == (ref, info.converged)
+    assert ours_seen == theirs_seen
+
+
+def test_brent_is_scipy_brentq_on_the_lambda0_objective(monkeypatch):
+    # the same root, bit for bit, from the same sequence of evaluated lambda:
+    # 200 recenter fields (band 8, amplitude 0.5) and bands 1-16 at four
+    # amplitudes; the objective and bracket are the root find's own
+    module = importlib.import_module("onofri.normalize")
+    calls = []
+
+    def capture(f, a, b, xtol, **kwargs):
+        calls.append((f, a, b, xtol))
+        return _brent(f, a, b, xtol, **kwargs)
+
+    monkeypatch.setattr(module, "_brent", capture)
+    rng = np.random.default_rng(3001)
+    fields = [random_field(rng, 8, 0.5) for _ in range(200)]
+    fields += [random_field(rng, band, amp) for band in range(1, 17) for amp in (0.05, 0.5, 1.5, 3.0)]
+    for u in fields:
+        solve_lambda0(u, solve_x0(u), method="root_find")
+    assert len(calls) == len(fields)
+    for f, a, b, xtol in calls:
+        _assert_brent_is_brentq(f, a, b, xtol)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: x**3 - 2.0,
+        lambda x: math.cos(x) - x,
+        lambda x: math.atan(50.0 * x - 3.0),
+        lambda x: (x - 0.3) ** 5,
+        lambda x: 1.0 if x > 0.123 else -1.0,
+        lambda x: math.tanh(1e3 * (x - 0.5)),
+        lambda x: (x - 0.7) ** 3 * 1e300,
+        lambda x: (x - 0.5) ** 3 * 1e-160,
+    ],
+    ids=["cubic", "cos", "atan", "flat", "step", "tanh", "overflow", "underflow"],
+)
+def test_brent_is_scipy_brentq_on_classic_functions(f):
+    # interpolation, the secant, bisection, steps that overflow or divide by
+    # an underflowed zero, tolerances wide enough to meet the step test's
+    # delta, and iteration caps that stop it unconverged; each f changes
+    # sign once in (0, 1.3)
+    rng = np.random.default_rng(3002)
+    for _ in range(40):
+        a, b = float(rng.uniform(-3.0, 0.0)), float(rng.uniform(1.3, 4.0))
+        for maxiter in (100, 3):
+            for xtol in (2e-12, 1e-3, 0.5):
+                _assert_brent_is_brentq(f, a, b, xtol, maxiter)
+
+
+def test_brent_returns_an_endpoint_zero():
+    assert _brent(lambda x: x - 1.0, 1.0, 2.0, 1e-15) == (1.0, True)
+    assert _brent(lambda x: x - 2.0, 1.0, 2.0, 1e-15) == (2.0, True)
+
+
+def test_brent_refuses_endpoints_of_equal_sign():
+    with pytest.raises(ValueError, match="opposite signs"):
+        _brent(lambda x: x * x + 1.0, -1.0, 2.0, 1e-15)
+
+
+def test_root_find_names_a_nonfinite_objective(monkeypatch):
+    module = importlib.import_module("onofri.normalize")
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    x0 = solve_x0(u)
+    monkeypatch.setattr(module, "_inverse_lift", lambda tau: np.full((4, 4), math.nan))
+    with pytest.raises(ConvergenceError, match=r"objective for lambda0 is nan at lambda = 1\.0"):
+        solve_lambda0(u, x0, method="root_find")
+
+
+def test_root_find_names_an_unconverged_iteration(monkeypatch):
+    module = importlib.import_module("onofri.normalize")
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    x0 = solve_x0(u)
+    monkeypatch.setattr(module, "_brent", functools.partial(_brent, maxiter=1))
+    with pytest.raises(ConvergenceError, match="Brent iteration for lambda0 did not converge"):
+        solve_lambda0(u, x0, method="root_find")
+
+
 def test_grid_com_matches_scattered_evaluation(rng):
     # the tensor-grid composition against u sampled at every mapped node; the
     # two quadratures of one integral agree once both have converged
@@ -189,8 +287,8 @@ def test_normalize_keeps_mapped_tables_out_of_the_grid_cache():
 
 
 def test_root_find_leaves_no_node_arrays_behind():
-    # brentq keeps its objective in a reference cycle until the next garbage
-    # collection; nothing node-sized may hang on that cycle
+    # nothing node-sized may outlive the root find, even if a reference cycle
+    # kept its objective until the next garbage collection
     u = random_field(np.random.default_rng(0), 8, 0.5)
     x0 = solve_x0(u)
     solve_lambda0(u, x0, method="root_find")
