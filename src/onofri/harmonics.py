@@ -317,47 +317,56 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
     return out[0] if w.ndim == 1 else out.reshape(w.shape[:-1])
 
 
-def _turn_block(l: int) -> np.ndarray:
-    """D of degree l with Y_l(T w) = D Y_l(w), slots m = -l..l; :func:`_turn_stack` keeps it.
-
-    T = [[1, 0, 0], [0, 0, 1], [0, -1, 0]] is the quarter turn about x with
-    T e_z = e_y, so T R_z(b) T^T = R_y(b).  As T = R_z(-pi/2) R_y(-pi/2)
-    R_z(pi/2), D comes from the Wigner d(pi/2) of degree l, built by the
-    Trapani-Navaza recursion (Acta Cryst. A 62 (2006) 262), which stays
-    orthogonal to rounding at any degree and samples no basis.
-    """
-    m = np.arange(l + 1)
-    # d(l, m') = (-1)^(l - m') 2^-l sqrt(binom(2l, l + m')), then down in m for m' <= m
-    d = np.zeros((l + 2, l + 1))
-    ratio = np.ones(l + 1)
-    ratio[:-1] = -np.sqrt((l + m[1:]) / (l - m[1:] + 1.0))
-    d[l] = 0.5**l * np.cumprod(ratio[::-1])[::-1]
-    for k in range(l - 1, -1, -1):
-        a = 2.0 * m / math.sqrt((l - k) * (l + k + 1))
-        b = math.sqrt((l - k - 1) * (l + k + 2) / ((l - k) * (l + k + 1)))
-        d[k] = np.where(m <= k, a * d[k + 1] - b * d[k + 2], 0.0)
-    sign = (-1.0) ** (m[:, None] + m)
-    d = np.where(m > m[:, None], sign * d[: l + 1].T, d[: l + 1])  # d(m, m') = (-1)^(m+m') d(m', m)
-    # the real R_y(pi/2) keeps cosines and sines apart: d(m, m') ((-1)^(m+m') +- (-1)^l),
-    # over sqrt(2) for each m = 0
-    scale = np.where(m == 0, math.sqrt(0.5), 1.0)
-    y_turn = np.zeros((2 * l + 1, 2 * l + 1))
-    y_turn[l:, l:] = np.outer(scale, scale) * (sign + (-1.0) ** l) * d
-    y_turn[:l, :l] = ((sign - (-1.0) ** l) * d)[:0:-1, :0:-1]
-    # Y_l(R_z(pi/2) w) = z_turn Y_l(w): cos(k pi/2) on the diagonal, -sin(k pi/2) across
-    k = np.arange(-l, l + 1) % 4
-    cos, sin = np.array([1.0, 0.0, -1.0, 0.0])[k], np.array([0.0, 1.0, 0.0, -1.0])[k]
-    z_turn = np.diag(cos) - np.diag(sin)[:, ::-1]
-    return z_turn.T @ y_turn.T @ z_turn
-
-
 @functools.lru_cache(maxsize=8)  # 1.1 MB for band 32, 8.7 MB for band 64
 def _turn_stack(l_max: int) -> np.ndarray:
-    """Read-only (l_max + 1, 2 l_max + 1, 2 l_max + 1) stack of the turn blocks, each zero-padded."""
-    size = 2 * l_max + 1
-    stack = np.zeros((l_max + 1, size, size))
-    for l in range(l_max + 1):
-        stack[l, : 2 * l + 1, : 2 * l + 1] = _turn_block(l)
+    """Read-only (l_max + 1, 2 l_max + 1, 2 l_max + 1) stack of the turn blocks, each zero-padded.
+
+    Block l is D with Y_l(T w) = D Y_l(w), slots m = -l..l, for the quarter turn
+    T = [[1, 0, 0], [0, 0, 1], [0, -1, 0]] about x (T e_z = e_y, T R_z(b) T^T = R_y(b)).
+    As T = R_z(-pi/2) R_y(-pi/2) R_z(pi/2), D comes from the Wigner d(pi/2) of the
+    Trapani-Navaza recursion (Acta Cryst. A 62 (2006) 262), orthogonal to rounding at
+    any degree and sampling no basis: one downward loop over its row k runs every degree.
+    """
+    n = l_max + 1
+    l = np.arange(n)
+    # row k holds d(k, m) of the degrees l >= k, m <= k, as rows[k][m, l - k], packed in flat
+    start = np.cumsum([0, *((l + 1) * (n - l))])
+    flat = np.empty(start[-1])
+    rows = [flat[start[k] : start[k + 1]].reshape(k + 1, n - k) for k in l] + [np.empty((n + 1, 0))]
+    # d(l, m) = (-1)^(l-m) 2^-l sqrt(binom(2l, l+m)): ratios from m = l down, the p-th in column l_max - l + p
+    p = l - (l_max - l[:, None])
+    ratio = np.where(p > 0, -np.sqrt((2 * l[:, None] - p + 1) / np.maximum(p, 1)), 1.0)
+    seed = l <= l[:, None]
+    flat[(start[:-1, None] + l * (n - l[:, None]))[seed]] = np.ldexp(np.cumprod(ratio, 1)[:, ::-1], -l[:, None])[seed]
+    # then down in k for every degree l > k: d(k, m) = a d(k+1, m) - b d(k+2, m) for m <= k,
+    # a = 2m / sqrt(span), b = sqrt((l-k-1)(l+k+2) / span), span = (l-k)(l+k+1)
+    k = l[:-1, None]
+    span = np.maximum((l - k) * (l + k + 1), 1)  # 1 where l <= k, never read
+    root, b = np.sqrt(span), np.sqrt(np.maximum((l - k - 1) * (l + k + 2), 0) / span)
+    for k in range(l_max - 1, -1, -1):
+        row, m = rows[k], slice(k + 1)
+        row[:, 1:] = 2.0 * l[m, None] / root[k, k + 1 :] * rows[k + 1][m]
+        row[:, 2:] -= b[k, k + 2 :] * rows[k + 2][m]
+    # D = Z^T Y^T Z.  Z, of R_z(pi/2), sends slot mu to mu if even, to -mu if odd, with sign -1
+    # at mu = 1, 2 mod 4.  Y, the real R_y(pi/2), keeps cosines (orders >= 0) and sines apart:
+    # s_i s_j ((-1)^(i+j) + (-1)^l) d(i, j) between the cosines of orders i, j, s_0 = sqrt(1/2)
+    # and else 1, ((-1)^(i+j) - (-1)^l) d(i, j) between their sines, d(i, j) = (-1)^(i+j) d(j, i)
+    # for j > i.  So D at (mu, nu) is d(max, min of |mu|, |nu|) times an exact weight, rounded once.
+    mu = np.arange(-l_max, l_max + 1)
+    i = np.abs(mu)
+    hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
+    at = start[hi] + lo * (n - hi) - hi  # the place in flat of d(hi, lo) at degree 0; degree l adds l
+    cosine = (mu >= 0) == (mu % 2 == 0)  # Z sends slot mu to a cosine
+    sign, scale = (-1.0) ** (i[:, None] + i), np.where(i == 0, math.sqrt(0.5), 1.0)
+    turn = np.where(mu % 4 < 2, 1.0, -1.0)  # the sign Z gives the slot it sends to mu
+    signs = np.outer(turn, turn) * np.where(i[:, None] <= i, 1.0, sign)
+    weights = [signs * np.where(np.outer(cosine, cosine), np.outer(scale, scale) * (sign + parity),
+                                np.outer(~cosine, ~cosine) * (sign - parity)) for parity in (1.0, -1.0)]
+    del hi, lo, sign, signs, span, root, b  # only flat, at and weights live beside the stack
+    stack = np.zeros((n, 2 * n - 1, 2 * n - 1))
+    for l in range(n):
+        block, centre = slice(2 * l + 1), slice(l_max - l, l_max + l + 1)
+        np.multiply(weights[l % 2][centre, centre], flat.take(at[centre, centre] + l), out=stack[l, block, block])
     stack.setflags(write=False)
     return stack
 
@@ -366,7 +375,7 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     """The field w -> f(frame @ w) for an orthogonal 3x3 ``frame``, exactly.
 
     A reflected frame is R diag(1, 1, -1) with R a rotation, and R splits as
-    R_z(a) T R_z(b) T^T R_z(c) with T the quarter turn of :func:`_turn_block`.
+    R_z(a) T R_z(b) T^T R_z(c) with T the quarter turn of :func:`_turn_stack`.
     Coefficient maps compose in reverse (f o (AB) takes c to M(B) M(A) c):
     a turn about z mixes each (l, +-m) pair in closed form, T and T^T act on
     every degree at once by one batched product with :func:`_turn_stack`,

@@ -58,7 +58,8 @@ def lorentz_lift(a: MobiusMap) -> np.ndarray:
 
     Its sixteen entries are closed forms in the entries of A (``mobius._lift``);
     -A gives the same matrix.  Raises if the result fails the SO+(1,3)
-    invariants beyond a tolerance scaled by the entry magnitudes.
+    invariants beyond a tolerance scaled by the entry magnitudes.  The lambda0 root find
+    steps on the unchecked ``_lift`` and checks its root's map here; ``normalize``, its tau.
     """
     L = _lift(a.mat)
     scale = 1.0 + float(np.abs(L).max()) ** 2

@@ -21,7 +21,8 @@ The root-finding path of ``solve_lambda0`` checks the closed-form algebra:
 Brent's method, run in this module (``_brent``), finds the zero in lambda of
 the third center-of-mass component of L^{-1} m, which is strictly
 decreasing (it equals A/lambda - B*lambda with A, B > 0 up to a positive
-factor).
+factor).  Its steps use the unchecked ``mobius._lift``; the SO+(1,3) check of
+``lorentz_lift`` runs once on the map of the returned lambda0, once on ``normalize``'s tau.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .config import scaled
 from .functionals import ExpMoments, _compose, _Composition, exp_moments
 from .harmonics import HarmonicField
 from .lorentz import ETA, lorentz_lift
-from .mobius import ConformalMap, MobiusMap
+from .mobius import ConformalMap, MobiusMap, _lift
 from .sphere import (
     DEFAULT_POLICY,
     INFINITY,
@@ -102,8 +103,8 @@ def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
 
 
 def _inverse_lift(tau: ConformalMap) -> np.ndarray:
-    """L^{-1} = eta L^T eta, with L the Lorentz lift of an orientation-preserving tau."""
-    return _SIGNS * lorentz_lift(tau.mobius).T
+    """L^{-1} = eta L^T eta, with L the unchecked Lorentz lift of an orientation-preserving tau."""
+    return _SIGNS * _lift(tau.mobius.mat).T
 
 
 def _four_vector(mom: ExpMoments) -> np.ndarray:
@@ -195,6 +196,7 @@ def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
     root, converged = _brent(g, lo, hi, xtol=1e-15)
     if not converged:
         raise ConvergenceError(f"Brent iteration for lambda0 did not converge: lambda = {root!r}")
+    lorentz_lift(recentering_map(x0, root).mobius)  # the SO+(1,3) check, on the reported map
     return root
 
 
@@ -289,7 +291,7 @@ def normalize(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> No
     x0 = _x0(mom)
     lam0 = _closed_form_lambda0(x0, mom)
     tau = recentering_map(x0, lam0)
-    inverse = _inverse_lift(tau)
+    inverse = _SIGNS * lorentz_lift(tau.mobius).T  # tau's one SO+(1,3) check
     v = inverse @ _four_vector(mom)
     residual = float(np.linalg.norm(v[1:]) / v[0])
     if residual >= scaled(1e-10):

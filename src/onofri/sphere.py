@@ -147,7 +147,9 @@ class SphericalGrid:
 
     ``band_limit_exact`` is the largest degree L such that products of two
     band-L fields (hence projections of band-L data) integrate exactly;
-    single harmonics integrate exactly through degree 2L+1.
+    single harmonics integrate exactly through degree 2L, and at 2L+1 for
+    |m| <= 2L.  The 2L+1 azimuths alias cos((2L+1) phi) to order 0:
+    Y(9, 9) integrates to 1.028 on ``build_grid(4)``, not 0.
 
     Nodes are ordered theta-major: node index = i * phi_count + j.
     """

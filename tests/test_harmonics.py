@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 import re
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,7 +38,6 @@ from onofri.harmonics import (
     _layout,
     _legendre_table,
     _rotated,
-    _turn_block,
     _turn_stack,
 )
 from onofri.sampling import random_conformal, random_field
@@ -279,6 +280,98 @@ def test_basis_matches_scipy(rng):
         grad = slopes[1:].T @ frame
         norms = np.linalg.norm(grad, axis=1)
         assert np.all(np.abs(grad @ w) <= 1e-15 * norms)
+
+
+_FIX = 200  # bits after the point of the fixed-point reference basis: 60 digits
+
+
+def _fixed(x) -> int:
+    return int(mpmath.floor(x * mpmath.mpf(2) ** _FIX))
+
+
+@functools.lru_cache(maxsize=1)
+def _mp_recurrence(l_max):
+    # the ladder, a and b of _legendre_table and sqrt(2), from mpmath at 60 digits
+    with mpmath.workdps(60):
+
+        def root(num, den):
+            return _fixed(mpmath.sqrt(mpmath.mpf(num) / den))
+
+        ladder = [root(2 * m + 1, 2 * m) for m in range(1, l_max + 1)]
+        a = {(l, m): root((2 * l + 1) * (2 * l - 1), (l - m) * (l + m)) for l in range(1, l_max + 1) for m in range(l)}
+        b = {
+            (l, m): root((2 * l + 1) * (l - 1 - m) * (l - 1 + m), (2 * l - 3) * (l - m) * (l + m))
+            for l in range(2, l_max + 1)
+            for m in range(l - 1)
+        }
+        return ladder, a, b, root(2, 1)
+
+
+def _mp_basis(points, l_max):
+    """Every Y_lm at ``points`` (rows), correct to about 50 digits before the final rounding.
+
+    The normalized three-term recurrence in exact 2^-200 fixed point, its
+    constants and each point's t = z, s = hypot(x, y) and e^(i phi) from
+    mpmath at 60 digits: the abscissas and sines the library takes, without
+    its rounding.  (mpmath's own legenp does not converge at l = 64.)
+    """
+    F = _FIX
+    ladder, a, b, root2 = _mp_recurrence(l_max)
+    t, s, c1, s1 = np.empty((4, len(points)), dtype=object)
+    with mpmath.workdps(60):
+        for i, (x, y, z) in enumerate(points):
+            x, y, z = mpmath.mpf(float(x)), mpmath.mpf(float(y)), mpmath.mpf(float(z))
+            rho = mpmath.hypot(x, y)
+            t[i], s[i] = _fixed(z), _fixed(rho)
+            c1[i], s1[i] = (_fixed(x / rho), _fixed(y / rho)) if rho else (1 << F, 0)
+    out = np.empty(((l_max + 1) ** 2, len(points)), dtype=object)  # in units of 2^(-2F)
+    cos_m, sin_m, seed = np.full((3, len(points)), 1 << F, dtype=object)
+    sin_m[:] = 0
+    for m in range(l_max + 1):
+        if m:
+            seed = (ladder[m - 1] * ((seed * s) >> F)) >> F  # P(m, m)
+            cos_m, sin_m = (cos_m * c1 - sin_m * s1) >> F, (sin_m * c1 + cos_m * s1) >> F
+            trig = (root2 * cos_m) >> F, (root2 * sin_m) >> F
+        p2, p1 = 0, seed
+        for l in range(m, l_max + 1):
+            if l > m:
+                p2, p1 = p1, (a[l, m] * ((t * p1) >> F) - b.get((l, m), 0) * p2) >> F
+            if m == 0:
+                out[l * l + l] = p1 << F
+            else:
+                out[l * l + l + m], out[l * l + l - m] = p1 * trig[0], p1 * trig[1]
+    return np.ldexp(out.astype(float), -2 * F).T
+
+
+def test_basis_matches_mpmath(rng):
+    # the library's accuracy, which test_basis_matches_scipy cannot see past
+    # scipy's own 4e-13: 200 points at band 64, the poles and points 1e-9
+    # off them among them.  The recurrences' rounding grows with the degree,
+    # so the measured error is not 1e-14 max(1, |Y|) but up to
+    # 5.8 (l + 1) eps max(1, |Y|) here (7.7e-14; 8.8 and 1.2e-13 at l = 59 on
+    # other draws), 7.7e-15 at the near-pole points.
+    # Bound: 16 (l + 1) eps max(1, |Y|).
+    L = 64
+    pts = rng.normal(size=(190, 3))
+    near = [[1e-9 * c, 1e-9 * s, z] for z in (1.0, -1.0) for c, s in ((1, 0), (0.6, -0.8), (-0.28, 0.96), (0, -1))]
+    pts = np.vstack([pts / np.linalg.norm(pts, axis=1)[:, None], [[0, 0, 1.0], [0, 0, -1.0]], near])
+    ref = _mp_basis(pts, L)
+    l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    bound = 16 * (l + 1) * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
+    got = np.array([_harmonic_slopes(w, L)[0][0] for w in pts])
+    assert np.all(np.abs(got - ref) <= bound)
+    # evaluate_at: single harmonics of every order at l = 64, and low degrees
+    slots = [coeff_index(64, m) for m in range(-64, 65, 8)] + [coeff_index(64, 1), coeff_index(59, 2)]
+    slots += [coeff_index(k, m) for k in (0, 1, 7) for m in (-k, 0, k)]
+    for k in slots:
+        one = HarmonicField(L, np.eye(1, l.size, k)[0])
+        assert np.all(np.abs(evaluate_at(one, pts) - ref[:, k]) <= bound[:, k])
+    # and whole fields, against the reference sums
+    for l_max in (1, 8, 64):
+        u = random_field(rng, l_max, 1.0)
+        n = u.coeffs.size
+        want = [math.fsum(u.coeffs * row[:n]) for row in ref]
+        assert np.all(np.abs(evaluate_at(u, pts) - want) <= np.abs(u.coeffs) @ bound[:, :n].T)
 
 
 def test_layout_cached_read_only():
@@ -582,6 +675,11 @@ def test_frame_changes_compose(l_max, rng):
         assert np.max(np.abs(twice.coeffs - _rotated(u, a @ b).coeffs)) <= 1e-13
 
 
+def _block(l_max, l):
+    # the turn block of degree l, read from the band-l_max stack
+    return _turn_stack(l_max)[l, : 2 * l + 1, : 2 * l + 1]
+
+
 def test_turn_blocks_cached_orthogonal_and_lean(rng):
     # one read-only stack of the blocks per band in a bounded cache; built
     # with no basis matrix, the band-32 stack takes a fraction of the 19 MB
@@ -603,20 +701,21 @@ def test_turn_blocks_cached_orthogonal_and_lean(rng):
     y_turned = np.array([_harmonic_slopes(turn @ w, 12)[0][0] for w in pts])
     for l in range(13):  # Y_l(T w) = D Y_l(w)
         part = slice(l * l, (l + 1) ** 2)
-        assert np.max(np.abs(y_turned[:, part] - y[:, part] @ _turn_block(l).T)) < 1e-13
+        assert np.max(np.abs(y_turned[:, part] - y[:, part] @ _block(12, l).T)) < 1e-13
     for l in range(65):
-        block = _turn_block(l)
+        block = _block(64, l)
         assert np.max(np.abs(block @ block.T - np.eye(2 * l + 1))) < 1e-14
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 8, 32])
 def test_turn_stack_holds_every_block(l_max):
-    # one zero-padded block per degree, in the top-left corner of its matrix
+    # one zero-padded block per degree, in the top-left corner of its matrix,
+    # the same in the stack of every band
     stack = _turn_stack(l_max)
     assert stack.shape == (l_max + 1, 2 * l_max + 1, 2 * l_max + 1)
     for l in range(l_max + 1):
         part = slice(0, 2 * l + 1)
-        assert np.array_equal(stack[l, part, part], _turn_block(l))
+        assert np.array_equal(stack[l, part, part], _block(64, l))
         assert not stack[l, part, 2 * l + 1 :].any() and not stack[l, 2 * l + 1 :].any()
 
 

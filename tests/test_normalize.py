@@ -231,6 +231,40 @@ def test_root_find_names_an_unconverged_iteration(monkeypatch):
         solve_lambda0(u, x0, method="root_find")
 
 
+def test_one_lorentz_check_per_result(monkeypatch):
+    # the Brent steps move m by the unchecked lift; lorentz_lift checks the
+    # lift of the reported root's map once, and normalize checks its tau once
+    module = importlib.import_module("onofri.normalize")
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    x0 = solve_x0(u)
+    checked = []
+
+    def counted(a):
+        checked.append(a)
+        return lorentz_lift(a)
+
+    monkeypatch.setattr(module, "lorentz_lift", counted)
+    root = solve_lambda0(u, x0, method="root_find")
+    assert len(checked) == 1
+    assert np.array_equal(checked[0].mat, recentering_map(x0, root).mobius.mat)
+    checked.clear()
+    res = normalize(u)
+    assert len(checked) == 1 and np.array_equal(checked[0].mat, res.tau.mobius.mat)
+
+
+def test_root_find_raises_when_its_root_fails_the_lorentz_check(monkeypatch):
+    module = importlib.import_module("onofri.normalize")
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    x0 = solve_x0(u)
+
+    def failing(a):
+        raise ArithmeticError("lift is not proper orthochronous")
+
+    monkeypatch.setattr(module, "lorentz_lift", failing)
+    with pytest.raises(ArithmeticError, match="proper orthochronous"):
+        solve_lambda0(u, x0, method="root_find")
+
+
 def test_grid_com_matches_scattered_evaluation(rng):
     # the tensor-grid composition against u sampled at every mapped node; the
     # two quadratures of one integral agree once both have converged

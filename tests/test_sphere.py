@@ -11,6 +11,7 @@ from onofri import (
     HarmonicField,
     build_grid,
     cap_area,
+    evaluate_at,
     integrate,
     moments,
     stereo_inverse,
@@ -194,6 +195,24 @@ def test_quadrature_exactness(grid16):
             f = HarmonicField.from_entries(l, {(l, m): 1.0})
             worst = max(worst, abs(integrate(grid16, synthesize(f, grid16).samples)))
     assert worst < 1e-13
+
+
+@pytest.mark.parametrize("band", [1, 4, 8])
+def test_single_harmonics_integrate_exactly_through_2l(band):
+    # the SphericalGrid docstring: every Y(l, m) of degree l <= 2L, and of
+    # degree 2L + 1 with |m| <= 2L, integrates to its mean; the azimuths
+    # alias cos((2L + 1) phi) to 1, so Y(2L + 1, 2L + 1) does not
+    grid = build_grid(band)
+    nodes = grid.nodes
+    for l in range(2 * band + 2):
+        for m in range(-min(l, 2 * band), min(l, 2 * band) + 1):
+            f = HarmonicField.from_entries(l, {(l, m): 1.0})
+            assert abs(integrate(grid, evaluate_at(f, nodes)) - (l == 0)) < 1e-13
+    top = 2 * band + 1
+    aliased = integrate(grid, evaluate_at(HarmonicField.from_entries(top, {(top, top): 1.0}), nodes))
+    assert abs(aliased) > 0.5
+    if band == 4:
+        assert abs(aliased - 1.028) < 1e-3
 
 
 def test_cap_area():
