@@ -102,9 +102,9 @@ def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
     return comp.frame.T @ v[1:] / v[0]
 
 
-def _inverse_lift(tau: ConformalMap) -> np.ndarray:
-    """L^{-1} = eta L^T eta, with L the unchecked Lorentz lift of an orientation-preserving tau."""
-    return _SIGNS * _lift(tau.mobius.mat).T
+def _inverse_lift(mat: np.ndarray) -> np.ndarray:
+    """L^{-1} = eta L^T eta, with L the unchecked Lorentz lift of a unimodular 2x2 ``mat``."""
+    return _SIGNS * _lift(mat).T
 
 
 def _four_vector(mom: ExpMoments) -> np.ndarray:
@@ -171,10 +171,11 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float = 4 * _EPS, maxiter: 
 def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
     m = _four_vector(mom)
 
-    # g's closure holds m and x0 alone, so the root find keeps nothing
-    # node-sized alive
+    # g's closure holds m and x0 alone, so the root find keeps nothing node-sized alive.  Its matrix
+    # is recentering_map(x0, lam)'s bit for bit: numpy divides that one by sqrt(lam) through 1/sqrt(lam)
     def g(lam: float) -> float:
-        v = _inverse_lift(recentering_map(x0, lam)) @ m
+        r = 1.0 / math.sqrt(lam)
+        v = _inverse_lift(np.array([[lam * r, x0 * r], [0.0, r]])) @ m
         value = float(v[3] / v[0])
         if not math.isfinite(value):
             raise ConvergenceError(f"root-find objective for lambda0 is {value} at lambda = {lam!r}")

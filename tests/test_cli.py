@@ -14,16 +14,37 @@ from onofri.cli import main
 from onofri.sampling import random_field
 
 
-def test_import_loads_no_scipy_optimize():
-    # a CLI run is a fresh process: importing the library and its CLI loads
-    # scipy.linalg for the banded solve, and not scipy's optimizers, special
-    # functions or FFTs
+_NO_SCIPY = """
+import sys
+from importlib.abc import MetaPathFinder
+
+class Refuse(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"refused: {name}")
+
+sys.meta_path.insert(0, Refuse())
+sys.path.insert(0, SRC)
+import numpy as np
+import onofri, onofri.cli
+from onofri import build_extremal, build_grid, dilation, distance_to_manifold, psi_field, rotation, stability_check
+from onofri.sampling import random_field
+
+rng = np.random.default_rng(3)
+stability_check(random_field(rng, 6, 0.4))
+tau = rotation(np.array([1.0, 2.0, 2.0]), 0.7).compose(dilation(3.0))
+distance_to_manifold(psi_field(build_extremal(tau), 32, build_grid(72)).field, 32, build_grid(72))
+psi_field(build_extremal(tau), 64, tail_threshold=None)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_time_loads_no_scipy():
+    # a CLI run is a fresh process: in one whose every scipy import fails,
+    # the library and its CLI import, and the distance at bands 6 and 32
+    # and a band-64 psi_field run, without any scipy module
     src = str(Path(onofri.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import onofri, onofri.cli; "
-        "print(sorted(name for name in sys.modules if name.split('.')[:2] in "
-        "(['scipy', 'optimize'], ['scipy', 'special'], ['scipy', 'fft'])))"
-    )
+    code = _NO_SCIPY.replace("SRC", repr(src))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

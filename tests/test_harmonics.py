@@ -490,17 +490,39 @@ def test_legendre_point_matches_table(rng, l_max):
         assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[m > 0] == 0.0)
 
 
-def test_legendre_point_bands_cached_and_info_checked(monkeypatch):
-    chains = harmonics._chains(9)
-    assert harmonics._chains(9) is chains
-    for arr in chains:
-        assert not arr.flags.writeable
-    before = chains.bands.copy()
-    harmonics._legendre_point(9, 0.3, math.sqrt(0.91))
-    assert np.array_equal(chains.bands, before)
-    monkeypatch.setattr(harmonics, "dtbtrs", lambda bands, rhs, uplo: (rhs, 3))
-    with pytest.raises(ValueError, match="info 3"):
-        harmonics._legendre_point(9, 0.3, math.sqrt(0.91))
+def test_point_tables_cached_and_read_only():
+    # the trigonometric table, the d(pi/2) rows it reads and the caps'
+    # cosine weights are built once per band, and no call writes to them
+    table = harmonics._point_table(9)
+    assert harmonics._point_table(9) is table
+    assert harmonics._quarter_d(9) is harmonics._quarter_d(9)
+    assert harmonics._cap_weights(9) is harmonics._cap_weights(9)
+    arrays = [*table, *harmonics._quarter_d(9), harmonics._cap_weights(9)]
+    assert not any(arr.flags.writeable for arr in arrays)
+    before = [arr.copy() for arr in arrays]
+    for t, s in ((0.3, math.sqrt(0.91)), (-0.3, math.sqrt(0.91)), (0.99995, math.sqrt(0.0000999975)), (-1.0, 0.0)):
+        harmonics._legendre_point(9, t, s)
+    assert all(np.array_equal(arr, old) for arr, old in zip(arrays, before))
+
+
+@pytest.mark.parametrize("l_max", [1, 7, 33, 65])
+def test_legendre_point_across_the_cap(l_max):
+    # the trigonometric rows just outside the polar caps and the cosine
+    # series just inside agree with _legendre_table at the same abscissa and
+    # sine, the rows m > 0 are exactly 0 at both poles, and inside the caps
+    # the rows m >= 1 keep their relative accuracy
+    l, m = np.tril_indices(l_max + 1)
+    cap = harmonics._CAP
+    for s in (np.nextafter(cap, 0.0), cap - 1e-9, cap, np.nextafter(cap, 1.0), cap + 1e-9, 1e-5):
+        for t in (math.sqrt(1.0 - s * s), -math.sqrt(1.0 - s * s)):
+            expect = _legendre_table(l_max, np.array([t]), np.array([s]))[m, l, 0]
+            got = harmonics._legendre_point(l_max, t, s)
+            assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
+            if s < cap:  # relative, wherever the table's seeds have not reached underflow
+                low = (m > 0) & (np.abs(expect) > 1e-250)
+                assert np.all(np.abs(got - expect)[low] <= 1e-12 * np.abs(expect[low]))
+    for pole in (1.0, -1.0):
+        assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[m > 0] == 0.0)
 
 
 def test_grid_table_keyed_on_abscissas(grid16, rng):
@@ -748,13 +770,3 @@ def test_transform_runs_no_grid_transform(monkeypatch, rng):
     tau = ConformalMap(rotation(rng.normal(size=3), 0.8).compose(dilation(4.0)).mobius, reflect=True)
     for u in (random_field(rng, 8, 0.5), random_field(rng, 32, 0.5)):
         transform(u, tau, 32, build_grid(72), tail_threshold=None)
-
-
-def test_lapack_has_the_banded_triangular_solve():
-    # _legendre_point needs scipy's dtbtrs; a lower-banded 3x3 system, in LAPACK band storage
-    from scipy.linalg.lapack import dtbtrs
-
-    bands = np.array([[2.0, 3.0, 4.0], [1.0, -1.0, 0.0]], order="F")  # diagonal, subdiagonal
-    x, info = dtbtrs(bands, np.array([2.0, 7.0, 4.0]), uplo="L")
-    assert info == 0
-    assert np.allclose(x, [1.0, 2.0, 1.5], rtol=0.0, atol=1e-15)

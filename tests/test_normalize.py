@@ -252,6 +252,29 @@ def test_one_lorentz_check_per_result(monkeypatch):
     assert len(checked) == 1 and np.array_equal(checked[0].mat, res.tau.mobius.mat)
 
 
+def test_brent_steps_build_no_map(monkeypatch):
+    # each step lifts recentering_map(x0, lam)'s matrix, bit for bit, without
+    # building the map: the one map the root find builds is its root's
+    module = importlib.import_module("onofri.normalize")
+    u = random_field(np.random.default_rng(0), 8, 0.5)
+    x0 = solve_x0(u)
+    objectives, lifted, built = [], [], []
+    inverse_lift, make_map = module._inverse_lift, module.recentering_map
+
+    def brent(f, a, b, xtol, **kwargs):
+        objectives.append(f)
+        return _brent(f, a, b, xtol, **kwargs)
+
+    monkeypatch.setattr(module, "_brent", brent)
+    monkeypatch.setattr(module, "_inverse_lift", lambda mat: lifted.append(mat) or inverse_lift(mat))
+    monkeypatch.setattr(module, "recentering_map", lambda x, lam: built.append(lam) or make_map(x, lam))
+    root = solve_lambda0(u, x0, method="root_find")
+    assert built == [root]
+    for lam in np.random.default_rng(1).lognormal(0.0, 3.0, 50):
+        objectives[0](lam)
+        assert np.array_equal(lifted[-1], make_map(x0, lam).mobius.mat)
+
+
 def test_root_find_raises_when_its_root_fails_the_lorentz_check(monkeypatch):
     module = importlib.import_module("onofri.normalize")
     u = random_field(np.random.default_rng(0), 8, 0.5)
