@@ -54,6 +54,10 @@ class RunConfig:
             raise UsageError("invalid grid settings")
         if not 0 <= self.seed < 2**64:
             raise UsageError("seed must be a 64-bit unsigned integer")
+        try:
+            tol_scale()  # read once before dispatch, so no check runs at a bad scale
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     def policy(self) -> RefinementPolicy:
         return RefinementPolicy(theta_cap=self.theta_cap)

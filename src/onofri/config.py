@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 __all__ = ["tol_scale", "scaled"]
@@ -14,9 +15,12 @@ def tol_scale() -> float:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return 1.0
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"{ENV_VAR} must be positive, got {raw!r}")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{ENV_VAR} must be a finite number > 0, got {raw!r}")
     return value
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sphere import SphericalGrid, _azimuth_rows
+from .sphere import SphericalGrid, _azimuth_rows, unit_point
 
 __all__ = [
     "GridField",
@@ -296,18 +296,19 @@ _CROSSED = np.array([[0, 1], [1, 0]])  # p xor q of the point table's groups (p,
 
 
 def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
-    """Evaluate a field at unit vectors ``points`` of shape (..., 3); the result has shape (...).
+    """Evaluate a field at the directions of ``points``, shape (..., 3); the result has shape (...).
 
-    Exact (up to rounding) for the stored band-limited expansion.  Each block
-    of ``_POINT_BLOCK`` (256) points gets one order-major
-    :func:`_legendre_table`, with the sines taken as hypot(x, y), whose orders
-    meet cos m phi and sin m phi: at most (l_max + 1)^2 x 256 table values
-    live at once, 8.3 MiB at band 64.
+    Points are renormalized by :func:`sphere.unit_point`, which refuses zero
+    and non-finite vectors.  Exact (up to rounding) for the stored
+    band-limited expansion.  Each block of ``_POINT_BLOCK`` (256) points gets
+    one order-major :func:`_legendre_table`, with the sines taken as
+    hypot(x, y), whose orders meet cos m phi and sin m phi: at most
+    (l_max + 1)^2 x 256 table values live at once, 8.3 MiB at band 64.
     """
     w = np.asarray(points, dtype=float)
     if w.ndim == 0 or w.shape[-1] != 3:
         raise ValueError(f"points must have shape (..., 3), got {w.shape}")
-    flat = w.reshape(-1, 3)
+    flat = unit_point(w).reshape(-1, 3)
     by_order = f._order_major
     m = np.arange(f.l_max + 1)[:, None]
     out = np.empty(len(flat))

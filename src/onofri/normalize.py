@@ -18,10 +18,11 @@ residual is the center of mass of L^{-1} m, and the last refinement step of m,
 transported the same way, estimates its error.  The composed quadrature of
 u o tau (``transported_com``) stays as the checks' oracle for that identity.
 The root-finding path of ``solve_lambda0`` checks the closed-form algebra:
-Brent's method, run in this module (``_brent``), finds the zero in lambda of
-the third center-of-mass component of L^{-1} m, which is strictly
-decreasing (it equals A/lambda - B*lambda with A, B > 0 up to a positive
-factor).  Its steps use the unchecked ``mobius._lift``; the SO+(1,3) check of
+it finds the zero in lambda of the third center-of-mass component of
+L^{-1} m, which is strictly decreasing (it equals A/lambda - B*lambda with
+A, B > 0 up to a positive factor) and so a tanh-like function of ln lambda.
+Regula falsi in ln lambda with the Illinois modification finds it on
+[1e-6, 1e6].  Its steps use the unchecked ``mobius._lift``; the SO+(1,3) check of
 ``lorentz_lift`` runs once on the map of the returned lambda0, once on ``normalize``'s tau.
 """
 
@@ -57,7 +58,6 @@ __all__ = [
 ]
 
 _LAMBDA_RANGE = (1e-6, 1e6)
-_EPS = float(np.finfo(float).eps)
 _SIGNS = np.outer(np.diag(ETA), np.diag(ETA))  # eta L^T eta = _SIGNS * L^T
 
 
@@ -111,64 +111,7 @@ def _four_vector(mom: ExpMoments) -> np.ndarray:
     return np.concatenate([[mom.mass], mom.moment])
 
 
-def _brent(f, a: float, b: float, xtol: float, rtol: float = 4 * _EPS, maxiter: int = 100):
-    """Brent's root of f on [a, b], f(a) and f(b) of opposite signs: (root, converged).
-
-    Step for step scipy's ``brentq.c`` (Brent 1973, ch. 4), the same float
-    operations in the same order, so it evaluates f at the same points and
-    returns the same root: inverse quadratic interpolation, or the secant
-    when only two points are distinct, accepted while the step is short
-    against the last two, else bisection; done when half the bracket is
-    below delta = (xtol + rtol |x|)/2.  After ``maxiter`` steps it returns
-    the current iterate unconverged.
-    """
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre, True
-    if fcur == 0:
-        return xcur, True
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have opposite signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
-                else:
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C divides to inf or nan here, a step the test below rejects
-                stry = math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    return xcur, False
-
-
-def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
+def _root_find_lambda0(x0: complex, mom: ExpMoments, maxiter: int = 100) -> float:
     m = _four_vector(mom)
 
     # g's closure holds m and x0 alone, so the root find keeps nothing node-sized alive.  Its matrix
@@ -181,24 +124,30 @@ def _root_find_lambda0(x0: complex, mom: ExpMoments) -> float:
             raise ConvergenceError(f"root-find objective for lambda0 is {value} at lambda = {lam!r}")
         return value
 
-    # g is decreasing: grow the bracket from 1 by decades until the sign changes
-    lo = hi = 1.0
-    g_lo = g_hi = g(lo)
-    while g_hi > 0:
-        lo, g_lo, hi = hi, g_hi, hi * 10.0
-        if hi > _LAMBDA_RANGE[1]:
-            raise ConvergenceError("no bracket for lambda0 below 1e6")
-        g_hi = g(hi)
-    while g_lo < 0:
-        hi, g_hi, lo = lo, g_lo, lo / 10.0
-        if lo < _LAMBDA_RANGE[0]:
-            raise ConvergenceError("no bracket for lambda0 above 1e-6")
-        g_lo = g(lo)
-    root, converged = _brent(g, lo, hi, xtol=1e-15)
-    if not converged:
-        raise ConvergenceError(f"Brent iteration for lambda0 did not converge: lambda = {root!r}")
-    lorentz_lift(recentering_map(x0, root).mobius)  # the SO+(1,3) check, on the reported map
-    return root
+    # Regula falsi in eta = ln lambda, Illinois-style (Dowell & Jarratt, BIT 11 (1971) 168): an end
+    # that survives two steps in a row has its value halved.  It stops as Brent's method would at
+    # xtol 1e-15 and rtol 4 eps, or where a step rounds onto an end of the eta bracket
+    lo, hi = _LAMBDA_RANGE
+    f_lo, f_hi = g(lo), g(hi)
+    if min(f_lo, f_hi) > 0 or max(f_lo, f_hi) < 0:
+        raise ConvergenceError(f"no root for lambda0 on [{lo:g}, {hi:g}]")
+    a, b, side, steps = math.log(lo), math.log(hi), 0, 0
+    lam, f = (lo, f_lo) if f_lo == 0 else (hi, f_hi)
+    while f != 0 and math.exp(b) - math.exp(a) > 1e-15 + 4 * math.ulp(1.0) * lam:
+        if steps == maxiter:
+            raise ConvergenceError(f"root find for lambda0 did not converge: lambda = {lam!r}")
+        steps += 1
+        eta = a + (b - a) * f_lo / (f_lo - f_hi)
+        if not a < eta < b:
+            break
+        lam = math.exp(eta)
+        f = g(lam)
+        if (f > 0) == (f_lo > 0):
+            a, f_lo, f_hi, side = eta, f, f_hi / 2 if side < 0 else f_hi, -1
+        else:
+            b, f_hi, f_lo, side = eta, f, f_lo / 2 if side > 0 else f_lo, 1
+    lorentz_lift(recentering_map(x0, lam).mobius)  # the SO+(1,3) check, on the reported map
+    return lam
 
 
 def _closed_form_lambda0(x0: complex, mom: ExpMoments) -> float:
@@ -221,9 +170,11 @@ def solve_lambda0(
     variance, so non-positivity flags quadrature failure), as ``normalize``
     does.  ``root_find`` transports the same tight moment 4-vector m by the
     Lorentz lift of ``recentering_map(x0, lambda)`` and finds the zero of the
-    third center-of-mass component of L^{-1} m by Brent's method, bracketing
-    it from 1 by decades; it checks the closed-form algebra against the map
-    that ``recentering_map`` builds, with no second quadrature.
+    third center-of-mass component of L^{-1} m by Illinois regula falsi in
+    ln lambda on [1e-6, 1e6], about 11 lifts per root; it checks the
+    closed-form algebra against the map that ``recentering_map`` builds, with
+    no second quadrature.  Raises ConvergenceError if the component has one
+    sign on the whole range, is not finite, or if 100 steps do not converge.
     """
     if method not in ("closed_form", "root_find"):
         raise ValueError(f"unknown method {method!r}")

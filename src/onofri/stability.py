@@ -152,6 +152,8 @@ def _distance(c: np.ndarray, b: np.ndarray, l_max: int) -> tuple[float, float, n
 
 
 def _band_coeffs(u: HarmonicField, l_max: int) -> np.ndarray:
+    if l_max < u.l_max:  # truncating u would drop degrees that its deficit counts
+        raise ValueError(f"band {l_max} is below the field's band {u.l_max}")
     c = u.to_lmax(l_max).coeffs.copy()
     c[0] = 0.0
     return c
@@ -172,11 +174,6 @@ def _scan_weights(l_max: int) -> tuple[np.ndarray, np.ndarray]:
     weights.setflags(write=False)
     energy.setflags(write=False)
     return weights, energy
-
-
-def _scan(target: np.ndarray, l_max: int, grid: SphericalGrid) -> np.ndarray:
-    """Best scanned t and best grid node of the cross term, as a point b (see :func:`_best_first`)."""
-    return _best_first(target, l_max, grid)[0]
 
 
 def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid) -> tuple[np.ndarray, int]:
@@ -358,7 +355,7 @@ def stability_check(
     policy: RefinementPolicy = DEFAULT_POLICY,
     seed: int = 0,
 ) -> StabilityReport:
-    """Certify deficit >= distance/6 for one field.
+    """Certify deficit >= distance/6 for one field, at a band l_max not below u's.
 
     A converged run with slack below -1e-8 would contradict the bound and
     therefore raises as a numerics failure.  ``seed`` is accepted for

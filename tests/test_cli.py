@@ -312,6 +312,16 @@ def test_tol_scale_env(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "abc", "-1"])
+def test_bad_tol_scale_is_a_usage_error(monkeypatch, capsys, raw):
+    # a NaN scale would fail every row and an infinite one pass every row
+    monkeypatch.setenv("ONOFRI_TOL_SCALE", raw)
+    code = main(["verify", "geometry"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and "ONOFRI_TOL_SCALE" in err and repr(raw) in err
+
+
 def test_deterministic_output(capsys, random_field_file, tmp_path):
     code1, out1 = run(capsys, "--seed", "7", "eval", random_field_file)
     code2, out2 = run(capsys, "--seed", "7", "eval", random_field_file)

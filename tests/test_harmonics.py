@@ -228,6 +228,19 @@ def test_evaluate_at_shapes(rng, shape):
     assert np.max(np.abs(np.reshape(got, -1) - expect)) < 1e-12
 
 
+def test_evaluate_at_renormalizes_its_points():
+    # a point is a direction, as in ConformalMap.apply and stereo_project: a
+    # scaled vector is its unit vector, a zero or NaN one is refused
+    u = HarmonicField.from_entries(1, {(1, 1): 1.0})
+    assert evaluate_at(u, [3.0, 4.0, 0.0]) == evaluate_at(u, [0.6, 0.8, 0.0])
+    scaled = evaluate_at(u, [[3.0, 4.0, 0.0], [0.0, 0.0, -2.0]])
+    assert np.array_equal(scaled, evaluate_at(u, [[0.6, 0.8, 0.0], [0.0, 0.0, -1.0]]))
+    with pytest.raises(ValueError, match="zero vector"):
+        evaluate_at(u, [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_at(u, [[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]])
+
+
 def test_basis_values_match_evaluate_at(rng):
     u = random_field(rng, 12, 0.5)
     points = [rng.normal(size=3), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]

@@ -34,10 +34,10 @@ from onofri import (
     translation,
     translation_to,
 )
-from onofri.functionals import _compose
+from onofri.functionals import ExpMoments, _compose
 from onofri.harmonics import _grid_table
 from onofri.lorentz import ETA, lorentz_lift
-from onofri.normalize import _brent, _composed_com, transported_com
+from onofri.normalize import _composed_com, transported_com
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import _make_grid
 
@@ -124,8 +124,8 @@ def test_lambda0_methods_agree(rng):
 
 
 def test_root_find_brackets_both_directions():
-    # the bracket grows from 1: upward for w3_times(0.3), whose lambda0 > 1,
-    # downward for w3_times(-0.3), whose lambda0 < 1
+    # roots on either side of 1, the middle of the range in ln lambda:
+    # w3_times(0.3)'s lambda0 > 1, w3_times(-0.3)'s < 1
     for eps in (0.3, -0.3):
         u = w3_times(eps)
         x0 = solve_x0(u)
@@ -134,83 +134,57 @@ def test_root_find_brackets_both_directions():
         assert abs(solve_lambda0(u, x0, method="root_find") - lam_cf) < 1e-8
 
 
-def _recorded(f):
-    seen = []
-
-    def wrapped(x):
-        seen.append(x)
-        return f(x)
-
-    return wrapped, seen
-
-
-def _assert_brent_is_brentq(f, a, b, xtol, maxiter=100):
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    ours, ours_seen = _recorded(f)
-    theirs, theirs_seen = _recorded(f)
-    root, converged = _brent(ours, a, b, xtol, maxiter=maxiter)
-    ref, info = brentq(theirs, a, b, xtol=xtol, maxiter=maxiter, full_output=True, disp=False)
-    assert (root, converged) == (ref, info.converged)
-    assert ours_seen == theirs_seen
-
-
-def test_brent_is_scipy_brentq_on_the_lambda0_objective(monkeypatch):
-    # the same root, bit for bit, from the same sequence of evaluated lambda:
-    # 200 recenter fields (band 8, amplitude 0.5) and bands 1-16 at four
-    # amplitudes; the objective and bracket are the root find's own
+def _counting_lifts(monkeypatch):
+    # every objective evaluation lifts one matrix
     module = importlib.import_module("onofri.normalize")
-    calls = []
+    lifted, inverse_lift = [], module._inverse_lift
+    monkeypatch.setattr(module, "_inverse_lift", lambda mat: lifted.append(mat) or inverse_lift(mat))
+    return lifted
 
-    def capture(f, a, b, xtol, **kwargs):
-        calls.append((f, a, b, xtol))
-        return _brent(f, a, b, xtol, **kwargs)
 
-    monkeypatch.setattr(module, "_brent", capture)
+def test_root_find_matches_the_closed_form_on_the_lambda0_objective(monkeypatch):
+    # 200 recenter fields (band 8, amplitude 0.5) and bands 1-16 at four
+    # amplitudes: the Illinois steps land within 1e-14 of the closed form, in
+    # at most 16 evaluations of the objective, the two ends included
+    lifted = _counting_lifts(monkeypatch)
     rng = np.random.default_rng(3001)
     fields = [random_field(rng, 8, 0.5) for _ in range(200)]
     fields += [random_field(rng, band, amp) for band in range(1, 17) for amp in (0.05, 0.5, 1.5, 3.0)]
     for u in fields:
-        solve_lambda0(u, solve_x0(u), method="root_find")
-    assert len(calls) == len(fields)
-    for f, a, b, xtol in calls:
-        _assert_brent_is_brentq(f, a, b, xtol)
+        x0 = solve_x0(u)
+        lam_cf = solve_lambda0(u, x0)
+        lifted.clear()
+        lam_rf = solve_lambda0(u, x0, method="root_find")
+        assert abs(lam_rf - lam_cf) <= 1e-14 * lam_cf
+        assert len(lifted) <= 16
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        lambda x: x**3 - 2.0,
-        lambda x: math.cos(x) - x,
-        lambda x: math.atan(50.0 * x - 3.0),
-        lambda x: (x - 0.3) ** 5,
-        lambda x: 1.0 if x > 0.123 else -1.0,
-        lambda x: math.tanh(1e3 * (x - 0.5)),
-        lambda x: (x - 0.7) ** 3 * 1e300,
-        lambda x: (x - 0.5) ** 3 * 1e-160,
-    ],
-    ids=["cubic", "cos", "atan", "flat", "step", "tanh", "overflow", "underflow"],
-)
-def test_brent_is_scipy_brentq_on_classic_functions(f):
-    # interpolation, the secant, bisection, steps that overflow or divide by
-    # an underflowed zero, tolerances wide enough to meet the step test's
-    # delta, and iteration caps that stop it unconverged; each f changes
-    # sign once in (0, 1.3)
-    rng = np.random.default_rng(3002)
-    for _ in range(40):
-        a, b = float(rng.uniform(-3.0, 0.0)), float(rng.uniform(1.3, 4.0))
-        for maxiter in (100, 3):
-            for xtol in (2e-12, 1e-3, 0.5):
-                _assert_brent_is_brentq(f, a, b, xtol, maxiter)
+def _moments(com) -> ExpMoments:
+    return ExpMoments(1.0, np.asarray(com, dtype=float), None, np.zeros(4))
 
 
-def test_brent_returns_an_endpoint_zero():
-    assert _brent(lambda x: x - 1.0, 1.0, 2.0, 1e-15) == (1.0, True)
-    assert _brent(lambda x: x - 2.0, 1.0, 2.0, 1e-15) == (2.0, True)
+def test_root_find_names_an_empty_range():
+    # a center of mass 1e-14 from a pole puts lambda0 near 1.4e7 or 7e-8,
+    # outside [1e-6, 1e6]; the closed form still finds it
+    module = importlib.import_module("onofri.normalize")
+    for w3 in (1.0 - 1e-14, -1.0 + 1e-14):
+        mom = _moments([0.0, 0.0, w3])
+        lam_cf = module._closed_form_lambda0(0j, mom)
+        assert not 1e-6 <= lam_cf <= 1e6
+        with pytest.raises(ConvergenceError, match=r"no root for lambda0 on \[1e-06, 1e\+06\]"):
+            module._root_find_lambda0(0j, mom)
 
 
-def test_brent_refuses_endpoints_of_equal_sign():
-    with pytest.raises(ValueError, match="opposite signs"):
-        _brent(lambda x: x * x + 1.0, -1.0, 2.0, 1e-15)
+def test_root_find_returns_an_endpoint_zero(monkeypatch):
+    # m = (1, 0, 0, 0) is centred at lambda = 1, where the lift is the identity
+    # and the objective exactly 0: an end of the range at 1 is the root
+    module = importlib.import_module("onofri.normalize")
+    lifted = _counting_lifts(monkeypatch)
+    for lam_range in ((1e-6, 1.0), (1.0, 1e6)):
+        monkeypatch.setattr(module, "_LAMBDA_RANGE", lam_range)
+        lifted.clear()
+        assert module._root_find_lambda0(0j, _moments([0.0, 0.0, 0.0])) == 1.0
+        assert len(lifted) == 2
 
 
 def test_root_find_names_a_nonfinite_objective(monkeypatch):
@@ -218,21 +192,28 @@ def test_root_find_names_a_nonfinite_objective(monkeypatch):
     u = random_field(np.random.default_rng(0), 8, 0.5)
     x0 = solve_x0(u)
     monkeypatch.setattr(module, "_inverse_lift", lambda tau: np.full((4, 4), math.nan))
-    with pytest.raises(ConvergenceError, match=r"objective for lambda0 is nan at lambda = 1\.0"):
+    with pytest.raises(ConvergenceError, match=r"objective for lambda0 is nan at lambda = 1e-06"):
         solve_lambda0(u, x0, method="root_find")
 
 
 def test_root_find_names_an_unconverged_iteration(monkeypatch):
+    # maxiter steps after the two ends, then the last lambda is named
     module = importlib.import_module("onofri.normalize")
     u = random_field(np.random.default_rng(0), 8, 0.5)
     x0 = solve_x0(u)
-    monkeypatch.setattr(module, "_brent", functools.partial(_brent, maxiter=1))
-    with pytest.raises(ConvergenceError, match="Brent iteration for lambda0 did not converge"):
-        solve_lambda0(u, x0, method="root_find")
+    root_find = module._root_find_lambda0
+    lifted = _counting_lifts(monkeypatch)
+    for maxiter in (0, 1, 5):
+        monkeypatch.setattr(module, "_root_find_lambda0", functools.partial(root_find, maxiter=maxiter))
+        lifted.clear()
+        lam = 1e6 if maxiter == 0 else r"\d"
+        with pytest.raises(ConvergenceError, match=rf"root find for lambda0 did not converge: lambda = {lam}"):
+            solve_lambda0(u, x0, method="root_find")
+        assert len(lifted) == maxiter + 2
 
 
 def test_one_lorentz_check_per_result(monkeypatch):
-    # the Brent steps move m by the unchecked lift; lorentz_lift checks the
+    # the root find's steps move m by the unchecked lift; lorentz_lift checks the
     # lift of the reported root's map once, and normalize checks its tau once
     module = importlib.import_module("onofri.normalize")
     u = random_field(np.random.default_rng(0), 8, 0.5)
@@ -252,27 +233,24 @@ def test_one_lorentz_check_per_result(monkeypatch):
     assert len(checked) == 1 and np.array_equal(checked[0].mat, res.tau.mobius.mat)
 
 
-def test_brent_steps_build_no_map(monkeypatch):
+def test_root_find_steps_build_no_map(monkeypatch):
     # each step lifts recentering_map(x0, lam)'s matrix, bit for bit, without
     # building the map: the one map the root find builds is its root's
     module = importlib.import_module("onofri.normalize")
     u = random_field(np.random.default_rng(0), 8, 0.5)
     x0 = solve_x0(u)
-    objectives, lifted, built = [], [], []
-    inverse_lift, make_map = module._inverse_lift, module.recentering_map
-
-    def brent(f, a, b, xtol, **kwargs):
-        objectives.append(f)
-        return _brent(f, a, b, xtol, **kwargs)
-
-    monkeypatch.setattr(module, "_brent", brent)
-    monkeypatch.setattr(module, "_inverse_lift", lambda mat: lifted.append(mat) or inverse_lift(mat))
+    lifted, built = _counting_lifts(monkeypatch), []
+    make_map = module.recentering_map
     monkeypatch.setattr(module, "recentering_map", lambda x, lam: built.append(lam) or make_map(x, lam))
     root = solve_lambda0(u, x0, method="root_find")
     assert built == [root]
+    # a range of one lambda evaluates the objective there and finds no root
     for lam in np.random.default_rng(1).lognormal(0.0, 3.0, 50):
-        objectives[0](lam)
-        assert np.array_equal(lifted[-1], make_map(x0, lam).mobius.mat)
+        monkeypatch.setattr(module, "_LAMBDA_RANGE", (lam, lam))
+        lifted.clear()
+        with pytest.raises(ConvergenceError, match="no root"):
+            solve_lambda0(u, x0, method="root_find")
+        assert np.array_equal(lifted[0], make_map(x0, lam).mobius.mat)
 
 
 def test_root_find_raises_when_its_root_fails_the_lorentz_check(monkeypatch):

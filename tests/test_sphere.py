@@ -245,9 +245,10 @@ def test_tol_scale_validation(monkeypatch):
 
     monkeypatch.setenv("ONOFRI_TOL_SCALE", "2.5")
     assert tol_scale() == 2.5
-    monkeypatch.setenv("ONOFRI_TOL_SCALE", "-1")
-    with pytest.raises(ValueError):
-        tol_scale()
+    for raw in ("-1", "0", "nan", "inf", "-inf", "abc"):
+        monkeypatch.setenv("ONOFRI_TOL_SCALE", raw)
+        with pytest.raises(ValueError, match="ONOFRI_TOL_SCALE"):
+            tol_scale()
 
 
 def test_refinement_policy_growth_and_cap():

@@ -42,7 +42,6 @@ from onofri.stability import (
     _chart_of_ball,
     _distance,
     _g,
-    _scan,
     _scan_weights,
 )
 
@@ -519,7 +518,7 @@ def test_polish_matches_scipy_bfgs():
         grid = grids.setdefault(l_max, build_grid(max(4 * l_max, 48)))
         res = distance_to_manifold(u, l_max, grid)
         target = _band_coeffs(u, l_max)
-        d_ref, nfev_ref = _scipy_polish(target, _scan(target, l_max, grid), l_max)
+        d_ref, nfev_ref = _scipy_polish(target, _best_first(target, l_max, grid)[0], l_max)
         assert res.converged
         assert abs(res.distance - d_ref) <= 1e-12 * max(1.0, d_ref)
         ours.append(res.nfev)
@@ -622,20 +621,20 @@ def test_scan_matches_the_per_degree_reference(l_max):
         grid = build_grid(48)
         u = random_field(np.random.default_rng(17 + l_max), l_max, 1.5)
     target = _band_coeffs(u, l_max)
-    b = _scan(target, l_max, grid)
+    b = _best_first(target, l_max, grid)[0]
     assert np.linalg.norm(b) > 0.0
     assert np.array_equal(b, _reference_scan(target, l_max, grid))
 
 
 def test_scan_of_a_zero_field_stays_at_the_constant_extremal():
-    assert np.array_equal(_scan(np.zeros(49), 6, build_grid(48)), np.zeros(3))
+    assert np.array_equal(_best_first(np.zeros(49), 6, build_grid(48))[0], np.zeros(3))
     # every floor is psi's energy, above t = 0's value: no t is synthesized
     assert _best_first(np.zeros(49), 6, build_grid(48))[1] == 0
     assert distance_to_manifold(HarmonicField.zero(6), 6, build_grid(48)).scanned == 0
 
 
 def test_scan_of_band_zero_stays_at_the_constant_extremal():
-    assert np.array_equal(_scan(np.zeros(1), 0, build_grid(48)), np.zeros(3))
+    assert np.array_equal(_best_first(np.zeros(1), 0, build_grid(48))[0], np.zeros(3))
     d = distance_to_manifold(HarmonicField.constant(0.7), 0, build_grid(48))
     assert d.converged and d.distance == 0.0
     assert stability_check(HarmonicField.constant(1.0)).trace["converged"]
@@ -702,7 +701,7 @@ def test_best_first_scan_equals_the_exhaustive_scan():
         target = _band_coeffs(u, l_max)
         b, scanned = _best_first(target, l_max, grid)
         assert np.array_equal(b, _every_radius(target, l_max, grid)[1])
-        assert np.array_equal(b, _scan(target, l_max, grid))
+        assert np.array_equal(b, _best_first(target, l_max, grid)[0])
         if l_max == 32:
             psi_scanned.append(scanned)
     # on psi itself the best value, near -E(psi), is below nearly every
@@ -713,6 +712,19 @@ def test_best_first_scan_equals_the_exhaustive_scan():
 def test_distance_refuses_a_grid_below_the_band():
     with pytest.raises(ValueError, match="grid resolves band"):
         distance_to_manifold(random_field(np.random.default_rng(2), 8, 0.5), 8, build_grid(4))
+
+
+def test_a_band_below_the_field_is_refused():
+    # the deficit counts every degree of u: truncated to band 4 this exact
+    # extremal read a violated certificate (slack -1.2e-5), to band 8 a
+    # distance of 1e-8 against 2e-20 at its own band
+    u = psi_field(build_extremal(dilation(2.0)), 32).field
+    assert stability_check(u, 32).distance < 1e-12
+    for band in (4, 8):
+        with pytest.raises(ValueError, match=f"band {band} is below the field's band 32"):
+            stability_check(u, band)
+        with pytest.raises(ValueError, match=f"band {band} is below the field's band 32"):
+            grad_distance(u, ManifoldPoint(0.0, 0.0, 0.0), band)
 
 
 def test_scan_ties_resolve_to_the_first_t_then_the_first_node(monkeypatch):
@@ -726,7 +738,7 @@ def test_scan_ties_resolve_to_the_first_t_then_the_first_node(monkeypatch):
     energy = np.full(_SCAN_T.size, 1e3)
     energy[[5, 17, 18]] = _scan_weights(2)[1][5]
     monkeypatch.setattr(stability, "_scan_weights", lambda l_max: (weights, energy))
-    b = _scan(_band_coeffs(u, 2), 2, grid)
+    b = _best_first(_band_coeffs(u, 2), 2, grid)[0]
     parts = [HarmonicField.from_entries(2, {(l, 0): u.coeff(l, 0)}) for l in (1, 2)]
     rows = np.array([synthesize(p, grid).samples[:: grid.phi_count] for p in parts])
     best_row = int(np.argmax(weights[5] @ rows))
