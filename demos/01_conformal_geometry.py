@@ -1,6 +1,7 @@
 """Conformal maps of the sphere and their Jacobians.
 
-Walks through the stereographic chart, the Mobius action, the closed-form
+Walks through the stereographic chart, the action of a ConformalMap (a
+determinant-one complex 2x2 matrix, read as ``tau.mat``), the closed-form
 area-distortion factor, and two independent confirmations of that formula:
 the chain rule under composition and the shrinking-cap area oracle.
 """
@@ -35,7 +36,7 @@ move = translation(1 + 0j)
 print("translation by beta=1 sends the south pole to", move.apply(south))
 flip = rotation([1.0, 0.0, 0.0], np.pi)
 print("the half-turn about x1 is the Mobius map z -> 1/z:")
-print("  matrix", np.round(flip.mobius.mat, 12).tolist())
+print("  matrix", np.round(flip.mat, 12).tolist())
 
 print()
 print("== the closed-form Jacobian ==")

@@ -4,7 +4,7 @@ The package provides:
 
 * stereographic geometry and Gauss-Legendre quadrature (:mod:`onofri.sphere`),
 * real spherical harmonics with exact spectral energy (:mod:`onofri.harmonics`),
-* the Mobius / conformal group with closed-form Jacobians (:mod:`onofri.mobius`),
+* the conformal group, one type with closed-form Jacobians (:mod:`onofri.mobius`),
 * the lift to the proper orthochronous Lorentz group (:mod:`onofri.lorentz`),
 * the extremal family (3/4) ln J + c (:mod:`onofri.extremals`),
 * the sharp functionals and their conformal transport (:mod:`onofri.functionals`),
@@ -40,7 +40,6 @@ from .harmonics import (
 )
 from .mobius import (
     ConformalMap,
-    MobiusMap,
     dilation,
     identity_map,
     inversion,

@@ -24,7 +24,6 @@ import numpy as np
 from . import (
     ConformalMap,
     HarmonicField,
-    MobiusMap,
     RefinementPolicy,
     build_extremal,
     build_grid,
@@ -216,7 +215,7 @@ def lorentz_lift_check(rng, policy) -> list[Row]:
         lifts.append(L)
         eta_r = max(eta_r, lorentz_residuals(L)["metric"])
         hom_r = max(hom_r, homomorphism_check(a, b))
-        cone_r = max(cone_r, float(np.max(lightcone_residual(ConformalMap(a), pts))))
+        cone_r = max(cone_r, float(np.max(lightcone_residual(a, pts))))
         future = min(future, float(np.min((cone @ L.T)[:, 0])))
     form_r = max(abs((L @ v) @ (ETA @ (L @ v)) - v @ (ETA @ v)) for L, v in zip(lifts, rng.standard_normal((20, 4))))
     return [
@@ -226,7 +225,7 @@ def lorentz_lift_check(rng, policy) -> list[Row]:
         Row("quadratic form preservation", form_r, scaled(1e-10)),
         Row("future cone preserved (min t <= 0)", float(future <= 0.0), 0.0),
         Row("lift(-I) == lift(I)",
-            np.max(np.abs(lorentz_lift(MobiusMap(-1, 0, 0, -1)) - np.eye(4))), scaled(1e-14)),
+            np.max(np.abs(lorentz_lift(ConformalMap(-1, 0, 0, -1)) - np.eye(4))), scaled(1e-14)),
     ]
 
 

@@ -11,7 +11,6 @@ deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import math
@@ -25,7 +24,6 @@ from . import (
     ConformalMap,
     ConvergenceError,
     HarmonicField,
-    MobiusMap,
     RefinementPolicy,
     build_grid,
     chang_gui_report,
@@ -191,18 +189,16 @@ def cmd_lift(args, cfg: RunConfig) -> int:
         data = json.loads(Path(args.mobius).read_text())
         a, b, c, d = (complex(*data[k]) for k in "abcd")
         det = a * d - b * c
-        if not all(cmath.isfinite(x) for x in (a, b, c, d, det)):
-            raise ValueError("matrix entries and determinant must be finite")
-        m = MobiusMap(a, b, c, d)
+        tau = ConformalMap(a, b, c, d)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read Mobius file {args.mobius}: {exc}") from exc
     if data.get("reflect"):
         raise UsageError("the Lorentz lift is defined for orientation-preserving maps only")
     if abs(det - 1.0) > 1e-12:
         print(f"warning: determinant {det} renormalized to 1", file=sys.stderr)
-    L = lorentz_lift(m)
+    L = lorentz_lift(tau)
     residuals = lorentz_residuals(L)
-    residuals["lightcone"] = float(np.max(lightcone_residual(ConformalMap(m), _LIFT_SAMPLE_POINTS)))
+    residuals["lightcone"] = float(np.max(lightcone_residual(tau, _LIFT_SAMPLE_POINTS)))
     payload = {
         "config": cfg.to_dict(),
         "matrix": [float(x) for x in L.reshape(-1)],

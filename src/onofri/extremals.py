@@ -130,7 +130,7 @@ def _ball_point(tau: ConformalMap) -> np.ndarray:
     J_tau depends on M^H M alone (M conjugated if reflected); its Minkowski vector (t, q) is the first
     row of M's lift.  dilation(e^t) has a = -tanh(t) e3 and q = sinh(t) e3; rotations turn both alike.
     """
-    q = _lift(np.conj(tau.mobius.mat) if tau.reflect else tau.mobius.mat)[0, 1:]
+    q = _lift(np.conj(tau.mat) if tau.reflect else tau.mat)[0, 1:]
     s = math.hypot(*q)
     return -math.asinh(s) / s * q if s > 0.0 else np.zeros(3)
 

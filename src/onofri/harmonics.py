@@ -498,8 +498,9 @@ def _legendre_point(l_max: int, t: float, s: float) -> np.ndarray:
     theta = arccos |t|, rows signed (-1)^(l+m) at t < 0.  Where s >= 0.01 (``_CAP``) a row is its
     trigonometric polynomial (:func:`_point_table`) times (s / sin theta)^m, which reads the sine as
     ``s``; in the polar caps it is s^m times a cosine series of positive terms (:func:`_cap_weights`),
-    relatively accurate.  On 30 points at band 65 the rows are within 2.3e-14 max(1, |P|) of a
-    50-digit recurrence at the same (t, s), and :func:`_legendre_table` within 7.6e-14.
+    relatively accurate.  On 18,000 random points at band 65 the rows are within 3.5 (l + 1) eps
+    max(1, |P|), at most 5.1e-14, of a 50-digit recurrence at the same (t, s) (the tests hold them
+    to 4 (l + 1) eps); :func:`_legendre_table` errs by up to 7.6e-14 on 300 points.
     """
     weights, freq, place, parity, orders, powers = _point_table(l_max)
     theta = math.acos(abs(t))

@@ -1,18 +1,20 @@
 """Hermitian-matrix model of Minkowski space and the lift to SO+(1,3).
 
-A determinant-one complex 2x2 matrix A acts on Hermitian matrices by
-H -> A H A*, preserving det = t^2 - |q|^2; in the coordinates (t, q) that
-action is the proper orthochronous Lorentz matrix of A.
-On the sphere the lift satisfies (1, tau(w)) = sqrt(J_tau(w)) * L @ (1, w)
-for orientation-preserving tau, which ties the conformal group to the
-Lorentz group and is what makes the sharp functional conformally invariant.
+An orientation-preserving ``ConformalMap`` tau, with determinant-one matrix
+A = tau.mat, acts on Hermitian matrices by H -> A H A*, preserving
+det = t^2 - |q|^2; in the coordinates (t, q) that action is the proper
+orthochronous Lorentz matrix of tau (the spinor correspondence
+SL(2, C) -> SO+(1,3)).  On the sphere the lift satisfies
+(1, tau(w)) = sqrt(J_tau(w)) * L @ (1, w), which ties the conformal group to
+the Lorentz group and is what makes the sharp functional conformally
+invariant.  A reflected map has no lift: it reverses orientation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mobius import ConformalMap, MobiusMap, _lift, _spinor
+from .mobius import ConformalMap, _lift
 from .sphere import unit_point
 
 __all__ = [
@@ -53,15 +55,18 @@ def minkowski_of(h) -> np.ndarray:
     return np.stack([t, h[..., 0, 1].real, h[..., 0, 1].imag, q3], axis=-1)
 
 
-def lorentz_lift(a: MobiusMap) -> np.ndarray:
-    """The unique Lorentz matrix with A H(v) A* = H(L v) for all v.
+def lorentz_lift(tau: ConformalMap) -> np.ndarray:
+    """The unique Lorentz matrix L with A H(v) A* = H(L v) for all v, where A = tau.mat.
 
     Its sixteen entries are closed forms in the entries of A (``mobius._lift``);
-    -A gives the same matrix.  Raises if the result fails the SO+(1,3)
+    -A gives the same matrix.  A reflected tau raises ValueError: it reverses
+    orientation and has no lift.  Raises ArithmeticError if the result fails the SO+(1,3)
     invariants beyond a tolerance scaled by the entry magnitudes.  The lambda0 root find
     steps on the unchecked ``_lift`` and checks its root's map here; ``normalize``, its tau.
     """
-    L = _lift(a.mat)
+    if tau.reflect:
+        raise ValueError("the Lorentz lift is defined for orientation-preserving maps only")
+    L = _lift(tau.mat)
     scale = 1.0 + float(np.abs(L).max()) ** 2
     res = lorentz_residuals(L)
     if res["metric"] > 1e-11 * scale:
@@ -71,27 +76,24 @@ def lorentz_lift(a: MobiusMap) -> np.ndarray:
     return L
 
 
-def homomorphism_check(a: MobiusMap, b: MobiusMap) -> float:
-    """Max-norm deviation of lift(a @ b) from lift(a) @ lift(b)."""
-    return float(np.max(np.abs(lorentz_lift(a @ b) - lorentz_lift(a) @ lorentz_lift(b))))
+def homomorphism_check(a: ConformalMap, b: ConformalMap) -> float:
+    """Max-norm deviation of lift(a o b) from lift(a) @ lift(b); reflected maps raise ValueError."""
+    return float(np.max(np.abs(lorentz_lift(a.compose(b)) - lorentz_lift(a) @ lorentz_lift(b))))
 
 
 def lightcone_residual(tau: ConformalMap, w) -> float | np.ndarray:
     """Norm of (1, tau(w)) - sqrt(J(w)) * L @ (1, w) per point.
 
     Only proved (and only true) for orientation-preserving maps, so
-    reflect=True is rejected.
+    reflect=True is rejected (``lorentz_lift`` raises ValueError).
     """
-    if tau.reflect:
-        raise ValueError("light-cone identity requires an orientation-preserving map")
     w = unit_point(w)
     single = w.ndim == 1
     w = np.atleast_2d(w)
-    L = lorentz_lift(tau.mobius)
-    image, jac = tau._image_and_jacobian(_spinor(w))
-    lhs = np.concatenate([np.ones((w.shape[0], 1)), image], axis=1)
+    L = lorentz_lift(tau)
+    lhs = np.concatenate([np.ones((w.shape[0], 1)), tau.apply(w)], axis=1)
     cone = np.concatenate([np.ones((w.shape[0], 1)), w], axis=1)
-    rhs = np.sqrt(jac)[:, None] * (cone @ L.T)
+    rhs = np.sqrt(tau.jacobian(w))[:, None] * (cone @ L.T)
     res = np.linalg.norm(lhs - rhs, axis=1)
     return float(res[0]) if single else res
 

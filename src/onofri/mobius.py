@@ -1,14 +1,17 @@
-"""The conformal group of the sphere as determinant-one complex 2x2 matrices.
+"""The conformal group of the sphere in one type, ``ConformalMap``.
 
-Maps act on the sphere through stereographic coordinates.  Points travel as
-projective spinors (xi1, xi2) with z = xi1/xi2, which handles the north pole
-and Mobius poles without special cases and keeps the closed-form Jacobian
-stable everywhere.  Orientation-reversing maps carry a ``reflect`` flag
-(pre-compose with complex conjugation); the core matrix group stays PSL(2, C).
+A map is a complex 2x2 matrix of determinant one, fixed up to sign, and a
+``reflect`` flag that pre-composes with complex conjugation for the
+orientation-reversing half of the group.  The orientation-preserving maps
+form PSL(2, C); :mod:`onofri.lorentz` lifts them to SO+(1,3).  Maps act on
+the sphere through stereographic coordinates.  Points travel as projective
+spinors (xi1, xi2) with z = xi1/xi2, which handles the north pole and
+Mobius poles without special cases and keeps the closed-form Jacobian
+stable everywhere.
 """
-
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from itertools import combinations
@@ -19,7 +22,6 @@ from .sphere import INFINITY, cap_area, unit_point
 
 __all__ = [
     "ConformalMap",
-    "MobiusMap",
     "dilation",
     "identity_map",
     "inversion",
@@ -28,69 +30,6 @@ __all__ = [
     "translation",
     "translation_to",
 ]
-
-
-class MobiusMap:
-    """A 2x2 complex matrix with determinant one, up to overall sign.
-
-    Construction renormalizes the determinant and fixes the sign so that the
-    first nonzero entry in (a, b, c, d) order has nonnegative real part
-    (imaginary part positive when the real part vanishes), which makes
-    serialization reproducible.
-    """
-
-    __slots__ = ("mat",)
-
-    def __init__(self, a, b, c, d):
-        m = np.array([[a, b], [c, d]], dtype=complex)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) < 1e-30:
-            raise ValueError("matrix is (numerically) singular")
-        m = m / np.sqrt(det)
-        for entry in m.reshape(-1):
-            if abs(entry) > 1e-12:
-                if entry.real < 0 or (entry.real == 0 and entry.imag < 0):
-                    m = -m
-                break
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @classmethod
-    def from_matrix(cls, m) -> "MobiusMap":
-        m = np.asarray(m, dtype=complex)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    @classmethod
-    def identity(cls) -> "MobiusMap":
-        return cls(1, 0, 0, 1)
-
-    @property
-    def a(self) -> complex:
-        return complex(self.mat[0, 0])
-
-    @property
-    def b(self) -> complex:
-        return complex(self.mat[0, 1])
-
-    @property
-    def c(self) -> complex:
-        return complex(self.mat[1, 0])
-
-    @property
-    def d(self) -> complex:
-        return complex(self.mat[1, 1])
-
-    def det(self) -> complex:
-        return complex(self.mat[0, 0] * self.mat[1, 1] - self.mat[0, 1] * self.mat[1, 0])
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap.from_matrix(self.mat @ other.mat)
-
-    def __repr__(self):
-        return f"MobiusMap(a={self.a:.6g}, b={self.b:.6g}, c={self.c:.6g}, d={self.d:.6g})"
 
 
 def _spinor(points) -> tuple[np.ndarray, np.ndarray]:
@@ -127,24 +66,49 @@ def _lift(m: np.ndarray) -> np.ndarray:
 
 
 class ConformalMap:
-    """A conformal self-map of the sphere: Mobius matrix plus reflect flag.
+    """A conformal self-map of the sphere: a determinant-one complex 2x2 matrix and a reflect flag.
 
-    ``reflect`` pre-composes with complex conjugation z -> conj(z) in the
-    stereographic chart (the orientation-reversing half of the group).
+    Construction renormalizes [[a, b], [c, d]] to determinant one and fixes the overall sign so
+    that the first nonzero entry in (a, b, c, d) order has nonnegative real part (imaginary part
+    positive when the real part vanishes), which makes serialization reproducible.  A determinant
+    ad - bc that is not finite (as any non-finite entry makes it) or below 1e-30 raises ValueError.
+    ``reflect`` pre-composes with complex conjugation z -> conj(z) in the stereographic chart (the
+    orientation-reversing half of the group).
     """
 
-    __slots__ = ("mobius", "reflect")
+    __slots__ = ("mat", "reflect")
 
-    def __init__(self, mobius: MobiusMap, reflect: bool = False):
-        object.__setattr__(self, "mobius", mobius)
-        object.__setattr__(self, "reflect", bool(reflect))
+    def __init__(self, a, b, c, d, reflect: bool = False):
+        det = complex(a) * complex(d) - complex(b) * complex(c)
+        if not cmath.isfinite(det):
+            raise ValueError("matrix entries and determinant must be finite")
+        if math.hypot(det.real, det.imag) < 1e-30:
+            raise ValueError("matrix is (numerically) singular")
+        m = np.array([[a, b], [c, d]], dtype=complex) / np.sqrt(det)
+        for entry in m.reshape(-1):
+            if abs(entry) > 1e-12:
+                if entry.real < 0 or (entry.real == 0 and entry.imag < 0):
+                    m = -m
+                break
+        m.setflags(write=False)
+        self.mat = m
+        self.reflect = bool(reflect)
+
+    @classmethod
+    def from_matrix(cls, m, reflect: bool = False) -> "ConformalMap":
+        return cls(*np.asarray(m, dtype=complex).ravel().tolist(), reflect)
+
+    a = property(lambda self: complex(self.mat[0, 0]))
+    b = property(lambda self: complex(self.mat[0, 1]))
+    c = property(lambda self: complex(self.mat[1, 0]))
+    d = property(lambda self: complex(self.mat[1, 1]))
 
     def _act(self, spinors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Acted spinors (y1, y2) of node spinors and their norm |y1|^2 + |y2|^2."""
         x1, x2 = spinors
         if self.reflect:
             x1, x2 = np.conj(x1), np.conj(x2)
-        m = self.mobius.mat
+        m = self.mat
         y1 = m[0, 0] * x1 + m[0, 1] * x2
         y2 = m[1, 0] * x1 + m[1, 1] * x2
         return y1, y2, np.abs(y1) ** 2 + np.abs(y2) ** 2
@@ -167,11 +131,6 @@ class ConformalMap:
         J = 1.0 / (n * n)
         return float(J) if np.ndim(J) == 0 else J
 
-    def _image_and_jacobian(self, spinors) -> tuple[np.ndarray, np.ndarray]:
-        """``(apply(w), jacobian(w))`` from ``spinors = _spinor(w)``, in one pass."""
-        y1, y2, n = self._act(spinors)
-        return _point_of_spinor(y1, y2, n), 1.0 / (n * n)
-
     def _cartan(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Factors ``(R_U, lam, O_V)`` with ``self = R_U o dilation(lam) o O_V``, lam >= 1.
 
@@ -179,7 +138,7 @@ class ConformalMap:
         spatial blocks of the lifts of U and V^H (columns renormalized), with a reflected map's
         conjugation diag(1, -1, 1) folded into O_V.  lam = s1^2 stays accurate where 1/s1 is tiny.
         """
-        u, s, vh = np.linalg.svd(self.mobius.mat)
+        u, s, vh = np.linalg.svd(self.mat)
         rot, frame = pair = np.stack([_lift(u)[1:, 1:], _lift(vh)[1:, 1:]])
         frame[:, 1] *= -1.0 if self.reflect else 1.0
         pair /= np.linalg.norm(pair, axis=1, keepdims=True)
@@ -187,51 +146,32 @@ class ConformalMap:
 
     def plane_image(self, z):
         """Action in the stereographic chart; INFINITY is a legal value both ways."""
-        m = self.mobius
+        a, b, c, d = self.mat.ravel().tolist()
         if z is INFINITY:
-            zc = None
-        else:
-            zc = complex(z)
-            if self.reflect:
-                zc = zc.conjugate()
-        if zc is None:
-            if abs(m.c) == 0.0:
-                return INFINITY
-            return m.a / m.c
-        den = m.c * zc + m.d
-        if abs(den) == 0.0:
-            return INFINITY
-        return (m.a * zc + m.b) / den
+            return INFINITY if abs(c) == 0.0 else a / c
+        z = complex(z).conjugate() if self.reflect else complex(z)
+        den = c * z + d
+        return INFINITY if abs(den) == 0.0 else (a * z + b) / den
 
     def compose(self, other: "ConformalMap") -> "ConformalMap":
         """self after other.  Reflect flags add mod 2; a leading reflect
         conjugates the inner matrix (conj o M = conj(M) o conj)."""
-        inner = np.conj(other.mobius.mat) if self.reflect else other.mobius.mat
-        return ConformalMap(
-            MobiusMap.from_matrix(self.mobius.mat @ inner),
-            self.reflect != other.reflect,
-        )
+        inner = np.conj(other.mat) if self.reflect else other.mat
+        return ConformalMap.from_matrix(self.mat @ inner, self.reflect != other.reflect)
 
     def inverse(self) -> "ConformalMap":
-        inv = self.mobius.inverse()
-        if self.reflect:
-            inv = MobiusMap.from_matrix(np.conj(inv.mat))
-        return ConformalMap(inv, self.reflect)
+        inv = ConformalMap(self.d, -self.b, -self.c, self.a)
+        return ConformalMap.from_matrix(np.conj(inv.mat), True) if self.reflect else inv
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         if self.reflect:
             return False
-        return bool(np.allclose(self.mobius.mat, np.eye(2), atol=tol))
+        return bool(np.allclose(self.mat, np.eye(2), rtol=0.0, atol=tol))
 
     def to_dict(self) -> dict:
-        m = self.mobius
-        return {
-            "a": [m.a.real, m.a.imag],
-            "b": [m.b.real, m.b.imag],
-            "c": [m.c.real, m.c.imag],
-            "d": [m.d.real, m.d.imag],
-            "reflect": self.reflect,
-        }
+        d = {key: [z.real, z.imag] for key, z in zip("abcd", self.mat.ravel().tolist())}
+        d["reflect"] = self.reflect
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -242,18 +182,19 @@ class ConformalMap:
             re, im = d[key]
             return complex(re, im)
 
-        return cls(MobiusMap(c("a"), c("b"), c("c"), c("d")), bool(d.get("reflect", False)))
+        return cls(c("a"), c("b"), c("c"), c("d"), bool(d.get("reflect", False)))
 
     @classmethod
     def from_json(cls, s: str) -> "ConformalMap":
         return cls.from_dict(json.loads(s))
 
     def __repr__(self):
-        return f"ConformalMap({self.mobius!r}, reflect={self.reflect})"
+        entries = ", ".join(f"{key}={z:.6g}" for key, z in zip("abcd", self.mat.ravel().tolist()))
+        return f"ConformalMap({entries}, reflect={self.reflect})"
 
 
 def identity_map() -> ConformalMap:
-    return ConformalMap(MobiusMap.identity())
+    return ConformalMap(1, 0, 0, 1)
 
 
 def dilation(lam: float) -> ConformalMap:
@@ -261,7 +202,7 @@ def dilation(lam: float) -> ConformalMap:
     if not lam > 0:
         raise ValueError("dilation factor must be positive")
     r = math.sqrt(lam)
-    return ConformalMap(MobiusMap(r, 0, 0, 1.0 / r))
+    return ConformalMap(r, 0, 0, 1.0 / r)
 
 
 def _dilated_meridian(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -285,7 +226,7 @@ def translation(beta) -> ConformalMap:
     """Plane translation z -> z + beta; beta must be finite."""
     if beta is INFINITY:
         raise ValueError("translation offset must be finite")
-    return ConformalMap(MobiusMap(1, complex(beta), 0, 1))
+    return ConformalMap(1, complex(beta), 0, 1)
 
 
 def translation_to(p) -> ConformalMap:
@@ -308,12 +249,7 @@ def rotation(axis, angle: float) -> ConformalMap:
     # the chart z = (w1 + i w2)/(1 - w3) carries the conjugate of the usual
     # spinor convention, hence the reversed sign on the imaginary Pauli axis
     return ConformalMap(
-        MobiusMap(
-            complex(c, s * n[2]),
-            complex(-s * n[1], s * n[0]),
-            complex(s * n[1], s * n[0]),
-            complex(c, -s * n[2]),
-        )
+        complex(c, s * n[2]), complex(-s * n[1], s * n[0]), complex(s * n[1], s * n[0]), complex(c, -s * n[2])
     )
 
 
@@ -323,7 +259,7 @@ def inversion() -> ConformalMap:
     Anti-holomorphic (z -> 1 / conj(z)), so it carries reflect=True; its
     Jacobian is identically 1.
     """
-    return ConformalMap(MobiusMap(0, 1j, 1j, 0), reflect=True)
+    return ConformalMap(0, 1j, 1j, 0, reflect=True)
 
 
 def _fft_derivative(values: np.ndarray) -> np.ndarray:

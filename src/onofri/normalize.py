@@ -38,7 +38,7 @@ from .config import scaled
 from .functionals import ExpMoments, _compose, _Composition, exp_moments
 from .harmonics import HarmonicField
 from .lorentz import ETA, lorentz_lift
-from .mobius import ConformalMap, MobiusMap, _lift
+from .mobius import ConformalMap, _lift
 from .sphere import (
     DEFAULT_POLICY,
     INFINITY,
@@ -91,7 +91,7 @@ def recentering_map(x0: complex, lam0: float) -> ConformalMap:
     """The chart map z -> lam0 * z + x0: [[lam0, x0], [0, 1]], scaled to determinant one."""
     if not lam0 > 0 or x0 is INFINITY:
         raise ValueError("re-centering needs lam0 > 0 and a finite x0")
-    return ConformalMap(MobiusMap(lam0, x0, 0.0, 1.0))
+    return ConformalMap(lam0, x0, 0.0, 1.0)
 
 
 def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
@@ -146,7 +146,7 @@ def _root_find_lambda0(x0: complex, mom: ExpMoments, maxiter: int = 100) -> floa
             a, f_lo, f_hi, side = eta, f, f_hi / 2 if side < 0 else f_hi, -1
         else:
             b, f_hi, f_lo, side = eta, f, f_lo / 2 if side > 0 else f_lo, 1
-    lorentz_lift(recentering_map(x0, lam).mobius)  # the SO+(1,3) check, on the reported map
+    lorentz_lift(recentering_map(x0, lam))  # the SO+(1,3) check, on the reported map
     return lam
 
 
@@ -243,7 +243,7 @@ def normalize(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> No
     x0 = _x0(mom)
     lam0 = _closed_form_lambda0(x0, mom)
     tau = recentering_map(x0, lam0)
-    inverse = _SIGNS * lorentz_lift(tau.mobius).T  # tau's one SO+(1,3) check
+    inverse = _SIGNS * lorentz_lift(tau).T  # tau's one SO+(1,3) check
     v = inverse @ _four_vector(mom)
     residual = float(np.linalg.norm(v[1:]) / v[0])
     if residual >= scaled(1e-10):

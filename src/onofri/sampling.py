@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .harmonics import HarmonicField, _layout
-from .mobius import ConformalMap, MobiusMap, dilation, inversion, rotation, translation
+from .mobius import ConformalMap, dilation, inversion, rotation, translation
 
 __all__ = [
     "effective_dilation",
@@ -65,7 +65,7 @@ def random_translation_point(rng: np.random.Generator) -> np.ndarray:
 
 def effective_dilation(tau: ConformalMap) -> float:
     """Top singular value squared of the matrix; 1 exactly for isometries."""
-    s = np.linalg.svd(tau.mobius.mat, compute_uv=False)
+    s = np.linalg.svd(tau.mat, compute_uv=False)
     return float(s[0] ** 2)
 
 
@@ -102,8 +102,8 @@ def random_conformal(
     raise RuntimeError("could not sample a map under the effective-dilation cap")
 
 
-def random_unimodular(rng: np.random.Generator) -> MobiusMap:
-    """Determinant-one matrix whose normalized entries stay within a bound.
+def random_unimodular(rng: np.random.Generator) -> ConformalMap:
+    """Orientation-preserving map whose determinant-one matrix has entries within a bound.
 
     Rejection-sampled to keep the Lorentz-lift conditioning tame.
     """
@@ -112,7 +112,7 @@ def random_unimodular(rng: np.random.Generator) -> MobiusMap:
         det = raw[0, 0] * raw[1, 1] - raw[0, 1] * raw[1, 0]
         if abs(det) < 0.3:
             continue
-        m = MobiusMap.from_matrix(raw)
+        m = ConformalMap.from_matrix(raw)
         if np.max(np.abs(m.mat)) <= _ENTRY_BOUND:
             return m
     raise RuntimeError("could not sample a bounded unimodular matrix")

@@ -43,7 +43,7 @@ import numpy as np
 from .config import scaled
 from .extremals import _ball_point, _g, _psi_energy
 from .harmonics import HarmonicField, _grid_table, _harmonic_slopes, _layout, _synthesis
-from .mobius import ConformalMap, MobiusMap
+from .mobius import ConformalMap
 from .sphere import (
     DEFAULT_POLICY,
     ConvergenceError,
@@ -89,7 +89,7 @@ class ManifoldPoint:
     def to_map(self) -> ConformalMap:
         r = math.exp(0.5 * self.log_lambda)
         beta = complex(self.beta1, self.beta2)
-        return ConformalMap(MobiusMap(r, r * beta, 0.0, 1.0 / r))
+        return ConformalMap(r, r * beta, 0.0, 1.0 / r)
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -98,7 +98,7 @@ class ManifoldPoint:
 def chart_params(tau: ConformalMap) -> ManifoldPoint:
     """Chart coordinates of tau's rotation-coset: lambda and lambda beta are the first row of
     M^H M (M conjugated if reflected), as for the chart map [[r, r beta], [0, 1/r]], r^2 = lambda."""
-    m = np.conj(tau.mobius.mat) if tau.reflect else tau.mobius.mat
+    m = np.conj(tau.mat) if tau.reflect else tau.mat
     h = m.conj().T @ m
     beta = complex(h[0, 1] / h[0, 0])
     return ManifoldPoint(math.log(h[0, 0].real), beta.real, beta.imag)

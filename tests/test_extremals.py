@@ -117,7 +117,7 @@ def test_build_extremal_matches_quadrature(rng):
     for k in range(8):
         tau = random_conformal(rng, allow_reflect=True)
         if k % 2:
-            tau = ConformalMap(tau.mobius, reflect=not tau.reflect)
+            tau = ConformalMap.from_matrix(tau.mat, reflect=not tau.reflect)
         e = build_extremal(tau)
         mass = conformal_mass(tau)
         assert abs(e.mass - mass) < 1e-12

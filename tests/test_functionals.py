@@ -328,7 +328,7 @@ def test_transform_matches_the_sampled_path(rng, band, l_max):
     maps = [
         identity_map(),
         spin,
-        ConformalMap(spin.compose(dilation(3.0)).mobius, reflect=True),
+        ConformalMap.from_matrix(spin.compose(dilation(3.0)).mat, reflect=True),
         random_conformal(rng, lam_eff_cap=50.0, allow_reflect=True),
         rotation(rng.normal(size=3), 2.3).compose(dilation(50.0)).compose(spin),
     ]

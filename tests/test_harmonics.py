@@ -485,20 +485,39 @@ def test_legendre_table_matches_pairwise_loop(rng):
         assert np.all(table[np.tril_indices(l_max + 1, -1)] == 0.0)  # l < m
 
 
+def _mp_legendre(l_max, points):
+    """The rows of _legendre_point at each (t, s) of ``points`` from _mp_basis at (s, 0, t).
+
+    At azimuth 0 the real basis holds P(l, 0) and sqrt(2) P(l, m > 0).
+    """
+    l, m = np.tril_indices(l_max + 1)
+    basis = _mp_basis(np.array([[s, 0.0, t] for t, s in points]), l_max)
+    return basis[:, l * l + l + m] / np.where(m > 0, math.sqrt(2.0), 1.0)
+
+
+def _legendre_point_bound(l_max):
+    # measured on 60 draws of 300 random points at band 65: up to 3.5 (l + 1) eps max(1, |P|)
+    l, _ = np.tril_indices(l_max + 1)
+    return 4 * (l + 1) * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("l_max", [0, 1, 2, 7, 33, 65])
 def test_legendre_point_matches_table(rng, l_max):
     # the banded one-point solve against _legendre_table's recurrence at the
-    # same abscissa and sine: random points, then the caller-supplied sines
-    # of points 1e-9, 1e-200 and 0 off each pole
+    # same abscissa and sine, and against the 50-digit recurrence (the table
+    # is the less accurate of the two): random points, then the
+    # caller-supplied sines of points 1e-9, 1e-200 and 0 off each pole
     w = rng.normal(size=(200, 3))
     w /= np.linalg.norm(w, axis=1)[:, None]
     points = [(p[2], math.hypot(p[0], p[1])) for p in w]
     points += [(z * math.sqrt(1.0 - s * s), s) for s in (1e-9, 1e-200, 0.0) for z in (1.0, -1.0)]
     l, m = np.tril_indices(l_max + 1)  # the point's rows
-    for t, s in points:
+    bound = _legendre_point_bound(l_max)
+    for (t, s), exact in zip(points, _mp_legendre(l_max, points)):
         expect = _legendre_table(l_max, np.array([t]), np.array([s]))[m, l, 0]
         got = harmonics._legendre_point(l_max, t, s)
         assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
+        assert np.all(np.abs(got - exact) <= bound * np.maximum(1.0, np.abs(exact)))
     for pole in (1.0, -1.0):
         assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[m > 0] == 0.0)
 
@@ -521,19 +540,23 @@ def test_point_tables_cached_and_read_only():
 @pytest.mark.parametrize("l_max", [1, 7, 33, 65])
 def test_legendre_point_across_the_cap(l_max):
     # the trigonometric rows just outside the polar caps and the cosine
-    # series just inside agree with _legendre_table at the same abscissa and
-    # sine, the rows m > 0 are exactly 0 at both poles, and inside the caps
-    # the rows m >= 1 keep their relative accuracy
+    # series just inside agree with _legendre_table and with the 50-digit
+    # recurrence at the same abscissa and sine, the rows m > 0 are exactly 0
+    # at both poles, and inside the caps the rows m >= 1 keep their relative
+    # accuracy
     l, m = np.tril_indices(l_max + 1)
     cap = harmonics._CAP
-    for s in (np.nextafter(cap, 0.0), cap - 1e-9, cap, np.nextafter(cap, 1.0), cap + 1e-9, 1e-5):
-        for t in (math.sqrt(1.0 - s * s), -math.sqrt(1.0 - s * s)):
-            expect = _legendre_table(l_max, np.array([t]), np.array([s]))[m, l, 0]
-            got = harmonics._legendre_point(l_max, t, s)
-            assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
-            if s < cap:  # relative, wherever the table's seeds have not reached underflow
-                low = (m > 0) & (np.abs(expect) > 1e-250)
-                assert np.all(np.abs(got - expect)[low] <= 1e-12 * np.abs(expect[low]))
+    sines = (np.nextafter(cap, 0.0), cap - 1e-9, cap, np.nextafter(cap, 1.0), cap + 1e-9, 1e-5)
+    points = [(z * math.sqrt(1.0 - s * s), s) for s in sines for z in (1.0, -1.0)]
+    bound = _legendre_point_bound(l_max)
+    for (t, s), exact in zip(points, _mp_legendre(l_max, points)):
+        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[m, l, 0]
+        got = harmonics._legendre_point(l_max, t, s)
+        assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
+        assert np.all(np.abs(got - exact) <= bound * np.maximum(1.0, np.abs(exact)))
+        if s < cap:  # relative, wherever the table's seeds have not reached underflow
+            low = (m > 0) & (np.abs(expect) > 1e-250)
+            assert np.all(np.abs(got - expect)[low] <= 1e-12 * np.abs(expect[low]))
     for pole in (1.0, -1.0):
         assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[m > 0] == 0.0)
 
@@ -764,7 +787,7 @@ def test_no_hot_path_calls_evaluate_at(monkeypatch, rng):
     result = normalize(u)
     assert abs(solve_lambda0(u, result.x0, method="root_find") - result.lambda0) < 1e-8
     tau = rotation(rng.normal(size=3), 0.8).compose(dilation(1.5))
-    tau = ConformalMap(tau.compose(rotation(rng.normal(size=3), 2.0)).mobius, reflect=True)
+    tau = ConformalMap.from_matrix(tau.compose(rotation(rng.normal(size=3), 2.0)).mat, reflect=True)
     grid = build_grid(48)
     transform(u, tau, 16, grid, tail_threshold=None)
     stability_check(u)
@@ -780,6 +803,6 @@ def test_transform_runs_no_grid_transform(monkeypatch, rng):
         for module in [m for key, m in sys.modules.items() if key.startswith("onofri")]:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    tau = ConformalMap(rotation(rng.normal(size=3), 0.8).compose(dilation(4.0)).mobius, reflect=True)
+    tau = ConformalMap.from_matrix(rotation(rng.normal(size=3), 0.8).compose(dilation(4.0)).mat, reflect=True)
     for u in (random_field(rng, 8, 0.5), random_field(rng, 32, 0.5)):
         transform(u, tau, 32, build_grid(72), tail_threshold=None)

@@ -5,10 +5,10 @@ import pytest
 
 from onofri import (
     ConformalMap,
-    MobiusMap,
     dilation,
     hermitian_of,
     homomorphism_check,
+    identity_map,
     inversion,
     lightcone_residual,
     lorentz_lift,
@@ -46,13 +46,25 @@ def test_quadratic_form():
 
 
 def test_lift_identity_and_center():
-    assert np.allclose(lorentz_lift(MobiusMap.identity()), np.eye(4))
-    assert np.allclose(lorentz_lift(MobiusMap(-1, 0, 0, -1)), np.eye(4))
+    assert np.allclose(lorentz_lift(identity_map()), np.eye(4))
+    assert np.allclose(lorentz_lift(ConformalMap(-1, 0, 0, -1)), np.eye(4))
+
+
+def test_lift_refuses_a_reflected_map(rng):
+    # a reflected map reverses orientation: neither it nor its matrix has a lift
+    a = random_unimodular(rng)
+    flipped = ConformalMap.from_matrix(a.mat, reflect=True)
+    for tau in (flipped, inversion()):
+        with pytest.raises(ValueError, match="orientation-preserving"):
+            lorentz_lift(tau)
+    for pair in ((a, flipped), (flipped, a)):
+        with pytest.raises(ValueError, match="orientation-preserving"):
+            homomorphism_check(*pair)
 
 
 def test_lift_boost():
     # lightlike eigenvectors (1,0,0,+-1) scale by 2 and 1/2
-    L = lorentz_lift(dilation(2.0).mobius)
+    L = lorentz_lift(dilation(2.0))
     assert np.max(np.abs(L - BOOST_SQRT2)) < 1e-14
     up = np.array([1.0, 0, 0, 1.0])
     dn = np.array([1.0, 0, 0, -1.0])
@@ -69,7 +81,7 @@ def test_lift_invariants(rng):
         assert L[0, 0] >= 1.0 - 1e-12
 
 
-def _lift_by_loop(a: MobiusMap) -> np.ndarray:
+def _lift_by_loop(a: ConformalMap) -> np.ndarray:
     # the reference: one conjugation per basis vector, decoded one at a time
     basis = ([1.0, 0, 0, 1.0], [1.0, 0, 0, -1.0], [0, 1.0, 1.0, 0], [0, 1.0, -1.0, 0])
     m = a.mat
@@ -89,7 +101,7 @@ def test_lift_raises_on_each_broken_invariant(monkeypatch, broken, message):
     # the closed-form entries carry no check of their own; lorentz_lift's raises do
     monkeypatch.setattr(lorentz, "_lift", lambda m: broken)
     with pytest.raises(ArithmeticError, match=message):
-        lorentz_lift(MobiusMap.identity())
+        lorentz_lift(identity_map())
 
 
 def test_closed_form_lift_matches_the_loop(rng):
@@ -97,12 +109,12 @@ def test_closed_form_lift_matches_the_loop(rng):
         a = random_unimodular(rng)
         ref = _lift_by_loop(a)
         assert np.max(np.abs(lorentz_lift(a) - ref)) <= 1e-15 * np.max(np.abs(ref)) ** 2
-    assert np.array_equal(lorentz_lift(MobiusMap(-1, 0, 0, -1)), np.eye(4))
-    assert np.array_equal(lorentz_lift(MobiusMap.identity()), np.eye(4))
+    assert np.array_equal(lorentz_lift(ConformalMap(-1, 0, 0, -1)), np.eye(4))
+    assert np.array_equal(lorentz_lift(identity_map()), np.eye(4))
 
 
 def test_homomorphism(rng):
-    i = MobiusMap.identity()
+    i = identity_map()
     assert homomorphism_check(i, i) == 0.0
     for _ in range(10):
         a = random_unimodular(rng)
@@ -129,7 +141,7 @@ def test_future_cone_preserved(rng):
 
 def test_lightcone_identity_trivial(rng):
     w = random_unit_vector(rng)
-    assert lightcone_residual(ConformalMap(MobiusMap.identity()), w) < 1e-15
+    assert lightcone_residual(identity_map(), w) < 1e-15
 
 
 def test_lightcone_identity_dilation():
@@ -137,7 +149,7 @@ def test_lightcone_identity_dilation():
     south = np.array([0.0, 0.0, -1.0])
     tau = dilation(2.0)
     assert lightcone_residual(tau, south) < 1e-15
-    L = lorentz_lift(tau.mobius)
+    L = lorentz_lift(tau)
     rhs = math.sqrt(tau.jacobian(south)) * (L @ np.array([1.0, 0, 0, -1.0]))
     assert np.allclose(rhs, [1.0, 0, 0, -1.0])
 
@@ -146,7 +158,7 @@ def test_lightcone_identity_random(rng):
     pts = np.array([random_unit_vector(rng) for _ in range(100)])
     worst = 0.0
     for _ in range(20):
-        tau = ConformalMap(random_unimodular(rng))
+        tau = random_unimodular(rng)
         worst = max(worst, float(np.max(lightcone_residual(tau, pts))))
     assert worst < 1e-11
 

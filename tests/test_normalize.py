@@ -104,8 +104,8 @@ def test_solve_lambda0_direction():
 def test_recentering_map_matches_translation_after_dilation():
     for x0 in (0.3 + 0.2j, -1.5 + 2.0j, 0j):
         for lam in (1e-6, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e6):
-            ref = translation(x0).compose(dilation(lam)).mobius.mat
-            got = recentering_map(x0, lam).mobius.mat
+            ref = translation(x0).compose(dilation(lam)).mat
+            got = recentering_map(x0, lam).mat
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     for x0, lam in ((0.3 + 0.2j, 0.0), (0.3 + 0.2j, -1.0), (0.3 + 0.2j, math.nan), (INFINITY, 1.0)):
         with pytest.raises(ValueError):
@@ -227,10 +227,10 @@ def test_one_lorentz_check_per_result(monkeypatch):
     monkeypatch.setattr(module, "lorentz_lift", counted)
     root = solve_lambda0(u, x0, method="root_find")
     assert len(checked) == 1
-    assert np.array_equal(checked[0].mat, recentering_map(x0, root).mobius.mat)
+    assert np.array_equal(checked[0].mat, recentering_map(x0, root).mat)
     checked.clear()
     res = normalize(u)
-    assert len(checked) == 1 and np.array_equal(checked[0].mat, res.tau.mobius.mat)
+    assert len(checked) == 1 and np.array_equal(checked[0].mat, res.tau.mat)
 
 
 def test_root_find_steps_build_no_map(monkeypatch):
@@ -250,7 +250,7 @@ def test_root_find_steps_build_no_map(monkeypatch):
         lifted.clear()
         with pytest.raises(ConvergenceError, match="no root"):
             solve_lambda0(u, x0, method="root_find")
-        assert np.array_equal(lifted[0], make_map(x0, lam).mobius.mat)
+        assert np.array_equal(lifted[0], make_map(x0, lam).mat)
 
 
 def test_root_find_raises_when_its_root_fails_the_lorentz_check(monkeypatch):
@@ -272,7 +272,7 @@ def test_grid_com_matches_scattered_evaluation(rng):
     grid = build_grid(128)
     u = random_field(rng, 6, 0.5)
     maps = [random_conformal(rng, lam_eff_cap=6.0) for _ in range(3)]
-    maps.append(ConformalMap(random_conformal(rng, lam_eff_cap=6.0).mobius, reflect=True))
+    maps.append(ConformalMap.from_matrix(random_conformal(rng, lam_eff_cap=6.0).mat, reflect=True))
     for tau in maps:
         mapped, jac = tau.apply(grid.nodes), tau.jacobian(grid.nodes)
         v = moments(grid, np.exp(2.0 * evaluate_at(u, mapped)) * jac**1.5)
@@ -289,8 +289,8 @@ def test_composed_com_is_the_lorentz_transport_of_the_moments(rng):
         u = random_field(rng, 8, 0.5)
         m = moments(grid, np.exp(2.0 * synthesize(u, grid).samples))
         drawn = random_conformal(rng, lam_eff_cap=4.0)
-        for tau in (drawn, ConformalMap(drawn.mobius, reflect=True)):
-            v = ETA @ lorentz_lift(tau.mobius).T @ ETA @ m
+        for tau in (drawn, ConformalMap.from_matrix(drawn.mat, reflect=True)):
+            v = ETA @ lorentz_lift(drawn).T @ ETA @ m
             if tau.reflect:
                 v = flip @ v
             assert np.max(np.abs(_composed_com(_compose(u, tau), grid) - v[1:] / v[0])) <= 1e-13
@@ -517,7 +517,7 @@ def test_error_estimate_is_the_transported_refinement_step(rng):
     u = random_field(rng, 6, 0.4)
     res = normalize(u)
     mom = exp_moments(u, RefinementPolicy(rtol=1e-12))
-    v = ETA @ lorentz_lift(res.tau.mobius).T @ ETA
+    v = ETA @ lorentz_lift(res.tau).T @ ETA
     m = np.concatenate([[mom.mass], mom.moment])
     assert res.com_error_estimate == np.linalg.norm((v @ mom.delta)[1:]) / (v @ m)[0]
     assert 0.0 < res.com_error_estimate < 1e-10

@@ -303,7 +303,7 @@ def test_closed_form_psi_coefficients(rng):
     # reference tail is the quadrature's band energy against that of |grad psi|^2, which is
     # (9/4)(|a|^2 - (a.w)^2)/(1 - a.w)^2 as psi = -(3/2) ln(1 - a.w) + const
     grid = build_grid(300)
-    reflected = ConformalMap(translation(0.4 - 0.3j).compose(dilation(1.7)).mobius, reflect=True)
+    reflected = ConformalMap.from_matrix(translation(0.4 - 0.3j).compose(dilation(1.7)).mat, reflect=True)
     # at dilation(50) psi's coefficients fall only like exp(-0.04 l), and the reference
     # aliases at 1.3e-13; the closed form is within 2e-14 of mpmath there
     cases = [(identity_map(), 1e-14), (reflected, 1e-14), (dilation(50.0), 3e-13)]
@@ -338,7 +338,7 @@ def test_ball_chart_round_trip():
         assert np.max(np.abs(_com_of_ball(_ball_of(m)) - a)) < 1e-12
     # a reflected map goes through chart_params to its own center of mass
     tau = dilation(3.0).compose(translation(0.4 - 0.7j))
-    tau = ConformalMap(tau.mobius, reflect=True)
+    tau = ConformalMap.from_matrix(tau.mat, reflect=True)
     com = center_of_mass(tau)
     b = _ball_of(chart_params(tau))
     assert np.linalg.norm(com) > 0.5
@@ -348,7 +348,7 @@ def test_ball_chart_round_trip():
 
 def _chart_by_qr(tau):
     # the reference: the QR of the (conjugated) matrix, upper factor with positive diagonal
-    m = np.conj(tau.mobius.mat) if tau.reflect else tau.mobius.mat
+    m = np.conj(tau.mat) if tau.reflect else tau.mat
     _, r = np.linalg.qr(m)
     d = np.diag(r)
     r = (np.conj(d / np.abs(d))[:, None]) * r
@@ -415,7 +415,7 @@ def test_ball_of_matches_lorentz_row(rng):
     # oracle: the first row of the Lorentz lift is (M, -M a), M = cosh atanh|a|
     for _ in range(500):
         m = ManifoldPoint(rng.uniform(-8.0, 8.0), *rng.normal(scale=2.0, size=2))
-        v = -lorentz_lift(m.to_map().mobius)[0, 1:]
+        v = -lorentz_lift(m.to_map())[0, 1:]
         s = float(np.linalg.norm(v))
         expect = v * (math.asinh(s) / s)
         assert np.linalg.norm(_ball_of(m) - expect) <= 1e-14 * np.linalg.norm(expect)
@@ -563,7 +563,7 @@ def _moved_fields(rng, grid):
         tau = rotation(rng.normal(size=3), rng.uniform(0, 6.3))
         tau = tau.compose(dilation(lam)).compose(rotation(rng.normal(size=3), 1.0))
         if k == 3:
-            tau = ConformalMap(tau.mobius, reflect=True)
+            tau = ConformalMap.from_matrix(tau.mat, reflect=True)
         pairs.append((u, transform(u, tau, 40, grid).field))
     return pairs
 
