@@ -187,12 +187,12 @@ _LIFT_SAMPLE_POINTS = np.array(
 def cmd_lift(args, cfg: RunConfig) -> int:
     try:
         data = json.loads(Path(args.mobius).read_text())
+        tau = ConformalMap.from_dict(data)  # the map JSON's format: each entry one [re, im] pair
         a, b, c, d = (complex(*data[k]) for k in "abcd")
         det = a * d - b * c
-        tau = ConformalMap(a, b, c, d)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read Mobius file {args.mobius}: {exc}") from exc
-    if data.get("reflect"):
+    if tau.reflect:
         raise UsageError("the Lorentz lift is defined for orientation-preserving maps only")
     if abs(det - 1.0) > 1e-12:
         print(f"warning: determinant {det} renormalized to 1", file=sys.stderr)

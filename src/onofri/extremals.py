@@ -135,8 +135,8 @@ def _ball_point(tau: ConformalMap) -> np.ndarray:
     return -math.asinh(s) / s * q if s > 0.0 else np.zeros(3)
 
 
-def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """g_l(tanh t) and dg_l/dt for l = 0..l_max and t > 0, with g_0 = 0.
+def _g(l_max: int, t: float, second: bool = False) -> tuple[np.ndarray, ...]:
+    """g_l(tanh t) and dg_l/dt for l = 0..l_max and t > 0, with g_0 = 0; with ``second``, d2g_l/dt2 too.
 
     Q_0(coth t) = t, and the Q_n decay like exp(-n xi), xi = acosh(coth t).
     Where they decay over the band (xi (l_max + 2) >= 1) the ratios
@@ -145,7 +145,9 @@ def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     band, so that the error dies out.  Nearer the sphere they barely decay,
     and the forward recurrence loses at most a factor exp(2 xi (l_max + 2))
     to rounding; so no t costs more than O(l_max) steps.  The derivative
-    follows from (2l+1) Q_l = Q'_{l+1} - Q'_{l-1} and coth' = -1/sinh^2.
+    follows from (2l+1) Q_l = Q'_{l+1} - Q'_{l-1} and coth' = -1/sinh^2: it is
+    (3/2) (z^2 - 1) Q_l(z), z = coth t, and with (z^2 - 1) Q'_l = l (z Q_l - Q_{l-1})
+    the second is -(3/2) (z^2 - 1) ((l + 2) z Q_l - l Q_{l-1}), from the same Q's.
     For t >= 1, g_1 comes from the closed form Q_2 - Q_0 = (3/2)((z^2 - 1) Q_0 - z):
     2e-16 relative, where the ratios give 1.5e-14 (band 32, t = ln 50).  Below
     t = 1 the closed form cancels (3e-14 at t = 0.05), and the ratios stay.
@@ -172,15 +174,20 @@ def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     dg[1:] = 1.5 * q[1:-1] * delta * (2.0 + delta)  # z^2 - 1 = 1/sinh^2 t
     if l_max >= 1 and t >= 1.0:
         g[1] = 0.75 * (z - delta * (2.0 + delta) * t)
-    return g, dg
+    if not second:
+        return g, dg
+    d2g = np.zeros(l_max + 1)
+    d2g[1:] = -1.5 * delta * (2.0 + delta) * ((l + 2) * z * q[1:-1] - l * q[:-2])
+    return g, dg, d2g
 
 
-def _psi_energy(t: float) -> tuple[float, float]:
-    """Gradient energy (9/2)(t coth t - 1) of psi at |b| = t, and its t-derivative."""
+def _psi_energy(t: float) -> tuple[float, float, float]:
+    """Gradient energy (9/2)(t coth t - 1) of psi at |b| = t, and its first two t-derivatives."""
     if t < 1e-3:  # series, where the closed forms cancel
-        return 1.5 * t * t * (1.0 - t * t / 15.0), 3.0 * t * (1.0 - 2.0 * t * t / 15.0)
+        return 1.5 * t * t * (1.0 - t * t / 15.0), 3.0 * t * (1.0 - 2.0 * t * t / 15.0), 3.0 - 1.2 * t * t
     csch = 2.0 * math.exp(-t) / -math.expm1(-2.0 * t)
-    return 4.5 * (t / math.tanh(t) - 1.0), 4.5 * (1.0 / math.tanh(t) - t * csch * csch)
+    energy = 4.5 * (t / math.tanh(t) - 1.0)
+    return energy, 4.5 * (1.0 / math.tanh(t) - t * csch * csch), 2.0 * csch * csch * energy
 
 
 @dataclass(frozen=True)

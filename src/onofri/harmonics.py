@@ -520,60 +520,85 @@ def _legendre_point(l_max: int, t: float, s: float) -> np.ndarray:
 class _PointRows(NamedTuple):
     """Read-only map of one band's flat slots onto a band-(l_max + 1) table at one point."""
 
-    rows: np.ndarray     # (2, 3, n): the two table rows giving P, dP/dtheta and m P/sin(theta)
-    weights: np.ndarray  # (2, 3, n): their weights, with the real-basis scale (1, else sqrt(2))
-    trig: np.ndarray     # (3, n): each slot's azimuthal factor in the interleaved cos m phi, sin m phi
+    rows: np.ndarray     # (11, n): the table row of each term; the first 5 give the first three quantities
+    weights: np.ndarray  # (11, n): each term's weight, with the real-basis scale (1, else sqrt(2))
+    terms: np.ndarray    # (5, 11): 1 where a term adds into a quantity
+    trig: np.ndarray     # (2, n): each slot's azimuthal factor in the interleaved cos m phi, sin m phi,
+                         # and that of its phi-derivative, which quantities 2 and 4 carry
     freq: np.ndarray     # i m for m = 0..l_max
+
+
+_FIRST_TERMS = 5  # the terms of P, dP/dtheta and m P/sin(theta) in _PointRows
+_TURNED = np.array([0, 0, 1, 0, 1])  # the trig row of each quantity: 1 after d/dphi
 
 
 @functools.lru_cache(maxsize=16)
 def _point_rows(l_max: int) -> _PointRows:
+    """P, dP/dtheta, m P/sin(theta), d2P/dtheta2 and d/dtheta (m P/sin(theta)) of each slot as
+    sums of 1, 2, 2, 3 and 3 table rows.
+
+    Every quantity is a raising and lowering sum in m of P(l, .) or P(l + 1, .), read with
+    P(l, -1) = -P(l, 1) and P(l, -2) = P(l, 2): none divides by sin(theta), so all are exact at
+    the poles.
+    """
     l = _layout(l_max).degrees
     signed = np.arange(l.size) - l * (l + 1)
     k, sine = np.abs(signed), signed < 0
     l, m = l.astype(float), k.astype(float)
-    row = l * (l + 1) / 2 + m
-    up = row + l + 1  # row (l + 1, m)
-    # dP(l, m)/dtheta = (sqrt((l+m)(l-m+1)) P(l, m-1) - sqrt((l+m+1)(l-m)) P(l, m+1)) / 2,
-    # and -sqrt(l(l+1)) P(l, 1) at m = 0
-    half = np.where(m > 0, 0.5, 1.0)
-    theta_w = half * np.stack(
-        [np.sqrt((l + m) * (l - m + 1)) * (m > 0), -np.sqrt((l + m + 1) * (l - m))]
-    )
-    # m P(l, m)/sin = sqrt((2l+1)/(2l+3)) (sqrt((l-m+1)(l-m+2)) P(l+1, m-1)
-    #                  + sqrt((l+m+1)(l+m+2)) P(l+1, m+1)) / 2, nothing at m = 0
-    scale = 0.5 * np.sqrt((2 * l + 1) / (2 * l + 3)) * (m > 0)
-    phi_w = scale * np.stack(
-        [np.sqrt((l - m + 1) * (l - m + 2)), np.sqrt((l + m + 1) * (l + m + 2))]
-    )
-    value_w = np.stack([np.ones_like(l), np.zeros_like(l)])
-    rows = np.stack([[row, np.maximum(row - 1, 0), up - 1], [row, row + 1, up + 1]])
-    weights = np.stack([value_w, theta_w, phi_w], axis=1) * np.where(m > 0, math.sqrt(2.0), 1.0)
+    # dP(d, j)/dtheta = L(d, j) P(d, j-1) - L(d, j+1) P(d, j+1), at j = 0 as well, with
+    # L(d, j) = sqrt((d+j)(d-j+1)) / 2; lo[i] and hi[i] are L(d, m + i - 1) at d = l and l + 1
+    d, j = l + np.arange(2)[:, None, None], m + np.arange(-1.0, 3.0)[:, None]
+    lo, hi = 0.5 * np.sqrt(np.maximum((d + j) * (d - j + 1), 0.0))
+    # m P(l, m)/sin = c (a P(l+1, m-1) + b P(l+1, m+1)), nothing at m = 0
+    c = 0.5 * np.sqrt((2 * l + 1) / (2 * l + 3)) * (m > 0)
+    a, b = np.sqrt((l - m + 1) * (l - m + 2)), np.sqrt((l + m + 1) * (l + m + 2))
+    quantities = [  # per quantity: (degree offset, order offset, weight) of each of its table rows
+        [(0, 0, 1.0)],
+        [(0, -1, lo[1]), (0, 1, -lo[2])],
+        [(1, -1, c * a), (1, 1, c * b)],
+        [(0, -2, lo[1] * lo[0]), (0, 0, -lo[1] * lo[1] - lo[2] * lo[2]), (0, 2, lo[2] * lo[3])],
+        [(1, -2, c * a * hi[0]), (1, 0, c * (b * hi[2] - a * hi[1])), (1, 2, -c * b * hi[3])],
+    ]
+    rows, weights, of = [], [], []
+    for q, terms in enumerate(quantities):
+        for dl, dm, weight in terms:
+            # an order beyond the degree has weight 0, and its row is clipped into the table
+            order = np.clip(m + dm, -(l + dl), l + dl)
+            rows.append((l + dl) * (l + dl + 1) / 2 + np.abs(order))
+            weights.append(np.where(order == -1.0, -weight, weight))
+            of.append(q)
+    weights = np.array(weights) * np.where(m > 0, math.sqrt(2.0), 1.0)
     # Y(l, m) carries cos(m phi) and Y(l, -m) sin(m phi); d/dphi turns one into the other, and
     # the sign of -sin(m phi) goes into the weights
-    weights[:, 2] *= np.where(sine, 1.0, -1.0)
-    trig = 2 * k + np.stack([sine, sine, ~sine])  # cos(m phi) at 2m, sin(m phi) at 2m + 1
-    point = _PointRows(rows.astype(int), weights, trig, 1j * np.arange(l_max + 1))
+    weights[_TURNED[of] == 1] *= np.where(sine, 1.0, -1.0)
+    trig = 2 * k + np.stack((sine, ~sine))  # cos(m phi) at 2m, sin(m phi) at 2m + 1
+    terms = (np.arange(len(quantities))[:, None] == of).astype(float)
+    point = _PointRows(np.array(rows, dtype=int), weights, terms, trig, 1j * np.arange(l_max + 1))
     for arr in point:
         arr.setflags(write=False)
     return point
 
 
-def _harmonic_slopes(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _harmonic_slopes(w, l_max: int, second: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Every Y_lm at one unit vector with dY/dtheta and (1/sin theta) dY/dphi.
 
     Returns the three as the rows of a (3, n) array in flat slot order, and the
     frame rows e_theta and e_phi as a (2, 3) array, so a surface gradient is
     ``slopes[1:].T @ frame`` and any weighted sum of them two contractions.
+    With ``second`` the array has two more rows, the covariant second
+    derivatives d2Y/dtheta2 and d/dtheta ((1/sin theta) dY/dphi) in that frame;
+    the third, along e_phi twice, is -l(l+1) Y - d2Y/dtheta2, as Y's surface
+    Laplacian is -l(l+1) Y.
     """
     t = min(max(float(w[2]), -1.0), 1.0)
     s = math.hypot(w[0], w[1])
     phi = math.atan2(w[1], w[0])
     point = _point_rows(l_max)
-    gathered = _legendre_point(l_max + 1, t, s)[point.rows]
-    gathered *= point.weights
-    slopes = gathered[0] + gathered[1]
-    slopes *= np.exp(point.freq * phi).view(float)[point.trig]
+    used, quantities = (slice(None), 5) if second else (slice(_FIRST_TERMS), 3)
+    gathered = _legendre_point(l_max + 1, t, s)[point.rows[used]]
+    gathered *= point.weights[used]
+    slopes = point.terms[:quantities, used] @ gathered
+    slopes *= np.exp(point.freq * phi).view(float)[point.trig].take(_TURNED[:quantities], axis=0)
     cos_p, sin_p = math.cos(phi), math.sin(phi)
     frame = np.array([[t * cos_p, t * sin_p, -s], [-sin_p, cos_p, 0.0]])
     return slopes, frame

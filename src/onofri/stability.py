@@ -7,15 +7,19 @@ gradient distance from a band-L field u to psi,
     d(b) = E(u) - 2 sum_{l<=L} l(l+1) g_l(tanh t) u_l(b/t) + (9/2)(t coth t - 1),
 
 needs no quadrature and no truncation of psi (u_l is the degree-l part of u,
-E(u) its gradient energy).  Its gradient is closed-form too: dg_l/dt =
-(3/2) Q_l(coth t)/sinh^2 t, and the surface gradient of u_l comes from the
-Legendre derivative relations.  A scan over t and the grid's nodes, which
-synthesizes only the t that Unsold's bound cannot rule out (see
-:func:`_best_first`), seeds a BFGS polish of d with its exact gradient, run
-in this module: Armijo backtracking from scipy's first step, ended at the
-first point whose gradient is at most 1e-8 (1 + d at the start) in every
-component and 1e-7 (1 + d) in norm, or by at most three quasi-Newton steps
-where rounding stalls the line search.  The search is deterministic.
+E(u) its gradient energy).  Its gradient and Hessian are closed-form too:
+dg_l/dt = (3/2) Q_l(coth t)/sinh^2 t and its t-derivative come from the same
+Q's, and the first and second derivatives of u_l on the sphere from the
+Legendre raising and lowering relations.  A scan over t and the grid's
+nodes, which synthesizes only the t that Unsold's bound cannot rule out (see
+:func:`_best_first`), seeds a Newton polish of d on its exact Hessian, its
+eigenvalues taken in absolute value and floored, with Armijo backtracking
+from the full step (:func:`_polish`).  It ends at the first point whose
+gradient is at most 1e-8 (1 + d at the start) in every component and
+1e-7 (1 + d) in norm, or by at most three Newton steps where rounding stalls
+the line search.  A saddle passes those tests too, and the Hessian's least
+eigenvalue at the end, ``min_curvature``, tells it apart.  The search is
+deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
 beta complex: left rotations leave the Jacobian and M^H M unchanged, and the
@@ -70,8 +74,12 @@ _SCAN_T = np.linspace(0.1, 6.0, 60)
 _SCAN_MARGIN = 1e-12
 # a polish has converged when |grad d| <= _GRAD_TOL (1 + d)
 _GRAD_TOL = 1e-7
-# BFGS iterations of a polish at most, scipy's default for three variables
-_MAX_STEPS = 600
+# Newton steps of a polish at most: Armijo's decrease falls below d's rounding before the line
+# search gives up, so d need not fall strictly from step to step; 464 fields of bands 1-32 and
+# amplitudes 0.05-5 take at most 4
+_MAX_STEPS = 100
+# a Newton step floors the Hessian's |eigenvalues| at _CURVATURE_FLOOR max(1, their largest)
+_CURVATURE_FLOOR = 1e-8
 # Armijo's sufficient-decrease constant, scipy's c1
 _ARMIJO = 1e-4
 # decreases of d below _ROUNDING (1 + d) are not resolved: d rounds at eps E(u)
@@ -125,30 +133,87 @@ def _chart_of_ball(b: np.ndarray) -> ManifoldPoint:
     return ManifoldPoint(math.log(lam), beta.real, beta.imag)
 
 
-def _distance(c: np.ndarray, b: np.ndarray, l_max: int) -> tuple[float, float, np.ndarray]:
-    """Band part, whole distance d(b) and its gradient, for coefficients c with c[0] = 0.
+def _hessian_at_zero(c: np.ndarray, l_max: int) -> np.ndarray:
+    """d's Hessian at b = 0: 3 I from psi's energy (3/2) t^2, less (12/5) Q for the degree-2 part.
+
+    Near b = 0, g_2(tanh t) = t^2/10 + O(t^4), so the l = 2 term -12 g_2 u_2(b/t) is -(6/5) b.Q b
+    with Q the quadratic form of u_2, from Y_2m = sqrt(15) (xy, yz, xz, (x^2 - y^2)/2) at
+    m = -2, -1, 1, 2 and sqrt(5) (2z^2 - x^2 - y^2)/2 at m = 0.  The l = 1 term and the higher
+    degrees are odd or of degree 3 and more in b.
+    """
+    hess = 3.0 * np.eye(3)
+    if l_max < 2:
+        return hess
+    s, r, q20 = 0.5 * math.sqrt(15.0), 0.5 * math.sqrt(5.0), c[6]
+    q = np.array([
+        [s * c[8] - r * q20, s * c[4], s * c[7]],
+        [s * c[4], -s * c[8] - r * q20, s * c[5]],
+        [s * c[7], s * c[5], 2.0 * r * q20],
+    ])
+    return hess - 2.4 * q
+
+
+@lru_cache(maxsize=16)
+def _degree_weights(l_max: int) -> tuple[np.ndarray, ...]:
+    """Read-only weights of d at one band: each slot's degree, l(l+1) per degree and per slot,
+    and (2l + 1) l(l+1) per degree."""
+    deg = _layout(l_max).degrees
+    ll = np.arange(l_max + 1) * np.arange(1.0, l_max + 2)
+    weights = deg, ll, ll[deg], ll * (2 * np.arange(l_max + 1) + 1)
+    for arr in weights:
+        arr.setflags(write=False)
+    return weights
+
+
+def _distance(c: np.ndarray, b: np.ndarray, l_max: int, hessian: bool = False) -> tuple:
+    """Band part, whole distance d(b) and its gradient, for coefficients c with c[0] = 0;
+    with ``hessian``, d's 3 x 3 Hessian too.
 
     d is summed as the band part, the non-negative sum of l(l+1)(c_lm - psi_lm)^2
     for l <= l_max, plus psi's energy beyond the band, so d >= band part >= 0.
-    The surface gradient of sum_l l(l+1) g_l u_l at b/t is two contractions of
-    the weighted coefficients, with the theta and phi slopes of the basis.
+    Its derivatives are those of E(u) + psi's energy - 2 sum_l w_l(t) u_l(b/t),
+    w_l = l(l+1) g_l, in the orthonormal frame (b/t, e_theta, e_phi), and every
+    sum over the slots they need is one product of the weighted coefficients
+    with the basis' slopes.  The gradient is the t-derivative along b/t and
+    the surface gradient over t.  The Hessian has the t-derivatives' second
+    along b/t twice; the t-derivative of the surface gradient less the
+    gradient over t between b/t and the frame; and on the tangent plane the
+    covariant Hessians of the u_l over t^2, plus the radial slope over t,
+    which is the curvature of the spheres |b| = t.
     """
-    deg = _layout(l_max).degrees
-    ll = np.arange(l_max + 1) * np.arange(1.0, l_max + 2)  # l(l+1)
+    deg, ll, ll_slot, ll_count = _degree_weights(l_max)
     t = math.hypot(b[0], b[1], b[2])
     if t == 0.0:  # psi = 0, and only g_1 ~ t/2 has a slope: Y_1m = sqrt(3) (y, z, x)
-        band = float(ll[deg] @ (c * c))
+        band = float(ll_slot @ (c * c))
         grad = -2.0 * math.sqrt(3.0) * c[[3, 1, 2]] if l_max > 0 else np.zeros(3)
-        return band, band, grad
-    g, dg = _g(l_max, t)
-    slopes, frame = _harmonic_slopes(b / t, l_max)
+        return (band, band, grad, _hessian_at_zero(c, l_max)) if hessian else (band, band, grad)
+    w = b / t
+    g, *derivs = _g(l_max, t, hessian)
+    slopes, frame = _harmonic_slopes(w, l_max, hessian)
     diff = c - g[deg] * slopes[0]
-    band = float(ll[deg] @ (diff * diff))
-    psi, dpsi = _psi_energy(t)
-    tail = max(psi - float((ll * (2 * np.arange(l_max + 1) + 1)) @ (g * g)), 0.0)
-    radial = dpsi - 2.0 * float((ll * dg)[deg] @ (c * slopes[0]))  # d/dt at fixed b/t
-    grad = radial * (b / t) - (2.0 / t) * ((slopes[1:] @ ((ll * g)[deg] * c)) @ frame)
-    return band, band + tail, grad
+    band = float(ll_slot @ (diff * diff))
+    psi, dpsi, d2psi = _psi_energy(t)
+    tail = max(psi - float(ll_count @ (g * g)), 0.0)
+    # row k, column j: the sum over slots of l(l+1) (g, g', g'', l(l+1) g)_l [k] c_lm slopes[j]
+    rows = (g, *derivs, ll * g) if hessian else (g, *derivs)
+    sums = ((np.array(rows) * ll)[:, deg] * c) @ slopes.T
+    (_, tan1, tan2, *curv), (slope, *across), *more = sums.tolist()
+    radial = dpsi - 2.0 * slope  # d/dt at fixed b/t
+    basis = np.array((w, *frame))
+    grad = np.array((radial, (-2.0 / t) * tan1, (-2.0 / t) * tan2)) @ basis
+    if not hessian:
+        return band, band + tail, grad
+    (second, *_), (laplace, *_) = more
+    theta2, mixed = curv
+    phi2 = -laplace - theta2  # the surface Laplacian of u_l is -l(l+1) u_l
+    a1, a2 = (-2.0 / t) * (across[0] - tan1 / t), (-2.0 / t) * (across[1] - tan2 / t)
+    k, r = -2.0 / (t * t), radial / t
+    m = np.array((
+        (d2psi - 2.0 * second, a1, a2),
+        (a1, k * theta2 + r, k * mixed),
+        (a2, k * mixed, k * phi2 + r),
+    ))
+    return band, band + tail, grad, basis.T @ m @ basis
 
 
 def _band_coeffs(u: HarmonicField, l_max: int) -> np.ndarray:
@@ -218,49 +283,51 @@ def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid) -> tuple[np
 
 def _small_gradient(d: float, grad: np.ndarray) -> bool:
     """The convergence test of the polish: |grad d| <= _GRAD_TOL (1 + d)."""
-    return bool(np.linalg.norm(grad) <= _GRAD_TOL * (1.0 + d))
+    return math.hypot(*grad.tolist()) <= _GRAD_TOL * (1.0 + d)
 
 
-def _polish(
-    target: np.ndarray, b: np.ndarray, found: tuple[float, float, np.ndarray], l_max: int
-) -> tuple[np.ndarray, tuple[float, float, np.ndarray], int]:
-    """BFGS on d from b, whose _distance is ``found``: the end, its _distance, and the calls made.
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """-V diag(1 / max(|lambda_i|, delta)) V^T grad from hess = V diag(lambda) V^T, a descent direction
+    wherever grad is not 0 (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 3.4)."""
+    lam, vec = np.linalg.eigh(hess)
+    floor = _CURVATURE_FLOOR * max(1.0, -lam[0], lam[-1])  # eigh sorts lam ascending
+    return -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
 
-    The inverse Hessian starts at I, each line search tries scipy's BFGS first
-    step min(1, 2.02 (d_prev - d) / -slope) and backtracks by safeguarded
-    quadratic interpolation until Armijo's decrease holds, and an update is
-    made only where s.y > 0, which keeps the inverse Hessian positive
-    definite.  The polish ends at the first point it evaluates whose gradient
-    is at most 1e-8 (1 + d_start) in every component and 1e-7 (1 + d) in
-    norm.  d carries rounding of order eps E(u), so near a minimum Armijo's
-    test can fail on rounding alone: where the decrease it asks for is below
-    that, the polish ends with at most three quasi-Newton steps on the
-    gradient alone, each kept while it shrinks the gradient.
+
+def _polish(target: np.ndarray, b: np.ndarray, found: tuple, l_max: int) -> tuple[np.ndarray, tuple, int]:
+    """Newton on d from b, whose _distance with its Hessian is ``found``: the end, its _distance, and the
+    calls made.
+
+    Each step is the Newton step on the Hessian with its eigenvalues taken in
+    absolute value and floored (:func:`_newton_step`), and its line search
+    starts at the full step and backtracks by safeguarded quadratic
+    interpolation until Armijo's decrease holds.  The polish ends at the first
+    point it evaluates whose gradient is at most 1e-8 (1 + d_start) in every
+    component and 1e-7 (1 + d) in norm.  d carries rounding of order eps E(u),
+    so near a minimum Armijo's test can fail on rounding alone: where the
+    decrease it asks for is below that, the polish ends with at most three
+    Newton steps on the gradient alone, each kept while it shrinks the
+    gradient.  Every evaluation carries the Hessian, so the end has one.
     """
     gtol = 1e-8 * (1.0 + found[1])
 
-    def passes(found: tuple[float, float, np.ndarray]) -> bool:
-        _, d, grad = found
-        return bool(np.max(np.abs(grad)) <= gtol) and _small_gradient(d, grad)
+    def passes(found: tuple) -> bool:
+        _, d, grad, _ = found
+        return max(map(abs, grad.tolist())) <= gtol and _small_gradient(d, grad)
 
     nfev = 1
-    if passes(found):
-        return b, found, nfev
-    _, d, grad = found
-    inverse = np.eye(3)
-    d_prev = d + float(np.linalg.norm(grad)) / 2.0
     for _ in range(_MAX_STEPS):
-        step = -inverse @ grad
+        if passes(found):
+            break
+        _, d, grad, hess = found
+        step = _newton_step(hess, grad)
         slope = float(grad @ step)
-        first = 2.02 * (d - d_prev) / slope if slope != 0.0 else 0.0
-        alpha = min(1.0, first) if first > 0.0 else 1.0
+        alpha = 1.0
         while -alpha * slope > _ROUNDING * (1.0 + d):
             trial = b + alpha * step
-            tried = _distance(target, trial, l_max)
+            tried = _distance(target, trial, l_max, hessian=True)
             nfev += 1
-            if passes(tried):
-                return trial, tried, nfev
-            if tried[1] <= d + _ARMIJO * alpha * slope:
+            if passes(tried) or tried[1] <= d + _ARMIJO * alpha * slope:
                 break
             q = -slope * alpha * alpha / (2.0 * (tried[1] - d - slope * alpha))
             alpha = min(max(q, 0.1 * alpha), 0.5 * alpha) if math.isfinite(q) else 0.1 * alpha
@@ -268,21 +335,16 @@ def _polish(
             for _ in range(3):
                 if _small_gradient(d, grad):
                     break
-                trial = b - inverse @ grad
-                tried = _distance(target, trial, l_max)
+                trial = b + step
+                tried = _distance(target, trial, l_max, hessian=True)
                 nfev += 1
-                if np.linalg.norm(tried[2]) >= np.linalg.norm(grad):
+                if math.hypot(*tried[2].tolist()) >= math.hypot(*grad.tolist()):
                     break
                 b, found = trial, tried
-                _, d, grad = found
-            return b, found, nfev
-        s, y = trial - b, tried[2] - grad
-        sy = float(s @ y)
-        if sy > 0.0:
-            left = np.eye(3) - np.outer(s, y) / sy
-            inverse = left @ inverse @ left.T + np.outer(s, s) / sy
-        d_prev, b, found = d, trial, tried
-        _, d, grad = found
+                _, d, grad, hess = found
+                step = _newton_step(hess, grad)
+            break
+        b, found = trial, tried
     return b, found, nfev
 
 
@@ -295,6 +357,7 @@ class DistanceResult:
     start_value: float
     band_distance: float
     scanned: int
+    min_curvature: float
 
     def to_dict(self) -> dict:
         return {**vars(self), "argmin": self.argmin.to_dict()}  # asdict's deep copy: 5% of a certify item
@@ -303,31 +366,40 @@ class DistanceResult:
 def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> DistanceResult:
     """Infimum of the gradient distance over the ball, by the closed form.
 
-    The best node of the scan seeds a BFGS polish in b = atanh|a| a/|a|
-    with the exact gradient; ``start_value`` is d there, ``nfev`` counts
-    the evaluations of d from there on, and ``scanned`` the scanned t that
-    the scan synthesized (of 60).  The polish ends at the first point
-    it evaluates whose gradient is at most 1e-8 (1 + start_value) in every
-    component and 1e-7 (1 + d) in norm, or, where its line search can no
-    longer lower d beyond rounding, after at most three quasi-Newton steps
-    that shrink the gradient.  It has converged when the gradient at its end
-    is at most 1e-7 (1 + d) and the end lies in the a-priori ball:
-    d(b*) <= d(0) = E(u) bounds psi's gradient energy by 4 E(u).
+    The best node of the scan seeds a Newton polish in b = atanh|a| a/|a|
+    on d's exact gradient and Hessian (:func:`_polish`); ``start_value`` is d
+    there, ``nfev`` counts the evaluations of d from there on, and
+    ``scanned`` the scanned t that the scan synthesized (of 60).  The polish
+    ends at the first point it evaluates whose gradient is at most
+    1e-8 (1 + start_value) in every component and 1e-7 (1 + d) in norm, or,
+    where its line search can no longer lower d beyond rounding, after at
+    most three Newton steps that shrink the gradient.  ``min_curvature`` is
+    the least eigenvalue of d's Hessian at the end.  The run has converged
+    when the gradient at its end is at most 1e-7 (1 + d), the curvature is
+    above -1e-7 (1 + d), and the end lies in the a-priori ball:
+    d(b*) <= d(0) = E(u) bounds psi's gradient energy by 4 E(u).  The
+    curvature bound tells a saddle, whose negative curvature is of the order
+    of d's, from a minimum on a ring or sphere of minima, as of fields
+    symmetric about an axis: there an end that passes the gradient test
+    reads the zero curvature along the ring as about -|grad d| / |b|.
     """
     target = _band_coeffs(u, l_max)
     energy = _distance(target, np.zeros(3), l_max)[1]  # d(0) = E(u)
     start, scanned = _best_first(target, l_max, grid)
-    found = _distance(target, start, l_max)
-    b, (band, d, grad), nfev = _polish(target, start, found, l_max)
+    found = _distance(target, start, l_max, hessian=True)
+    b, (band, d, grad, hess), nfev = _polish(target, start, found, l_max)
+    curvature = float(np.linalg.eigvalsh(hess)[0])
     return DistanceResult(
         distance=d,
         argmin=_chart_of_ball(b),
         converged=_small_gradient(d, grad)
+        and curvature > -_GRAD_TOL * (1.0 + d)
         and _psi_energy(float(np.linalg.norm(b)))[0] <= 4.0 * energy * (1.0 + 1e-12),
         nfev=nfev,
         start_value=found[1],
         band_distance=band,
         scanned=scanned,
+        min_curvature=curvature,
     )
 
 

@@ -299,6 +299,16 @@ def test_lift_nonfinite_matrix_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("usage error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("entry", [[2], ["1+2j"]], ids=["one number", "a complex string"])
+def test_lift_reads_the_map_json_format_only(tmp_path, capsys, entry):
+    # each entry is one [re, im] pair, as ConformalMap.to_dict writes it; the
+    # reader used to take complex(*entry) and accept both of these
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"a": entry, "b": [0, 0], "c": [0, 0], "d": [1, 0]}))
+    assert main(["lift", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: cannot read Mobius file")
+
+
 def test_tol_scale_env(monkeypatch, tmp_path, capsys):
     # a microscopic tolerance scale makes even machine-precision lifts fail
     path = tmp_path / "m.json"

@@ -454,6 +454,26 @@ def test_harmonic_gradients_at(rng):
         assert np.all(grad[m_abs != 1] == 0.0)
 
 
+def test_harmonic_second_slopes(rng):
+    # the first three rows are the default call's, bit for bit; the two more
+    # are the theta-derivatives of dY/dtheta and (1/sin theta) dY/dphi, here
+    # against fourth-order differences along the meridian
+    def at(theta, phi):
+        return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+
+    h = 1e-4
+    for l_max in (0, 1, 7, 32):
+        for _ in range(4):
+            theta, phi = rng.uniform(0.2, 2.9), rng.uniform(-math.pi, math.pi)
+            rows, frame = _harmonic_slopes(at(theta, phi), l_max, second=True)
+            first, first_frame = _harmonic_slopes(at(theta, phi), l_max)
+            assert rows.shape == (5, (l_max + 1) ** 2)
+            assert np.array_equal(rows[:3], first) and np.array_equal(frame, first_frame)
+            near = [_harmonic_slopes(at(theta + k * h, phi), l_max)[0][1:] for k in (-2, -1, 1, 2)]
+            diff = (near[0] - 8.0 * near[1] + 8.0 * near[2] - near[3]) / (12.0 * h)
+            assert np.max(np.abs(rows[3:] - diff)) <= 1e-8 * (1 + l_max) ** 3
+
+
 def _legendre_loop(l_max, t):
     # one (l, m) pair at a time, the recursion _legendre_table runs for all m
     s = np.sqrt(np.maximum(1.0 - t * t, 0.0))

@@ -226,7 +226,8 @@ def test_stability_report_json(rng):
     assert set(d["argmin"]) == {"log_lambda", "beta1", "beta2"}
     assert set(d["trace"]) == {"converged", "functional_grid", "distance"}
     assert set(d["trace"]["distance"]) == {
-        "distance", "argmin", "converged", "nfev", "start_value", "band_distance", "scanned"
+        "distance", "argmin", "converged", "nfev", "start_value", "band_distance", "scanned",
+        "min_curvature",
     }
     assert 0 <= d["trace"]["distance"]["scanned"] <= _SCAN_T.size
 
@@ -249,6 +250,8 @@ def test_stability_far_out_extremal(grid72):
 def test_g_matches_legendre_q(r):
     mpmath = pytest.importorskip("mpmath")
     g, dg = _g(40, math.atanh(r))
+    *first, d2g = _g(40, math.atanh(r), second=True)
+    assert all(np.array_equal(x, y) for x, y in zip(first, (g, dg)))
 
     def g_of(l, t):  # t = atanh r, so 1/r = coth t
         z = mpmath.coth(t)
@@ -256,13 +259,19 @@ def test_g_matches_legendre_q(r):
         q_down = mpmath.re(mpmath.legenq(l - 1, 0, z, type=3))
         return -1.5 * (q_up - q_down) / (2 * l + 1)
 
+    def dg_of(l, t):
+        z = mpmath.coth(t)
+        return 1.5 * (z * z - 1) * mpmath.re(mpmath.legenq(l, 0, z, type=3))
+
     with mpmath.workdps(40):
         t = mpmath.atanh(mpmath.mpf(r))
         for l in range(1, 41):
             assert g[l] == pytest.approx(float(g_of(l, t)), rel=1e-12)
         for l in (1, 2, 3, 8, 20, 40):
             assert dg[l] == pytest.approx(float(mpmath.diff(lambda s: g_of(l, s), t)), rel=1e-10)
-    assert g[0] == 0.0 and dg[0] == 0.0
+            # g'' as the derivative of g' = (3/2)(z^2 - 1) Q_l(z), which the line above checks
+            assert d2g[l] == pytest.approx(float(mpmath.diff(lambda s: dg_of(l, s), t)), rel=1e-10)
+    assert g[0] == 0.0 and dg[0] == 0.0 and d2g[0] == 0.0
 
 
 @pytest.mark.parametrize("l_max", [6, 32, 64])
@@ -468,6 +477,62 @@ def test_distance_gradient_matches_differences(rng, l_max):
         _, d, grad = _distance(c, b, l_max)
         expect = _central_gradient(c, b, l_max)
         assert np.max(np.abs(grad - expect)) <= 1e-9 * (1.0 + d)
+
+
+def _hessian_by_differences(c, b, l_max, h):
+    # fourth-order central differences of the exact gradient, column by column
+    out = np.empty((3, 3))
+    for k, e in enumerate(np.eye(3)):
+        g = [_distance(c, b + s * h * e, l_max)[2] for s in (-2, -1, 1, 2)]
+        out[:, k] = (g[0] - 8.0 * g[1] + 8.0 * g[2] - g[3]) / (12.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("l_max", [1, 6, 32])
+def test_distance_hessian_matches_differences(l_max):
+    rng = np.random.default_rng(370 + l_max)
+    c = _band_coeffs(random_field(rng, l_max, 1.0), l_max)
+    # b = 0 (the closed form), t log-uniform in [1e-3, 8] and both ends, and
+    # points at the poles and within 1e-9 of them, where sin(theta) rounds away
+    radii = [1e-3, 8.0, *np.exp(rng.uniform(math.log(1e-3), math.log(8.0), 8))]
+    directions = [rng.normal(size=3) for _ in radii]
+    radii += [0.3, 1.7, 0.02, 5.0]
+    directions += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
+                   np.array([1e-9, -2e-9, 1.0]), np.array([-3e-10, 1e-9, -1.0])]
+    points = [np.zeros(3)] + [t * v / np.linalg.norm(v) for t, v in zip(radii, directions)]
+    for b in points:
+        _, d, grad, hess = _distance(c, b, l_max, hessian=True)
+        assert np.array_equal(grad, _distance(c, b, l_max)[2])
+        expect = _hessian_by_differences(c, b, l_max, 1e-4 * max(1.0, np.linalg.norm(b)))
+        assert np.max(np.abs(hess - expect)) <= 1e-6 * np.max(np.abs(expect))
+        assert np.max(np.abs(hess - hess.T)) <= 1e-14 * np.max(np.abs(hess))
+
+
+def test_polish_takes_few_evaluations():
+    # Newton on d's exact Hessian from the scan's point: about 3 evaluations
+    # a field, where the BFGS polish took about 9
+    rng = np.random.default_rng(3707)
+    grid = build_grid(48)
+    nfev = [distance_to_manifold(random_field(rng, 6, 0.4), 6, grid).nfev for _ in range(50)]
+    assert np.mean(nfev) <= 4.0
+    assert max(nfev) <= 6
+
+
+def test_a_saddle_is_not_a_minimum(monkeypatch, grid48):
+    # for u = 2.5 Y20, b = 0 is a stationary point of d with negative curvature
+    # along z: a polish started there ends at once on the gradient test, and
+    # only the curvature tells that it has not converged
+    u = HarmonicField.from_entries(2, {(2, 0): 2.5})
+    monkeypatch.setattr(stability, "_best_first", lambda target, l_max, grid: (np.zeros(3), 0))
+    res = distance_to_manifold(u, 2, grid48)
+    assert res.nfev == 1
+    # 3 I less (12/5) times u_2's quadratic form, whose z z entry is sqrt(5) a
+    assert res.min_curvature == pytest.approx(3.0 - 2.4 * math.sqrt(5.0) * 2.5, rel=1e-14)
+    assert not res.converged
+    monkeypatch.undo()
+    found = distance_to_manifold(u, 2, grid48)
+    assert found.converged and found.min_curvature > 0.0
+    assert found.distance < res.distance - 1.0
 
 
 def _scipy_polish(target, start, l_max):
