@@ -14,12 +14,9 @@ Legendre raising and lowering relations.  A scan over t and the grid's
 nodes, which synthesizes only the t that Unsold's bound cannot rule out (see
 :func:`_best_first`), seeds a Newton polish of d on its exact Hessian, its
 eigenvalues taken in absolute value and floored, with Armijo backtracking
-from the full step (:func:`_polish`).  It ends at the first point whose
-gradient is at most 1e-8 (1 + d at the start) in every component and
-1e-7 (1 + d) in norm, or by at most three Newton steps where rounding stalls
-the line search.  A saddle passes those tests too, and the Hessian's least
-eigenvalue at the end, ``min_curvature``, tells it apart.  The search is
-deterministic.
+from the full step; :func:`_polish` states where it ends.  A saddle can end
+it too, and the Hessian's least eigenvalue at the end, ``min_curvature``,
+tells it apart.  The search is deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
 beta complex: left rotations leave the Jacobian and M^H M unchanged, and the
@@ -74,9 +71,9 @@ _SCAN_T = np.linspace(0.1, 6.0, 60)
 _SCAN_MARGIN = 1e-12
 # a polish has converged when |grad d| <= _GRAD_TOL (1 + d)
 _GRAD_TOL = 1e-7
-# Newton steps of a polish at most: Armijo's decrease falls below d's rounding before the line
-# search gives up, so d need not fall strictly from step to step; 464 fields of bands 1-32 and
-# amplitudes 0.05-5 take at most 4
+# Newton steps of a polish at most: where d cannot resolve a step, the gradient norm judges it, so
+# d need not fall strictly from step to step; 1018 fields of bands 1-32 and amplitudes 0.05-5 take
+# at most 4
 _MAX_STEPS = 100
 # a Newton step floors the Hessian's |eigenvalues| at _CURVATURE_FLOOR max(1, their largest)
 _CURVATURE_FLOOR = 1e-8
@@ -144,11 +141,12 @@ def _hessian_at_zero(c: np.ndarray, l_max: int) -> np.ndarray:
     hess = 3.0 * np.eye(3)
     if l_max < 2:
         return hess
-    s, r, q20 = 0.5 * math.sqrt(15.0), 0.5 * math.sqrt(5.0), c[6]
+    s, r = 0.5 * math.sqrt(15.0), 0.5 * math.sqrt(5.0)
+    q22, q21, q20, q11, q12 = c[4:9].tolist()  # m = -2, -1, 0, 1, 2
     q = np.array([
-        [s * c[8] - r * q20, s * c[4], s * c[7]],
-        [s * c[4], -s * c[8] - r * q20, s * c[5]],
-        [s * c[7], s * c[5], 2.0 * r * q20],
+        [s * q12 - r * q20, s * q22, s * q11],
+        [s * q22, -s * q12 - r * q20, s * q21],
+        [s * q11, s * q21, 2.0 * r * q20],
     ])
     return hess - 2.4 * q
 
@@ -165,9 +163,9 @@ def _degree_weights(l_max: int) -> tuple[np.ndarray, ...]:
     return weights
 
 
-def _distance(c: np.ndarray, b: np.ndarray, l_max: int, hessian: bool = False) -> tuple:
-    """Band part, whole distance d(b) and its gradient, for coefficients c with c[0] = 0;
-    with ``hessian``, d's 3 x 3 Hessian too.
+def _distance(c: np.ndarray, b: np.ndarray, l_max: int) -> tuple:
+    """Band part, whole distance d(b), its gradient and its 3 x 3 Hessian, for coefficients c
+    with c[0] = 0.
 
     d is summed as the band part, the non-negative sum of l(l+1)(c_lm - psi_lm)^2
     for l <= l_max, plus psi's energy beyond the band, so d >= band part >= 0.
@@ -186,25 +184,20 @@ def _distance(c: np.ndarray, b: np.ndarray, l_max: int, hessian: bool = False) -
     if t == 0.0:  # psi = 0, and only g_1 ~ t/2 has a slope: Y_1m = sqrt(3) (y, z, x)
         band = float(ll_slot @ (c * c))
         grad = -2.0 * math.sqrt(3.0) * c[[3, 1, 2]] if l_max > 0 else np.zeros(3)
-        return (band, band, grad, _hessian_at_zero(c, l_max)) if hessian else (band, band, grad)
+        return band, band, grad, _hessian_at_zero(c, l_max)
     w = b / t
-    g, *derivs = _g(l_max, t, hessian)
-    slopes, frame = _harmonic_slopes(w, l_max, hessian)
+    g, *derivs = _g(l_max, t, second=True)
+    slopes, frame = _harmonic_slopes(w, l_max, second=True)
     diff = c - g[deg] * slopes[0]
     band = float(ll_slot @ (diff * diff))
     psi, dpsi, d2psi = _psi_energy(t)
     tail = max(psi - float(ll_count @ (g * g)), 0.0)
     # row k, column j: the sum over slots of l(l+1) (g, g', g'', l(l+1) g)_l [k] c_lm slopes[j]
-    rows = (g, *derivs, ll * g) if hessian else (g, *derivs)
-    sums = ((np.array(rows) * ll)[:, deg] * c) @ slopes.T
-    (_, tan1, tan2, *curv), (slope, *across), *more = sums.tolist()
+    sums = ((np.array((g, *derivs, ll * g)) * ll)[:, deg] * c) @ slopes.T
+    (_, tan1, tan2, theta2, mixed), (slope, *across), (second, *_), (laplace, *_) = sums.tolist()
     radial = dpsi - 2.0 * slope  # d/dt at fixed b/t
     basis = np.array((w, *frame))
     grad = np.array((radial, (-2.0 / t) * tan1, (-2.0 / t) * tan2)) @ basis
-    if not hessian:
-        return band, band + tail, grad
-    (second, *_), (laplace, *_) = more
-    theta2, mixed = curv
     phi2 = -laplace - theta2  # the surface Laplacian of u_l is -l(l+1) u_l
     a1, a2 = (-2.0 / t) * (across[0] - tan1 / t), (-2.0 / t) * (across[1] - tan2 / t)
     k, r = -2.0 / (t * t), radial / t
@@ -295,55 +288,35 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _polish(target: np.ndarray, b: np.ndarray, found: tuple, l_max: int) -> tuple[np.ndarray, tuple, int]:
-    """Newton on d from b, whose _distance with its Hessian is ``found``: the end, its _distance, and the
-    calls made.
+    """Newton on d from b, whose _distance is ``found``: the end, its _distance, and the calls made.
 
-    Each step is the Newton step on the Hessian with its eigenvalues taken in
-    absolute value and floored (:func:`_newton_step`), and its line search
-    starts at the full step and backtracks by safeguarded quadratic
-    interpolation until Armijo's decrease holds.  The polish ends at the first
-    point it evaluates whose gradient is at most 1e-8 (1 + d_start) in every
-    component and 1e-7 (1 + d) in norm.  d carries rounding of order eps E(u),
-    so near a minimum Armijo's test can fail on rounding alone: where the
-    decrease it asks for is below that, the polish ends with at most three
-    Newton steps on the gradient alone, each kept while it shrinks the
-    gradient.  Every evaluation carries the Hessian, so the end has one.
+    The polish ends at the first point whose gradient is at most
+    _GRAD_TOL (1 + d) = 1e-7 (1 + d) in norm.  Until then each step is the
+    Newton step on the Hessian with its eigenvalues taken in absolute value
+    and floored (:func:`_newton_step`), halved from the full step until
+    Armijo's decrease holds.  d carries rounding of order eps E(u), so where
+    the decrease that Armijo asks for is below _ROUNDING (1 + d), d cannot
+    judge the step and the gradient norm does: the step is taken if it
+    shrinks the norm, and otherwise the polish ends there.
     """
-    gtol = 1e-8 * (1.0 + found[1])
-
-    def passes(found: tuple) -> bool:
-        _, d, grad, _ = found
-        return max(map(abs, grad.tolist())) <= gtol and _small_gradient(d, grad)
-
     nfev = 1
     for _ in range(_MAX_STEPS):
-        if passes(found):
-            break
         _, d, grad, hess = found
-        step = _newton_step(hess, grad)
-        slope = float(grad @ step)
-        alpha = 1.0
-        while -alpha * slope > _ROUNDING * (1.0 + d):
-            trial = b + alpha * step
-            tried = _distance(target, trial, l_max, hessian=True)
-            nfev += 1
-            if passes(tried) or tried[1] <= d + _ARMIJO * alpha * slope:
-                break
-            q = -slope * alpha * alpha / (2.0 * (tried[1] - d - slope * alpha))
-            alpha = min(max(q, 0.1 * alpha), 0.5 * alpha) if math.isfinite(q) else 0.1 * alpha
-        else:  # the line search cannot lower d
-            for _ in range(3):
-                if _small_gradient(d, grad):
-                    break
-                trial = b + step
-                tried = _distance(target, trial, l_max, hessian=True)
-                nfev += 1
-                if math.hypot(*tried[2].tolist()) >= math.hypot(*grad.tolist()):
-                    break
-                b, found = trial, tried
-                _, d, grad, hess = found
-                step = _newton_step(hess, grad)
+        if _small_gradient(d, grad):
             break
+        step = _newton_step(hess, grad)
+        slope, alpha = float(grad @ step), 1.0
+        while True:
+            trial = b + alpha * step
+            tried = _distance(target, trial, l_max)
+            nfev += 1
+            if not -alpha * slope > _ROUNDING * (1.0 + d):  # d cannot resolve the step
+                if not math.hypot(*tried[2].tolist()) < math.hypot(*grad.tolist()):
+                    return b, found, nfev
+                break
+            if tried[1] <= d + _ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
         b, found = trial, tried
     return b, found, nfev
 
@@ -367,26 +340,22 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
     """Infimum of the gradient distance over the ball, by the closed form.
 
     The best node of the scan seeds a Newton polish in b = atanh|a| a/|a|
-    on d's exact gradient and Hessian (:func:`_polish`); ``start_value`` is d
-    there, ``nfev`` counts the evaluations of d from there on, and
-    ``scanned`` the scanned t that the scan synthesized (of 60).  The polish
-    ends at the first point it evaluates whose gradient is at most
-    1e-8 (1 + start_value) in every component and 1e-7 (1 + d) in norm, or,
-    where its line search can no longer lower d beyond rounding, after at
-    most three Newton steps that shrink the gradient.  ``min_curvature`` is
-    the least eigenvalue of d's Hessian at the end.  The run has converged
-    when the gradient at its end is at most 1e-7 (1 + d), the curvature is
-    above -1e-7 (1 + d), and the end lies in the a-priori ball:
-    d(b*) <= d(0) = E(u) bounds psi's gradient energy by 4 E(u).  The
-    curvature bound tells a saddle, whose negative curvature is of the order
-    of d's, from a minimum on a ring or sphere of minima, as of fields
-    symmetric about an axis: there an end that passes the gradient test
+    on d's exact gradient and Hessian (:func:`_polish`, which states where it
+    ends); ``start_value`` is d there, ``nfev`` counts the evaluations of d
+    from there on, and ``scanned`` the scanned t that the scan synthesized
+    (of 60).  ``min_curvature`` is the least eigenvalue of d's Hessian at the
+    end.  The run has converged when the end passes the polish's gradient
+    test, the curvature is above -1e-7 (1 + d), and the end lies in the
+    a-priori ball: d(b*) <= d(0) = E(u) bounds psi's gradient energy by
+    4 E(u).  The curvature bound tells a saddle, whose negative curvature is
+    of the order of d's, from a minimum on a ring or sphere of minima, as of
+    fields symmetric about an axis: there an end that passes the gradient test
     reads the zero curvature along the ring as about -|grad d| / |b|.
     """
     target = _band_coeffs(u, l_max)
     energy = _distance(target, np.zeros(3), l_max)[1]  # d(0) = E(u)
     start, scanned = _best_first(target, l_max, grid)
-    found = _distance(target, start, l_max, hessian=True)
+    found = _distance(target, start, l_max)
     b, (band, d, grad, hess), nfev = _polish(target, start, found, l_max)
     curvature = float(np.linalg.eigvalsh(hess)[0])
     return DistanceResult(

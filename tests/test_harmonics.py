@@ -523,7 +523,7 @@ def _legendre_point_bound(l_max):
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 7, 33, 65])
 def test_legendre_point_matches_table(rng, l_max):
-    # the banded one-point solve against _legendre_table's recurrence at the
+    # the one-point rows (_legendre_point) against _legendre_table's recurrence at the
     # same abscissa and sine, and against the 50-digit recurrence (the table
     # is the less accurate of the two): random points, then the
     # caller-supplied sines of points 1e-9, 1e-200 and 0 off each pole

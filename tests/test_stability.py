@@ -31,6 +31,7 @@ from onofri import (
     translation,
 )
 from onofri import stability
+from onofri.extremals import _psi_energy
 from onofri.harmonics import _grid_table, _layout, _synthesis, project_samples, synthesize
 from onofri.sampling import random_conformal, random_field, random_rotation
 from onofri.sphere import SphericalGrid
@@ -286,6 +287,22 @@ def test_g1_within_rounding(l_max):
             assert abs(_g(l_max, t)[0][1] - expect) <= 1e-15 * abs(expect)
 
 
+@pytest.mark.parametrize(
+    "t", [1e-6, 1e-4, 0.999e-3, 1e-3, 1.001e-3, 2e-3, 1e-2, 0.1, 0.3, 0.4999999, 0.5, 0.5000001, 1.0, 3.0,
+          10.0, 20.0],
+)
+def test_psi_energy_within_rounding(t):
+    # (9/2)(t coth t - 1) and its two t-derivatives: the series below t = 0.5, the closed forms
+    # from there on, which cancel to 2e-10 at t = 1e-3 and 1e-14 at t = 0.3
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.mpf(t)
+        energy = 4.5 * (s * mpmath.coth(s) - 1)
+        expect = energy, 4.5 * (mpmath.coth(s) - s * mpmath.csch(s) ** 2), 2 * mpmath.csch(s) ** 2 * energy
+        for got, want in zip(_psi_energy(t), expect):
+            assert abs(got - float(want)) <= 1e-14 * abs(float(want))
+
+
 def test_g_limit_at_the_sphere():
     from scipy.integrate import quad
     from scipy.special import eval_legendre
@@ -474,7 +491,7 @@ def test_distance_gradient_matches_differences(rng, l_max):
         b = rng.normal(size=3)
         points.append(rng.uniform(0.05, 4.0) * b / np.linalg.norm(b))
     for b in points:
-        _, d, grad = _distance(c, b, l_max)
+        _, d, grad, _ = _distance(c, b, l_max)
         expect = _central_gradient(c, b, l_max)
         assert np.max(np.abs(grad - expect)) <= 1e-9 * (1.0 + d)
 
@@ -501,11 +518,69 @@ def test_distance_hessian_matches_differences(l_max):
                    np.array([1e-9, -2e-9, 1.0]), np.array([-3e-10, 1e-9, -1.0])]
     points = [np.zeros(3)] + [t * v / np.linalg.norm(v) for t, v in zip(radii, directions)]
     for b in points:
-        _, d, grad, hess = _distance(c, b, l_max, hessian=True)
-        assert np.array_equal(grad, _distance(c, b, l_max)[2])
+        _, d, grad, hess = _distance(c, b, l_max)
         expect = _hessian_by_differences(c, b, l_max, 1e-4 * max(1.0, np.linalg.norm(b)))
         assert np.max(np.abs(hess - expect)) <= 1e-6 * np.max(np.abs(expect))
         assert np.max(np.abs(hess - hess.T)) <= 1e-14 * np.max(np.abs(hess))
+
+
+def _envelope_sweep():
+    # fields of bands 1-32 and amplitudes 0.05-5, eight a cell, drawn in this order
+    rng = np.random.default_rng(5)
+    return {
+        (amp, band, k): random_field(rng, band, amp)
+        for amp in (0.05, 0.4, 1, 2, 3, 5) for band in (1, 2, 3, 6, 8, 16, 32) for k in range(8)
+    }
+
+
+def test_polish_halves_a_step(monkeypatch):
+    # the full Newton step fails Armijo's test on this field, and half of it is taken
+    u = _envelope_sweep()[2, 16, 1]
+    points, steps = [], []
+    distance, newton_step = stability._distance, stability._newton_step
+
+    def record_distance(c, b, l_max):
+        points.append(b)
+        return distance(c, b, l_max)
+
+    def record_step(hess, grad):
+        steps.append((points[-1], newton_step(hess, grad)))  # from the last point evaluated
+        return steps[-1][1]
+
+    monkeypatch.setattr(stability, "_distance", record_distance)
+    monkeypatch.setattr(stability, "_newton_step", record_step)
+    res = distance_to_manifold(u, 16, build_grid(64))
+    (start, step), (taken, _) = steps[:2]
+    assert any(np.array_equal(p, start + step) for p in points)  # tried, and not taken
+    assert np.array_equal(taken, start + 0.5 * step)
+    assert res.converged and res.nfev == 6
+    assert res.distance == pytest.approx(98.03789756034759, rel=1e-12)
+
+
+@pytest.mark.parametrize("gradient, nfev, end", [
+    (lambda b: 100.0 * b, 2, 0.0),  # the gradient shrinks: the step is taken, and the polish ends there
+    (lambda b: np.array([3e-7, 0.0, 0.0]), 2, 3e-9),  # it does not: the polish ends where it was
+    (lambda b: np.full(3, np.nan), 2, 3e-9),  # a NaN slope ends it too
+])
+def test_polish_where_d_cannot_judge_the_step(monkeypatch, gradient, nfev, end):
+    # d = 1 + 50 |b|^2 from b = 3e-9 e1: the gradient, 3e-7, fails the end test, and the Newton
+    # decrease, 9e-16, is below d's rounding
+    def distance(c, b, l_max):
+        return 0.0, 1.0 + 50.0 * float(b @ b), gradient(b), 100.0 * np.eye(3)
+
+    monkeypatch.setattr(stability, "_distance", distance)
+    start = np.array([3e-9, 0.0, 0.0])
+    b, _, calls = stability._polish(None, start, distance(None, start, 0), 0)
+    assert calls == nfev and np.array_equal(b, [end, 0.0, 0.0])
+
+
+def test_polish_over_the_envelope():
+    # one field a cell of bands 1-32 and amplitudes 0.05-5
+    grid = build_grid(64)
+    for (amp, band, k), u in _envelope_sweep().items():
+        if k == 1:
+            res = distance_to_manifold(u, band, grid)
+            assert res.converged and res.nfev <= 6, (amp, band)
 
 
 def test_polish_takes_few_evaluations():
@@ -551,7 +626,7 @@ def _scipy_polish(target, start, l_max):
         nonlocal nfev
         nfev += 1
         found = _distance(target, b, l_max)
-        _, d, grad = found
+        _, d, grad, _ = found
         if np.max(np.abs(grad)) <= gtol and np.linalg.norm(grad) <= 1e-7 * (1.0 + d):
             raise Reached(found)
         return d, grad
@@ -561,12 +636,12 @@ def _scipy_polish(target, start, l_max):
     except Reached as reached:
         return reached.args[0][1], nfev
     b = res.x
-    _, d, grad = _distance(target, b, l_max)
+    _, d, grad, _ = _distance(target, b, l_max)
     for _ in range(3):
         if np.linalg.norm(grad) <= 1e-7 * (1.0 + d):
             break
         step = b - res.hess_inv @ grad
-        _, d_step, grad_step = _distance(target, step, l_max)
+        _, d_step, grad_step, _ = _distance(target, step, l_max)
         nfev += 1
         if np.linalg.norm(grad_step) >= np.linalg.norm(grad):
             break
@@ -590,20 +665,6 @@ def test_polish_matches_scipy_bfgs():
         theirs.append(nfev_ref)
     assert np.median(ours) <= np.median(theirs) + 1
     assert max(ours) <= 40
-
-
-def test_polish_does_not_call_scipy_minimize(monkeypatch, rng):
-    import scipy.optimize
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy.optimize.minimize was called")
-
-    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
-    # a module-level import binds its own name, which the patch above misses
-    monkeypatch.setattr(stability, "minimize", refuse, raising=False)
-    for l_max, n in ((6, 48), (32, 72)):
-        assert distance_to_manifold(random_field(rng, l_max, 1.0), l_max, build_grid(n)).converged
-    assert stability_check(random_field(rng, 6, 0.4)).trace["converged"]
 
 
 def test_whole_distance_bounds_band_distance_and_matches_nelder_mead(rng):
