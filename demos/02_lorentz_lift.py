@@ -15,7 +15,6 @@ from onofri import (
     homomorphism_check,
     lightcone_residual,
     lorentz_lift,
-    quadratic_form,
     translation,
 )
 from onofri.lorentz import ETA
@@ -24,7 +23,7 @@ print("== Minkowski vectors as Hermitian matrices ==")
 v = np.array([2.0, 1.0, 0.0, 0.0])
 H = hermitian_of(v)
 print("H(2,1,0,0) =", H.tolist())
-print("det H =", np.linalg.det(H).real, " equals the quadratic form", quadratic_form(v))
+print("det H =", np.linalg.det(H).real, " equals the quadratic form", v @ ETA @ v)
 
 print()
 print("== lifting a dilation gives a boost along q3 ==")

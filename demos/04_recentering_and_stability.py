@@ -14,8 +14,8 @@ import numpy as np
 from onofri import (
     build_extremal,
     build_grid,
-    com_of_exp,
     dilation,
+    exp_moments,
     normalize,
     psi_field,
     solve_lambda0,
@@ -30,7 +30,8 @@ grid = build_grid(72)
 
 print("== re-centering a random field ==")
 u = random_field(rng, 6, 0.4)
-print("center of mass of e^{2u} before:", np.round(com_of_exp(u), 6))
+mom = exp_moments(u)
+print("center of mass of e^{2u} before:", np.round(mom.moment / mom.mass, 6))
 res = normalize(u)
 print(f"x0 = {res.x0:.6f}, lambda0 = {res.lambda0:.6f} (closed forms)")
 print("achieved |COM| =", res.residual_com_norm)

@@ -53,8 +53,6 @@ from .lorentz import (
     homomorphism_check,
     lightcone_residual,
     lorentz_lift,
-    minkowski_of,
-    quadratic_form,
 )
 from .extremals import (
     Extremal,
@@ -79,7 +77,6 @@ from .functionals import (
 )
 from .normalize import (
     NormalizationResult,
-    com_of_exp,
     normalize,
     recentering_map,
     solve_lambda0,
@@ -89,7 +86,6 @@ from .stability import (
     DistanceResult,
     ManifoldPoint,
     StabilityReport,
-    chart_params,
     distance_to_manifold,
     grad_distance,
     stability_check,

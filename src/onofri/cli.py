@@ -139,6 +139,8 @@ def cmd_normalize(args, cfg: RunConfig) -> int:
 def cmd_stability(args, cfg: RunConfig) -> int:
     rows = []
     if args.random is not None:
+        if args.field is not None:
+            raise UsageError("stability takes a field file or --random N, not both")
         if args.random < 1:
             raise UsageError("--random needs N >= 1")
         # row k is labelled and drawn by its own seed, so one row reruns alone

@@ -136,8 +136,8 @@ def _ball_point(tau: ConformalMap) -> np.ndarray:
     return -math.asinh(s) / s * q if s > 0.0 else np.zeros(3)
 
 
-def _g(l_max: int, t: float, second: bool = False) -> tuple[np.ndarray, ...]:
-    """g_l(tanh t) and dg_l/dt for l = 0..l_max and t > 0, with g_0 = 0; with ``second``, d2g_l/dt2 too.
+def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g_l(tanh t), dg_l/dt and d2g_l/dt2 for l = 0..l_max and t > 0, with g_0 = 0.
 
     Q_0(coth t) = t, and the Q_n decay like exp(-n xi), xi = acosh(coth t).
     Where they decay over the band (xi (l_max + 2) >= 1) the ratios
@@ -175,8 +175,6 @@ def _g(l_max: int, t: float, second: bool = False) -> tuple[np.ndarray, ...]:
     dg[1:] = 1.5 * q[1:-1] * delta * (2.0 + delta)  # z^2 - 1 = 1/sinh^2 t
     if l_max >= 1 and t >= 1.0:
         g[1] = 0.75 * (z - delta * (2.0 + delta) * t)
-    if not second:
-        return g, dg
     d2g = np.zeros(l_max + 1)
     d2g[1:] = -1.5 * delta * (2.0 + delta) * ((l + 2) * z * q[1:-1] - l * q[:-2])
     return g, dg, d2g

@@ -222,7 +222,7 @@ class _Composition(NamedTuple):
         image of one meridian, and the Jacobian is zonal.
         """
         table, jac = self.meridian(grid)
-        return _synthesis(self.field, table, grid), jac
+        return _synthesis(self.field._order_major, table, grid), jac
 
     def meridian(self, grid: SphericalGrid) -> tuple[np.ndarray, np.ndarray]:
         """The field's Legendre table where the dilation takes ``grid``'s abscissas, and J there.

@@ -235,21 +235,21 @@ def synthesize(f: HarmonicField, grid: SphericalGrid) -> GridField:
             f"grid resolves band {grid.band_limit_exact} < field l_max {f.l_max}"
         )
     table = _grid_table(f.l_max, grid.cos_theta.tobytes())
-    return GridField(grid, _synthesis(f, table, grid))
+    return GridField(grid, _synthesis(f._order_major, table, grid))
 
 
-def _synthesis(f: HarmonicField, table: np.ndarray, grid: SphericalGrid) -> np.ndarray:
-    """Flat samples of ``f`` at ``table``'s abscissas crossed with ``grid``'s azimuths.
+def _synthesis(by_order: np.ndarray, table: np.ndarray, grid: SphericalGrid) -> np.ndarray:
+    """Flat samples at ``table``'s abscissas crossed with ``grid``'s azimuths of the field whose
+    order-major coefficients (:func:`_by_order`) are ``by_order``.
 
-    ``table``: a band-``f.l_max`` :func:`_legendre_table` at any abscissas.
-    One product per order m of the field's cached order-major coefficients
-    gives A[m] = s_m sum_l c(l, m) P(l, m) and
+    ``table``: a :func:`_legendre_table` of the same band at any abscissas.
+    One product per order m gives A[m] = s_m sum_l c(l, m) P(l, m) and
     B[m] = s_m sum_l c(l, -m) P(l, m); B[0] is zero and meets sin(0 phi) = 0.
     Read as rows (A[0], B[0], A[1], ...), they meet the interleaved azimuth
     rows in one product.
     """
-    AB = f._order_major @ table  # (m, part, theta)
-    rows = _azimuth_rows(f.l_max, grid.phi.tobytes())
+    AB = by_order @ table  # (m, part, theta)
+    rows = _azimuth_rows(by_order.shape[0] - 1, grid.phi.tobytes())
     return (AB.reshape(-1, table.shape[-1]).T @ rows).reshape(-1)
 
 
@@ -520,7 +520,7 @@ def _legendre_point(l_max: int, t: float, s: float) -> np.ndarray:
 class _PointRows(NamedTuple):
     """Read-only map of one band's flat slots onto a band-(l_max + 1) table at one point."""
 
-    rows: np.ndarray     # (11, n): the table row of each term; the first 5 give the first three quantities
+    rows: np.ndarray     # (11, n): the table row of each term of the five quantities
     weights: np.ndarray  # (11, n): each term's weight, with the real-basis scale (1, else sqrt(2))
     terms: np.ndarray    # (5, 11): 1 where a term adds into a quantity
     trig: np.ndarray     # (2, n): each slot's azimuthal factor in the interleaved cos m phi, sin m phi,
@@ -528,7 +528,6 @@ class _PointRows(NamedTuple):
     freq: np.ndarray     # i m for m = 0..l_max
 
 
-_FIRST_TERMS = 5  # the terms of P, dP/dtheta and m P/sin(theta) in _PointRows
 _TURNED = np.array([0, 0, 1, 0, 1])  # the trig row of each quantity: 1 after d/dphi
 
 
@@ -579,26 +578,25 @@ def _point_rows(l_max: int) -> _PointRows:
     return point
 
 
-def _harmonic_slopes(w, l_max: int, second: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Every Y_lm at one unit vector with dY/dtheta and (1/sin theta) dY/dphi.
+def _harmonic_slopes(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Y_lm at one unit vector with its first and second derivatives on the sphere.
 
-    Returns the three as the rows of a (3, n) array in flat slot order, and the
-    frame rows e_theta and e_phi as a (2, 3) array, so a surface gradient is
-    ``slopes[1:].T @ frame`` and any weighted sum of them two contractions.
-    With ``second`` the array has two more rows, the covariant second
-    derivatives d2Y/dtheta2 and d/dtheta ((1/sin theta) dY/dphi) in that frame;
-    the third, along e_phi twice, is -l(l+1) Y - d2Y/dtheta2, as Y's surface
-    Laplacian is -l(l+1) Y.
+    Returns five rows of a (5, n) array in flat slot order: Y, dY/dtheta,
+    (1/sin theta) dY/dphi, and the covariant second derivatives d2Y/dtheta2 and
+    d/dtheta ((1/sin theta) dY/dphi) in the frame (e_theta, e_phi); and the
+    frame rows e_theta and e_phi as a (2, 3) array.  So a surface gradient is
+    ``slopes[1:3].T @ frame`` and any weighted sum of them two contractions.
+    The second derivative along e_phi twice is -l(l+1) Y - d2Y/dtheta2, as Y's
+    surface Laplacian is -l(l+1) Y.
     """
     t = min(max(float(w[2]), -1.0), 1.0)
     s = math.hypot(w[0], w[1])
     phi = math.atan2(w[1], w[0])
     point = _point_rows(l_max)
-    used, quantities = (slice(None), 5) if second else (slice(_FIRST_TERMS), 3)
-    gathered = _legendre_point(l_max + 1, t, s)[point.rows[used]]
-    gathered *= point.weights[used]
-    slopes = point.terms[:quantities, used] @ gathered
-    slopes *= np.exp(point.freq * phi).view(float)[point.trig].take(_TURNED[:quantities], axis=0)
+    gathered = _legendre_point(l_max + 1, t, s)[point.rows]
+    gathered *= point.weights
+    slopes = point.terms @ gathered
+    slopes *= np.exp(point.freq * phi).view(float)[point.trig].take(_TURNED, axis=0)
     cos_p, sin_p = math.cos(phi), math.sin(phi)
     frame = np.array([[t * cos_p, t * sin_p, -s], [-sin_p, cos_p, 0.0]])
     return slopes, frame

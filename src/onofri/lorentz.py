@@ -24,17 +24,9 @@ __all__ = [
     "lightcone_residual",
     "lorentz_lift",
     "lorentz_residuals",
-    "minkowski_of",
-    "quadratic_form",
 ]
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-def quadratic_form(v) -> float:
-    """t^2 - q1^2 - q2^2 - q3^2, computed exactly as written."""
-    v = np.asarray(v, dtype=float)
-    return float(v[0] * v[0] - v[1] * v[1] - v[2] * v[2] - v[3] * v[3])
-
 
 def hermitian_of(v) -> np.ndarray:
     """Encode (t, q) as [[t+q3, q1+i q2], [q1-i q2, t-q3]]; det equals the form."""
@@ -42,17 +34,6 @@ def hermitian_of(v) -> np.ndarray:
     return np.array(
         [[t + q3, q1 + 1j * q2], [q1 - 1j * q2, t - q3]], dtype=complex
     )
-
-
-def minkowski_of(h) -> np.ndarray:
-    """Inverse of :func:`hermitian_of` (imaginary round-off discarded).
-
-    Decodes a stack of matrices along its leading axes too.
-    """
-    h = np.asarray(h, dtype=complex)
-    t = (h[..., 0, 0] + h[..., 1, 1]).real / 2.0
-    q3 = (h[..., 0, 0] - h[..., 1, 1]).real / 2.0
-    return np.stack([t, h[..., 0, 1].real, h[..., 0, 1].imag, q3], axis=-1)
 
 
 def lorentz_lift(tau: ConformalMap) -> np.ndarray:

@@ -182,7 +182,10 @@ class ConformalMap:
             re, im = d[key]
             return complex(re, im)
 
-        return cls(c("a"), c("b"), c("c"), c("d"), bool(d.get("reflect", False)))
+        reflect = d.get("reflect", False)
+        if type(reflect) is not bool:  # "false", 0 or null is not a flag
+            raise ValueError(f"reflect must be a JSON boolean, got {reflect!r}")
+        return cls(c("a"), c("b"), c("c"), c("d"), reflect)
 
     @classmethod
     def from_json(cls, s: str) -> "ConformalMap":

@@ -50,7 +50,6 @@ from .sphere import (
 
 __all__ = [
     "NormalizationResult",
-    "com_of_exp",
     "normalize",
     "recentering_map",
     "solve_lambda0",
@@ -65,17 +64,6 @@ def _tight(policy: RefinementPolicy) -> RefinementPolicy:
     # The 1e-10 residual contract needs moments quite a bit tighter than the
     # 1e-9 functional-evaluation default; solver errors propagate linearly.
     return replace(policy, rtol=min(policy.rtol, 1e-12))
-
-
-def com_of_exp(
-    u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY
-) -> np.ndarray:
-    """Center of mass of e^{2u}: int w e^{2u} / int e^{2u}; norm < 1 strictly."""
-    mom = exp_moments(u, policy)
-    com = mom.moment / mom.mass
-    if float(com @ com) >= 1.0:
-        raise ConvergenceError("center of mass escaped the unit ball: quadrature failure")
-    return com
 
 
 def _x0(mom: ExpMoments) -> complex:

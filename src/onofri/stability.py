@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import scaled
 from .extremals import _ball_point, _g, _psi_energy
-from .harmonics import HarmonicField, _grid_table, _harmonic_slopes, _layout, _synthesis
+from .harmonics import HarmonicField, _by_order, _grid_table, _harmonic_slopes, _layout, _synthesis
 from .mobius import ConformalMap
 from .sphere import (
     DEFAULT_POLICY,
@@ -59,7 +59,6 @@ __all__ = [
     "DistanceResult",
     "ManifoldPoint",
     "StabilityReport",
-    "chart_params",
     "distance_to_manifold",
     "grad_distance",
     "stability_check",
@@ -98,15 +97,6 @@ class ManifoldPoint:
 
     def to_dict(self) -> dict:
         return dict(vars(self))
-
-
-def chart_params(tau: ConformalMap) -> ManifoldPoint:
-    """Chart coordinates of tau's rotation-coset: lambda and lambda beta are the first row of
-    M^H M (M conjugated if reflected), as for the chart map [[r, r beta], [0, 1/r]], r^2 = lambda."""
-    m = np.conj(tau.mat) if tau.reflect else tau.mat
-    h = m.conj().T @ m
-    beta = complex(h[0, 1] / h[0, 0])
-    return ManifoldPoint(math.log(h[0, 0].real), beta.real, beta.imag)
 
 
 def _ball_of(m: ManifoldPoint) -> np.ndarray:
@@ -186,8 +176,8 @@ def _distance(c: np.ndarray, b: np.ndarray, l_max: int) -> tuple:
         grad = -2.0 * math.sqrt(3.0) * c[[3, 1, 2]] if l_max > 0 else np.zeros(3)
         return band, band, grad, _hessian_at_zero(c, l_max)
     w = b / t
-    g, *derivs = _g(l_max, t, second=True)
-    slopes, frame = _harmonic_slopes(w, l_max, second=True)
+    g, *derivs = _g(l_max, t)
+    slopes, frame = _harmonic_slopes(w, l_max)
     diff = c - g[deg] * slopes[0]
     band = float(ll_slot @ (diff * diff))
     psi, dpsi, d2psi = _psi_energy(t)
@@ -263,7 +253,7 @@ def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid) -> tuple[np
         if floor[i] >= best:
             break
         x = np.concatenate(([0.0], -2.0 * weights[i]))[deg] * target
-        values = _synthesis(HarmonicField(l_max, x), table, grid)
+        values = _synthesis(_by_order(x, l_max), table, grid)
         node = int(np.argmin(values))
         value = float(values[node] + psi_energy[i])
         scanned += 1
@@ -347,13 +337,15 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
     end.  The run has converged when the end passes the polish's gradient
     test, the curvature is above -1e-7 (1 + d), and the end lies in the
     a-priori ball: d(b*) <= d(0) = E(u) bounds psi's gradient energy by
-    4 E(u).  The curvature bound tells a saddle, whose negative curvature is
-    of the order of d's, from a minimum on a ring or sphere of minima, as of
-    fields symmetric about an axis: there an end that passes the gradient test
-    reads the zero curvature along the ring as about -|grad d| / |b|.
+    4 E(u).  E(u) is read as d's band part at b = 0, the sum of
+    l(l+1) c_lm^2, without d's derivatives.  The curvature bound tells a
+    saddle, whose negative curvature is of the order of d's, from a minimum on
+    a ring or sphere of minima, as of fields symmetric about an axis: there an
+    end that passes the gradient test reads the zero curvature along the ring
+    as about -|grad d| / |b|.
     """
     target = _band_coeffs(u, l_max)
-    energy = _distance(target, np.zeros(3), l_max)[1]  # d(0) = E(u)
+    energy = float(_degree_weights(l_max)[2] @ (target * target))  # d(0) = E(u)
     start, scanned = _best_first(target, l_max, grid)
     found = _distance(target, start, l_max)
     b, (band, d, grad, hess), nfev = _polish(target, start, found, l_max)

@@ -169,12 +169,13 @@ def test_normalize_writes_field(capsys, random_field_file):
     assert code == 0
     payload = json.loads(out)
     emitted = payload["transformed_field"]
-    from onofri import field_from_json, com_of_exp
+    from onofri import exp_moments, field_from_json
     from pathlib import Path
 
     moved = field_from_json(Path(emitted).read_text())
     assert moved.l_max == 32
-    assert np.linalg.norm(com_of_exp(moved)) < 1e-4  # band-limited projection only
+    mom = exp_moments(moved)
+    assert np.linalg.norm(mom.moment / mom.mass) < 1e-4  # band-limited projection only
 
 
 def test_normalize_method_flag_is_rejected(capsys, random_field_file):
@@ -238,6 +239,14 @@ def test_stability_usage(capsys):
     assert main(["stability", "--random", "-3"]) == 2
 
 
+def test_stability_takes_a_field_or_random_not_both(capsys, zero_field_file):
+    # the field used to be ignored, and the random rows written beside it
+    assert main(["stability", zero_field_file, "--random", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "field file" in err and "--random" in err
+    assert not Path(zero_field_file).with_suffix(".stability.csv").exists()
+
+
 def test_lift_identity(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"a": [1, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]}))
@@ -281,6 +290,25 @@ def test_lift_rejects_reflect(tmp_path, capsys):
         json.dumps({"a": [0, 0], "b": [0, 1], "c": [0, 1], "d": [0, 0], "reflect": True})
     )
     assert main(["lift", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["false", 0, 1, None], ids=["a string", "zero", "one", "null"])
+def test_lift_refuses_a_reflect_that_is_not_a_boolean(tmp_path, capsys, flag):
+    # "false" used to read as reflected, and 0 or null as not
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"a": [1, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0], "reflect": flag}))
+    assert main(["lift", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot read Mobius file") and "reflect" in err
+
+
+@pytest.mark.parametrize("flag, code", [({}, 0), ({"reflect": False}, 0), ({"reflect": True}, 2)])
+def test_lift_reads_a_boolean_reflect(tmp_path, capsys, flag, code):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"a": [1, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0], **flag}))
+    assert main(["lift", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("orientation-preserving" in err) == (code == 2)
 
 
 def test_lift_singular_matrix_is_a_usage_error(tmp_path, capsys):

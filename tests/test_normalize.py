@@ -17,7 +17,6 @@ from onofri import (
     build_extremal,
     build_grid,
     chang_gui_report,
-    com_of_exp,
     dilation,
     evaluate_at,
     exp_moments,
@@ -44,6 +43,12 @@ from onofri.sphere import _make_grid
 
 def w3_times(eps):
     return HarmonicField.from_entries(1, {(1, 0): eps / math.sqrt(3.0)})
+
+
+def com_of_exp(u: HarmonicField) -> np.ndarray:
+    # the center of mass of e^{2u}: int w e^{2u} / int e^{2u}
+    mom = exp_moments(u)
+    return mom.moment / mom.mass
 
 
 def test_com_of_exp_zero_field():
