@@ -202,8 +202,10 @@ def transported_com(
 ) -> np.ndarray:
     """Center of mass of e^{2(u o tau + psi)} from exact samples (no band limit).
 
-    u o tau is synthesized exactly for the stored expansion, at the closed-form
-    image of the meridian (see ``functionals._Composition``), so the residual
+    u o tau is synthesized exactly for the stored expansion: its order-m
+    profiles at the closed-form image of the meridian, from the theta-Fourier
+    form of the Legendre functions, meet the azimuths (see
+    ``functionals._Composition``), so the residual
     is limited by quadrature alone.  ``normalize`` does not call it; it is the
     checks' oracle for the Lorentz transport of the moments, on mild fields
     only (criterion 8's band 8, amplitude 0.5).  On a concentrated field, a

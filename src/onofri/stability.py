@@ -253,7 +253,7 @@ def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid) -> tuple[np
         if floor[i] >= best:
             break
         x = np.concatenate(([0.0], -2.0 * weights[i]))[deg] * target
-        values = _synthesis(_by_order(x, l_max), table, grid)
+        values = _synthesis(_by_order(x, l_max) @ table, grid)
         node = int(np.argmin(values))
         value = float(values[node] + psi_energy[i])
         scanned += 1

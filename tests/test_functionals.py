@@ -24,7 +24,7 @@ from onofri import (
 )
 from onofri.extremals import _psi_of_jacobian
 from onofri.functionals import _compose, _exp_moments
-from onofri.harmonics import _rotated, project_samples, synthesize
+from onofri.harmonics import _legendre_table, _rotated, _synthesis, project_samples, synthesize
 from onofri.mobius import _dilated_meridian
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy, _make_grid, moments
@@ -308,11 +308,13 @@ def test_report_json(rng):
 
 
 def _sampled_transform(u, tau, l_max, grid):
-    # the path transform took before its per-order sums: the composition's
-    # samples at every node plus psi, projected by quadrature over every
-    # azimuth, and rotated back
+    # the path transform took before its per-order sums and Fourier profiles:
+    # the composition's samples at every node from the recurrence's Legendre
+    # table at the dilated meridian, plus psi, projected by quadrature over
+    # every azimuth, and rotated back
     comp = _compose(u, tau)
-    samples, jac = comp.samples(grid)
+    t, s, jac = _dilated_meridian(comp.lam, grid.cos_theta)
+    samples = _synthesis(comp.field._order_major @ _legendre_table(u.l_max, t, s), grid)
     samples = samples + np.repeat(_psi_of_jacobian(build_extremal(tau), jac), grid.phi_count)
     proj = project_samples(samples, grid, l_max)
     return _rotated(proj.field, comp.frame).coeffs, proj.tail_fraction

@@ -31,7 +31,7 @@ from onofri import (
     transform,
 )
 from onofri import harmonics
-from onofri.functionals import _compose
+from onofri.functionals import _compose, _Composition
 from onofri.harmonics import (
     _grid_table,
     _harmonic_slopes,
@@ -40,6 +40,7 @@ from onofri.harmonics import (
     _rotated,
     _turn_stack,
 )
+from onofri.mobius import _dilated_meridian
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import SphericalGrid, _azimuth_rows, _make_grid
 
@@ -541,13 +542,15 @@ def test_legendre_point_matches_table(rng, l_max):
 
 
 def test_point_tables_cached_and_read_only():
-    # the trigonometric table, the d(pi/2) rows it reads and the caps'
-    # cosine weights are built once per band, and no call writes to them
+    # the trigonometric table, the d(pi/2) rows it reads, the caps' cosine
+    # weights and the theta-Fourier weights of the band below are built once
+    # per band, and no call writes to them
     table = harmonics._point_table(9)
     assert harmonics._point_table(9) is table
     assert harmonics._quarter_d(9) is harmonics._quarter_d(9)
     assert harmonics._cap_weights(9) is harmonics._cap_weights(9)
-    arrays = [*table, *harmonics._quarter_d(9), harmonics._cap_weights(9)]
+    assert harmonics._fourier_weights(8) is harmonics._fourier_weights(8)
+    arrays = [*table, *harmonics._quarter_d(9), harmonics._cap_weights(9), harmonics._fourier_weights(8)]
     assert not any(arr.flags.writeable for arr in arrays)
     before = [arr.copy() for arr in arrays]
     for t, s in ((0.3, math.sqrt(0.91)), (-0.3, math.sqrt(0.91)), (0.99995, math.sqrt(0.0000999975)), (-1.0, 0.0)):
@@ -636,6 +639,25 @@ def test_synthesis_matches_evaluate_at(rng, l_max):
         expect = evaluate_at(comp.field, dilation(comp.lam).apply(grid.nodes))
         got = comp.samples(grid)[0]
         assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+
+
+def test_composition_profiles_match_mpmath(grid72, rng):
+    # the order-m profiles of v o dilation(lam) from the theta-Fourier weights,
+    # against the 50-digit recurrence at the closed-form image (x', s') of 9 of
+    # build_grid(72)'s abscissas, both ends among them.  Measured: up to
+    # 1.2e-15 sum|c| (2.3e-15 on another draw), where the recurrence's own
+    # table reads 2.8e-16 sum|c|: rounding level, looser than the recurrence.
+    rows = np.linspace(0, grid72.theta_count - 1, 9).round().astype(int)
+    for lam in (1 / 200, 1 / 50, 1.7, 6.0, 200.0):
+        x, s, _ = _dilated_meridian(lam, grid72.cos_theta[rows])
+        exact = _mp_legendre(64, list(zip(x, s)))  # rows (l, m), l ascending: every band's first rows
+        for L in (8, 32, 64):
+            u = random_field(rng, L, 0.5)
+            l, m = np.tril_indices(L + 1)
+            table = np.zeros((L + 1, L + 1, rows.size))
+            table[m, l] = exact[:, : l.size].T
+            got = _Composition(u, lam, np.eye(3)).profiles(grid72)[0][..., rows]
+            assert np.max(np.abs(got - u._order_major @ table)) <= 1e-14 * np.sum(np.abs(u.coeffs))
 
 
 def test_field_json_round_trip(rng):

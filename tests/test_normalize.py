@@ -4,6 +4,7 @@ import importlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -79,6 +80,33 @@ def test_solve_x0_translation_axis(grid72):
     x0 = solve_x0(proj.field)
     assert abs(x0.imag) < 1e-10
     assert abs(x0.real) > 1e-3
+
+
+def _degree_one(r):
+    # u = r x3: M = int e^{2u} = sinh 2r / (2r), m3 = int x3 e^{2u} = cosh 2r / (2r) - sinh 2r / (4 r^2)
+    # and lambda0 = sqrt((M + m3) / (M - m3)), at 40 digits: in floats M - m3 loses about log10(2r) digits
+    with mpmath.workdps(40):
+        q = 2 * mpmath.mpf(r)
+        mass, m3 = mpmath.sinh(q) / q, mpmath.cosh(q) / q - mpmath.sinh(q) / q**2
+        return mass, m3, mpmath.sqrt((mass + m3) / (mass - m3))
+
+
+@pytest.mark.parametrize("r", [0.5, -0.5, 5.0, -5.0, 40.0, -40.0, 80.0, -80.0, 160.0, -160.0])
+def test_degree_one_family_in_closed_form(r):
+    # measured: the moments within 3.5e-14 relative (r = 160), the sharp
+    # functional at alpha = 2/3 within 4.5e-16 max(1, |value|), lambda0 within
+    # 3.1e-14 relative (r = -160).  At r = 0.5 the value is 1.2e-3, a difference
+    # of terms near 0.11 that rounds at 1.7e-16: relative to itself it reads 1.4e-13
+    u = w3_times(r)
+    mass, m3, lam0 = _degree_one(r)
+    mom = exp_moments(u)
+    assert abs(mom.mass - mass) <= 1e-13 * mass
+    assert abs(mom.moment[2] - m3) <= 1e-13 * abs(m3)
+    assert np.max(np.abs(mom.moment[:2])) <= 1e-13 * mass
+    with mpmath.workdps(40):
+        value = (2 * mpmath.mpf(r) ** 2 / 3) * 2 / 3 - mpmath.log(mass**2 - m3**2) / 2  # E = 2 r^2 / 3
+    assert abs(chang_gui_report(2.0 / 3.0, u).value - value) <= 1e-15 * max(1.0, abs(value))
+    assert abs(normalize(u).lambda0 - lam0) <= 1e-13 * lam0
 
 
 def test_solve_lambda0_trivial():

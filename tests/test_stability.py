@@ -740,7 +740,7 @@ def _every_radius(target, l_max, grid):
     least, best, b = [], 0.0, np.zeros(3)
     for t, w, e in zip(_SCAN_T, weights, psi_energy):
         x = np.concatenate(([0.0], -2.0 * w))[degrees] * target
-        values = _synthesis(_by_order(x, l_max), table, grid)
+        values = _synthesis(_by_order(x, l_max) @ table, grid)
         i = int(np.argmin(values))
         least.append(float(values[i] + e))
         if least[-1] < best:
