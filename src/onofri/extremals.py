@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import scaled
-from .harmonics import HarmonicField, Projection, _harmonic_slopes, _layout, dirichlet_energy
+from .harmonics import HarmonicField, Projection, _basis_point, _layout, dirichlet_energy
 from .harmonics import laplacian, synthesize
 from .mobius import ConformalMap, _lift
 from .sphere import (
@@ -152,6 +152,9 @@ def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     For t >= 1, g_1 comes from the closed form Q_2 - Q_0 = (3/2)((z^2 - 1) Q_0 - z):
     2e-16 relative, where the ratios give 1.5e-14 (band 32, t = ln 50).  Below
     t = 1 the closed form cancels (3e-14 at t = 0.05), and the ratios stay.
+    That closed form, g_1 = (3/4)(coth t - t csch^2 t), is a sixth of the slope of
+    psi's energy (9/2)(t coth t - 1) (:func:`_psi_energy`): g_1 = E_psi'/6, which
+    the distance search inverts to read an extremal's b from its degree-1 part.
     """
     z = 1.0 / math.tanh(t)
     delta = 2.0 * math.exp(-2.0 * t) / -math.expm1(-2.0 * t)  # z - 1, never overflowing
@@ -258,7 +261,7 @@ def psi_field(
     t = math.hypot(*b)
     energy, coeffs = _psi_energy(t)[0], np.zeros((l_max + 1) ** 2)
     if t > 0.0:
-        coeffs = _g(l_max, t)[0][_layout(l_max).degrees] * _harmonic_slopes(b / t, l_max)[0][0]
+        coeffs = _g(l_max, t)[0][_layout(l_max).degrees] * _basis_point(b / t, l_max)
     coeffs[0] = e.normalizer - energy / 3.0
     field = HarmonicField(l_max, coeffs)
     frac = max(energy - dirichlet_energy(field), 0.0) / energy if energy > 1e-18 else 0.0

@@ -594,6 +594,20 @@ def _point_rows(l_max: int) -> _PointRows:
     return point
 
 
+def _basis_point(w, l_max: int) -> np.ndarray:
+    """Every Y_lm at one unit vector in flat slot order: row 0 of :func:`_harmonic_slopes`, bit for
+    bit, without the derivatives, from the Legendre rows of degree <= l_max and the azimuth factors.
+
+    The rows come from the band-(l_max + 1) tables that :func:`_harmonic_slopes` reads, as fast a
+    call as band l_max's: the distance search at the same band then builds no second set.
+    """
+    point = _point_rows(l_max)
+    t = min(max(float(w[2]), -1.0), 1.0)
+    values = _legendre_point(l_max + 1, t, math.hypot(w[0], w[1])).take(point.rows[0])
+    values *= point.weights[0]
+    return values * np.exp(point.freq * math.atan2(w[1], w[0])).view(float).take(point.trig[0])
+
+
 def _harmonic_slopes(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Every Y_lm at one unit vector with its first and second derivatives on the sphere.
 

@@ -10,13 +10,19 @@ needs no quadrature and no truncation of psi (u_l is the degree-l part of u,
 E(u) its gradient energy).  Its gradient and Hessian are closed-form too:
 dg_l/dt = (3/2) Q_l(coth t)/sinh^2 t and its t-derivative come from the same
 Q's, and the first and second derivatives of u_l on the sphere from the
-Legendre raising and lowering relations.  A scan over t and the grid's
-nodes, which synthesizes only the t that Unsold's bound cannot rule out (see
-:func:`_best_first`), seeds a Newton polish of d on its exact Hessian, its
-eigenvalues taken in absolute value and floored, with Armijo backtracking
-from the full step; :func:`_polish` states where it ends.  A saddle can end
-it too, and the Hessian's least eigenvalue at the end, ``min_curvature``,
-tells it apart.  The search is deterministic.
+Legendre raising and lowering relations.  The polish starts from the best
+of three points.  psi_b's degree-1 part is g_1(tanh t) Y_1m(b/t) with
+g_1 = E_psi'/6, so the degree-1 part of u names one b in closed form
+(:func:`_degree_one_point`), exact on every band projection of an extremal;
+it is tried where psi there carries at least E(u), which such a projection
+always passes and most other fields fail at a table lookup.  Then a scan
+over t and the grid's nodes, which synthesizes only the t that Unsold's
+bound cannot rule out (see :func:`_best_first`), looks for a node below the
+better of b = 0 and the degree-1 point.  From the best, a Newton polish
+of d runs on its exact Hessian, its eigenvalues taken in absolute value and
+floored, with Armijo backtracking from the full step; :func:`_polish` states
+where it ends.  A saddle can end it too, and the Hessian's least eigenvalue
+at the end, ``min_curvature``, tells it apart.  The search is deterministic.
 
 Results are reported in the chart z -> lambda * (z + beta), lambda > 0,
 beta complex: left rotations leave the Jacobian and M^H M unchanged, and the
@@ -80,6 +86,12 @@ _CURVATURE_FLOOR = 1e-8
 _ARMIJO = 1e-4
 # decreases of d below _ROUNDING (1 + d) are not resolved: d rounds at eps E(u)
 _ROUNDING = 1e-14
+# the degree-1 point is tried where psi there carries at least E(u) (1 - _ENERGY_MARGIN): psi's band
+# projections only drop energy, but rounding put psi's energy up to 4e-15 below E(u) on 1,869 of them
+# (bands 1-96, lambda_eff up to 50)
+_ENERGY_MARGIN = 1e-12
+# the inversion of E_psi' ends after a Newton step below _ROOT_STEP (1 + t): the next would be below 1e-16 t
+_ROOT_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -224,7 +236,54 @@ def _scan_weights(l_max: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, energy
 
 
-def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid) -> tuple[np.ndarray, int]:
+def _degree_one_point(c: np.ndarray) -> np.ndarray | None:
+    """The ball point b whose psi has the degree-1 part of coefficients c, or None where none has.
+
+    psi_b's degree-1 coefficients are g_1(tanh t) Y_1m(b/t), t = |b|, and Y_1m = sqrt(3) (y, z, x)
+    at m = -1, 0, 1: so b/t is the direction of (c_11, c_1-1, c_10), and as g_1 = E_psi'/6
+    (:func:`onofri.extremals._g`), t solves E_psi'(t) = 6 |c_1| / sqrt(3).  E_psi' rises from 0 to
+    9/2, so there is no root from 9/2 on; and it is concave (E_psi'' = 2 csch^2(t) E_psi falls), so
+    Newton from t = 0 on _psi_energy's slope and curvature rises to the root monotonically, and
+    quadratically near it.
+    """
+    x, y, z = c[3], c[1], c[2]
+    norm = math.hypot(x, y, z)
+    rhs = 2.0 * math.sqrt(3.0) * norm
+    if not rhs < 4.5:
+        return None
+    t = 0.0
+    for _ in range(_MAX_STEPS):
+        _, slope, curvature = _psi_energy(t)
+        step = (rhs - slope) / curvature
+        t += step
+        if step <= _ROOT_STEP * (1.0 + t):
+            return (t / norm) * np.array((x, y, z)) if norm > 0.0 else np.zeros(3)
+    return None
+
+
+def _degree_one_start(c: np.ndarray, energy: float, l_max: int) -> np.ndarray | None:
+    """c's degree-1 point where psi there carries at least E(u) = ``energy``, else None.
+
+    Every band projection of an extremal passes this test, as projection only drops energy; the
+    bound is E(u) (1 - _ENERGY_MARGIN), and b = 0, t = 0's own point, is no candidate.  Most fields
+    fail before any inversion, by a lookup in the scan's cached 2 g_1 and psi energies: the root t
+    is at most the first scanned t whose 2 g_1 reaches 2 |c_1| / sqrt(3), and psi's energy there is
+    at least psi's energy at the root.
+    """
+    if l_max < 1:
+        return None
+    floor = energy * (1.0 - _ENERGY_MARGIN)
+    weights, psi_energy = _scan_weights(l_max)
+    i = int(np.searchsorted(weights[:, 0], (2.0 / math.sqrt(3.0)) * math.hypot(c[1], c[2], c[3])))
+    if i < _SCAN_T.size and psi_energy[i] < floor:
+        return None
+    b = _degree_one_point(c)
+    if b is None or not b.any() or _psi_energy(math.hypot(*b))[0] < floor:
+        return None
+    return b
+
+
+def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid, bar: float = 0.0) -> tuple[np.ndarray, int]:
     """The scan's point b, and the number of scanned t it synthesized.
 
     At a scanned t, d - E(u) at node w is psi's energy less 2 sum_l w_l u_l(w),
@@ -237,7 +296,10 @@ def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid) -> tuple[np
     psi's energy (at most 22.5).  The t go in stable ascending order of floor
     until one is not below the best value so far, which it can then neither
     beat nor tie.  The best is the first least (t, node), t-major, among the
-    values below 0, that of t = 0.
+    values below ``bar``: 0 by default, the value of t = 0, and b = 0 when no
+    node is below it.  :func:`distance_to_manifold` passes d - E(u) of the
+    degree-1 point when that beats t = 0, and then reads b = 0 as "no node
+    beats the degree-1 point".
     """
     if grid.band_limit_exact < l_max:
         raise ValueError(f"grid resolves band {grid.band_limit_exact} < field l_max {l_max}")
@@ -248,7 +310,7 @@ def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid) -> tuple[np
     reach = 2.0 * (weights @ bounds[1:])
     floor = psi_energy - reach - _SCAN_MARGIN * (1.0 + reach)
     table = _grid_table(l_max, grid.cos_theta.tobytes())
-    best, found, scanned = 0.0, (-1, 0), 0  # t index -1: t = 0, the constant extremal
+    best, found, scanned = bar, (-1, 0), 0  # t index -1: no node below the bar
     for i in np.argsort(floor, kind="stable"):
         if floor[i] >= best:
             break
@@ -321,6 +383,7 @@ class DistanceResult:
     band_distance: float
     scanned: int
     min_curvature: float
+    start: str
 
     def to_dict(self) -> dict:
         return {**vars(self), "argmin": self.argmin.to_dict()}  # asdict's deep copy: 5% of a certify item
@@ -329,10 +392,21 @@ class DistanceResult:
 def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> DistanceResult:
     """Infimum of the gradient distance over the ball, by the closed form.
 
-    The best node of the scan seeds a Newton polish in b = atanh|a| a/|a|
-    on d's exact gradient and Hessian (:func:`_polish`, which states where it
-    ends); ``start_value`` is d there, ``nfev`` counts the evaluations of d
-    from there on, and ``scanned`` the scanned t that the scan synthesized
+    A Newton polish in b = atanh|a| a/|a| on d's exact gradient and Hessian
+    (:func:`_polish`, which states where it ends) starts from one of three
+    points, which ``start`` names.  The degree-1 point of u
+    (:func:`_degree_one_point`) is tried when psi there carries at least u's
+    gradient energy, up to a rounding margin of 1e-12 relative
+    (:func:`_degree_one_start`): every band projection of an extremal does.
+    If its d is below d(0) = E(u), d - E(u) there is the bar of the scan
+    (:func:`_best_first`), else the bar is 0; a scanned node below the bar
+    starts the polish ("scan"), else the degree-1 point if it beat b = 0
+    ("degree-1"), else b = 0 ("origin").  So on an extremal's projection the
+    scan synthesizes nothing and the polish ends at its first evaluation,
+    and on a field that the energy test rejects the search is the scan's
+    alone.  ``start_value`` is d at the start, ``nfev`` counts every
+    evaluation of d, the degree-1 point's among them where a node or b = 0
+    replaced it, and ``scanned`` the scanned t that the scan synthesized
     (of 60).  ``min_curvature`` is the least eigenvalue of d's Hessian at the
     end.  The run has converged when the end passes the polish's gradient
     test, the curvature is above -1e-7 (1 + d), and the end lies in the
@@ -346,9 +420,18 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
     """
     target = _band_coeffs(u, l_max)
     energy = float(_degree_weights(l_max)[2] @ (target * target))  # d(0) = E(u)
-    start, scanned = _best_first(target, l_max, grid)
-    found = _distance(target, start, l_max)
-    b, (band, d, grad, hess), nfev = _polish(target, start, found, l_max)
+    candidate, tried = _degree_one_start(target, energy, l_max), 0
+    if candidate is not None:
+        found, tried = _distance(target, candidate, l_max), 1
+    if tried and found[1] < energy:  # the degree-1 point beats t = 0: a node must beat it instead
+        node, scanned = _best_first(target, l_max, grid, found[1] - energy)
+        start, b = ("scan", node) if node.any() else ("degree-1", candidate)
+    else:
+        node, scanned = _best_first(target, l_max, grid)
+        start, b = "scan" if node.any() else "origin", node
+    if start != "degree-1":
+        found = _distance(target, b, l_max)
+    b, (band, d, grad, hess), nfev = _polish(target, b, found, l_max)
     curvature = float(np.linalg.eigvalsh(hess)[0])
     return DistanceResult(
         distance=d,
@@ -356,11 +439,12 @@ def distance_to_manifold(u: HarmonicField, l_max: int, grid: SphericalGrid) -> D
         converged=_small_gradient(d, grad)
         and curvature > -_GRAD_TOL * (1.0 + d)
         and _psi_energy(float(np.linalg.norm(b)))[0] <= 4.0 * energy * (1.0 + 1e-12),
-        nfev=nfev,
+        nfev=nfev + (tried and start != "degree-1"),  # and the degree-1 point's, where the polish started elsewhere
         start_value=found[1],
         band_distance=band,
         scanned=scanned,
         min_curvature=curvature,
+        start=start,
     )
 
 

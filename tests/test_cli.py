@@ -219,6 +219,7 @@ def test_stability_random_sweep(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["min_slack"] >= -1e-8
     assert all(0 <= rep["trace"]["distance"]["scanned"] <= 60 for rep in payload["reports"])
+    assert all(rep["trace"]["distance"]["start"] in {"degree-1", "scan", "origin"} for rep in payload["reports"])
     assert len(csv_path.read_text().strip().splitlines()) == 3
 
 

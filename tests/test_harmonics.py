@@ -33,6 +33,7 @@ from onofri import (
 from onofri import harmonics
 from onofri.functionals import _compose, _Composition
 from onofri.harmonics import (
+    _basis_point,
     _grid_table,
     _harmonic_slopes,
     _layout,
@@ -374,6 +375,8 @@ def test_basis_matches_mpmath(rng):
     bound = 16 * (l + 1) * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
     got = np.array([_harmonic_slopes(w, L)[0][0] for w in pts])
     assert np.all(np.abs(got - ref) <= bound)
+    # psi_field's basis alone is the slopes' row 0, bit for bit
+    assert np.array_equal(np.array([_basis_point(w, L) for w in pts]), got)
     # evaluate_at: single harmonics of every order at l = 64, and low degrees
     slots = [coeff_index(64, m) for m in range(-64, 65, 8)] + [coeff_index(64, 1), coeff_index(59, 2)]
     slots += [coeff_index(k, m) for k in (0, 1, 7) for m in (-k, 0, k)]

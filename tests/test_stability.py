@@ -38,10 +38,14 @@ from onofri.stability import (
     _band_coeffs,
     _best_first,
     _chart_of_ball,
+    _degree_one_point,
+    _degree_one_start,
+    _degree_weights,
     _distance,
     _g,
     _scan_weights,
 )
+from onofri.extremals import _ball_point
 
 
 def _whole_distance(u, l_max, b):
@@ -211,9 +215,10 @@ def test_stability_report_json(rng):
     assert set(d["trace"]) == {"converged", "functional_grid", "distance"}
     assert set(d["trace"]["distance"]) == {
         "distance", "argmin", "converged", "nfev", "start_value", "band_distance", "scanned",
-        "min_curvature",
+        "min_curvature", "start",
     }
     assert 0 <= d["trace"]["distance"]["scanned"] <= _SCAN_T.size
+    assert d["trace"]["distance"]["start"] in {"degree-1", "scan", "origin"}
 
 
 def test_stability_far_out_extremal(grid72):
@@ -266,6 +271,99 @@ def test_g1_within_rounding(l_max):
             q2, q0 = (mpmath.re(mpmath.legenq(n, 0, z, type=3)) for n in (2, 0))
             expect = float(-0.5 * (q2 - q0))
             assert abs(_g(l_max, t)[0][1] - expect) <= 1e-15 * abs(expect)
+
+
+def test_g1_is_a_sixth_of_the_energy_slope():
+    # g_1 = (3/4)(coth t - t csch^2 t) = E_psi'/6, the identity the degree-1 start inverts; _g's
+    # ratio path errs by up to 1.5e-14 below t = 1
+    for l_max in (1, 6, 32, 64):
+        for t in (0.05, 0.3, 1.0, 2.0, math.log(20.0), math.log(50.0), 5.0):
+            slope = _psi_energy(t)[1]
+            assert abs(_g(l_max, t)[0][1] - slope / 6.0) <= 1e-13 * slope / 6.0
+
+
+def test_degree_one_point_recovers_the_ball_point():
+    # b from the degree-1 part of psi's projection at every band, and psi there carries at least
+    # the projection's energy; isometries have b = 0, t = 0's own point, which is no candidate
+    rng = np.random.default_rng(4242)
+    taus = [random_conformal(rng, lam_eff_cap=50.0, allow_reflect=True) for _ in range(20)]
+    assert any(tau.reflect for tau in taus)
+    for tau in taus:
+        b = _ball_point(tau)
+        for l_max in (1, 2, 8, 32, 64):
+            c = _band_coeffs(psi_field(build_extremal(tau), l_max, tail_threshold=None).field, l_max)
+            point = _degree_one_point(c)
+            assert np.linalg.norm(point - b) <= 1e-12 * (1.0 + np.linalg.norm(b))
+            start = _degree_one_start(c, float(_degree_weights(l_max)[2] @ (c * c)), l_max)
+            if b.any():
+                assert np.array_equal(start, point)
+            else:
+                assert start is None and not point.any()
+
+
+def test_degree_one_point_needs_a_slope_below_its_limit():
+    # E_psi' < 9/2: a degree-1 part of norm 9 / (4 sqrt 3) or more is no extremal's
+    edge = 4.5 / (2.0 * math.sqrt(3.0))
+    assert _degree_one_point(np.array([0.0, 0.0, edge, 0.0])) is None
+    assert np.linalg.norm(_degree_one_point(np.array([0.0, 0.0, 0.999 * edge, 0.0]))) > 3.0
+    assert _degree_one_start(np.zeros(1), 0.0, 0) is None
+
+
+def test_classification_maps_take_one_evaluation():
+    # the maps of the classification check (seed 111): the degree-1 point ends every polish at
+    # its first evaluation, and the scan synthesizes nothing
+    rng = np.random.default_rng(111)
+    grid = build_grid(72)
+    for _ in range(10):
+        tau = random_conformal(rng, lam_eff_cap=6.0, allow_reflect=True)
+        res = distance_to_manifold(psi_field(build_extremal(tau), 32).field, 32, grid)
+        assert res.converged and res.nfev == 1 and res.scanned == 0
+        assert res.start == ("degree-1" if _ball_point(tau).any() else "origin")
+
+
+def _comparison_fields(rng):
+    # random fields of bands 2-32 and amplitudes 0.05-3, psi of random maps, and psi plus noise
+    for k in range(60):
+        l_max = int(rng.choice([2, 4, 6, 8, 16, 32]))
+        if k % 3 == 0:
+            yield l_max, random_field(rng, l_max, float(np.exp(rng.uniform(math.log(0.05), math.log(3.0)))))
+            continue
+        tau = random_conformal(rng, lam_eff_cap=20.0, allow_reflect=True)
+        u = psi_field(build_extremal(tau), l_max, tail_threshold=None).field
+        yield l_max, u + random_field(rng, l_max, 1e-2) if k % 3 == 2 else u
+
+
+def test_degree_one_start_is_never_worse_than_the_scan_alone(monkeypatch):
+    # the search with the degree-1 point turned off; where the polish starts elsewhere, a node
+    # below the candidate's value is the node the scan alone finds, and the polish is the same
+    rng = np.random.default_rng(4343)
+    fields = [(l_max, u, build_grid(max(4 * l_max, 48))) for l_max, u in _comparison_fields(rng)]
+    results = [distance_to_manifold(u, l_max, grid) for l_max, u, grid in fields]
+    monkeypatch.setattr(stability, "_degree_one_start", lambda c, energy, l_max: None)
+    for (l_max, u, grid), res in zip(fields, results):
+        alone = distance_to_manifold(u, l_max, grid)
+        assert res.distance <= alone.distance + 1e-12 * max(1.0, alone.distance)
+        assert res.converged == alone.converged
+        assert res.scanned <= alone.scanned
+        if res.start != "degree-1":
+            assert res.distance == alone.distance and res.start == alone.start
+    assert {res.start for res in results} == {"degree-1", "scan", "origin"}
+
+
+def test_a_replaced_degree_one_point_counts_in_nfev(monkeypatch, grid48):
+    # these pass the energy test, but a scanned node beats their degree-1 points: the search is
+    # the scan's alone, and nfev counts the candidate's evaluation too
+    fields = [
+        psi_field(build_extremal(dilation(20.0)), 2, tail_threshold=None).field,
+        HarmonicField.from_entries(1, {(1, 0): 0.5}),
+    ]
+    results = [distance_to_manifold(u, u.l_max, grid48) for u in fields]
+    monkeypatch.setattr(stability, "_degree_one_start", lambda c, energy, l_max: None)
+    for u, res in zip(fields, results):
+        alone = distance_to_manifold(u, u.l_max, grid48)
+        assert res.start == alone.start == "scan"
+        assert res.distance == alone.distance and res.nfev == alone.nfev + 1
+        assert res.scanned <= alone.scanned
 
 
 @pytest.mark.parametrize(
