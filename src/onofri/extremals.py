@@ -25,13 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import scaled
-from .harmonics import HarmonicField, Projection, _basis_point, _layout, dirichlet_energy
+from .harmonics import HarmonicField, Projection, _basis_point, _exact_tail, _layout
 from .harmonics import laplacian, synthesize
 from .mobius import ConformalMap, _lift
 from .sphere import (
     DEFAULT_POLICY,
-    ConvergenceError,
     RefinementPolicy,
     SphericalGrid,
     moments,
@@ -255,7 +253,8 @@ def psi_field(
     grid: SphericalGrid | None = None,
     tail_threshold: float | None = 1e-6,
 ) -> Projection:
-    """Band-limited coefficients of psi in closed form, with its exact tail-energy fraction;
+    """Band-limited coefficients of psi in closed form, with its exact tail-energy fraction
+    (:func:`harmonics._exact_tail`: a tail energy at or below 1e-14 of psi's reads 0);
     ``grid`` is accepted for callers that pass one by position and is unused."""
     b = _ball_point(e.tau)
     t = math.hypot(*b)
@@ -263,11 +262,7 @@ def psi_field(
     if t > 0.0:
         coeffs = _g(l_max, t)[0][_layout(l_max).degrees] * _basis_point(b / t, l_max)
     coeffs[0] = e.normalizer - energy / 3.0
-    field = HarmonicField(l_max, coeffs)
-    frac = max(energy - dirichlet_energy(field), 0.0) / energy if energy > 1e-18 else 0.0
-    if tail_threshold is not None and frac > scaled(tail_threshold):
-        raise ConvergenceError(f"psi tail energy fraction {frac:.3e} exceeds threshold")
-    return Projection(field, frac)
+    return _exact_tail(HarmonicField(l_max, coeffs), energy, energy, 0.0, tail_threshold, "psi")
 
 
 def sqrt_jacobian_residual(e: Extremal, grid: SphericalGrid) -> float:

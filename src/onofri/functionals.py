@@ -23,17 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import scaled
-from .extremals import _psi_of_jacobian, build_extremal
+from .extremals import _g, _psi_energy, _psi_of_jacobian, build_extremal
 from .harmonics import (
     HarmonicField,
     Projection,
+    _exact_tail,
     _field_of_sums,
     _fourier_weights,
     _rotated,
-    _split_tail,
     _synthesis,
-    _tail_band,
     dirichlet_energy,
     synthesize,
 )
@@ -242,6 +240,30 @@ class _Composition(NamedTuple):
         out[1::2] = series[1::2] @ np.sin(arg)
         return out, jac
 
+    def energy(self) -> float:
+        """E(u o tau + psi_tau), with no quadrature.
+
+        The Dirichlet energy is conformally invariant, and psi_dilation(lam)
+        composed with dilation(1/lam) is -psi_dilation(1/lam) up to a
+        constant, so the energy is the gradient distance of the field to psi
+        at b = t e3, t = ln lam, summed as ``stability._distance`` sums it:
+        the non-negative band part, sum l(l+1)(c_lm - psi_lm)^2, plus psi's
+        energy beyond the band, clamped at 0.  psi there is zonal, psi_l0 =
+        g_l(t) sqrt(2l + 1).
+        """
+        v = self.field
+        if self.lam == 1.0:
+            return dirichlet_energy(v)
+        t = math.log(self.lam)
+        l = np.arange(v.l_max + 1)
+        ll = l * (l + 1)  # also the flat slots of the m = 0 coefficients
+        psi = _g(v.l_max, t)[0] * np.sqrt(2 * l + 1)
+        diff = v.coeffs.copy()
+        diff[ll] -= psi
+        deg = v.degrees()
+        band = float((deg * (deg + 1)) @ (diff * diff))
+        return band + max(_psi_energy(t)[0] - float(ll @ (psi * psi)), 0.0)
+
 
 def _compose(u: HarmonicField, tau: ConformalMap) -> _Composition:
     rot, lam, frame = tau._cartan()
@@ -258,42 +280,44 @@ def transform(
     """Transport u along tau: project u(tau(w)) + psi(w) to band l_max.
 
     Works for reflect maps as well; the Jacobian (hence psi) is insensitive
-    to the reflection.  The projection's tail-energy fraction is that of
-    ``project_samples`` at band L2 = min(2 l_max, band_limit_exact), and is
-    gated by ``tail_threshold``.  Like ``project_samples``' estimate it omits
-    the energy above L2, so it under-reads a slowly decaying tail: band-6
-    fields of amplitude 0.5 transported to band 32 on build_grid(300) read
-    0.04363 at lambda = 20, where the exact tail is 0.08912, and 0.04574 at
-    lambda = 50, where it is 0.11691, so a tail above the threshold can pass.
+    to the reflection.  The tail-energy fraction is exact, as psi_field's:
+    the whole field's energy E comes in closed form (``_Composition.energy``),
+    and the tail is E less the kept energy, over E.  A tail energy at or
+    below the floor 1e-14 (E(u) + E_psi) + rho (2 sqrt(E) + rho) is rounding
+    and reads 0 (:func:`harmonics._exact_tail`), with rho = (l_max + 1)^2 eps
+    (1 + |mean(u)| + |c|), c psi's normalizer and 1 for the rounding of ln J.
+    Measured on tails that are rounding alone (isometries of bands 1-64 with
+    means up to 9, re-centering maps of random fields to bands 48 and 64),
+    the tail energy stays below 1.9e-14 (E(u) + E_psi) and 0.015 of the
+    floor; without the rho term psi of dilation(1 + 3e-13) reads a tail of
+    2.3e-5.  The fraction is gated by ``tail_threshold``.
 
     The projection runs in the dilation's frame, order by order, and is
     rotated back.  There v = u o R_U, of band L_v, is at a theta row
     A_0 + sum_m (A_m cos(m phi) + B_m sin(m phi)), with (A_m, B_m) v's
     order-m profiles at the dilated meridian (``_Composition.profiles``),
-    and psi(J) adds to A_0 alone.  ``analyze`` at band L2
+    and psi(J) adds to A_0 alone.  ``analyze`` at band l_max
     would sum these samples against cos(m phi) and sin(m phi); on
     ``phi_count`` uniform azimuths the sums are exactly phi_count (A_0, 0)
-    and phi_count/2 (A_m, B_m) once phi_count > L_v + L2, and 0 at orders
-    m > L_v.  So the sums come from the first min(L_v, L2) + 1 orders with
+    and phi_count/2 (A_m, B_m) once phi_count > L_v + l_max, and 0 at orders
+    m > L_v.  So the sums come from the first min(L_v, l_max) + 1 orders with
     no azimuth, and meet the theta contraction of ``analyze`` directly.  On
-    a grid with phi_count <= L_v + L2 the sampled projection aliases orders
+    a grid with phi_count <= L_v + l_max the sampled projection aliases orders
     m and phi_count - m into each other; this one does not.
     """
-    band = _tail_band(grid, l_max)
-    comp = _compose(u, tau)
+    if grid.band_limit_exact < l_max:
+        raise ValueError(f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}")
+    comp, e = _compose(u, tau), build_extremal(tau)
     profiles, jac = comp.profiles(grid)
-    sums = profiles[: min(comp.field.l_max, band) + 1]  # (m, part, theta)
-    sums[0, 0] += _psi_of_jacobian(build_extremal(tau), jac)
+    sums = profiles[: min(comp.field.l_max, l_max) + 1]  # (m, part, theta)
+    sums[0, 0] += _psi_of_jacobian(e, jac)
     sums *= grid.theta_weights / 4.0
     sums[0] *= 2.0
-    proj = _split_tail(_field_of_sums(sums, grid, band), l_max)
-    # the tail fraction is a ratio of per-degree energies, which the rotation keeps
-    proj = Projection(_rotated(proj.field, comp.frame), proj.tail_fraction)
-    if tail_threshold is not None and proj.tail_fraction > scaled(tail_threshold):
-        raise ConvergenceError(
-            f"transform tail energy fraction {proj.tail_fraction:.3e} exceeds threshold"
-        )
-    return proj
+    field = _rotated(_field_of_sums(sums, grid, l_max), comp.frame)
+    # each sample, and so each kept coefficient, rounds at about eps (1 + |mean(u)| + |c|)
+    noise = (l_max + 1) ** 2 * sys.float_info.epsilon * (1.0 + abs(u.mean()) + abs(e.normalizer))
+    scale = dirichlet_energy(u) + _psi_energy(math.log(comp.lam))[0]
+    return _exact_tail(field, comp.energy(), scale, noise, tail_threshold, "transform")
 
 
 def cg_bound_slack(

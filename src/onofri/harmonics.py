@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sphere import SphericalGrid, _azimuth_rows, unit_point
+from .config import scaled
+from .sphere import ConvergenceError, SphericalGrid, _azimuth_rows, unit_point
 
 __all__ = [
     "GridField",
@@ -222,10 +223,40 @@ class GridField:
 
 
 class Projection(NamedTuple):
-    """A band-limited field and its relative tail energy: exact from psi_field, estimated by project_samples."""
+    """A band-limited field and its relative tail energy: exact, to the floor of :func:`_exact_tail`,
+    from psi_field and transform, and estimated by project_samples."""
 
     field: HarmonicField
     tail_fraction: float
+
+
+_TAIL_FLOOR = 1e-14  # rounding of an energy sum, relative to the energies it is summed from
+
+
+def _exact_tail(
+    field: HarmonicField,
+    total: float,
+    scale: float,
+    noise: float,
+    tail_threshold: float | None,
+    what: str,
+) -> Projection:
+    """``field`` with its tail, the exact energy ``total`` less ``field``'s, as a fraction of ``total``.
+
+    ``scale`` is the sum of the energies ``total`` is summed from, which
+    round it by up to _TAIL_FLOOR * scale.  ``noise`` bounds the rounding of
+    ``field``'s coefficients in the gradient norm (0 for closed forms), which
+    moves their energy, at most ``total``, by up to noise (2 sqrt(total) +
+    noise).  A tail energy at or below the sum of the two is rounding and
+    reads 0.  A fraction above ``tail_threshold`` raises ConvergenceError
+    naming ``what``.
+    """
+    tail = total - dirichlet_energy(field)
+    floor = _TAIL_FLOOR * scale + noise * (2.0 * math.sqrt(total) + noise)
+    frac = tail / total if tail > floor else 0.0
+    if tail_threshold is not None and frac > scaled(tail_threshold):
+        raise ConvergenceError(f"{what} tail energy fraction {frac:.3e} exceeds threshold")
+    return Projection(field, frac)
 
 
 def synthesize(f: HarmonicField, grid: SphericalGrid) -> GridField:
@@ -657,25 +688,14 @@ def project_samples(
     against its exact 0.02722 (7% low).  Fields whose entire energy sits at rounding scale
     (e.g. the zero field, or ln J of an isometry) report a zero tail.
     """
-    band = _tail_band(grid, l_max)
-    return _split_tail(analyze(GridField(grid, samples), band), l_max)
-
-
-def _tail_band(grid: SphericalGrid, l_max: int) -> int:
-    """The band :func:`project_samples` analyzes at: min(2 l_max, band_limit_exact)."""
     if grid.band_limit_exact < l_max:
         raise ValueError(f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}")
-    return min(2 * l_max, grid.band_limit_exact)
-
-
-def _split_tail(wide: HarmonicField, l_max: int) -> Projection:
-    """``wide`` truncated to ``l_max``, with its degrees above as the tail of :func:`project_samples`."""
+    wide = analyze(GridField(grid, samples), min(2 * l_max, grid.band_limit_exact))
     l = wide.degrees()
     spectrum = l * (l + 1) * wide.coeffs**2
     total = float(np.sum(spectrum))
     tail = float(np.sum(spectrum[(l_max + 1) ** 2:]))
-    frac = tail / total if total > 1e-18 else 0.0
-    return Projection(wide.to_lmax(l_max), frac)
+    return Projection(wide.to_lmax(l_max), tail / total if total > 1e-18 else 0.0)
 
 
 def field_to_json(f: HarmonicField) -> str:

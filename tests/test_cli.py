@@ -178,6 +178,16 @@ def test_normalize_writes_field(capsys, random_field_file):
     assert np.linalg.norm(mom.moment / mom.mass) < 1e-4  # band-limited projection only
 
 
+def test_normalize_refuses_a_band_that_keeps_no_energy(tmp_path, capsys):
+    # a band-0 projection keeps none of the transported field's energy, so its tail is 1
+    path = tmp_path / "u.json"
+    path.write_text(field_to_json(random_field(np.random.default_rng(1), 8, 0.5)))
+    assert main(["--lmax", "0", "normalize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: transform tail energy fraction 1.000e+00 exceeds threshold\n"
+
+
 def test_normalize_method_flag_is_rejected(capsys, random_field_file):
     # normalize has one path, the closed form; the old switch is a usage error
     assert main(["normalize", random_field_file, "--method", "hybrid"]) == 2
