@@ -240,11 +240,7 @@ def build_extremal(tau: ConformalMap) -> Extremal:
 
 def psi_values(e: Extremal, points: np.ndarray) -> np.ndarray:
     """Exact samples of (3/4) ln J + c at arbitrary unit vectors."""
-    return _psi_of_jacobian(e, e.tau.jacobian(points))
-
-
-def _psi_of_jacobian(e: Extremal, jac: np.ndarray) -> np.ndarray:
-    return 0.75 * np.log(jac) + e.normalizer
+    return 0.75 * np.log(e.tau.jacobian(points)) + e.normalizer
 
 
 def psi_field(
@@ -262,7 +258,7 @@ def psi_field(
     if t > 0.0:
         coeffs = _g(l_max, t)[0][_layout(l_max).degrees] * _basis_point(b / t, l_max)
     coeffs[0] = e.normalizer - energy / 3.0
-    return _exact_tail(HarmonicField(l_max, coeffs), energy, energy, 0.0, tail_threshold, "psi")
+    return _exact_tail(HarmonicField(l_max, coeffs), energy, energy, tail_threshold, "psi")
 
 
 def sqrt_jacobian_residual(e: Extremal, grid: SphericalGrid) -> float:

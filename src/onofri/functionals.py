@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .extremals import _g, _psi_energy, _psi_of_jacobian, build_extremal
+from .extremals import _g, _psi_energy
 from .harmonics import (
     HarmonicField,
     Projection,
@@ -241,28 +241,29 @@ class _Composition(NamedTuple):
         return out, jac
 
     def energy(self) -> float:
-        """E(u o tau + psi_tau), with no quadrature.
+        """E(u o tau + psi_tau), with no quadrature (:meth:`closed_form`)."""
+        return self.closed_form(self.field.l_max)[1]
+
+    def closed_form(self, l_max: int) -> tuple[np.ndarray, float]:
+        """psi's zonal coefficients g_l(t) sqrt(2l + 1) at b = t e3, t = ln lam, for l <= l_max (at least
+        the field's band; 0 at lam = 1), and E(u o tau + psi_tau) from them, with no quadrature.
 
         The Dirichlet energy is conformally invariant, and psi_dilation(lam)
         composed with dilation(1/lam) is -psi_dilation(1/lam) up to a
         constant, so the energy is the gradient distance of the field to psi
-        at b = t e3, t = ln lam, summed as ``stability._distance`` sums it:
-        the non-negative band part, sum l(l+1)(c_lm - psi_lm)^2, plus psi's
-        energy beyond the band, clamped at 0.  psi there is zonal, psi_l0 =
-        g_l(t) sqrt(2l + 1).
+        at b = t e3, summed as ``stability._distance`` sums it: the
+        non-negative band part, sum l(l+1)(c_lm - psi_lm)^2, plus psi's
+        energy beyond the band, clamped at 0.
         """
-        v = self.field
-        if self.lam == 1.0:
-            return dirichlet_energy(v)
-        t = math.log(self.lam)
-        l = np.arange(v.l_max + 1)
-        ll = l * (l + 1)  # also the flat slots of the m = 0 coefficients
-        psi = _g(v.l_max, t)[0] * np.sqrt(2 * l + 1)
+        v, t = self.field, math.log(self.lam)
+        l = np.arange(l_max + 1)
+        psi = _g(l_max, t)[0] * np.sqrt(2 * l + 1) if t > 0.0 else np.zeros(l_max + 1)
+        ll, near = (l * (l + 1))[: v.l_max + 1], psi[: v.l_max + 1]  # ll: the flat slots of the m = 0 coefficients
         diff = v.coeffs.copy()
-        diff[ll] -= psi
+        diff[ll] -= near
         deg = v.degrees()
         band = float((deg * (deg + 1)) @ (diff * diff))
-        return band + max(_psi_energy(t)[0] - float(ll @ (psi * psi)), 0.0)
+        return psi, band + max(_psi_energy(t)[0] - float(ll @ (near * near)), 0.0)
 
 
 def _compose(u: HarmonicField, tau: ConformalMap) -> _Composition:
@@ -280,44 +281,42 @@ def transform(
     """Transport u along tau: project u(tau(w)) + psi(w) to band l_max.
 
     Works for reflect maps as well; the Jacobian (hence psi) is insensitive
-    to the reflection.  The tail-energy fraction is exact, as psi_field's:
-    the whole field's energy E comes in closed form (``_Composition.energy``),
-    and the tail is E less the kept energy, over E.  A tail energy at or
-    below the floor 1e-14 (E(u) + E_psi) + rho (2 sqrt(E) + rho) is rounding
-    and reads 0 (:func:`harmonics._exact_tail`), with rho = (l_max + 1)^2 eps
-    (1 + |mean(u)| + |c|), c psi's normalizer and 1 for the rounding of ln J.
-    Measured on tails that are rounding alone (isometries of bands 1-64 with
-    means up to 9, re-centering maps of random fields to bands 48 and 64),
-    the tail energy stays below 1.9e-14 (E(u) + E_psi) and 0.015 of the
-    floor; without the rho term psi of dilation(1 + 3e-13) reads a tail of
-    2.3e-5.  The fraction is gated by ``tail_threshold``.
+    to the reflection.  Only (u - mean(u)) o tau goes through quadrature;
+    mean(u) and psi_tau are added in closed form.  In the dilation's frame
+    psi_tau is psi of dilation(lam), zonal, as psi_field gives it: psi_l0 =
+    (-1)^l g_l(t) sqrt(2l + 1) and c_00 = -(1/2) ln cosh t - E_psi(t)/3,
+    t = ln lam, from the one ``_g`` call that also gives the whole field's
+    energy E (``_Composition.closed_form``).  So the tail-energy fraction is
+    exact, as psi_field's: E less the kept energy, over E; at or below
+    1e-14 (E(u) + E_psi) it is rounding and reads 0
+    (:func:`harmonics._exact_tail`).  It is gated by ``tail_threshold``.
 
-    The projection runs in the dilation's frame, order by order, and is
-    rotated back.  There v = u o R_U, of band L_v, is at a theta row
-    A_0 + sum_m (A_m cos(m phi) + B_m sin(m phi)), with (A_m, B_m) v's
-    order-m profiles at the dilated meridian (``_Composition.profiles``),
-    and psi(J) adds to A_0 alone.  ``analyze`` at band l_max
-    would sum these samples against cos(m phi) and sin(m phi); on
-    ``phi_count`` uniform azimuths the sums are exactly phi_count (A_0, 0)
-    and phi_count/2 (A_m, B_m) once phi_count > L_v + l_max, and 0 at orders
-    m > L_v.  So the sums come from the first min(L_v, l_max) + 1 orders with
-    no azimuth, and meet the theta contraction of ``analyze`` directly.  On
-    a grid with phi_count <= L_v + l_max the sampled projection aliases orders
-    m and phi_count - m into each other; this one does not.
+    The projection runs in the dilation's frame, order by order, and is rotated
+    back.  There v = (u - mean(u)) o R_U, of band L_v, is at a theta row A_0 +
+    sum_m (A_m cos(m phi) + B_m sin(m phi)), (A_m, B_m) v's order-m profiles at
+    the dilated meridian (``_Composition.profiles``).  On ``phi_count`` uniform
+    azimuths ``analyze``'s sums of these against cos(m phi) and sin(m phi) are
+    exactly phi_count (A_0, 0) and phi_count/2 (A_m, B_m) once phi_count > L_v +
+    l_max, and 0 at orders m > L_v: so the sums come from the first
+    min(L_v, l_max) + 1 orders with no azimuth, and meet ``analyze``'s theta
+    contraction directly.  Where phi_count <= L_v + l_max the sampled
+    projection aliases orders m and phi_count - m into each other; this one does not.
     """
     if grid.band_limit_exact < l_max:
         raise ValueError(f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}")
-    comp, e = _compose(u, tau), build_extremal(tau)
-    profiles, jac = comp.profiles(grid)
-    sums = profiles[: min(comp.field.l_max, l_max) + 1]  # (m, part, theta)
-    sums[0, 0] += _psi_of_jacobian(e, jac)
+    comp = _compose(HarmonicField(u.l_max, np.concatenate(([0.0], u.coeffs[1:]))), tau)
+    psi, total = comp.closed_form(max(comp.field.l_max, l_max))
+    sums = comp.profiles(grid)[0][: min(comp.field.l_max, l_max) + 1]  # (m, part, theta)
     sums *= grid.theta_weights / 4.0
     sums[0] *= 2.0
-    field = _rotated(_field_of_sums(sums, grid, l_max), comp.frame)
-    # each sample, and so each kept coefficient, rounds at about eps (1 + |mean(u)| + |c|)
-    noise = (l_max + 1) ** 2 * sys.float_info.epsilon * (1.0 + abs(u.mean()) + abs(e.normalizer))
-    scale = dirichlet_energy(u) + _psi_energy(math.log(comp.lam))[0]
-    return _exact_tail(field, comp.energy(), scale, noise, tail_threshold, "transform")
+    coeffs = _field_of_sums(sums, grid, l_max).coeffs.copy()
+    l = np.arange(l_max + 1)
+    coeffs[l * (l + 1)] += np.where(l % 2, -1.0, 1.0) * psi[: l_max + 1]
+    t = math.log(comp.lam)
+    energy = _psi_energy(t)[0]
+    coeffs[0] += u.mean() - 0.5 * math.log(math.cosh(t)) - energy / 3.0
+    field = _rotated(HarmonicField(l_max, coeffs), comp.frame)
+    return _exact_tail(field, total, dirichlet_energy(u) + energy, tail_threshold, "transform")
 
 
 def cg_bound_slack(

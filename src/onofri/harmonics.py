@@ -237,23 +237,18 @@ def _exact_tail(
     field: HarmonicField,
     total: float,
     scale: float,
-    noise: float,
     tail_threshold: float | None,
     what: str,
 ) -> Projection:
     """``field`` with its tail, the exact energy ``total`` less ``field``'s, as a fraction of ``total``.
 
     ``scale`` is the sum of the energies ``total`` is summed from, which
-    round it by up to _TAIL_FLOOR * scale.  ``noise`` bounds the rounding of
-    ``field``'s coefficients in the gradient norm (0 for closed forms), which
-    moves their energy, at most ``total``, by up to noise (2 sqrt(total) +
-    noise).  A tail energy at or below the sum of the two is rounding and
-    reads 0.  A fraction above ``tail_threshold`` raises ConvergenceError
-    naming ``what``.
+    round it by up to _TAIL_FLOOR * scale; a tail energy at or below that
+    floor is rounding and reads 0.  A fraction above ``tail_threshold``
+    raises ConvergenceError naming ``what``.
     """
     tail = total - dirichlet_energy(field)
-    floor = _TAIL_FLOOR * scale + noise * (2.0 * math.sqrt(total) + noise)
-    frac = tail / total if tail > floor else 0.0
+    frac = tail / total if tail > _TAIL_FLOOR * scale else 0.0
     if tail_threshold is not None and frac > scaled(tail_threshold):
         raise ConvergenceError(f"{what} tail energy fraction {frac:.3e} exceeds threshold")
     return Projection(field, frac)

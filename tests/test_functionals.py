@@ -23,7 +23,6 @@ from onofri import (
     rotation,
     transform,
 )
-from onofri.extremals import _psi_of_jacobian
 from onofri.functionals import _compose, _exp_moments
 from onofri.harmonics import _legendre_table, _rotated, _synthesis, project_samples, synthesize
 from onofri.mobius import _dilated_meridian
@@ -214,13 +213,27 @@ def test_transform_of_zero_is_psi(grid72):
     proj = psi_field(build_extremal(tau), 24, grid72)
     assert np.max(np.abs(moved.field.coeffs - proj.field.coeffs)) < 1e-10
     assert moved.tail_fraction == proj.tail_fraction
-    # at lambda = 20 the tail is real, and both read it exactly (on a grid whose
-    # quadrature of the kept coefficients is exact to rounding)
+    # at lambda = 20 the tail is real, and both read it exactly: psi is added in closed form, so
+    # no grid's quadrature of it enters
     tau = dilation(20.0)
-    moved = transform(HarmonicField.zero(2), tau, 24, build_grid(300), tail_threshold=None)
     proj = psi_field(build_extremal(tau), 24, tail_threshold=None)
     assert proj.tail_fraction > 1e-3
-    assert moved.tail_fraction == pytest.approx(proj.tail_fraction, rel=1e-7)
+    for n in (72, 300):
+        moved = transform(HarmonicField.zero(2), tau, 24, build_grid(n), tail_threshold=None)
+        assert moved.tail_fraction == pytest.approx(proj.tail_fraction, rel=1e-7)
+
+
+@pytest.mark.parametrize("lam", [10.0, 50.0])
+@pytest.mark.parametrize("n", [24, 48, 72])
+def test_transform_of_zero_is_psi_on_coarse_grids(lam, n):
+    # a quadrature of sampled ln J missed psi_field here by up to 2.7e-3 (lambda = 50, build_grid(24), band 8)
+    tau = dilation(lam)
+    for l_max in (8, 24, 32, 48, 72):
+        if l_max > n:
+            continue
+        moved = transform(HarmonicField.zero(2), tau, l_max, build_grid(n), tail_threshold=None)
+        proj = psi_field(build_extremal(tau), l_max, tail_threshold=None)
+        assert np.max(np.abs(moved.field.coeffs - proj.field.coeffs)) <= 1e-14
 
 
 def test_transform_keeps_no_energy_at_band_zero():
@@ -233,15 +246,32 @@ def test_transform_keeps_no_energy_at_band_zero():
 
 
 def test_transform_reads_no_tail_from_rounding(grid72):
-    # the samples round at about eps (1 + |mean|), the 1 for ln J, whatever the field's energy;
-    # near a constant field a floor of 1e-14 of the energies alone read that rounding as a tail
-    # and refused: 2.3e-5 for psi of dilation(1 + 3e-13), up to 3.2e-5 for these re-centered
-    # fields of amplitude 1e-12
+    # the coefficients of a field near a constant round at about eps (1 + |mean|) whatever its
+    # energy; psi comes in closed form, so neither it nor the mean adds rounding that a floor of
+    # 1e-14 of the energies would read as a tail
     assert transform(HarmonicField.zero(2), dilation(1.0 + 3e-13), 32, grid72).tail_fraction == 0.0
     rng = np.random.default_rng(0)
     for _ in range(10):
         u = random_field(rng, 8, 1e-12)
         assert transform(u, normalize(u).tau, 32, grid72).tail_fraction == 0.0
+    for _ in range(10):
+        u = random_field(rng, 8, 1e-12) + HarmonicField.constant(rng.uniform(-9.0, 9.0))
+        assert transform(u, normalize(u).tau, 32, grid72).tail_fraction == 0.0
+
+
+@pytest.mark.parametrize("seed, l_max", [(2, 48), (7, 32), (15, 32), (31, 32), (50, 32), (58, 48)])
+def test_transform_reads_a_small_real_tail(grid72, seed, l_max):
+    # re-centerings whose real tail is 1e-14 to 1e-12 of the energy, which a floor bounding the
+    # rounding of sampled psi read as 0; a band-140 projection on build_grid(300) is the reference
+    rng = np.random.default_rng(seed)
+    u = random_field(rng, 8, 1.0) + HarmonicField.constant(rng.uniform(-9.0, 9.0))
+    tau = normalize(u).tau
+    wide = transform(u, tau, 140, build_grid(300), tail_threshold=None).field
+    l = wide.degrees()
+    spectrum = l * (l + 1) * wide.coeffs**2
+    reference = spectrum[(l_max + 1) ** 2:].sum() / spectrum.sum()
+    assert 1e-14 < reference < 1e-12
+    assert transform(u, tau, l_max, grid72).tail_fraction == pytest.approx(reference, rel=0.1, abs=0.0)
 
 
 def test_composition_energy_matches_a_wide_transform(rng):
@@ -365,12 +395,14 @@ def test_report_json(rng):
 def _sampled_transform(u, tau, l_max, grid):
     # the path transform took before its per-order sums and Fourier profiles:
     # the composition's samples at every node from the recurrence's Legendre
-    # table at the dilated meridian, plus psi, projected by quadrature over
-    # every azimuth, and rotated back
+    # table at the dilated meridian, plus psi_field's closed form synthesized
+    # to the band of the tail estimate, projected by quadrature over every
+    # azimuth, and rotated back
     comp = _compose(u, tau)
-    t, s, jac = _dilated_meridian(comp.lam, grid.cos_theta)
+    t, s, _ = _dilated_meridian(comp.lam, grid.cos_theta)
     samples = _synthesis(comp.field._order_major @ _legendre_table(u.l_max, t, s), grid)
-    samples = samples + np.repeat(_psi_of_jacobian(build_extremal(tau), jac), grid.phi_count)
+    psi = psi_field(build_extremal(tau), min(2 * l_max, grid.band_limit_exact), tail_threshold=None).field
+    samples = samples + synthesize(_rotated(psi, comp.frame.T), grid).samples
     proj = project_samples(samples, grid, l_max)
     return _rotated(proj.field, comp.frame).coeffs, proj.tail_fraction
 
