@@ -252,6 +252,8 @@ def psi_field(
     """Band-limited coefficients of psi in closed form, with its exact tail-energy fraction
     (:func:`harmonics._exact_tail`: a tail energy at or below 1e-14 of psi's reads 0);
     ``grid`` is accepted for callers that pass one by position and is unused."""
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
     b = _ball_point(e.tau)
     t = math.hypot(*b)
     energy, coeffs = _psi_energy(t)[0], np.zeros((l_max + 1) ** 2)

@@ -162,8 +162,10 @@ def chang_gui_report(
     strictly positive for genuine measures (strict Cauchy-Schwarz since
     |w| = 1 and w is not constant); a non-positive value can only come from
     broken quadrature and raises too, as does a mass whose square overflows
-    (a mean of u above about 177).
+    (a mean of u above about 177).  A non-finite ``alpha`` raises ValueError.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     mom = exp_moments(u, policy)
     if mom.mass > _ROOT_MAX:
         raise ConvergenceError(f"Lorentzian quantity overflows: the mass of e^(2u) is {mom.mass:.3e}")
@@ -195,7 +197,9 @@ def chang_gui_value(
 def onofri_value(
     alpha: float, u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY
 ) -> float:
-    """The classical functional alpha*E + 2*mean - ln(int e^{2u})."""
+    """The classical functional alpha*E + 2*mean - ln(int e^{2u}); ValueError on a non-finite ``alpha``."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     mom = exp_moments(u, policy)
     return alpha * dirichlet_energy(u) + 2.0 * u.mean() - math.log(mom.mass)
 
@@ -229,12 +233,13 @@ class _Composition(NamedTuple):
         The image (x', s') and J come in closed form (:func:`mobius._dilated_meridian`), and the image
         colatitude is atan2(s', x').  The coefficients meet the theta-Fourier weights of P
         (:func:`harmonics._fourier_weights`) first, then cos(k theta) at even m and sin(k theta) at odd m:
-        three products and no Legendre table at the image.
+        three products and no Legendre table at the image.  The weights are the band-(L + 1) table that
+        the one-point rows of a band-L field read, cut to band L.
         """
         x, s, jac = _dilated_meridian(self.lam, grid.cos_theta)
-        field = self.field
-        series = field._order_major @ _fourier_weights(field.l_max)  # (m, part, k)
-        arg = np.arange(field.l_max + 1)[:, None] * np.arctan2(s, x)
+        field, n = self.field, self.field.l_max + 1
+        series = field._order_major @ _fourier_weights(n)[:n, :n, :n]  # (m, part, k)
+        arg = np.arange(n)[:, None] * np.arctan2(s, x)
         out = np.empty(series.shape[:2] + x.shape)
         out[0::2] = series[0::2] @ np.cos(arg)
         out[1::2] = series[1::2] @ np.sin(arg)
@@ -287,9 +292,12 @@ def transform(
     (-1)^l g_l(t) sqrt(2l + 1) and c_00 = -(1/2) ln cosh t - E_psi(t)/3,
     t = ln lam, from the one ``_g`` call that also gives the whole field's
     energy E (``_Composition.closed_form``).  So the tail-energy fraction is
-    exact, as psi_field's: E less the kept energy, over E; at or below
-    1e-14 (E(u) + E_psi) it is rounding and reads 0
-    (:func:`harmonics._exact_tail`).  It is gated by ``tail_threshold``.
+    E less the kept energy, over E; at or below 1e-14 (E(u) + E_psi) it is
+    rounding and reads 0 (:func:`harmonics._exact_tail`).  It is gated by
+    ``tail_threshold``.  E is exact, but the kept coefficients carry the
+    quadrature error of ``grid``, and so does the tail: a re-centered band-16
+    field of amplitude 3 (lam = 6.1) reads 0.3385 at band 32 on
+    build_grid(40), against 0.38869 on build_grid(150) and build_grid(300).
 
     The projection runs in the dilation's frame, order by order, and is rotated
     back.  There v = (u - mean(u)) o R_U, of band L_v, is at a theta row A_0 +
@@ -302,6 +310,8 @@ def transform(
     contraction directly.  Where phi_count <= L_v + l_max the sampled
     projection aliases orders m and phi_count - m into each other; this one does not.
     """
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
     if grid.band_limit_exact < l_max:
         raise ValueError(f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}")
     comp = _compose(HarmonicField(u.l_max, np.concatenate(([0.0], u.coeffs[1:]))), tau)
@@ -329,7 +339,7 @@ def cg_bound_slack(
     Analytically nonnegative for alpha >= 2/3; anything below about -1e-8
     indicates broken quadrature.
     """
-    if alpha < 2.0 / 3.0:
+    if not alpha >= 2.0 / 3.0:  # NaN fails the comparison
         raise ValueError("the lower bound requires alpha >= 2/3")
     report = chang_gui_report(alpha, u, policy)
     return report.value - (alpha - 2.0 / 3.0) * report.energy

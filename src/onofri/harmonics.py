@@ -288,6 +288,8 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
     (:func:`_field_of_sums`).
     """
     grid = g.grid
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
     if grid.band_limit_exact < l_max:
         raise ValueError(
             f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}"
@@ -317,7 +319,6 @@ def _field_of_sums(sums: np.ndarray, grid: SphericalGrid, l_max: int) -> Harmoni
 
 _POINT_BLOCK = 256  # points per Legendre table in evaluate_at
 _CAP = 0.01  # sin(theta) below which _legendre_point reads the cosine series of the polar caps
-_CROSSED = np.array([[0, 1], [1, 0]])  # p xor q of the point table's groups (p, q)
 
 
 def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
@@ -346,32 +347,28 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _quarter_d(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (flat, start): Wigner d^l(k, m)(pi/2), l_max >= l >= k >= m >= 0, at flat[start[k] +
-    m (l_max + 1 - k) + l - k], from the recursion of Trapani and Navaza (Acta Cryst. A 62 (2006) 262)
-    down in k for every degree at once; d(m, k) = (-1)^(k+m) d(k, m) gives the rest."""
+def _quarter_d(l_max: int) -> np.ndarray:
+    """Read-only d[k, m, l]: Wigner d^l(k, m)(pi/2) for l_max >= l >= k >= m >= 0, else 0, from the
+    recursion of Trapani and Navaza (Acta Cryst. A 62 (2006) 262) down in k for every degree at once;
+    d(m, k) = (-1)^(k+m) d(k, m) gives the rest."""
     n = l_max + 1
     l = np.arange(n)
-    start = np.cumsum([0, *((l + 1) * (n - l))])
-    flat = np.empty(start[-1])
-    rows = [flat[start[k] : start[k + 1]].reshape(k + 1, n - k) for k in l] + [np.empty((n + 1, 0))]
+    d = np.zeros((n + 1, n, n))  # the row k = n is the recursion's zero start
     # d(l, m) = (-1)^(l-m) 2^-l sqrt(binom(2l, l+m)): ratios from m = l down, the p-th in column l_max - l + p
     p = l - (l_max - l[:, None])
     ratio = np.where(p > 0, -np.sqrt((2 * l[:, None] - p + 1) / np.maximum(p, 1)), 1.0)
-    seed = l <= l[:, None]
-    flat[(start[:-1, None] + l * (n - l[:, None]))[seed]] = np.ldexp(np.cumprod(ratio, 1)[:, ::-1], -l[:, None])[seed]
+    d[l[:, None], l, l[:, None]] = np.ldexp(np.cumprod(ratio, 1)[:, ::-1], -l[:, None]) * (l <= l[:, None])
     # then down in k for every degree l > k: d(k, m) = a d(k+1, m) - b d(k+2, m) for m <= k,
     # a = 2m / sqrt(span), b = sqrt((l-k-1)(l+k+2) / span), span = (l-k)(l+k+1)
     k = l[:-1, None]
     span = np.maximum((l - k) * (l + k + 1), 1)  # 1 where l <= k, never read
     root, b = np.sqrt(span), np.sqrt(np.maximum((l - k - 1) * (l + k + 2), 0) / span)
     for k in range(l_max - 1, -1, -1):
-        row, m = rows[k], slice(k + 1)
-        row[:, 1:] = 2.0 * l[m, None] / root[k, k + 1 :] * rows[k + 1][m]
-        row[:, 2:] -= b[k, k + 2 :] * rows[k + 2][m]
-    flat.setflags(write=False)
-    start.setflags(write=False)
-    return flat, start
+        m, deg = slice(k + 1), slice(k + 1, n)
+        d[k, m, deg] = 2.0 * l[m, None] / root[k, deg] * d[k + 1, m, deg] - b[k, deg] * d[k + 2, m, deg]
+    d = d[:n]
+    d.setflags(write=False)
+    return d
 
 
 @functools.lru_cache(maxsize=8)  # 1.1 MB for band 32, 8.7 MB for band 64
@@ -384,7 +381,7 @@ def _turn_stack(l_max: int) -> np.ndarray:
     :func:`_quarter_d`, sampling no basis: at band l_max + 1, which the point rows share.
     """
     n = l_max + 1
-    flat, start = _quarter_d(n)
+    d = _quarter_d(n)
     # D = Z^T Y^T Z.  Z, of R_z(pi/2), sends slot mu to mu if even, to -mu if odd, with sign -1
     # at mu = 1, 2 mod 4.  Y, the real R_y(pi/2), keeps cosines (orders >= 0) and sines apart:
     # s_i s_j ((-1)^(i+j) + (-1)^l) d(i, j) between the cosines of orders i, j, s_0 = sqrt(1/2)
@@ -393,7 +390,7 @@ def _turn_stack(l_max: int) -> np.ndarray:
     mu = np.arange(-l_max, l_max + 1)
     i = np.abs(mu)
     hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
-    at = start[hi] + lo * (n + 1 - hi) - hi  # the place in flat of d(hi, lo) at degree 0; degree l adds l
+    at = (hi * (n + 1) + lo) * (n + 1)  # the place of d(hi, lo) at degree 0 in the flattened d; degree l adds l
     cosine = (mu >= 0) == (mu % 2 == 0)  # Z sends slot mu to a cosine
     sign, scale = (-1.0) ** (i[:, None] + i), np.where(i == 0, math.sqrt(0.5), 1.0)
     turn = np.where(mu % 4 < 2, 1.0, -1.0)  # the sign Z gives the slot it sends to mu
@@ -404,7 +401,7 @@ def _turn_stack(l_max: int) -> np.ndarray:
     stack = np.zeros((n, 2 * n - 1, 2 * n - 1))
     for l in range(n):
         block, centre = slice(2 * l + 1), slice(l_max - l, l_max + l + 1)
-        np.multiply(weights[l % 2][centre, centre], flat.take(at[centre, centre] + l), out=stack[l, block, block])
+        np.multiply(weights[l % 2][centre, centre], d.take(at[centre, centre] + l), out=stack[l, block, block])
     stack.setflags(write=False)
     return stack
 
@@ -457,112 +454,75 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
 
 
 @functools.lru_cache(maxsize=16)
-def _point_table(l_max: int) -> tuple[np.ndarray, ...]:
-    """Read-only (weights, freq, place, parity, orders, powers): one band's P(l, m) at a point.
-
-    P(l, m)(cos theta) = (-1)^m sqrt(2l+1) d^l(0, m)(theta); the Fourier form of d (McEwen and Wiaux,
-    IEEE Trans. Signal Process. 59 (2011) 5876, eq. 8) makes it 2 (-1)^ceil(m/2) sqrt(2l+1) times the sum
-    over k = l (mod 2) of d(k, 0) d(k, m)(pi/2) cos(k theta), halved at k = 0, at even m; sin at odd m.
-    Group (p, q) of ``weights`` holds the rows l = p, m = q (mod 2), column j is k = 2j - p (``freq`` =
-    i k); ``place`` finds each row (l, m) in the flattened groups, ``parity`` signs a group at -t.
-    """
-    n = l_max + 1
-    flat, start = _quarter_d(l_max)
-    l, m = np.tril_indices(n)
-    group = 2 * (l % 2) + m % 2
-    before = np.cumsum(group[:, None] == np.arange(4), axis=0)  # each group's rows so far
-    size = before[-1].max()
-    place = group * size + before[np.arange(l.size), group] - 1
-    rl, rm = np.zeros((2, 4, size), dtype=int)  # (l, m) of each group's rows, padded with (0, 0)
-    rl.flat[place], rm.flat[place] = l, m
-    # per parity p of l, tables over a degree or order i (axis 1) and column j, k = 2j - p
-    k = 2 * np.arange(n // 2 + 1) - np.arange(2)[:, None, None]
-    kk, i = np.maximum(k, 0), np.arange(n)[:, None]
-    hi, lo = np.maximum(kk, i), np.minimum(kk, i)
-    # where d(k, m) is in flat at degree 0, and in -flat after it where d(k, m) = -d(m, k)
-    base = start[hi] + lo * (n - hi) - hi + flat.size * ((kk < i) & ((kk + i) % 2 == 1))
-    d_k0 = np.where((k >= 0) & (k <= i), flat.take(start[kk] + i - kk), 0.0) * np.where(k == 0, 0.5, 1.0)
-    p = np.arange(4)[:, None] // 2
-    weights = np.concatenate((flat, -flat)).take(base[p, rm] + rl[..., None]) * d_k0[p, rl]
-    weights *= (np.where((rm + 1) // 2 % 2, -2.0, 2.0) * np.sqrt(2.0 * rl + 1.0))[..., None]
-    parity = np.array([1.0, -1.0, -1.0, 1.0]).reshape(2, 2, 1, 1)
-    table = weights.reshape(2, 2, size, -1), 1j * k[:, 0], place, parity, m, np.arange(n, dtype=float)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=16)
 def _fourier_weights(l_max: int) -> np.ndarray:
     """Read-only W[m, l, k], k = 0..l_max: P(l, m)(cos theta) = sum_k W[m, l, k] cos(k theta) at even m,
-    the same sum of sin(k theta) at odd m, for theta in [0, pi]; zero where l < m or k - l is odd.
-
-    The rows of :func:`_point_table` at band l_max + 1, which reads the d(pi/2) table of the band's
-    :func:`_turn_stack`, in one gather.
-    """
-    weights, _, place, _, _, _ = _point_table(l_max + 1)
-    m, l, k = np.ogrid[: l_max + 1, : l_max + 1, : l_max + 1]
-    p = l % 2  # group (p, q)'s column j is k = 2j - p
-    rows = weights.reshape(-1, weights.shape[-1])[place[l * (l + 1) // 2 + np.minimum(m, l)], (k + p) // 2]
-    table = np.where((m <= l) & (k % 2 == p), rows, 0.0)
+    the same sum of sin(k theta) at odd m, theta in [0, pi]; zero where l < m or k - l is odd.  The Fourier
+    form of Wigner's d (McEwen and Wiaux, IEEE Trans. Signal Process. 59 (2011) 5876, eq. 8) gives
+    W = 2 (-1)^ceil(m/2) sqrt(2l+1) d(k, 0) d(k, m), halved at k = 0, from :func:`_quarter_d`'s d(pi/2)."""
+    n, d = l_max + 1, _quarter_d(l_max)
+    m, l, k = np.ogrid[:n, :n, :n]
+    table = d[np.maximum(k, m), np.minimum(k, m), l] * d[k, 0, l]
+    table *= np.sqrt(2.0 * l + 1.0)
+    # d(k, m) = (-1)^(k+m) d(m, k) where k < m; the signs and the factors 2 are exact
+    table *= np.where(k < m, (-1.0) ** (k + m), 1.0) * (-1.0) ** ((m + 1) // 2) * np.where(k == 0, 1.0, 2.0)
     table.setflags(write=False)
     return table
 
 
 @functools.lru_cache(maxsize=16)
 def _cap_weights(l_max: int) -> np.ndarray:
-    """Read-only weights, in :func:`_point_table`'s groups, of P(l, m) / s^m as a sum of cos(k theta).
+    """Read-only C[m, l, k], k = 0..l_max: P(l, m)(cos theta) = s^m sum_k C[m, l, k] cos(k theta), C >= 0.
 
     P(l, m) = s^m c C(cos theta), C the Gegenbauer polynomial of index a = m + 1/2 and degree n = l - m.
     By its generating function |1 - r e^(i theta)|^(-2a), C = sum_j h(j) h(n-j) cos((n - 2j) theta) with
-    h(j) = (a)_j / j! > 0: no term cancels another as theta -> 0.  Group (p, q)'s k is 2j - (p xor q).
+    h(j) = (a)_j / j! > 0: no term cancels another as theta -> 0.
     """
-    weights, _, place, _, _, _ = _point_table(l_max)
-    rl, rm = np.zeros((2, 2, 2, weights.shape[2], 1), dtype=int)  # as in _point_table
-    rl.flat[place], rm.flat[place] = np.tril_indices(l_max + 1)
-    k = 2 * np.arange(weights.shape[-1]) - _CROSSED[..., None, None]
-    deg = rl - rm
-    j = np.clip((deg - k) // 2, 0, l_max)
+    n = l_max + 1
+    m, l, k = np.ogrid[:n, :n, :n]
     # h(j) of index m + 1/2 and 1 / binom(2m + j, j), cumulative products over j; with P(m, m) / s^m
     # = sqrt((2m+1) h(m) of index 1/2), c = sqrt((2l+1) h(m) of index 1/2 / binom(l+m, 2m))
-    i = np.arange(l_max + 1)
+    i = np.arange(n)
     steps = np.stack(((i[:, None] - 0.5 + i[1:]) / i[1:], i[1:] / (2 * i[:, None] + i[1:])))
-    h, ratio = np.cumprod(np.concatenate((np.ones((2, l_max + 1, 1)), steps), axis=2), axis=2)
-    cap = np.where((k >= 0) & (k <= deg), h[rm, j] * h[rm, deg - j], 0.0) * np.where(k > 0, 2.0, 1.0)
-    cap *= np.sqrt((2 * rl + 1) * h[0, rm] * ratio[rm, deg])
+    h, ratio = np.cumprod(np.concatenate((np.ones((2, n, 1)), steps), axis=2), axis=2)
+    # cos(k theta), k = deg - 2j, deg = l - m, has C's terms j and deg - j: h(j) h(deg - j) = half(deg - k)
+    # half(deg + k), half(2j) = h(j) and 0 at an odd or negative argument, so 0 where k > deg or k - deg is odd
+    half = np.zeros((n, 4 * n))
+    half[:, 2 * n :: 2] = h  # half(x) of index m + 1/2 at column 2n + x of row m
+    at = 4 * n * m + 2 * n + l - m
+    cap = half.take(at - k) * half.take(at + k)
+    cap *= np.sqrt((2 * l + 1) * h[0, m] * ratio[m, np.maximum(l - m, 0)])
+    cap[..., 1:] *= 2.0
     cap.setflags(write=False)
     return cap
 
 
 def _legendre_point(l_max: int, t: float, s: float) -> np.ndarray:
-    """P(l, m >= 0) at the single abscissa ``t`` with sine ``s``, rows (l, m) l ascending, then m.
+    """P(l, m) at the single abscissa ``t`` with sine ``s``, as (m, l) rows, zero where l < m.
 
-    theta = arccos |t|, rows signed (-1)^(l+m) at t < 0.  Where s >= 0.01 (``_CAP``) a row is its
-    trigonometric polynomial (:func:`_point_table`) times (s / sin theta)^m, which reads the sine as
-    ``s``; in the polar caps it is s^m times a cosine series of positive terms (:func:`_cap_weights`),
-    relatively accurate.  On 18,000 random points at band 65 the rows are within 3.5 (l + 1) eps
-    max(1, |P|), at most 5.1e-14, of a 50-digit recurrence at the same (t, s) (the tests hold them
-    to 4 (l + 1) eps); :func:`_legendre_table` errs by up to 1.55e-13, at band 65 for sin theta in (0.02, 0.1).
+    theta = arccos |t|, at t < 0 with the factors of pi - theta.  For s >= 0.01 (``_CAP``) the rows are
+    :func:`_fourier_weights` times cos(k theta) at even m, sin(k theta) at odd m, and (s / sin theta)^m,
+    which reads the sine as ``s``; in the polar caps, s^m times :func:`_cap_weights`' positive cosine
+    series, relatively accurate.  On two draws of 18,000 random points at band 65 they are within
+    3.4 (l + 1) eps max(1, |P|), at most 4.9e-14, of a 50-digit recurrence at the same (t, s).  The
+    products run over W's zeros too: 8, 17 and 83 us a call at bands 7, 33 and 65 (1 BLAS thread, 2 vCPUs).
     """
-    weights, freq, place, parity, orders, powers = _point_table(l_max)
     theta = math.acos(abs(t))
-    z = np.exp(freq * theta)  # cos(k theta) + i sin(k theta)
+    z = np.exp(1j * theta * np.arange(l_max + 1))  # cos(k theta) + i sin(k theta)
+    if t < 0.0:  # the same at pi - theta
+        z = z.conj() * (-1.0) ** np.arange(l_max + 1)
     if s < _CAP:
-        weights, ratio = _cap_weights(l_max), s
-        v = z.real[_CROSSED, :, None]  # cos(k theta), k = 2j - (p xor q)
+        rows, ratio = _cap_weights(l_max) @ z.real, s
     else:
-        ratio = s / math.sin(theta)
-        v = z.view(float).reshape(2, -1, 2).transpose(0, 2, 1)[..., None]  # (l parity, m parity, k, 1)
-    if t < 0.0:
-        v = v * parity
-    rows = (weights @ v).take(place)
-    return rows if ratio == 1.0 else rows * np.power(ratio, powers).take(orders)
+        weights = _fourier_weights(l_max)
+        rows, ratio = np.empty(weights.shape[:2]), s / math.sin(theta)
+        rows[0::2], rows[1::2] = weights[0::2] @ z.real, weights[1::2] @ z.imag
+    return rows if ratio == 1.0 else rows * np.power(ratio, np.arange(l_max + 1.0))[:, None]
 
 
 class _PointRows(NamedTuple):
     """Read-only map of one band's flat slots onto a band-(l_max + 1) table at one point."""
 
-    rows: np.ndarray     # (11, n): the table row of each term of the five quantities
+    rows: np.ndarray     # (11, n): each term's row |m| (l_max + 2) + l in the flattened (m, l) rows
     weights: np.ndarray  # (11, n): each term's weight, with the real-basis scale (1, else sqrt(2))
     terms: np.ndarray    # (5, 11): 1 where a term adds into a quantity
     trig: np.ndarray     # (2, n): each slot's azimuthal factor in the interleaved cos m phi, sin m phi,
@@ -605,7 +565,7 @@ def _point_rows(l_max: int) -> _PointRows:
         for dl, dm, weight in terms:
             # an order beyond the degree has weight 0, and its row is clipped into the table
             order = np.clip(m + dm, -(l + dl), l + dl)
-            rows.append((l + dl) * (l + dl + 1) / 2 + np.abs(order))
+            rows.append(np.abs(order) * (l_max + 2) + l + dl)
             weights.append(np.where(order == -1.0, -weight, weight))
             of.append(q)
     weights = np.array(weights) * np.where(m > 0, math.sqrt(2.0), 1.0)
@@ -649,7 +609,7 @@ def _harmonic_slopes(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     s = math.hypot(w[0], w[1])
     phi = math.atan2(w[1], w[0])
     point = _point_rows(l_max)
-    gathered = _legendre_point(l_max + 1, t, s)[point.rows]
+    gathered = _legendre_point(l_max + 1, t, s).take(point.rows)
     gathered *= point.weights
     slopes = point.terms @ gathered
     slopes *= np.exp(point.freq * phi).view(float)[point.trig].take(_TURNED, axis=0)

@@ -338,11 +338,19 @@ class RefinementPolicy:
     The first grid has ``max(min(25, theta_cap), min_band + 1)`` theta nodes;
     grids grow by ~1.5x in theta-node count per step (azimuths matched) until
     two successive values differ by less than ``rtol * (1 + |value|)`` in every
-    component, with a hard cap on theta nodes.
+    component, with a hard cap on theta nodes.  ``theta_cap`` is an integer >= 1
+    and ``rtol`` finite and > 0, else ValueError.
     """
 
     theta_cap: int = 512
     rtol: float = 1e-9
+
+    def __post_init__(self):
+        cap = self.theta_cap
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError(f"theta_cap must be an integer >= 1, got {cap!r}")
+        if not 0.0 < self.rtol < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"rtol must be finite and > 0, got {self.rtol!r}")
 
     def grids(self, min_band: int = 0) -> Iterator[SphericalGrid]:
         n = max(min(_START_THETA, self.theta_cap), min_band + 1)

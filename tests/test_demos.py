@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the current API, and no
-library module keeps an import it never uses."""
+"""Every demo script runs to completion against the current API, no
+library module keeps an import it never uses, and the library reads every
+private name it defines."""
 
 import ast
 import runpy
@@ -38,3 +39,28 @@ def test_library_modules_read_every_import():
                 exported.update(ast.literal_eval(node.value))
         stale += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read | exported]
     assert not stale, f"imported but never used: {', '.join(stale)}"
+
+
+def test_library_modules_read_every_private_name():
+    # a private module-level name (function, class or assignment) that no
+    # library module reads, imports or reaches as an attribute is dead code:
+    # tests and the bench reading it do not keep it alive
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "onofri").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defined.update((n, f"{path.name}:{node.lineno}") for n in names if n.startswith("_") and not n.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = [f"{where} {name}" for name, where in defined.items() if name not in read]
+    assert not unread, f"defined but never read: {', '.join(unread)}"

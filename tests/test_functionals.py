@@ -24,7 +24,7 @@ from onofri import (
     transform,
 )
 from onofri.functionals import _compose, _exp_moments
-from onofri.harmonics import _legendre_table, _rotated, _synthesis, project_samples, synthesize
+from onofri.harmonics import GridField, _legendre_table, _rotated, _synthesis, analyze, project_samples, synthesize
 from onofri.mobius import _dilated_meridian
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy, _make_grid, moments
@@ -351,6 +351,26 @@ def test_cg_bound_trivial():
     assert abs(cg_bound_slack(1.0, HarmonicField.zero(2))) < 1e-14
     with pytest.raises(ValueError):
         cg_bound_slack(0.5, HarmonicField.zero(2))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_raises(alpha):
+    # the bound's guard lets no NaN through, and neither functional takes a non-finite alpha
+    for func in (cg_bound_slack, chang_gui_report, onofri_value):
+        with pytest.raises(ValueError, match="alpha"):
+            func(alpha, HarmonicField.zero(2))
+
+
+def test_negative_band_raises(grid16):
+    # a band below 0 is refused by name, not by an IndexError or a reshape
+    calls = (
+        lambda: transform(HarmonicField.zero(2), dilation(2.0), -1, grid16),
+        lambda: psi_field(build_extremal(dilation(2.0)), -1),
+        lambda: analyze(GridField(grid16, np.zeros(grid16.node_count)), -1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^l_max must be >= 0, got -1$"):
+            call()
 
 
 def test_cg_bound_on_extremal(grid72):

@@ -508,19 +508,21 @@ def test_legendre_table_matches_pairwise_loop(rng):
 
 
 def _mp_legendre(l_max, points):
-    """The rows of _legendre_point at each (t, s) of ``points`` from _mp_basis at (s, 0, t).
+    """The (m, l) rows of _legendre_point at each (t, s) of ``points`` from _mp_basis at (s, 0, t), 0 where l < m.
 
     At azimuth 0 the real basis holds P(l, 0) and sqrt(2) P(l, m > 0).
     """
     l, m = np.tril_indices(l_max + 1)
     basis = _mp_basis(np.array([[s, 0.0, t] for t, s in points]), l_max)
-    return basis[:, l * l + l + m] / np.where(m > 0, math.sqrt(2.0), 1.0)
+    rows = np.zeros((len(points), l_max + 1, l_max + 1))
+    rows[:, m, l] = basis[:, l * l + l + m] / np.where(m > 0, math.sqrt(2.0), 1.0)
+    return rows
 
 
 def _legendre_point_bound(l_max):
-    # measured on 60 draws of 300 random points at band 65: up to 3.5 (l + 1) eps max(1, |P|)
-    l, _ = np.tril_indices(l_max + 1)
-    return 4 * (l + 1) * np.finfo(float).eps
+    # measured on 60 draws of 300 random points at band 65: up to 3.5 (l + 1) eps max(1, |P|);
+    # per column l of the (m, l) rows
+    return 4 * (np.arange(l_max + 1) + 1) * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 7, 33, 65])
@@ -533,27 +535,24 @@ def test_legendre_point_matches_table(rng, l_max):
     w /= np.linalg.norm(w, axis=1)[:, None]
     points = [(p[2], math.hypot(p[0], p[1])) for p in w]
     points += [(z * math.sqrt(1.0 - s * s), s) for s in (1e-9, 1e-200, 0.0) for z in (1.0, -1.0)]
-    l, m = np.tril_indices(l_max + 1)  # the point's rows
     bound = _legendre_point_bound(l_max)
     for (t, s), exact in zip(points, _mp_legendre(l_max, points)):
-        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[m, l, 0]
+        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[..., 0]  # (m, l)
         got = harmonics._legendre_point(l_max, t, s)
         assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
         assert np.all(np.abs(got - exact) <= bound * np.maximum(1.0, np.abs(exact)))
     for pole in (1.0, -1.0):
-        assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[m > 0] == 0.0)
+        assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[1:] == 0.0)  # the rows m > 0
 
 
 def test_point_tables_cached_and_read_only():
-    # the trigonometric table, the d(pi/2) rows it reads, the caps' cosine
-    # weights and the theta-Fourier weights of the band below are built once
-    # per band, and no call writes to them
-    table = harmonics._point_table(9)
-    assert harmonics._point_table(9) is table
+    # the theta-Fourier weights, the d(pi/2) rows they read and the caps'
+    # cosine weights are built once per band, and no call writes to them
+    table = harmonics._fourier_weights(9)
+    assert harmonics._fourier_weights(9) is table
     assert harmonics._quarter_d(9) is harmonics._quarter_d(9)
     assert harmonics._cap_weights(9) is harmonics._cap_weights(9)
-    assert harmonics._fourier_weights(8) is harmonics._fourier_weights(8)
-    arrays = [*table, *harmonics._quarter_d(9), harmonics._cap_weights(9), harmonics._fourier_weights(8)]
+    arrays = [table, harmonics._quarter_d(9), harmonics._cap_weights(9)]
     assert not any(arr.flags.writeable for arr in arrays)
     before = [arr.copy() for arr in arrays]
     for t, s in ((0.3, math.sqrt(0.91)), (-0.3, math.sqrt(0.91)), (0.99995, math.sqrt(0.0000999975)), (-1.0, 0.0)):
@@ -568,13 +567,13 @@ def test_legendre_point_across_the_cap(l_max):
     # recurrence at the same abscissa and sine, the rows m > 0 are exactly 0
     # at both poles, and inside the caps the rows m >= 1 keep their relative
     # accuracy
-    l, m = np.tril_indices(l_max + 1)
+    m = np.arange(l_max + 1)[:, None]  # the order of each (m, l) row
     cap = harmonics._CAP
     sines = (np.nextafter(cap, 0.0), cap - 1e-9, cap, np.nextafter(cap, 1.0), cap + 1e-9, 1e-5)
     points = [(z * math.sqrt(1.0 - s * s), s) for s in sines for z in (1.0, -1.0)]
     bound = _legendre_point_bound(l_max)
     for (t, s), exact in zip(points, _mp_legendre(l_max, points)):
-        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[m, l, 0]
+        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[..., 0]  # (m, l)
         got = harmonics._legendre_point(l_max, t, s)
         assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
         assert np.all(np.abs(got - exact) <= bound * np.maximum(1.0, np.abs(exact)))
@@ -582,7 +581,7 @@ def test_legendre_point_across_the_cap(l_max):
             low = (m > 0) & (np.abs(expect) > 1e-250)
             assert np.all(np.abs(got - expect)[low] <= 1e-12 * np.abs(expect[low]))
     for pole in (1.0, -1.0):
-        assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[m > 0] == 0.0)
+        assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[1:] == 0.0)
 
 
 def test_grid_table_keyed_on_abscissas(grid16, rng):
@@ -653,12 +652,10 @@ def test_composition_profiles_match_mpmath(grid72, rng):
     rows = np.linspace(0, grid72.theta_count - 1, 9).round().astype(int)
     for lam in (1 / 200, 1 / 50, 1.7, 6.0, 200.0):
         x, s, _ = _dilated_meridian(lam, grid72.cos_theta[rows])
-        exact = _mp_legendre(64, list(zip(x, s)))  # rows (l, m), l ascending: every band's first rows
+        exact = _mp_legendre(64, list(zip(x, s))).transpose(1, 2, 0)  # (m, l, point)
         for L in (8, 32, 64):
             u = random_field(rng, L, 0.5)
-            l, m = np.tril_indices(L + 1)
-            table = np.zeros((L + 1, L + 1, rows.size))
-            table[m, l] = exact[:, : l.size].T
+            table = exact[: L + 1, : L + 1]
             got = _Composition(u, lam, np.eye(3)).profiles(grid72)[0][..., rows]
             assert np.max(np.abs(got - u._order_major @ table)) <= 1e-14 * np.sum(np.abs(u.coeffs))
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from onofri import (
     synthesize,
     unit_point,
 )
-from onofri.sphere import ConvergenceError, RefinementPolicy, SphericalGrid, _leggauss, _make_grid, _node
+from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy, SphericalGrid, _leggauss, _make_grid, _node
 
 
 def test_stereo_project_examples():
@@ -265,6 +266,20 @@ def test_refinement_policy_growth_and_cap():
         starved.refine(lambda g: integrate(g, np.exp(g.nodes[:, 2])), "the integral")
     with pytest.raises(ConvergenceError, match="^the integral has no grid: theta cap 2 is below the 3 theta rows that band 2 needs$"):
         RefinementPolicy(theta_cap=2).refine(lambda g: integrate(g, g.nodes[:, 2]), "the integral", min_band=2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("theta_cap", 0), ("theta_cap", -3), ("theta_cap", 2.0), ("theta_cap", True),
+     ("rtol", math.nan), ("rtol", 0.0), ("rtol", -1.0), ("rtol", math.inf)],
+)
+def test_refinement_policy_checks_its_fields(field, value):
+    # a policy with no grid, or whose rtol no two grids can meet, is refused when it
+    # is built and names the field, also through dataclasses.replace (normalize's _tight)
+    for build in (RefinementPolicy, lambda **kw: replace(DEFAULT_POLICY, **kw)):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build(**{field: value})
+    assert RefinementPolicy(theta_cap=np.int64(9)).theta_cap == 9
 
 
 @pytest.mark.parametrize("band", [0, 6, 33, 72])
