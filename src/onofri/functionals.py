@@ -30,6 +30,7 @@ from .harmonics import (
     _exact_tail,
     _field_of_sums,
     _fourier_weights,
+    _layout,
     _rotated,
     _synthesis,
     dirichlet_energy,
@@ -41,7 +42,6 @@ from .sphere import (
     ConvergenceError,
     RefinementPolicy,
     SphericalGrid,
-    moments,
 )
 
 __all__ = [
@@ -94,43 +94,45 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
 
 
 @functools.lru_cache(maxsize=4)
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite mass raises instead
 def _exp_moments(l_max: int, coeffs: bytes, policy: RefinementPolicy) -> ExpMoments:
     # 2u, one field for every step: its order-major coefficients are built
     # once, and doubling is exact, so each step's exponent is
     # 2 * (synthesize(u, g).samples - mean) bit for bit
     twice = HarmonicField(l_max, 2.0 * np.frombuffer(coeffs))
     shift = twice.mean()  # 2 mean(u)
-    last = []  # the values on the last two grids
+    values = []  # the value on every grid so far
 
     def func(g: SphericalGrid) -> np.ndarray:
-        f = synthesize(twice, g).samples  # a new array, exponentiated in place
+        # a new array, exponentiated in place, whose shape synthesize has checked
+        f = synthesize(twice, g).samples.reshape(g.theta_count, -1)
         f -= shift
         np.exp(f, out=f)
-        value = moments(g, f)
-        if not np.isfinite(value[0]):
+        value = g._moment_constants.moments(f)
+        if not math.isfinite(value[0]):
             raise ConvergenceError(
                 f"exponential moments are not finite on the grid of {g.theta_count} theta rows: "
                 "e^(2(u - mean)) overflows"
             )
-        last[:] = [*last[-1:], value]
+        values.append(value)
         return value
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass raises instead
-        v, grid = policy.refine(func, "exponential moments", min_band=l_max)
-        # |moment| <= mass, so the moments are finite wherever the mass is
-        try:
-            scale = math.exp(shift)
-        except OverflowError:
-            scale = math.inf
-        v = v * scale
-        delta = (last[1] - last[0]) * scale
-    if not math.isfinite(v[0]):
+    v, grid = policy.refine(func, "exponential moments", min_band=l_max)
+    # |moment| <= mass, so the moments are finite wherever the mass is
+    try:
+        scale = math.exp(shift)
+    except OverflowError:
+        scale = math.inf
+    v = v * scale
+    delta = (values[-1] - values[-2]) * scale
+    mass = float(v[0])
+    if not math.isfinite(mass):
         raise ConvergenceError(
             f"exponential moments are not finite: e^(2u) overflows at mean(u) = {shift / 2.0:.6g}"
         )
     v.setflags(write=False)
     delta.setflags(write=False)
-    return ExpMoments(float(v[0]), v[1:], grid, delta)
+    return ExpMoments(mass, v[1:], grid, delta)
 
 
 @dataclass(frozen=True)
@@ -266,8 +268,7 @@ class _Composition(NamedTuple):
         ll, near = (l * (l + 1))[: v.l_max + 1], psi[: v.l_max + 1]  # ll: the flat slots of the m = 0 coefficients
         diff = v.coeffs.copy()
         diff[ll] -= near
-        deg = v.degrees()
-        band = float((deg * (deg + 1)) @ (diff * diff))
+        band = float(_layout(v.l_max).ll @ (diff * diff))
         return psi, band + max(_psi_energy(t)[0] - float(ll @ (near * near)), 0.0)
 
 

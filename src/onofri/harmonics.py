@@ -94,7 +94,7 @@ def _grid_table(l_max: int, cos_theta: bytes) -> np.ndarray:
 
 class _Layout(NamedTuple):
     """Read-only per-slot arrays of one band: its map into order-major (m, part, l) arrays,
-    c(l, -m) in part 1, and the places :func:`_rotated` reads."""
+    c(l, -m) in part 1, the places :func:`_rotated` reads, and l(l + 1)."""
 
     degrees: np.ndarray  # degree l of each flat slot
     slots: np.ndarray    # per flat slot: its index in a flattened (l_max+1, 2, l_max+1) array
@@ -102,6 +102,7 @@ class _Layout(NamedTuple):
     signed: np.ndarray   # per flat slot: its signed order m
     swap: np.ndarray     # per flat slot: the slot of (l, -m)
     places: np.ndarray   # per flat slot: row l, column l + m of a flattened (l_max+1, 2 l_max+1) array
+    ll: np.ndarray       # per flat slot: l(l + 1), the eigenvalue of -Laplacian, as a float
 
 
 @functools.lru_cache(maxsize=16)
@@ -112,9 +113,8 @@ def _layout(l_max: int) -> _Layout:
     m = np.abs(signed)
     slots = (2 * m + (signed < 0)) * (l_max + 1) + degrees
     places = degrees * (2 * l_max + 1) + degrees + signed
-    layout = _Layout(
-        degrees, slots, np.where(m == 0, 1.0, math.sqrt(2.0)), signed, index - 2 * signed, places
-    )
+    scale = np.where(m == 0, 1.0, math.sqrt(2.0))
+    layout = _Layout(degrees, slots, scale, signed, index - 2 * signed, places, degrees * (degrees + 1.0))
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -260,7 +260,7 @@ def synthesize(f: HarmonicField, grid: SphericalGrid) -> GridField:
         raise ValueError(
             f"grid resolves band {grid.band_limit_exact} < field l_max {f.l_max}"
         )
-    table = _grid_table(f.l_max, grid.cos_theta.tobytes())
+    table = _grid_table(f.l_max, grid._table_keys[0])
     return GridField(grid, _synthesis(f._order_major @ table, grid))
 
 
@@ -274,7 +274,7 @@ def _synthesis(profiles: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     profiles.  B[0] is zero and meets sin(0 phi) = 0.  Read as rows (A[0],
     B[0], A[1], ...), they meet the interleaved azimuth rows in one product.
     """
-    rows = _azimuth_rows(profiles.shape[0] - 1, grid.phi.tobytes())
+    rows = _azimuth_rows(profiles.shape[0] - 1, grid._table_keys[1])
     return (profiles.reshape(-1, profiles.shape[-1]).T @ rows).reshape(-1)
 
 
@@ -295,7 +295,7 @@ def analyze(g: GridField, l_max: int) -> HarmonicField:
             f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}"
         )
     f2d = g.samples.reshape(grid.theta_count, grid.phi_count)
-    rows = _azimuth_rows(l_max, grid.phi.tobytes())
+    rows = _azimuth_rows(l_max, grid._table_keys[1])
     wt = grid.theta_weights / (2.0 * grid.phi_count)
     return _field_of_sums(wt * (rows @ f2d.T).reshape(l_max + 1, 2, -1), grid, l_max)
 
@@ -312,7 +312,7 @@ def _field_of_sums(sums: np.ndarray, grid: SphericalGrid, l_max: int) -> Harmoni
     lay = _layout(l_max)
     k = sums.shape[0]
     by_order = np.zeros((l_max + 1, 2, l_max + 1))
-    table = _grid_table(l_max, grid.cos_theta.tobytes())
+    table = _grid_table(l_max, grid._table_keys[0])
     np.matmul(sums, table[:k].transpose(0, 2, 1), out=by_order[:k])
     return HarmonicField(l_max, lay.scale * by_order.reshape(-1)[lay.slots])
 
@@ -619,15 +619,13 @@ def _harmonic_slopes(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dirichlet_energy(f: HarmonicField) -> float:
-    """Exact gradient energy: sum over (l, m) of l(l+1) c_lm^2."""
-    l = f.degrees()
-    return float(np.sum(l * (l + 1) * f.coeffs**2))
+    """Exact gradient energy: sum over (l, m) of l(l+1) c_lm^2, summed pairwise as ``np.sum`` sums it."""
+    return float((_layout(f.l_max).ll * (f.coeffs * f.coeffs)).sum())
 
 
 def laplacian(f: HarmonicField) -> HarmonicField:
     """Spectral Laplace-Beltrami operator: multiply each coefficient by -l(l+1)."""
-    l = f.degrees()
-    return HarmonicField(f.l_max, -l * (l + 1) * f.coeffs)
+    return HarmonicField(f.l_max, -_layout(f.l_max).ll * f.coeffs)
 
 
 def project_samples(
@@ -646,8 +644,7 @@ def project_samples(
     if grid.band_limit_exact < l_max:
         raise ValueError(f"grid resolves band {grid.band_limit_exact} < requested l_max {l_max}")
     wide = analyze(GridField(grid, samples), min(2 * l_max, grid.band_limit_exact))
-    l = wide.degrees()
-    spectrum = l * (l + 1) * wide.coeffs**2
+    spectrum = _layout(wide.l_max).ll * wide.coeffs**2
     total = float(np.sum(spectrum))
     tail = float(np.sum(spectrum[(l_max + 1) ** 2:]))
     return Projection(wide.to_lmax(l_max), tail / total if total > 1e-18 else 0.0)

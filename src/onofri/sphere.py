@@ -183,6 +183,11 @@ class SphericalGrid:
         return w / w.sum()
 
     @functools.cached_property
+    def _table_keys(self) -> tuple[bytes, bytes]:
+        """The bytes of the abscissas and azimuths, made once with their hashes: the keys of their tables."""
+        return self.cos_theta.tobytes(), self.phi.tobytes()
+
+    @functools.cached_property
     def _moment_constants(self) -> "_MomentConstants":
         """This grid's read-only constants of :func:`moments`, built on first use.
 
@@ -191,11 +196,11 @@ class SphericalGrid:
         """
         t = self.cos_theta
         s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-        rows = _azimuth_rows(1, self.phi.tobytes())[[0, 2, 3]]
+        rows = _azimuth_rows(1, self._table_keys[1])[[0, 2, 3]]
         weights = self.theta_weights[:, None] * np.stack([np.ones_like(t), s, t], axis=1)
         rows.setflags(write=False)
         weights.setflags(write=False)
-        total = _moment_sums(rows, weights, np.ones((self.theta_count, self.phi_count)))[0, 0]
+        total = _MomentConstants(rows, weights, 1.0).moments(np.ones((self.theta_count, self.phi_count)))[0]
         return _MomentConstants(rows, weights, float(total))
 
     def descriptor(self) -> dict:
@@ -289,10 +294,11 @@ class _MomentConstants(NamedTuple):
     weights: np.ndarray  # (theta_count, 3): theta weights times 1, sin(theta), cos(theta)
     total: float         # the total weight: the mass of the constant 1 by the same products
 
-
-def _moment_sums(rows: np.ndarray, weights: np.ndarray, f2d: np.ndarray) -> np.ndarray:
-    # (3, 3): entry (i, j) sums f against azimuth row i (a mean over phi) and theta column j
-    return ((rows @ f2d.T) / f2d.shape[1]) @ weights
+    def moments(self, f2d: np.ndarray) -> np.ndarray:
+        """The moment 4-vector of samples laid out (theta row, azimuth), unchecked: see :func:`moments`."""
+        # (3, 3): entry (i, j) sums f against azimuth row i (a mean over phi) and theta column j
+        sums = ((self.rows @ f2d.T) / f2d.shape[1]) @ self.weights
+        return sums.take(_MOMENT_ENTRIES) / self.total
 
 
 _MOMENT_ENTRIES = np.array([0, 4, 7, 2])  # flat (row, column) of mass, w1, w2, w3: 1-1, cos-sin, sin-sin, 1-cos
@@ -322,9 +328,7 @@ def moments(grid: SphericalGrid, samples) -> np.ndarray:
     f = np.asarray(samples, dtype=float)
     if f.shape != (grid.node_count,):
         raise ValueError(f"sample shape {f.shape} != ({grid.node_count},) nodes")
-    c = grid._moment_constants
-    sums = _moment_sums(c.rows, c.weights, f.reshape(grid.theta_count, grid.phi_count))
-    return sums.take(_MOMENT_ENTRIES) / c.total
+    return grid._moment_constants.moments(f.reshape(grid.theta_count, grid.phi_count))
 
 
 _START_THETA = 25
@@ -337,8 +341,10 @@ class RefinementPolicy:
 
     The first grid has ``max(min(25, theta_cap), min_band + 1)`` theta nodes;
     grids grow by ~1.5x in theta-node count per step (azimuths matched) until
-    two successive values differ by less than ``rtol * (1 + |value|)`` in every
-    component, with a hard cap on theta nodes.  ``theta_cap`` is an integer >= 1
+    two successive values v and p have max_i |v_i - p_i| < ``rtol`` * (1 +
+    max_i |v_i|): the largest change, relative to the largest component, so a
+    small component need not settle to its own relative tolerance.  There is
+    a hard cap on theta nodes.  ``theta_cap`` is an integer >= 1
     and ``rtol`` finite and > 0, else ValueError.
     """
 
@@ -371,8 +377,11 @@ class RefinementPolicy:
         for grid in self.grids(min_band):
             value = np.atleast_1d(np.asarray(func(grid), dtype=float))
             if prev is not None and prev.shape == value.shape:
-                delta = np.max(np.abs(value - prev))
-                if delta < self.rtol * (1.0 + np.max(np.abs(value))):
+                # on Python floats: a value has a handful of components, and numpy's
+                # per-call cost is most of the test; a NaN anywhere fails it
+                v, p = value.ravel().tolist(), prev.ravel().tolist()
+                tol = self.rtol * (1.0 + max(map(abs, v)))
+                if all(abs(a - b) < tol for a, b in zip(v, p)):
                     return value, grid
             prev = value
         if prev is None:

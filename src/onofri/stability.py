@@ -157,9 +157,9 @@ def _hessian_at_zero(c: np.ndarray, l_max: int) -> np.ndarray:
 def _degree_weights(l_max: int) -> tuple[np.ndarray, ...]:
     """Read-only weights of d at one band: each slot's degree, l(l+1) per degree and per slot,
     and (2l + 1) l(l+1) per degree."""
-    deg = _layout(l_max).degrees
+    lay = _layout(l_max)
     ll = np.arange(l_max + 1) * np.arange(1.0, l_max + 2)
-    weights = deg, ll, ll[deg], ll * (2 * np.arange(l_max + 1) + 1)
+    weights = lay.degrees, ll, lay.ll, ll * (2 * np.arange(l_max + 1) + 1)
     for arr in weights:
         arr.setflags(write=False)
     return weights
@@ -309,7 +309,7 @@ def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid, bar: float 
     bounds = np.sqrt((2 * np.arange(l_max + 1) + 1) * np.bincount(deg, target * target, l_max + 1))
     reach = 2.0 * (weights @ bounds[1:])
     floor = psi_energy - reach - _SCAN_MARGIN * (1.0 + reach)
-    table = _grid_table(l_max, grid.cos_theta.tobytes())
+    table = _grid_table(l_max, grid._table_keys[0])
     best, found, scanned = bar, (-1, 0), 0  # t index -1: no node below the bar
     for i in np.argsort(floor, kind="stable"):
         if floor[i] >= best:

@@ -23,6 +23,7 @@ from onofri import (
     rotation,
     transform,
 )
+from onofri import functionals
 from onofri.functionals import _compose, _exp_moments
 from onofri.harmonics import GridField, _legendre_table, _rotated, _synthesis, analyze, project_samples, synthesize
 from onofri.mobius import _dilated_meridian
@@ -155,9 +156,40 @@ def test_exp_moments_step_matches_synthesize(monkeypatch, band, rng):
             assert len(steps) == len(list(DEFAULT_POLICY.grids(band)))
             for grid, got in steps:
                 ref = moments(grid, np.exp(2.0 * (synthesize(u, grid).samples - u.mean())))
-                assert np.max(np.abs(got - ref)) <= 1e-15 * ref[0]
+                assert np.array_equal(got, ref)
     finally:
         _exp_moments.cache_clear()  # keep no moments of the stubbed refinement
+
+
+def test_exp_moments_runs_through_synthesize_and_refine(monkeypatch, rng):
+    # the benchmark's tracer times exp_moments' layers by wrapping the public
+    # synthesize and RefinementPolicy.refine: one refine call per quadrature
+    # the memo misses, and one synthesize call per grid of its ladder
+    ladders, synthesized = [], []
+    synth, refine = functionals.synthesize, RefinementPolicy.refine
+
+    def counted_synthesize(f, grid):
+        synthesized.append(grid)
+        return synth(f, grid)
+
+    def counted_refine(self, func, what, min_band=0):
+        ladders.append([])
+        return refine(self, lambda g: ladders[-1].append(g) or func(g), what, min_band)
+
+    monkeypatch.setattr(functionals, "synthesize", counted_synthesize)
+    monkeypatch.setattr(RefinementPolicy, "refine", counted_refine)
+    _exp_moments.cache_clear()
+    try:
+        fields = [random_field(rng, band, amplitude) for band, amplitude in [(0, 1.0), (8, 0.25), (16, 3.0)]]
+        for u in fields:  # one evaluate item each: the classical functional reads the memo
+            chang_gui_report(2.0 / 3.0, u)
+            onofri_value(2.0 / 3.0, u)
+        assert len(ladders) == len(fields)
+        steps = [g for ladder in ladders for g in ladder]
+        assert len(steps) > 2 * len(fields)
+        assert len(synthesized) == len(steps) and all(a is b for a, b in zip(synthesized, steps))
+    finally:
+        _exp_moments.cache_clear()  # keep no moments of the counted refinement
 
 
 def test_exp_moments_overflow_fails_at_once(refine_calls):

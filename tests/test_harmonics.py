@@ -141,6 +141,19 @@ def test_dirichlet_energy_examples():
     assert abs(dirichlet_energy(shifted) - 2.0 / 3.0) < 1e-15
 
 
+@pytest.mark.parametrize("band", [0, 1, 2, 5, 8, 16, 32, 64])
+def test_dirichlet_energy_and_laplacian_read_l_l_plus_1_exactly(band):
+    # the per-slot l(l + 1) table gives the plain formula's sum bit for bit,
+    # summed in the same pairwise order, and the Laplacian's values
+    rng = np.random.default_rng(band)
+    l = np.repeat(np.arange(band + 1), 2 * np.arange(band + 1) + 1)
+    for amplitude in np.geomspace(1e-3, 100.0, 6):
+        for _ in range(6):
+            f = random_field(rng, band, amplitude)
+            assert dirichlet_energy(f) == float(np.sum(l * (l + 1) * f.coeffs**2))
+            assert np.array_equal(laplacian(f).coeffs, -l * (l + 1) * f.coeffs)
+
+
 def finite_difference_energy(u, grid, h=1e-4):
     # central differences along two orthonormal tangent directions;
     # geodesic steps keep the probe on the sphere

@@ -268,6 +268,26 @@ def test_refinement_policy_growth_and_cap():
         RefinementPolicy(theta_cap=2).refine(lambda g: integrate(g, g.nodes[:, 2]), "the integral", min_band=2)
 
 
+def test_refine_stops_on_the_largest_change_against_the_largest_component():
+    # max_i |v_i - p_i| < rtol (1 + max_i |v_i|): the small component moves by
+    # 1.5e-9, above its own rtol (1 + 0.001), under rtol (1 + 1000)
+    p, v = np.array([1000.0, 0.001]), np.array([1000.0, 0.001 + 1.5e-9])
+    assert not np.all(np.abs(v - p) < 1e-9 * (1.0 + np.abs(v)))  # a per-component rule goes on
+    for values, stop in [([p, v, v], 2), ([p, p + [2e-6, 0.0], p + [2e-6, 0.0]], 3)]:
+        seen = []
+
+        def func(g):
+            seen.append(g)
+            return values[len(seen) - 1]
+
+        value, grid = RefinementPolicy().refine(func, "stub")
+        assert len(seen) == stop and grid is seen[-1]
+        assert np.array_equal(value, values[stop - 1])
+    # a NaN in any component, also after the first, never passes the test
+    with pytest.raises(ConvergenceError, match="theta cap 60"):
+        RefinementPolicy(theta_cap=60).refine(lambda g: np.array([1.0, math.nan]), "stub")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("theta_cap", 0), ("theta_cap", -3), ("theta_cap", 2.0), ("theta_cap", True),

@@ -31,7 +31,7 @@ from onofri import stability
 from onofri.extremals import _psi_energy
 from onofri.harmonics import _by_order, _grid_table, _layout, _synthesis, project_samples, synthesize
 from onofri.sampling import random_conformal, random_field, random_rotation
-from onofri.sphere import SphericalGrid
+from onofri.sphere import ConvergenceError, SphericalGrid
 from onofri.stability import (
     _SCAN_T,
     _ball_of,
@@ -219,6 +219,24 @@ def test_stability_report_json(rng):
     }
     assert 0 <= d["trace"]["distance"]["scanned"] <= _SCAN_T.size
     assert d["trace"]["distance"]["start"] in {"degree-1", "scan", "origin"}
+
+
+@pytest.mark.parametrize("slack, converged, raises", [(-1e-6, True, True), (-1e-9, True, False), (-1e-6, False, False)])
+def test_a_converged_violation_of_the_certificate_raises(monkeypatch, grid48, slack, converged, raises):
+    # slack = deficit - distance / 6 below -1e-8 on a converged search contradicts
+    # the bound and raises; a slack within it, or an unconverged search, reports
+    monkeypatch.delenv("ONOFRI_TOL_SCALE", raising=False)
+    u = random_field(np.random.default_rng(3), 4, 0.3)
+    deficit = chang_gui_report(2.0 / 3.0, u).value
+    found = stability.DistanceResult(
+        6.0 * (deficit - slack), ManifoldPoint(0.0, 0.0, 0.0), converged, 1, 0.0, 0.0, 0, 0.0, "origin"
+    )
+    monkeypatch.setattr(stability, "distance_to_manifold", lambda u, l_max, grid: found)
+    if raises:
+        with pytest.raises(ConvergenceError, match="^stability certificate violated on a converged run"):
+            stability_check(u, grid=grid48)
+    else:
+        assert stability_check(u, grid=grid48).slack == pytest.approx(slack, rel=1e-6)
 
 
 def test_stability_far_out_extremal(grid72):
