@@ -29,8 +29,8 @@ from .harmonics import (
     Projection,
     _exact_tail,
     _field_of_sums,
-    _fourier_weights,
     _layout,
+    _profiles,
     _rotated,
     _synthesis,
     dirichlet_energy,
@@ -80,7 +80,8 @@ def exp_moments(u: HarmonicField, policy: RefinementPolicy = DEFAULT_POLICY) -> 
     at least 1 by Jensen, so that tolerance is relative however small e^{2u} is.
     Raises ConvergenceError if the values are still moving at the theta cap,
     at once, naming the grid, if the mass of e^{2(u - mean)} on a grid is
-    not finite, and naming the mean if e^{2 mean(u)} times that mass is not.
+    not finite, naming the mean if e^{2 mean(u)} times that mass is not, and
+    naming the overflow if 2u has a coefficient beyond the largest float.
 
     The result is kept under the key (u.l_max, the bytes of u.coeffs, policy),
     for the last 4 keys: a second call with an equal field and an equal policy
@@ -99,7 +100,13 @@ def _exp_moments(l_max: int, coeffs: bytes, policy: RefinementPolicy) -> ExpMome
     # 2u, one field for every step: its order-major coefficients are built
     # once, and doubling is exact, so each step's exponent is
     # 2 * (synthesize(u, g).samples - mean) bit for bit
-    twice = HarmonicField(l_max, 2.0 * np.frombuffer(coeffs))
+    c = np.frombuffer(coeffs)
+    try:
+        twice = HarmonicField(l_max, 2.0 * c)
+    except ValueError:  # u is finite, so 2u overflowed
+        raise ConvergenceError(
+            f"exponential moments are not finite: 2u overflows at a coefficient of u of {np.abs(c).max():.3e}"
+        ) from None
     shift = twice.mean()  # 2 mean(u)
     values = []  # the value on every grid so far
 
@@ -232,20 +239,12 @@ class _Composition(NamedTuple):
         """(m, part, theta): s_m sum_l c(l, +-m) P(l, m) of the field where the dilation takes ``grid``'s
         abscissas, and J there.
 
-        The image (x', s') and J come in closed form (:func:`mobius._dilated_meridian`), and the image
-        colatitude is atan2(s', x').  The coefficients meet the theta-Fourier weights of P
-        (:func:`harmonics._fourier_weights`) first, then cos(k theta) at even m and sin(k theta) at odd m:
-        three products and no Legendre table at the image.  The weights are the band-(L + 1) table that
-        the one-point rows of a band-L field read, cut to band L.
+        The image (x', s') and J come in closed form (:func:`mobius._dilated_meridian`), and the
+        coefficients meet the theta-Fourier weights of P there (:func:`harmonics._profiles`) first:
+        no Legendre table at the image.
         """
         x, s, jac = _dilated_meridian(self.lam, grid.cos_theta)
-        field, n = self.field, self.field.l_max + 1
-        series = field._order_major @ _fourier_weights(n)[:n, :n, :n]  # (m, part, k)
-        arg = np.arange(n)[:, None] * np.arctan2(s, x)
-        out = np.empty(series.shape[:2] + x.shape)
-        out[0::2] = series[0::2] @ np.cos(arg)
-        out[1::2] = series[1::2] @ np.sin(arg)
-        return out, jac
+        return _profiles(self.field, x, s), jac
 
     def energy(self) -> float:
         """E(u o tau + psi_tau), with no quadrature (:meth:`closed_form`)."""

@@ -4,8 +4,11 @@ The basis is real and orthonormal against the *normalized* measure
 (integral of Y_lm^2 = 1), so the mean of a field is its (0,0) coefficient,
 Parseval is coefficient-exact, and the constant Y_00 is identically 1.
 Coefficients are stored flat in (l ascending, m ascending) order:
-index(l, m) = l*l + l + m.  Every Y_lm at one point is a trigonometric sum in
-theta, and in two small polar caps sin(theta)^m times a cosine series of positive terms.
+index(l, m) = l*l + l + m.  Every Legendre value comes from one theta-Fourier
+table per band, stored without the parity at which it is zero: P(l, m) is a
+trigonometric sum in theta, and in two small polar caps sin(theta)^m times a
+cosine series of positive terms.  Grid tables, point rows and the order
+profiles of a field (:func:`_profiles`) all read it.
 """
 
 from __future__ import annotations
@@ -44,50 +47,23 @@ def coeff_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def _legendre_table(l_max: int, t: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """Normalized associated Legendre values, order-major: out[m, l] = P(l, m) at abscissas ``t``.
-
-    Shape (l_max + 1, l_max + 1, t.size), zero where l < m: each order m is
-    one (degree x abscissa) matrix, and contractions over l run order by order.
-    Normalization: integral of P_lm(t)^2 dt over [-1, 1] equals 2, which makes
-    the real harmonics orthonormal against the normalized sphere measure.
-    Stable upward recursion in l for all m at once, diagonal seeded by the
-    sin(theta)^m ladder.  ``s``, the sines, defaults to sqrt(1 - t^2), which
-    rounds to 0 within about 1e-8 of a pole; :func:`evaluate_at` passes
-    hypot(x, y), which keeps its relative accuracy there.  The grid
-    transforms take the default.
-    """
-    t = np.asarray(t, dtype=float)
-    if s is None:
-        s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    out = np.zeros((l_max + 1, l_max + 1, t.size))
-    out[0, 0] = 1.0
-    for l in range(1, l_max + 1):
-        out[l, l] = out[l - 1, l - 1] * s * math.sqrt((2 * l + 1) / (2 * l))
-        out[l - 1, l] = math.sqrt(2 * l + 1) * t * out[l - 1, l - 1]
-        if l > 1:
-            a, b = _recurrence(l)
-            out[: l - 1, l] = a * t * out[: l - 1, l - 1] - b * out[: l - 1, l - 2]
-    return out
-
-
-@functools.lru_cache(maxsize=1024)
-def _recurrence(l: int) -> tuple[np.ndarray, np.ndarray]:
-    # columns a, b of P(l, m) = a t P(l-1, m) - b P(l-2, m) for m < l - 1
-    m = np.arange(l - 1)
-    a = np.sqrt((2 * l + 1) * (2 * l - 1) / ((l - m) * (l + m)))
-    b = np.sqrt((2 * l + 1) * (l - 1 - m) * (l - 1 + m) / ((2 * l - 3) * (l - m) * (l + m)))
-    a, b = a[:, None], b[:, None]
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+_TABLE_BLOCK = 32  # abscissas per product of a grid table: 8.6 MB of it at band 128
 
 
 @functools.lru_cache(maxsize=25)
 def _grid_table(l_max: int, cos_theta: bytes) -> np.ndarray:
-    # keyed on the abscissas' bytes: grids are unhashable, and a hand-built
-    # grid must not share the table of a canonical one with its theta count
-    table = _legendre_table(l_max, np.frombuffer(cos_theta))
+    """Read-only P(l, m) at the abscissas ``cos_theta``, order-major: out[m, l] is one (degree x abscissa)
+    matrix per order, zero where l < m.  Keyed on the abscissas' bytes: grids are unhashable, and a hand-built
+    grid must not share the table of a canonical one with its theta count.  The rows are :func:`_legendre_point`'s
+    at band l_max + 1, whose tables a band-l_max field's point rows read, cut to band l_max, at the sines
+    sin(arccos |t|): no factor (s / sin theta)^m.
+    """
+    t = np.frombuffer(cos_theta)
+    table = np.empty((l_max + 1, l_max + 1, t.size))
+    for start in range(0, t.size, _TABLE_BLOCK):
+        x = t[start : start + _TABLE_BLOCK]
+        rows = _legendre_point(l_max + 1, x, np.sin(np.arccos(np.abs(x))))
+        table[..., start : start + _TABLE_BLOCK] = rows[:-1, :-1]
     table.setflags(write=False)
     return table
 
@@ -270,9 +246,9 @@ def _synthesis(profiles: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     ``profiles``: (m, part, theta), A[m] = s_m sum_l c(l, m) P(l, m) and
     B[m] = s_m sum_l c(l, -m) P(l, m) at any abscissas: a field's
     order-major coefficients (:func:`_by_order`) times a
-    :func:`_legendre_table` of its band, or ``functionals._Composition``'s
-    profiles.  B[0] is zero and meets sin(0 phi) = 0.  Read as rows (A[0],
-    B[0], A[1], ...), they meet the interleaved azimuth rows in one product.
+    :func:`_grid_table` of its band, or :func:`_profiles`.  B[0] is zero and
+    meets sin(0 phi) = 0.  Read as rows (A[0], B[0], A[1], ...), they meet
+    the interleaved azimuth rows in one product.
     """
     rows = _azimuth_rows(profiles.shape[0] - 1, grid._table_keys[1])
     return (profiles.reshape(-1, profiles.shape[-1]).T @ rows).reshape(-1)
@@ -317,8 +293,8 @@ def _field_of_sums(sums: np.ndarray, grid: SphericalGrid, l_max: int) -> Harmoni
     return HarmonicField(l_max, lay.scale * by_order.reshape(-1)[lay.slots])
 
 
-_POINT_BLOCK = 256  # points per Legendre table in evaluate_at
-_CAP = 0.01  # sin(theta) below which _legendre_point reads the cosine series of the polar caps
+_POINT_BLOCK = 256  # points per block of evaluate_at
+_CAP = 0.01  # sin(theta) below which P(l, m) is read from the cosine series of the polar caps
 
 
 def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
@@ -327,47 +303,50 @@ def evaluate_at(f: HarmonicField, points: np.ndarray) -> np.ndarray:
     Points are renormalized by :func:`sphere.unit_point`, which refuses zero
     and non-finite vectors.  Exact (up to rounding) for the stored
     band-limited expansion.  Each block of ``_POINT_BLOCK`` (256) points gets
-    one order-major :func:`_legendre_table`, with the sines taken as
-    hypot(x, y), whose orders meet cos m phi and sin m phi: at most
-    (l_max + 1)^2 x 256 table values live at once, 8.3 MiB at band 64.
+    the field's order profiles (:func:`_profiles`) at the cosines z and sines
+    hypot(x, y), in the polar caps from :func:`_legendre_point`'s relatively
+    accurate rows, which meet cos m phi and sin m phi.
     """
     w = np.asarray(points, dtype=float)
     if w.ndim == 0 or w.shape[-1] != 3:
         raise ValueError(f"points must have shape (..., 3), got {w.shape}")
     flat = unit_point(w).reshape(-1, 3)
-    by_order = f._order_major
     m = np.arange(f.l_max + 1)[:, None]
     out = np.empty(len(flat))
     for start in range(0, len(flat), _POINT_BLOCK):
         x, y, z = flat[start : start + _POINT_BLOCK].T
-        AB = by_order @ _legendre_table(f.l_max, np.clip(z, -1.0, 1.0), np.hypot(x, y))
+        s = np.hypot(x, y)
+        AB = _profiles(f, z, s)
+        cap = s < _CAP  # there the rows, relatively accurate
+        if cap.any():
+            AB[..., cap] = f._order_major @ _legendre_point(f.l_max, np.clip(z[cap], -1.0, 1.0), s[cap])
         arg = m * np.arctan2(y, x)
         out[start : start + _POINT_BLOCK] = np.sum(AB[:, 0] * np.cos(arg) + AB[:, 1] * np.sin(arg), axis=0)
     return out[0] if w.ndim == 1 else out.reshape(w.shape[:-1])
 
 
-@functools.lru_cache(maxsize=16)
-def _quarter_d(l_max: int) -> np.ndarray:
-    """Read-only d[k, m, l]: Wigner d^l(k, m)(pi/2) for l_max >= l >= k >= m >= 0, else 0, from the
-    recursion of Trapani and Navaza (Acta Cryst. A 62 (2006) 262) down in k for every degree at once;
-    d(m, k) = (-1)^(k+m) d(k, m) gives the rest."""
+def _quarter_d(l_max: int, dtype: type) -> np.ndarray:
+    """d[k (k + 1) / 2 + m, l]: Wigner d^l(k, m)(pi/2) in ``dtype`` for l_max >= l >= k >= m >= 0, else 0, the
+    triangle k >= m packed row by row, from the recursion of Trapani and Navaza (Acta Cryst. A 62 (2006) 262)
+    down in k for every degree at once; d(m, k) = (-1)^(k+m) d(k, m) gives the rest."""
     n = l_max + 1
     l = np.arange(n)
-    d = np.zeros((n + 1, n, n))  # the row k = n is the recursion's zero start
+    d = np.zeros(((n + 1) * (n + 2) // 2, n), dtype)  # the rows k = n are the recursion's zero start
     # d(l, m) = (-1)^(l-m) 2^-l sqrt(binom(2l, l+m)): ratios from m = l down, the p-th in column l_max - l + p
     p = l - (l_max - l[:, None])
-    ratio = np.where(p > 0, -np.sqrt((2 * l[:, None] - p + 1) / np.maximum(p, 1)), 1.0)
-    d[l[:, None], l, l[:, None]] = np.ldexp(np.cumprod(ratio, 1)[:, ::-1], -l[:, None]) * (l <= l[:, None])
+    ratio = np.where(p > 0, -np.sqrt(dtype(1) * (2 * l[:, None] - p + 1) / np.maximum(p, 1)), 1)
+    k, m = np.tril_indices(n)
+    d[k * (k + 1) // 2 + m, k] = np.ldexp(np.cumprod(ratio, 1)[:, ::-1], -l[:, None])[k, m]
     # then down in k for every degree l > k: d(k, m) = a d(k+1, m) - b d(k+2, m) for m <= k,
     # a = 2m / sqrt(span), b = sqrt((l-k-1)(l+k+2) / span), span = (l-k)(l+k+1)
     k = l[:-1, None]
     span = np.maximum((l - k) * (l + k + 1), 1)  # 1 where l <= k, never read
-    root, b = np.sqrt(span), np.sqrt(np.maximum((l - k - 1) * (l + k + 2), 0) / span)
+    root, b = np.sqrt(dtype(1) * span), np.sqrt(dtype(1) * np.maximum((l - k - 1) * (l + k + 2), 0) / span)
     for k in range(l_max - 1, -1, -1):
-        m, deg = slice(k + 1), slice(k + 1, n)
-        d[k, m, deg] = 2.0 * l[m, None] / root[k, deg] * d[k + 1, m, deg] - b[k, deg] * d[k + 2, m, deg]
-    d = d[:n]
-    d.setflags(write=False)
+        row, up, up2 = (j * (j + 1) // 2 for j in (k, k + 1, k + 2))
+        deg = slice(k + 1, n)
+        d[row : row + k + 1, deg] = (2 * l[: k + 1, None] / root[k, deg] * d[up : up + k + 1, deg]
+                                     - b[k, deg] * d[up2 : up2 + k + 1, deg])
     return d
 
 
@@ -378,10 +357,10 @@ def _turn_stack(l_max: int) -> np.ndarray:
     Block l is D with Y_l(T w) = D Y_l(w), slots m = -l..l, for the quarter turn
     T = [[1, 0, 0], [0, 0, 1], [0, -1, 0]] about x (T e_z = e_y, T R_z(b) T^T = R_y(b)).
     As T = R_z(-pi/2) R_y(-pi/2) R_z(pi/2), D comes from the Wigner d(pi/2) of
-    :func:`_quarter_d`, sampling no basis: at band l_max + 1, which the point rows share.
+    :func:`_quarter_d`, sampling no basis.
     """
     n = l_max + 1
-    d = _quarter_d(n)
+    d = _quarter_d(n, np.float64)
     # D = Z^T Y^T Z.  Z, of R_z(pi/2), sends slot mu to mu if even, to -mu if odd, with sign -1
     # at mu = 1, 2 mod 4.  Y, the real R_y(pi/2), keeps cosines (orders >= 0) and sines apart:
     # s_i s_j ((-1)^(i+j) + (-1)^l) d(i, j) between the cosines of orders i, j, s_0 = sqrt(1/2)
@@ -390,7 +369,7 @@ def _turn_stack(l_max: int) -> np.ndarray:
     mu = np.arange(-l_max, l_max + 1)
     i = np.abs(mu)
     hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
-    at = (hi * (n + 1) + lo) * (n + 1)  # the place of d(hi, lo) at degree 0 in the flattened d; degree l adds l
+    at = (hi * (hi + 1) // 2 + lo) * (n + 1)  # the place of d(hi, lo) at degree 0 in the flattened d; degree l adds l
     cosine = (mu >= 0) == (mu % 2 == 0)  # Z sends slot mu to a cosine
     sign, scale = (-1.0) ** (i[:, None] + i), np.where(i == 0, math.sqrt(0.5), 1.0)
     turn = np.where(mu % 4 < 2, 1.0, -1.0)  # the sign Z gives the slot it sends to mu
@@ -453,32 +432,50 @@ def _rotated(f: HarmonicField, frame: np.ndarray) -> HarmonicField:
     return HarmonicField(f.l_max, x)
 
 
+def _parity_split(n: int, cap: bool) -> tuple[np.ndarray, ...]:
+    """Order m = 2i + q, degree l = 2r + p and frequency k of each place [p, q, i, r, j] of a band-(n - 1)
+    table stored without the parity at which it is zero, clipped into the band: k = 2j + p for W, zero
+    where k - l is odd, and 2j + (p xor q) for the cap weights, zero where k - l + m is odd.  Both are zero
+    where k > l, so at k = n; the places past the band in m or l are never read.
+    """
+    h = (n + 1) // 2
+    p, q, i, r, j = np.ogrid[:2, :2, :h, :h, :h]
+    k = 2 * j + (p ^ q if cap else p)
+    return np.minimum(2 * i + q, n - 1), np.minimum(2 * r + p, n - 1), np.minimum(k, n - 1)
+
+
 @functools.lru_cache(maxsize=16)
 def _fourier_weights(l_max: int) -> np.ndarray:
-    """Read-only W[m, l, k], k = 0..l_max: P(l, m)(cos theta) = sum_k W[m, l, k] cos(k theta) at even m,
-    the same sum of sin(k theta) at odd m, theta in [0, pi]; zero where l < m or k - l is odd.  The Fourier
-    form of Wigner's d (McEwen and Wiaux, IEEE Trans. Signal Process. 59 (2011) 5876, eq. 8) gives
-    W = 2 (-1)^ceil(m/2) sqrt(2l+1) d(k, 0) d(k, m), halved at k = 0, from :func:`_quarter_d`'s d(pi/2)."""
-    n, d = l_max + 1, _quarter_d(l_max)
-    m, l, k = np.ogrid[:n, :n, :n]
-    table = d[np.maximum(k, m), np.minimum(k, m), l] * d[k, 0, l]
-    table *= np.sqrt(2.0 * l + 1.0)
+    """Read-only W at the places of :func:`_parity_split`: P(l, m)(cos theta) = sum_k W(m, l, k) cos(k theta)
+    at even m, the same sum of sin(k theta) at odd m, theta in [0, pi].  The Fourier form of Wigner's d
+    (McEwen and Wiaux, IEEE Trans. Signal Process. 59 (2011) 5876, eq. 8) gives
+    W = 2 (-1)^ceil(m/2) sqrt(2l+1) d(k, 0) d(k, m), halved at k = 0, from :func:`_quarter_d`'s d(pi/2), all in
+    extended precision and rounded once: in doubles the degree-1 entry sqrt(3) came out 2 ulps high."""
+    n, d = l_max + 1, _quarter_d(l_max, np.longdouble)
+    m, l, k = _parity_split(n, cap=False)
+    hi = np.maximum(k, m)
+    table = d[hi * (hi + 1) // 2 + np.minimum(k, m), l]
+    table *= d[k * (k + 1) // 2, l]
+    del d  # before the rounded copy: the peak holds d and one long-double table
+    table *= np.sqrt(np.longdouble(2) * l + 1)
     # d(k, m) = (-1)^(k+m) d(m, k) where k < m; the signs and the factors 2 are exact
     table *= np.where(k < m, (-1.0) ** (k + m), 1.0) * (-1.0) ** ((m + 1) // 2) * np.where(k == 0, 1.0, 2.0)
+    table = table.astype(float)
     table.setflags(write=False)
     return table
 
 
 @functools.lru_cache(maxsize=16)
 def _cap_weights(l_max: int) -> np.ndarray:
-    """Read-only C[m, l, k], k = 0..l_max: P(l, m)(cos theta) = s^m sum_k C[m, l, k] cos(k theta), C >= 0.
+    """Read-only C at the places of :func:`_parity_split`: P(l, m)(cos theta) = s^m sum_k C(m, l, k) cos(k theta),
+    C >= 0.
 
     P(l, m) = s^m c C(cos theta), C the Gegenbauer polynomial of index a = m + 1/2 and degree n = l - m.
     By its generating function |1 - r e^(i theta)|^(-2a), C = sum_j h(j) h(n-j) cos((n - 2j) theta) with
     h(j) = (a)_j / j! > 0: no term cancels another as theta -> 0.
     """
     n = l_max + 1
-    m, l, k = np.ogrid[:n, :n, :n]
+    m, l, k = _parity_split(n, cap=True)
     # h(j) of index m + 1/2 and 1 / binom(2m + j, j), cumulative products over j; with P(m, m) / s^m
     # = sqrt((2m+1) h(m) of index 1/2), c = sqrt((2l+1) h(m) of index 1/2 / binom(l+m, 2m))
     i = np.arange(n)
@@ -491,32 +488,84 @@ def _cap_weights(l_max: int) -> np.ndarray:
     at = 4 * n * m + 2 * n + l - m
     cap = half.take(at - k) * half.take(at + k)
     cap *= np.sqrt((2 * l + 1) * h[0, m] * ratio[m, np.maximum(l - m, 0)])
-    cap[..., 1:] *= 2.0
+    cap *= np.where(k == 0, 1.0, 2.0)
     cap.setflags(write=False)
     return cap
 
 
-def _legendre_point(l_max: int, t: float, s: float) -> np.ndarray:
-    """P(l, m) at the single abscissa ``t`` with sine ``s``, as (m, l) rows, zero where l < m.
+@functools.lru_cache(maxsize=16)
+def _place(n: int) -> np.ndarray:
+    """Read-only place of each (m, l) row of band n - 1 in the flattened [p, q, i, r] rows of a split table."""
+    h = (n + 1) // 2
+    m, l = np.divmod(np.arange(n * n), n)
+    place = (((l % 2) * 2 + m % 2) * h + m // 2) * h + l // 2
+    place.setflags(write=False)
+    return place
 
-    theta = arccos |t|, at t < 0 with the factors of pi - theta.  For s >= 0.01 (``_CAP``) the rows are
-    :func:`_fourier_weights` times cos(k theta) at even m, sin(k theta) at odd m, and (s / sin theta)^m,
-    which reads the sine as ``s``; in the polar caps, s^m times :func:`_cap_weights`' positive cosine
-    series, relatively accurate.  On two draws of 18,000 random points at band 65 they are within
-    3.4 (l + 1) eps max(1, |P|), at most 4.9e-14, of a 50-digit recurrence at the same (t, s).  The
-    products run over W's zeros too: 8, 17 and 83 us a call at bands 7, 33 and 65 (1 BLAS thread, 2 vCPUs).
+
+def _powers(t, s, h: int) -> np.ndarray:
+    """cos(k theta) and sin(k theta) for k = 0..2h - 1 at the meridian points with cosines ``t`` and sines ``s``,
+    as [j, p, point, (cos, sin)], k = 2j + p: the powers of t + i s, whose rounding grows with k as that of
+    cos(k theta) does, as a running product, or for one point in one call."""
+    if not t.ndim:
+        return (complex(t, s) ** np.arange(2 * h)).view(float).reshape(h, 2, 1, 2)
+    z = np.empty((2 * h,) + t.shape, dtype=complex)
+    z[0] = 1.0
+    z[1:] = t + 1j * s
+    z.cumprod(axis=0, out=z)
+    return z.view(float).reshape(h, 2, -1, 2)
+
+
+def _legendre_point(l_max: int, t, s) -> np.ndarray:
+    """P(l, m) at abscissas ``t`` with sines ``s``, arrays of one shape, as (m, l) + t.shape rows, zero where l < m.
+
+    The rows are P at cos(theta) = t, read at the point (t, sin theta), theta = arccos |t|, whose k theta carry
+    (-1)^k at t < 0: (-1)^l in W's rows and (-1)^(l-m) in the caps', so that P(l, m)(-t) = (-1)^(l+m) P(l, m)(t).
+    For s >= 0.01 (``_CAP``) they are :func:`_fourier_weights` times cos(k theta) at even m and sin(k theta) at
+    odd m, and (s / sin theta)^m, which reads the sine as s; in the polar caps, s^m times :func:`_cap_weights`'
+    positive cosine series, relatively accurate.  Each pair of parities of l and m is one product, and each
+    (m, l) row is gathered from them.  On 600 random points at band 65 the rows are within 0.93 (l + 1) eps
+    max(1, |P|), at most 1.4e-14, of a 50-digit recurrence at the same (t, s); a point call takes 10, 16 and
+    45 us at bands 7, 33 and 65 (1 BLAS thread, 2 vCPUs).
     """
-    theta = math.acos(abs(t))
-    z = np.exp(1j * theta * np.arange(l_max + 1))  # cos(k theta) + i sin(k theta)
-    if t < 0.0:  # the same at pi - theta
-        z = z.conj() * (-1.0) ** np.arange(l_max + 1)
-    if s < _CAP:
-        rows, ratio = _cap_weights(l_max) @ z.real, s
-    else:
-        weights = _fourier_weights(l_max)
-        rows, ratio = np.empty(weights.shape[:2]), s / math.sin(theta)
-        rows[0::2], rows[1::2] = weights[0::2] @ z.real, weights[1::2] @ z.imag
-    return rows if ratio == 1.0 else rows * np.power(ratio, np.arange(l_max + 1.0))[:, None]
+    t, s = np.asarray(t, dtype=float)[()], np.asarray(s, dtype=float)[()]  # one point as numpy scalars
+    n = l_max + 1
+    cap = s < _CAP
+    if cap.ndim and cap.any() != cap.all():  # each branch on its own points
+        rows = np.empty((n, n) + t.shape)
+        for part in (cap, ~cap):
+            rows[..., part] = _legendre_point(l_max, t[part], s[part])
+        return rows
+    sine = np.sin(np.arccos(np.abs(t)))
+    z = _powers(t, sine, (l_max + 2) // 2)
+    if cap.flat[0]:  # the cosines of k = 2j + (p xor q), and s^m
+        c = z[..., 0].transpose(1, 0, 2)
+        trig, weights, ratio = np.stack((c, c[::-1]), axis=1), _cap_weights(l_max), s
+    else:  # cos(k theta) at even m and sin(k theta) at odd m, k = 2j + p
+        trig, weights, ratio = z.transpose(1, 3, 0, 2), _fourier_weights(l_max), s / sine
+    rows = (weights.reshape(2, 2, -1, trig.shape[2]) @ trig).reshape(-1, t.size).take(_place(n), axis=0)
+    rows = rows.reshape((n, n) + t.shape)
+    if np.count_nonzero(ratio != 1.0):
+        rows *= (ratio ** np.arange(n * 1.0).reshape((-1,) + (1,) * t.ndim))[:, None]
+    return rows
+
+
+def _profiles(f: HarmonicField, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(m, part, point): s_m sum_l c(l, +-m) P(l, m) at the meridian points with cosines ``t`` and sines ``s``,
+    as :func:`_synthesis` reads them.  The coefficients meet the band-(L + 1) weights that the point rows of a
+    band-L field read first, then cos(k theta) at even m and sin(k theta) at odd m (:func:`_powers`): 8 h^2
+    products per point, h = (L + 3) // 2, where a table of P takes 4 h^3.  The sums are as accurate as the
+    coefficients times P, not relatively near the poles, where the rows m > 0 are small.
+    """
+    n = f.l_max + 1
+    weights = _fourier_weights(n)
+    h = weights.shape[-1]
+    c = np.zeros((2 * h, 2, 2 * h))
+    c[:n, :, :n] = f._order_major
+    series = c.reshape(h, 2, 2, h, 2).transpose(4, 1, 0, 2, 3) @ weights  # [p, q, i, part, j]
+    trig = _powers(t, s, h).transpose(1, 3, 0, 2)
+    sums = (series.reshape(2, 2, 2 * h, h) @ trig).sum(axis=0)  # [q, (i, part), point]
+    return sums.reshape(2, h, 2, -1).transpose(1, 0, 2, 3).reshape(2 * h, 2, -1)[:n]
 
 
 class _PointRows(NamedTuple):

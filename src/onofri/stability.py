@@ -291,9 +291,10 @@ def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid, bar: float 
     sum_m Y_lm(w)^2 = 2l + 1 (Unsold), no node goes below psi's energy less the
     reach 2 sum_l w_l sqrt(2l + 1) |c_l|.  The floor is that less _SCAN_MARGIN
     (1 + reach), above the rounding: in the synthesis (3L + 3) eps times
-    sum_lm |x_lm Y_lm| <= reach, in the table at most 260 eps sqrt(2l + 1) per
-    degree on band-64 grids (1600 eps at |cos theta| = 1 - 1e-6), and eps of
-    psi's energy (at most 22.5).  The t go in stable ascending order of floor
+    sum_lm |x_lm Y_lm| <= reach, in the table at most 19 eps sqrt(2l + 1) per
+    degree, the norm over m of a degree's errors, on band-64 grids (4.4 at
+    |cos theta| = 1 - 1e-6 and 1 - 1e-4), and eps of psi's energy (at most
+    22.5).  The t go in stable ascending order of floor
     until one is not below the best value so far, which it can then neither
     beat nor tie.  The best is the first least (t, node), t-major, among the
     values below ``bar``: 0 by default, the value of t = 0, and b = 0 when no

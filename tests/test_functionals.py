@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -25,10 +26,11 @@ from onofri import (
 )
 from onofri import functionals
 from onofri.functionals import _compose, _exp_moments
-from onofri.harmonics import GridField, _legendre_table, _rotated, _synthesis, analyze, project_samples, synthesize
+from onofri.harmonics import GridField, _rotated, _synthesis, analyze, project_samples, synthesize
 from onofri.mobius import _dilated_meridian
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import DEFAULT_POLICY, ConvergenceError, RefinementPolicy, _make_grid, moments
+from reference import _mp_legendre
 
 
 def w3_times(eps):
@@ -159,6 +161,19 @@ def test_exp_moments_step_matches_synthesize(monkeypatch, band, rng):
                 assert np.array_equal(got, ref)
     finally:
         _exp_moments.cache_clear()  # keep no moments of the stubbed refinement
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [exp_moments, lambda u: chang_gui_report(2.0 / 3.0, u), lambda u: onofri_value(1.0, u)],
+    ids=["exp_moments", "chang_gui_report", "onofri_value"],
+)
+def test_a_doubled_field_that_overflows_raises_convergence_error(evaluate):
+    # u is finite but 2u is not: the quadrature names the overflow, not the
+    # finiteness of a field the caller never built
+    u = HarmonicField.from_entries(1, {(1, 0): 1e308})
+    with pytest.raises(ConvergenceError, match=r"2u overflows at a coefficient of u of 1\.000e\+308"):
+        evaluate(u)
 
 
 def test_exp_moments_runs_through_synthesize_and_refine(monkeypatch, rng):
@@ -444,15 +459,23 @@ def test_report_json(rng):
     }
 
 
+@functools.lru_cache(maxsize=64)
+def _mp_meridian(l_max, lam, cos_theta):
+    # the 50-digit (m, l, theta) Legendre table at the dilated meridian, once
+    # per band, map's lam and grid: the tests at either l_max share it
+    t, s, _ = _dilated_meridian(lam, np.frombuffer(cos_theta))
+    return _mp_legendre(l_max, list(zip(t, s))).transpose(1, 2, 0)
+
+
 def _sampled_transform(u, tau, l_max, grid):
     # the path transform took before its per-order sums and Fourier profiles:
-    # the composition's samples at every node from the recurrence's Legendre
+    # the composition's samples at every node from the 50-digit Legendre
     # table at the dilated meridian, plus psi_field's closed form synthesized
     # to the band of the tail estimate, projected by quadrature over every
     # azimuth, and rotated back
     comp = _compose(u, tau)
-    t, s, _ = _dilated_meridian(comp.lam, grid.cos_theta)
-    samples = _synthesis(comp.field._order_major @ _legendre_table(u.l_max, t, s), grid)
+    table = _mp_meridian(u.l_max, comp.lam, grid.cos_theta.tobytes())
+    samples = _synthesis(comp.field._order_major @ table, grid)
     psi = psi_field(build_extremal(tau), min(2 * l_max, grid.band_limit_exact), tail_threshold=None).field
     samples = samples + synthesize(_rotated(psi, comp.frame.T), grid).samples
     proj = project_samples(samples, grid, l_max)

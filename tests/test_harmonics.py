@@ -1,11 +1,9 @@
-import functools
 import json
 import math
 import re
 import sys
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -37,13 +35,13 @@ from onofri.harmonics import (
     _grid_table,
     _harmonic_slopes,
     _layout,
-    _legendre_table,
     _rotated,
     _turn_stack,
 )
 from onofri.mobius import _dilated_meridian
 from onofri.sampling import random_conformal, random_field
-from onofri.sphere import SphericalGrid, _azimuth_rows, _make_grid
+from onofri.sphere import SphericalGrid, _azimuth_rows, _make_grid, unit_point
+from reference import _mp_basis, _mp_legendre
 
 
 def w3_field():
@@ -310,79 +308,27 @@ def test_basis_matches_scipy(rng):
         assert np.all(np.abs(grad @ w) <= 1e-15 * norms)
 
 
-_FIX = 200  # bits after the point of the fixed-point reference basis: 60 digits
-
-
-def _fixed(x) -> int:
-    return int(mpmath.floor(x * mpmath.mpf(2) ** _FIX))
-
-
-@functools.lru_cache(maxsize=1)
-def _mp_recurrence(l_max):
-    # the ladder, a and b of _legendre_table and sqrt(2), from mpmath at 60 digits
-    with mpmath.workdps(60):
-
-        def root(num, den):
-            return _fixed(mpmath.sqrt(mpmath.mpf(num) / den))
-
-        ladder = [root(2 * m + 1, 2 * m) for m in range(1, l_max + 1)]
-        a = {(l, m): root((2 * l + 1) * (2 * l - 1), (l - m) * (l + m)) for l in range(1, l_max + 1) for m in range(l)}
-        b = {
-            (l, m): root((2 * l + 1) * (l - 1 - m) * (l - 1 + m), (2 * l - 3) * (l - m) * (l + m))
-            for l in range(2, l_max + 1)
-            for m in range(l - 1)
-        }
-        return ladder, a, b, root(2, 1)
-
-
-def _mp_basis(points, l_max):
-    """Every Y_lm at ``points`` (rows), correct to about 50 digits before the final rounding.
-
-    The normalized three-term recurrence in exact 2^-200 fixed point, its
-    constants and each point's t = z, s = hypot(x, y) and e^(i phi) from
-    mpmath at 60 digits: the abscissas and sines the library takes, without
-    its rounding.  (mpmath's own legenp does not converge at l = 64.)
-    """
-    F = _FIX
-    ladder, a, b, root2 = _mp_recurrence(l_max)
-    t, s, c1, s1 = np.empty((4, len(points)), dtype=object)
-    with mpmath.workdps(60):
-        for i, (x, y, z) in enumerate(points):
-            x, y, z = mpmath.mpf(float(x)), mpmath.mpf(float(y)), mpmath.mpf(float(z))
-            rho = mpmath.hypot(x, y)
-            t[i], s[i] = _fixed(z), _fixed(rho)
-            c1[i], s1[i] = (_fixed(x / rho), _fixed(y / rho)) if rho else (1 << F, 0)
-    out = np.empty(((l_max + 1) ** 2, len(points)), dtype=object)  # in units of 2^(-2F)
-    cos_m, sin_m, seed = np.full((3, len(points)), 1 << F, dtype=object)
-    sin_m[:] = 0
-    for m in range(l_max + 1):
-        if m:
-            seed = (ladder[m - 1] * ((seed * s) >> F)) >> F  # P(m, m)
-            cos_m, sin_m = (cos_m * c1 - sin_m * s1) >> F, (sin_m * c1 + cos_m * s1) >> F
-            trig = (root2 * cos_m) >> F, (root2 * sin_m) >> F
-        p2, p1 = 0, seed
-        for l in range(m, l_max + 1):
-            if l > m:
-                p2, p1 = p1, (a[l, m] * ((t * p1) >> F) - b.get((l, m), 0) * p2) >> F
-            if m == 0:
-                out[l * l + l] = p1 << F
-            else:
-                out[l * l + l + m], out[l * l + l - m] = p1 * trig[0], p1 * trig[1]
-    return np.ldexp(out.astype(float), -2 * F).T
-
-
 def test_basis_matches_mpmath(rng):
     # the library's accuracy, which test_basis_matches_scipy cannot see past
     # scipy's own 4e-13: 200 points at band 64, the poles and points 1e-9
-    # off them among them.  The recurrences' rounding grows with the degree,
-    # so the measured error is not 1e-14 max(1, |Y|) but up to
-    # 5.8 (l + 1) eps max(1, |Y|) here (7.7e-14; 8.8 and 1.2e-13 at l = 59 on
-    # other draws), 7.7e-15 at the near-pole points.
-    # Bound: 16 (l + 1) eps max(1, |Y|).
+    # off them among them.  The slopes' rounding grows with the degree, and
+    # their azimuth factors' with the order, so the measured error is not
+    # 1e-14 max(1, |Y|) but up to 5.9 (l + 1) eps max(1, |Y|) here
+    # (7.9e-14), 7.1e-15 at the near-pole points.  Bound: 16 (l + 1) eps max(1, |Y|).  Then points on the
+    # meridian phi = 0, whose azimuth factors are exact, at the 8 abscissas
+    # of build_grid(300) nearest each pole: there evaluate_at errs by at most
+    # 0.29 (l + 1) eps max(1, |Y|) over the slots below, where with the
+    # three-term recurrence's table it erred by 4.4 at (64, 0) (and by 6.7 at
+    # (52, 1)): evaluate_at's bound there is 1 (l + 1) eps max(1, |Y|).  At
+    # the other points the rounding of m phi and of evaluate_at's own
+    # renormalization sets its error, 7.0 (l + 1) eps max(1, |Y|) (10.5 with
+    # the recurrence's table): its bound there is 8
     L = 64
     pts = rng.normal(size=(190, 3))
     near = [[1e-9 * c, 1e-9 * s, z] for z in (1.0, -1.0) for c, s in ((1, 0), (0.6, -0.8), (-0.28, 0.96), (0, -1))]
-    pts = np.vstack([pts / np.linalg.norm(pts, axis=1)[:, None], [[0, 0, 1.0], [0, 0, -1.0]], near])
+    t = build_grid(300).cos_theta[np.r_[:8, -8:0]]
+    meridian = np.stack([np.sin(np.arccos(np.abs(t))), np.zeros_like(t), t], axis=1)
+    pts = unit_point(np.vstack([pts, [[0, 0, 1.0], [0, 0, -1.0]], near, meridian]))
     ref = _mp_basis(pts, L)
     l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
     bound = 16 * (l + 1) * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
@@ -393,6 +339,7 @@ def test_basis_matches_mpmath(rng):
     # evaluate_at: single harmonics of every order at l = 64, and low degrees
     slots = [coeff_index(64, m) for m in range(-64, 65, 8)] + [coeff_index(64, 1), coeff_index(59, 2)]
     slots += [coeff_index(k, m) for k in (0, 1, 7) for m in (-k, 0, k)]
+    bound = bound * np.where(np.arange(len(pts)) < len(pts) - len(meridian), 8.0 / 16.0, 1.0 / 16.0)[:, None]
     for k in slots:
         one = HarmonicField(L, np.eye(1, l.size, k)[0])
         assert np.all(np.abs(evaluate_at(one, pts) - ref[:, k]) <= bound[:, k])
@@ -490,7 +437,7 @@ def test_harmonic_second_slopes(rng):
 
 
 def _legendre_loop(l_max, t):
-    # one (l, m) pair at a time, the recursion _legendre_table runs for all m
+    # one (l, m) pair at a time, the normalized three-term recurrence in l
     s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     out = np.empty(((l_max + 1) * (l_max + 2) // 2, t.size))
     idx = lambda l, m: l * (l + 1) // 2 + m
@@ -510,62 +457,36 @@ def _legendre_loop(l_max, t):
     return out
 
 
-def test_legendre_table_matches_pairwise_loop(rng):
-    t = np.cos(rng.uniform(0.0, math.pi, 40))
-    for l_max in (0, 1, 2, 7, 33):
-        table = _legendre_table(l_max, t)
-        assert table.shape == (l_max + 1, l_max + 1, t.size)
-        l, m = np.tril_indices(l_max + 1)  # the loop's rows
-        assert np.array_equal(table[m, l], _legendre_loop(l_max, t))
-        assert np.all(table[np.tril_indices(l_max + 1, -1)] == 0.0)  # l < m
-
-
-def _mp_legendre(l_max, points):
-    """The (m, l) rows of _legendre_point at each (t, s) of ``points`` from _mp_basis at (s, 0, t), 0 where l < m.
-
-    At azimuth 0 the real basis holds P(l, 0) and sqrt(2) P(l, m > 0).
-    """
-    l, m = np.tril_indices(l_max + 1)
-    basis = _mp_basis(np.array([[s, 0.0, t] for t, s in points]), l_max)
-    rows = np.zeros((len(points), l_max + 1, l_max + 1))
-    rows[:, m, l] = basis[:, l * l + l + m] / np.where(m > 0, math.sqrt(2.0), 1.0)
-    return rows
-
-
 def _legendre_point_bound(l_max):
-    # measured on 60 draws of 300 random points at band 65: up to 3.5 (l + 1) eps max(1, |P|);
-    # per column l of the (m, l) rows
-    return 4 * (np.arange(l_max + 1) + 1) * np.finfo(float).eps
+    # measured on 600 random points at band 65: up to 0.93 (l + 1) eps max(1, |P|) (3.5 on 60 draws of
+    # 300 from the unsplit table's sums); per column l of the (m, l) rows
+    return 2 * (np.arange(l_max + 1) + 1) * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 7, 33, 65])
 def test_legendre_point_matches_table(rng, l_max):
-    # the one-point rows (_legendre_point) against _legendre_table's recurrence at the
-    # same abscissa and sine, and against the 50-digit recurrence (the table
-    # is the less accurate of the two): random points, then the
-    # caller-supplied sines of points 1e-9, 1e-200 and 0 off each pole
+    # the one-point rows (_legendre_point) against the 50-digit recurrence at the
+    # same abscissa and sine: random points, then the caller-supplied sines of
+    # points 1e-9, 1e-200 and 0 off each pole
     w = rng.normal(size=(200, 3))
     w /= np.linalg.norm(w, axis=1)[:, None]
     points = [(p[2], math.hypot(p[0], p[1])) for p in w]
     points += [(z * math.sqrt(1.0 - s * s), s) for s in (1e-9, 1e-200, 0.0) for z in (1.0, -1.0)]
     bound = _legendre_point_bound(l_max)
     for (t, s), exact in zip(points, _mp_legendre(l_max, points)):
-        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[..., 0]  # (m, l)
         got = harmonics._legendre_point(l_max, t, s)
-        assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
         assert np.all(np.abs(got - exact) <= bound * np.maximum(1.0, np.abs(exact)))
     for pole in (1.0, -1.0):
         assert np.all(harmonics._legendre_point(l_max, pole, 0.0)[1:] == 0.0)  # the rows m > 0
 
 
 def test_point_tables_cached_and_read_only():
-    # the theta-Fourier weights, the d(pi/2) rows they read and the caps'
-    # cosine weights are built once per band, and no call writes to them
+    # the theta-Fourier weights and the caps' cosine weights are built once
+    # per band, and no call writes to them
     table = harmonics._fourier_weights(9)
     assert harmonics._fourier_weights(9) is table
-    assert harmonics._quarter_d(9) is harmonics._quarter_d(9)
     assert harmonics._cap_weights(9) is harmonics._cap_weights(9)
-    arrays = [table, harmonics._quarter_d(9), harmonics._cap_weights(9)]
+    arrays = [table, harmonics._cap_weights(9)]
     assert not any(arr.flags.writeable for arr in arrays)
     before = [arr.copy() for arr in arrays]
     for t, s in ((0.3, math.sqrt(0.91)), (-0.3, math.sqrt(0.91)), (0.99995, math.sqrt(0.0000999975)), (-1.0, 0.0)):
@@ -576,21 +497,22 @@ def test_point_tables_cached_and_read_only():
 @pytest.mark.parametrize("l_max", [1, 7, 33, 65])
 def test_legendre_point_across_the_cap(l_max):
     # the trigonometric rows just outside the polar caps and the cosine
-    # series just inside agree with _legendre_table and with the 50-digit
-    # recurrence at the same abscissa and sine, the rows m > 0 are exactly 0
-    # at both poles, and inside the caps the rows m >= 1 keep their relative
-    # accuracy
+    # series just inside agree with the 50-digit recurrence at the same
+    # abscissa and sine, the rows m > 0 are exactly 0 at both poles, and
+    # inside the caps the rows m >= 1 keep their relative accuracy: against
+    # s^m times the reference at sine 1, which the fixed point keeps to 50
+    # digits where s^m is far below its last place
     m = np.arange(l_max + 1)[:, None]  # the order of each (m, l) row
     cap = harmonics._CAP
     sines = (np.nextafter(cap, 0.0), cap - 1e-9, cap, np.nextafter(cap, 1.0), cap + 1e-9, 1e-5)
     points = [(z * math.sqrt(1.0 - s * s), s) for s in sines for z in (1.0, -1.0)]
     bound = _legendre_point_bound(l_max)
-    for (t, s), exact in zip(points, _mp_legendre(l_max, points)):
-        expect = _legendre_table(l_max, np.array([t]), np.array([s]))[..., 0]  # (m, l)
+    unit = _mp_legendre(l_max, [(t, 1.0) for t, _ in points])
+    for (t, s), exact, at_one in zip(points, _mp_legendre(l_max, points), unit):
         got = harmonics._legendre_point(l_max, t, s)
-        assert np.all(np.abs(got - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
         assert np.all(np.abs(got - exact) <= bound * np.maximum(1.0, np.abs(exact)))
-        if s < cap:  # relative, wherever the table's seeds have not reached underflow
+        if s < cap:  # relative, wherever s^m has not reached underflow
+            expect = at_one * s**m
             low = (m > 0) & (np.abs(expect) > 1e-250)
             assert np.all(np.abs(got - expect)[low] <= 1e-12 * np.abs(expect[low]))
     for pole in (1.0, -1.0):
@@ -606,8 +528,29 @@ def test_grid_table_keyed_on_abscissas(grid16, rng):
     hand = SphericalGrid(t, grid16.theta_weights, grid16.phi, grid16.band_limit_exact)
     assert np.max(np.abs(synthesize(u, hand).samples - evaluate_at(u, hand.nodes))) < 1e-12
     table = _grid_table(8, t.tobytes())
-    assert np.array_equal(table, _legendre_table(8, t))
+    exact = _mp_legendre(8, [(x, math.sin(math.acos(abs(x)))) for x in t]).transpose(1, 2, 0)  # (m, l, theta)
+    bound = 2 * (np.arange(9)[:, None] + 1) * np.finfo(float).eps
+    assert np.all(np.abs(table - exact) <= bound * np.maximum(1.0, np.abs(exact)))
     assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("n", [72, 300])
+def test_grid_tables_match_the_50_digit_reference(n):
+    # the one source of the grid transforms, at bands 32, 64 and 128 on 28
+    # abscissas of build_grid(n), the 6 nearest each pole among them, against
+    # the 50-digit recurrence at the same abscissas and sines sin(arccos |t|).
+    # Measured: up to 1.80 (l + 1) eps max(1, |P|), 4.0e-14 at band 128; the
+    # three-term recurrence the tables came from before read 4.0e-13 at band
+    # 64 and 7.8e-13 at band 128 on build_grid(300)
+    t = build_grid(n).cos_theta
+    ends = np.concatenate((np.arange(6), np.arange(t.size - 6, t.size)))
+    t = np.ascontiguousarray(t[np.union1d(ends, np.linspace(6, t.size - 7, 16).round().astype(int))])
+    assert t.size == 28
+    exact = _mp_legendre(128, [(x, math.sin(math.acos(abs(x)))) for x in t]).transpose(1, 2, 0)  # (m, l, theta)
+    for L in (32, 64, 128):
+        ref = exact[: L + 1, : L + 1]
+        bound = 2 * (np.arange(L + 1)[:, None] + 1) * np.finfo(float).eps
+        assert np.all(np.abs(_grid_table(L, t.tobytes()) - ref) <= bound * np.maximum(1.0, np.abs(ref)))
 
 
 def _dense_analyze(g, l_max):

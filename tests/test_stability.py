@@ -29,7 +29,7 @@ from onofri import (
 )
 from onofri import stability
 from onofri.extremals import _psi_energy
-from onofri.harmonics import _by_order, _grid_table, _layout, _synthesis, project_samples, synthesize
+from onofri.harmonics import _basis_point, _by_order, _grid_table, _layout, _synthesis, project_samples, synthesize
 from onofri.sampling import random_conformal, random_field, random_rotation
 from onofri.sphere import ConvergenceError, SphericalGrid
 from onofri.stability import (
@@ -43,6 +43,7 @@ from onofri.stability import (
     _degree_weights,
     _distance,
     _g,
+    _polish,
     _scan_weights,
 )
 from onofri.extremals import _ball_point
@@ -862,6 +863,49 @@ def _every_radius(target, l_max, grid):
         if least[-1] < best:
             best, b = least[-1], t * grid.nodes[i]
     return np.array(least), b
+
+
+def _psi_coeffs(l_max, b):
+    # psi_b's band-l_max coefficients g_l(t) Y_lm(b / t), t = |b|, without the constant
+    t = np.linalg.norm(b)
+    c = _g(l_max, t)[0][_layout(l_max).degrees] * _basis_point(b / t, l_max)
+    c[0] = 0.0
+    return c
+
+
+def _least_node(target, l_max, grid, t):
+    # d - E(u) at radius t on every node of grid, synthesized as the scan
+    # synthesizes it: the least value and its point b
+    l = np.arange(l_max + 1)
+    x = -2.0 * (l * (l + 1) * _g(l_max, t)[0])[_layout(l_max).degrees] * target
+    values = _synthesis(_by_order(x, l_max) @ _grid_table(l_max, grid.cos_theta.tobytes()), grid)
+    i = int(np.argmin(values))
+    return values[i] + _psi_energy(t)[0], t * grid.nodes[i]
+
+
+def test_the_scan_reaches_a_minimizer_past_t_3(grid72):
+    # psi of b = 5 e3 plus 1.575 psi of b = -2 e3, at band 32: d's global
+    # minimizer lies at t = 3.88 on +e3, and a local minimum near -2.5 e3 is
+    # lower than every node at t <= 3 of the first ray, so polished from the
+    # least node of any scanned t <= 3, d ends there, about 1.4 higher.  The
+    # degree-1 test rejects the field, and only the scan's nodes beyond t = 3
+    # find the minimizer: a scan cut to t <= 3 fails here.  d is held to a
+    # dense scan, 240 radii in (0, 6] over the nodes of build_grid(144),
+    # polished by Nelder-Mead from its least node
+    l_max = 32
+    c = _psi_coeffs(l_max, np.array([0.0, 0.0, 5.0])) + 1.575 * _psi_coeffs(l_max, np.array([0.0, 0.0, -2.0]))
+    u = HarmonicField(l_max, c)
+    target = _band_coeffs(u, l_max)
+    assert _degree_one_start(target, float(_degree_weights(l_max)[2] @ (target * target)), l_max) is None
+    result = distance_to_manifold(u, l_max, grid72)
+    assert result.converged and result.start == "scan"
+    assert 3.0 < np.linalg.norm(_ball_of(result.argmin)) < 6.0
+    dense = build_grid(144)
+    start = min((_least_node(target, l_max, dense, t) for t in np.linspace(0.025, 6.0, 240)), key=lambda v: v[0])[1]
+    assert result.distance == pytest.approx(_nelder_mead(u, l_max, start), rel=1e-10)
+    for t in _SCAN_T[_SCAN_T <= 3.0]:
+        b = _least_node(target, l_max, grid72, t)[1]
+        assert _polish(target, b, _distance(target, b, l_max), l_max)[1][1] > result.distance + 1.0
 
 
 def _bound_inputs(rng, l_max, grid, count):
