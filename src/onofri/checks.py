@@ -36,6 +36,7 @@ from . import (
     dirichlet_energy,
     distance_to_manifold,
     euler_lagrange_residual,
+    evaluate_at,
     generator_com,
     generator_mass,
     homomorphism_check,
@@ -61,6 +62,7 @@ from . import (
 )
 from .config import scaled
 from .functionals import _compose
+from .harmonics import _rotated
 from .lorentz import ETA, lorentz_residuals
 from .normalize import transported_com
 from .sampling import (
@@ -146,6 +148,11 @@ def jacobian(rng, policy) -> list[Row]:
     rho = random_rotation(rng)
     chain = t1.compose(t2).jacobian(pts) - t1.jacobian(t2.apply(pts)) * t2.jacobian(pts)
     grid = build_grid(64)
+    # the exact change of frame that transform turns by, under a reflected frame: its sign (-1)^(l+m)
+    field = random_field(rng, 8, 0.5)
+    frame = ConformalMap.from_matrix(random_conformal(rng).mat, reflect=True)._cartan()[2]
+    scattered = np.array([random_unit_vector(rng) for _ in range(20)])
+    moved = evaluate_at(_rotated(field, frame), scattered) - evaluate_at(field, scattered @ frame.T)
     return [
         Row("dilation(2) jacobian at south - 4", abs(dilation(2.0).jacobian(south) - 4.0), scaled(1e-13)),
         Row("dilation(2) jacobian at (1,0,0) - 0.64", abs(dilation(2.0).jacobian([1, 0, 0]) - 0.64), scaled(1e-13)),
@@ -159,6 +166,7 @@ def jacobian(rng, policy) -> list[Row]:
         Row("total mass int J dw == 1", abs(integrate(grid, t1.jacobian(grid.nodes)) - 1.0), scaled(1e-9)),
         Row("area oracle, identity r=0.1",
             abs(jacobian_area_oracle(identity_map(), pts[0], 0.1) - 1.0), scaled(1e-10)),
+        Row("reflected frame change, band 8, vs evaluate_at", np.max(np.abs(moved)), scaled(1e-13)),
     ]
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -53,16 +52,32 @@ def _point_of_spinor(x1: np.ndarray, x2: np.ndarray, n: np.ndarray) -> np.ndarra
     return unit_point(w)
 
 
+def _lift_entries(a: complex, b: complex, c: complex, d: complex) -> tuple[float, ...]:
+    """The sixteen entries, row by row, of the unchecked 4x4 matrix of H -> m H m^H for m = [[a, b], [c, d]], in
+    the (t, q) of ``lorentz.hermitian_of``: column nu is (1/2) tr(E_mu m E_nu m^H), with E = (I, sigma1, -sigma2,
+    sigma3).  Python floats, so a caller that reads a few entries builds no array."""
+    na, nb = (a.real * a.real + a.imag * a.imag) / 2.0, (b.real * b.real + b.imag * b.imag) / 2.0
+    nc, nd = (c.real * c.real + c.imag * c.imag) / 2.0, (d.real * d.real + d.imag * d.imag) / 2.0
+    ab, ac, ad = a * b.conjugate(), a * c.conjugate(), a * d.conjugate()
+    bc, bd, cd = b * c.conjugate(), b * d.conjugate(), c * d.conjugate()
+    return (na + nb + nc + nd, ab.real + cd.real, -(ab.imag + cd.imag), na - nb + nc - nd,
+            ac.real + bd.real, ad.real + bc.real, bc.imag - ad.imag, ac.real - bd.real,
+            ac.imag + bd.imag, ad.imag + bc.imag, ad.real - bc.real, ac.imag - bd.imag,
+            na + nb - nc - nd, ab.real - cd.real, cd.imag - ab.imag, na - nb - nc + nd)
+
+
 def _lift(m: np.ndarray) -> np.ndarray:
-    """The unchecked 4x4 matrix of H -> m H m^H in the (t, q) of ``lorentz.hermitian_of``:
-    column nu is (1/2) tr(E_mu m E_nu m^H), with E = (I, sigma1, -sigma2, sigma3)."""
-    a, b, c, d = m.ravel().tolist()
-    na, nb, nc, nd = ((x.real * x.real + x.imag * x.imag) / 2.0 for x in (a, b, c, d))
-    ab, ac, ad, bc, bd, cd = (x * y.conjugate() for x, y in combinations((a, b, c, d), 2))
-    return np.array([[na + nb + nc + nd, ab.real + cd.real, -(ab.imag + cd.imag), na - nb + nc - nd],
-                     [ac.real + bd.real, ad.real + bc.real, bc.imag - ad.imag, ac.real - bd.real],
-                     [ac.imag + bd.imag, ad.imag + bc.imag, ad.real - bc.real, ac.imag - bd.imag],
-                     [na + nb - nc - nd, ab.real - cd.real, cd.imag - ab.imag, na - nb - nc + nd]])
+    """The unchecked 4x4 lift of a unimodular 2x2 ``m``: :func:`_lift_entries` as one array."""
+    return np.array(_lift_entries(*m.ravel().tolist())).reshape(4, 4)
+
+
+def _frame(entries: tuple[float, ...], flip: float) -> np.ndarray:
+    """The spatial 3x3 block of a lift's ``entries``, its middle column times ``flip`` and each column scaled
+    to unit length, in Python floats."""
+    (a, b, c), (d, e, f), (g, h, i) = entries[5:8], entries[9:12], entries[13:16]
+    b, e, h = flip * b, flip * e, flip * h
+    n1, n2, n3 = (math.sqrt(x * x + y * y + z * z) for x, y, z in ((a, d, g), (b, e, h), (c, f, i)))
+    return np.array([[a / n1, b / n2, c / n3], [d / n1, e / n2, f / n3], [g / n1, h / n2, i / n3]])
 
 
 class ConformalMap:
@@ -134,14 +149,14 @@ class ConformalMap:
     def _cartan(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Factors ``(R_U, lam, O_V)`` with ``self = R_U o dilation(lam) o O_V``, lam >= 1.
 
-        From the SVD M = U diag(s1, 1/s1) V^H: the rotations, acting on column vectors, are the
-        spatial blocks of the lifts of U and V^H (columns renormalized), with a reflected map's
-        conjugation diag(1, -1, 1) folded into O_V.  lam = s1^2 stays accurate where 1/s1 is tiny.
+        From LAPACK's SVD M = U diag(s1, 1/s1) V^H: the rotations, acting on column vectors, are the
+        spatial blocks of the lifts of U and V^H (:func:`_lift_entries`), columns renormalized in Python
+        floats, with a reflected map's conjugation diag(1, -1, 1) folded into O_V.  lam = s1^2 stays
+        accurate where 1/s1 is tiny.
         """
         u, s, vh = np.linalg.svd(self.mat)
-        rot, frame = pair = np.stack([_lift(u)[1:, 1:], _lift(vh)[1:, 1:]])
-        frame[:, 1] *= -1.0 if self.reflect else 1.0
-        pair /= np.linalg.norm(pair, axis=1, keepdims=True)
+        rot = _frame(_lift_entries(*u.ravel().tolist()), 1.0)
+        frame = _frame(_lift_entries(*vh.ravel().tolist()), -1.0 if self.reflect else 1.0)
         return rot, max(float(s[0]) ** 2, 1.0), frame
 
     def plane_image(self, z):

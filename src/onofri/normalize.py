@@ -22,12 +22,14 @@ it finds the zero in lambda of the third center-of-mass component of
 L^{-1} m, which is strictly decreasing (it equals A/lambda - B*lambda with
 A, B > 0 up to a positive factor) and so a tanh-like function of ln lambda.
 Regula falsi in ln lambda with the Illinois modification finds it on
-[1e-6, 1e6].  Its steps use the unchecked ``mobius._lift``; the SO+(1,3) check of
-``lorentz_lift`` runs once on the map of the returned lambda0, once on ``normalize``'s tau.
+[1e-6, 1e6].  Its steps read the unchecked lift's closed forms, ``mobius._lift_entries``, in
+Python floats; the SO+(1,3) check of ``lorentz_lift`` runs once on the map of the returned
+lambda0, once on ``normalize``'s tau.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -38,7 +40,7 @@ from .config import scaled
 from .functionals import ExpMoments, _compose, _Composition, exp_moments
 from .harmonics import HarmonicField
 from .lorentz import ETA, lorentz_lift
-from .mobius import ConformalMap, _lift
+from .mobius import ConformalMap, _lift_entries
 from .sphere import (
     DEFAULT_POLICY,
     INFINITY,
@@ -60,9 +62,11 @@ _LAMBDA_RANGE = (1e-6, 1e6)
 _SIGNS = np.outer(np.diag(ETA), np.diag(ETA))  # eta L^T eta = _SIGNS * L^T
 
 
+@functools.lru_cache(maxsize=8)
 def _tight(policy: RefinementPolicy) -> RefinementPolicy:
     # The 1e-10 residual contract needs moments quite a bit tighter than the
     # 1e-9 functional-evaluation default; solver errors propagate linearly.
+    # Kept per (frozen, hashable) policy, so a re-centering validates it once.
     return replace(policy, rtol=min(policy.rtol, 1e-12))
 
 
@@ -90,24 +94,29 @@ def _composed_com(comp: _Composition, grid: SphericalGrid) -> np.ndarray:
     return comp.frame.T @ v[1:] / v[0]
 
 
-def _inverse_lift(mat: np.ndarray) -> np.ndarray:
-    """L^{-1} = eta L^T eta, with L the unchecked Lorentz lift of a unimodular 2x2 ``mat``."""
-    return _SIGNS * _lift(mat).T
-
-
 def _four_vector(mom: ExpMoments) -> np.ndarray:
     return np.concatenate([[mom.mass], mom.moment])
 
 
-def _root_find_lambda0(x0: complex, mom: ExpMoments, maxiter: int = 100) -> float:
-    m = _four_vector(mom)
+def _transported_ends(x0: complex, m: tuple[float, ...], lam: float) -> tuple[float, float]:
+    """v0 and v3 of v = L^{-1} m = eta L^T eta m, in Python floats, with L the unchecked lift of
+    ``recentering_map(x0, lam)``'s matrix, bit for bit: numpy divides that one by sqrt(lam) through
+    1/sqrt(lam).  They read columns 0 and 3 of L alone."""
+    r = 1.0 / math.sqrt(lam)
+    lift = _lift_entries(complex(lam * r), x0 * r, 0j, complex(r))
+    m0, m1, m2, m3 = m
+    v0 = lift[0] * m0 - lift[4] * m1 - lift[8] * m2 - lift[12] * m3
+    v3 = -lift[3] * m0 + lift[7] * m1 + lift[11] * m2 + lift[15] * m3
+    return v0, v3
 
-    # g's closure holds m and x0 alone, so the root find keeps nothing node-sized alive.  Its matrix
-    # is recentering_map(x0, lam)'s bit for bit: numpy divides that one by sqrt(lam) through 1/sqrt(lam)
+
+def _root_find_lambda0(x0: complex, mom: ExpMoments, maxiter: int = 100) -> float:
+    m = (float(mom.mass), *mom.moment.tolist())
+
+    # g's closure holds four floats and x0 alone, so the root find keeps nothing node-sized alive
     def g(lam: float) -> float:
-        r = 1.0 / math.sqrt(lam)
-        v = _inverse_lift(np.array([[lam * r, x0 * r], [0.0, r]])) @ m
-        value = float(v[3] / v[0])
+        v0, v3 = _transported_ends(x0, m, lam)
+        value = v3 / v0 if v0 else math.nan
         if not math.isfinite(value):
             raise ConvergenceError(f"root-find objective for lambda0 is {value} at lambda = {lam!r}")
         return value
@@ -159,9 +168,11 @@ def solve_lambda0(
     does.  ``root_find`` transports the same tight moment 4-vector m by the
     Lorentz lift of ``recentering_map(x0, lambda)`` and finds the zero of the
     third center-of-mass component of L^{-1} m by Illinois regula falsi in
-    ln lambda on [1e-6, 1e6], about 11 lifts per root; it checks the
-    closed-form algebra against the map that ``recentering_map`` builds, with
-    no second quadrature.  Raises ConvergenceError if the component has one
+    ln lambda on [1e-6, 1e6], about 11 steps per root.  Each step forms v0 and
+    v3 of v = L^{-1} m = eta L^T eta m from columns 0 and 3 of the lift's
+    closed forms, in Python floats, with no array; it checks the closed-form
+    algebra against the map that ``recentering_map`` builds, with no second
+    quadrature.  Raises ConvergenceError if the component has one
     sign on the whole range, is not finite, or if 100 steps do not converge.
     """
     if method not in ("closed_form", "root_find"):

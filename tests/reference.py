@@ -1,10 +1,14 @@
-"""High-precision references for the tests, on mpmath; the library never imports this module."""
+"""References for the tests: high-precision values on mpmath, and a retired builder kept as an oracle.
+
+The library never imports this module."""
 
 import functools
 import math
 
 import mpmath
 import numpy as np
+
+from onofri.harmonics import _quarter_d
 
 _FIX = 200  # bits after the point of the fixed-point reference basis: 60 digits
 
@@ -77,3 +81,29 @@ def _mp_legendre(l_max, points):
     rows = np.zeros((len(points), l_max + 1, l_max + 1))
     rows[:, m, l] = basis[:, l * l + l + m] / np.where(m > 0, math.sqrt(2.0), 1.0)
     return rows
+
+
+def _padded_turn_stack(l_max):
+    """(l_max + 1, 2 l_max + 1, 2 l_max + 1): the quarter-turn block D of each degree, slots m = -l..l, zero-padded.
+
+    The library's builder before the blocks were packed by class, kept as their oracle: each entry is a
+    d(pi/2) of ``_quarter_d`` times an exact weight, D = Z^T Y^T Z with Z of R_z(pi/2) and Y the real
+    R_y(pi/2).
+    """
+    n = l_max + 1
+    d = _quarter_d(n, np.float64)
+    mu = np.arange(-l_max, l_max + 1)
+    i = np.abs(mu)
+    hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
+    at = (hi * (hi + 1) // 2 + lo) * (n + 1)
+    cosine = (mu >= 0) == (mu % 2 == 0)
+    sign, scale = (-1.0) ** (i[:, None] + i), np.where(i == 0, math.sqrt(0.5), 1.0)
+    turn = np.where(mu % 4 < 2, 1.0, -1.0)
+    signs = np.outer(turn, turn) * np.where(i[:, None] <= i, 1.0, sign)
+    weights = [signs * np.where(np.outer(cosine, cosine), np.outer(scale, scale) * (sign + parity),
+                                np.outer(~cosine, ~cosine) * (sign - parity)) for parity in (1.0, -1.0)]
+    stack = np.zeros((n, 2 * n - 1, 2 * n - 1))
+    for l in range(n):
+        block, centre = slice(2 * l + 1), slice(l_max - l, l_max + l + 1)
+        np.multiply(weights[l % 2][centre, centre], d.take(at[centre, centre] + l), out=stack[l, block, block])
+    return stack

@@ -36,12 +36,12 @@ from onofri.harmonics import (
     _harmonic_slopes,
     _layout,
     _rotated,
-    _turn_stack,
+    _turn,
 )
 from onofri.mobius import _dilated_meridian
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import SphericalGrid, _azimuth_rows, _make_grid, unit_point
-from reference import _mp_basis, _mp_legendre
+from reference import _mp_basis, _mp_legendre, _padded_turn_stack
 
 
 def w3_field():
@@ -659,7 +659,7 @@ def test_coeff_index_layout():
         coeff_index(1, 2)
 
 
-@pytest.mark.parametrize("l_max", [0, 1, 8, 32, 64])
+@pytest.mark.parametrize("l_max", [0, 1, 3, 8, 32, 33, 64, 65])
 def test_frame_change_is_exact(l_max, rng):
     # w -> f(Q w) for orthogonal Q, a rotation and a reflected frame
     u = random_field(rng, l_max, 1.0)
@@ -700,10 +700,11 @@ def _sampled_rotation(f, frame):
     return analyze(GridField(grid, evaluate_at(f, grid.nodes @ frame.T)), f.l_max)
 
 
-@pytest.mark.parametrize("l_max", [0, 1, 2, 8, 32, 64])
+@pytest.mark.parametrize("l_max", [0, 1, 2, 3, 8, 32, 33, 64, 65])
 def test_frame_change_matches_sampled_rotation(l_max, rng):
     # random rotations, pure z-turns, b = pi and b next to 0 and pi, where
-    # the Euler angles a and c are ill-determined, and reflected frames
+    # the Euler angles a and c are ill-determined, and reflected frames; an
+    # odd band fills a class of the turn blocks to their edge
     u = random_field(rng, l_max, 1.0)
     rotations = [_random_frame(rng) for _ in range(3)]
     frames = [np.eye(3), _turn_z(0.7), _turn_z(-2.9), *rotations]
@@ -729,30 +730,49 @@ def test_frame_changes_compose(l_max, rng):
         assert np.max(np.abs(twice.coeffs - _rotated(u, a @ b).coeffs)) <= 1e-13
 
 
+def _class_orders(l_max):
+    # the order at each place r of the classes (m >= 0 even, m > 0 odd, m < 0 even, m < 0 odd) of _turn's stacks
+    r = 2 * np.arange(l_max // 2 + 1)
+    return np.array([r, r + 1, -r, -r - 1])
+
+
 def _block(l_max, l):
-    # the turn block of degree l, read from the band-l_max stack
-    return _turn_stack(l_max)[l, : 2 * l + 1, : 2 * l + 1]
+    # the turn block D of degree l, slots m = -l..l, reassembled from the four
+    # blocks of the band-l_max turn: class c's rows meet class _PARTNER[l % 2][c]'s
+    # columns, and every place past l, and class 2's place 0, is 0
+    blocks = _turn(l_max).blocks.reshape(4, l_max + 1, l_max // 2 + 1, l_max // 2 + 1)[:, l]
+    mu = _class_orders(l_max)
+    held = [(np.abs(row) <= l) & ((np.arange(row.size) > 0) | (c != 2)) for c, row in enumerate(mu)]
+    out = np.full((2 * l + 1, 2 * l + 1), np.nan)
+    for c, p in enumerate(harmonics._PARTNER[l % 2]):
+        rows, cols = mu[c][held[c]] + l, mu[p][held[p]] + l
+        out[np.ix_(rows, cols)] = blocks[c][np.ix_(held[c], held[p])]
+        assert not blocks[c][~held[c]].any() and not blocks[c][:, ~held[p]].any()
+    zero = np.isnan(out)  # the entries that no pair of classes meets
+    out[zero] = 0.0
+    return out
 
 
 def test_turn_blocks_cached_orthogonal_and_lean(rng):
-    # one read-only stack of the blocks per band in a bounded cache; built
-    # with no basis matrix, the band-32 stack takes a fraction of the 19 MB
-    # such a (L+1)^2 x N matrix would hold
-    assert _turn_stack.cache_info().maxsize is not None
-    _turn_stack.cache_clear()
+    # one read-only set of blocks per band in a bounded cache; built with no
+    # basis matrix and no padded stack, the band-32 blocks and their build
+    # take a fraction of the 19 MB such a (L+1)^2 x N matrix would hold
+    assert _turn.cache_info().maxsize is not None
+    _turn.cache_clear()
     tracemalloc.start()
     try:
-        stack = _turn_stack(32)
+        turn = _turn(32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
-    assert _turn_stack(32) is stack and not stack.flags.writeable
-    turn = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    assert peak < 2**20
+    assert _turn(32) is turn and not any(arr.flags.writeable for arr in turn)
+    assert turn.blocks.shape == (2, 2, 33, 17, 17)
+    quarter = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
     pts = rng.normal(size=(40, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     y = np.array([_harmonic_slopes(w, 12)[0][0] for w in pts])
-    y_turned = np.array([_harmonic_slopes(turn @ w, 12)[0][0] for w in pts])
+    y_turned = np.array([_harmonic_slopes(quarter @ w, 12)[0][0] for w in pts])
     for l in range(13):  # Y_l(T w) = D Y_l(w)
         part = slice(l * l, (l + 1) ** 2)
         assert np.max(np.abs(y_turned[:, part] - y[:, part] @ _block(12, l).T)) < 1e-13
@@ -761,16 +781,41 @@ def test_turn_blocks_cached_orthogonal_and_lean(rng):
         assert np.max(np.abs(block @ block.T - np.eye(2 * l + 1))) < 1e-14
 
 
-@pytest.mark.parametrize("l_max", [0, 1, 8, 32])
+@pytest.mark.parametrize("l_max", [0, 1, 2, 3, 8, 32, 33, 64, 65])
 def test_turn_stack_holds_every_block(l_max):
-    # one zero-padded block per degree, in the top-left corner of its matrix,
-    # the same in the stack of every band
-    stack = _turn_stack(l_max)
-    assert stack.shape == (l_max + 1, 2 * l_max + 1, 2 * l_max + 1)
+    # the four blocks of each degree, zero past l and at the empty place,
+    # reassemble bit for bit into the zero-padded stack that was built before
+    # them, and into the same block in every band
+    stack = _padded_turn_stack(l_max)
     for l in range(l_max + 1):
         part = slice(0, 2 * l + 1)
-        assert np.array_equal(stack[l, part, part], _block(64, l))
-        assert not stack[l, part, 2 * l + 1 :].any() and not stack[l, 2 * l + 1 :].any()
+        assert np.array_equal(_block(l_max, l), stack[l, part, part])
+        assert np.array_equal(_block(l_max, l), _block(65, l))
+
+
+def test_rotations_make_no_linalg_call(monkeypatch, rng):
+    # the reflection test and the Euler angles come from the frame's entries in
+    # floats, and the root find's objective from the lift's closed forms: neither
+    # calls numpy.linalg (the root find's one Lorentz check is not a step)
+    u = random_field(rng, 8, 0.5)
+    x0 = normalize(u).x0
+    module = sys.modules["onofri.normalize"]
+    mom = module.exp_moments(u, module._tight(module.DEFAULT_POLICY))
+    frames = [random_conformal(rng)._cartan()[2] for _ in range(3)]
+    frames += [frames[0] @ np.diag([1.0, -1.0, 1.0]), np.eye(3), np.diag([1.0, 1.0, -1.0])]
+    expected = [_rotated(u, frame).coeffs for frame in frames]
+    root = module._root_find_lambda0(x0, mom)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(module, "lorentz_lift", lambda tau: None)
+    for frame, coeffs in zip(frames, expected):
+        assert np.array_equal(_rotated(u, frame).coeffs, coeffs)
+    assert module._root_find_lambda0(x0, mom) == root
 
 
 def test_no_hot_path_calls_evaluate_at(monkeypatch, rng):

@@ -15,6 +15,7 @@ from onofri import (
 )
 from onofri import lorentz
 from onofri.lorentz import ETA
+from onofri.mobius import _lift, _lift_entries
 from onofri.sampling import random_unimodular, random_unit_vector
 
 BOOST_SQRT2 = np.array(
@@ -109,6 +110,16 @@ def test_closed_form_lift_matches_the_loop(rng):
         assert np.max(np.abs(lorentz_lift(a) - ref)) <= 1e-15 * np.max(np.abs(ref)) ** 2
     assert np.array_equal(lorentz_lift(ConformalMap(-1, 0, 0, -1)), np.eye(4))
     assert np.array_equal(lorentz_lift(identity_map()), np.eye(4))
+
+
+def test_lift_is_its_scalar_core(rng):
+    # the sixteen closed forms have one copy: _lift is _lift_entries' floats as one array, bit for bit
+    for _ in range(1000):
+        entries = random_unimodular(rng).mat.ravel().tolist()
+        core = _lift_entries(*entries)
+        assert len(core) == 16 and all(type(x) is float for x in core)
+        lift = _lift(np.array(entries).reshape(2, 2))
+        assert np.array_equal(lift.view(np.int64), np.array(core).reshape(4, 4).view(np.int64))
 
 
 def test_homomorphism(rng):

@@ -37,6 +37,7 @@ from onofri import (
 from onofri.functionals import ExpMoments, _compose
 from onofri.harmonics import _grid_table
 from onofri.lorentz import ETA, lorentz_lift
+from onofri.mobius import _lift
 from onofri.normalize import _composed_com, transported_com
 from onofri.sampling import random_conformal, random_field
 from onofri.sphere import _make_grid
@@ -168,28 +169,77 @@ def test_root_find_brackets_both_directions():
 
 
 def _counting_lifts(monkeypatch):
-    # every objective evaluation lifts one matrix
+    # every objective evaluation lifts one matrix: the entries (a, b, c, d) it reads the lift's closed forms at
     module = importlib.import_module("onofri.normalize")
-    lifted, inverse_lift = [], module._inverse_lift
-    monkeypatch.setattr(module, "_inverse_lift", lambda mat: lifted.append(mat) or inverse_lift(mat))
+    lifted, lift_entries = [], module._lift_entries
+    monkeypatch.setattr(module, "_lift_entries", lambda *mat: lifted.append(mat) or lift_entries(*mat))
     return lifted
+
+
+def _sign_change(x0, m, lam_cf):
+    # the interval where the computed objective changes sign, on the floats lam_cf (1 + k eps), |k| <= 200:
+    # from the least at which it is <= 0 to the greatest at which it is >= 0 (or the other way round)
+    module = importlib.import_module("onofri.normalize")
+    lams = lam_cf * (1.0 + np.arange(-200, 201) * np.finfo(float).eps)
+    values = np.array([v3 / v0 for v0, v3 in (module._transported_ends(x0, m, lam) for lam in lams)])
+    assert values[0] > 0.0 > values[-1]  # the sign changes inside the grid
+    ends = lams[values <= 0.0].min(), lams[values >= 0.0].max()
+    return min(ends), max(ends)
 
 
 def test_root_find_matches_the_closed_form_on_the_lambda0_objective(monkeypatch):
     # 200 recenter fields (band 8, amplitude 0.5) and bands 1-16 at four
-    # amplitudes: the Illinois steps land within 1e-14 of the closed form, in
-    # at most 16 evaluations of the objective, the two ends included
+    # amplitudes, in at most 16 evaluations of the objective, the two ends
+    # included.  The computed objective changes sign on a band of rounding
+    # about its root, 2.6e-14 wide on field 231, where it steps by 8e-15 and
+    # the closed form itself is 6.5e-15 from the exact root of its moments.  So
+    # (a) the Illinois steps land within the stop rule's tolerance of that band:
+    # 1e-15 + 4 eps lambda on the bracket, or one float of ln lambda where a
+    # step rounds onto an end, plus the grid's step eps lambda; and (b) the
+    # closed form lies within 1e-14 of the band
+    module = importlib.import_module("onofri.normalize")
     lifted = _counting_lifts(monkeypatch)
     rng = np.random.default_rng(3001)
     fields = [random_field(rng, 8, 0.5) for _ in range(200)]
     fields += [random_field(rng, band, amp) for band in range(1, 17) for amp in (0.05, 0.5, 1.5, 3.0)]
+    eps = np.finfo(float).eps
     for u in fields:
+        mom = exp_moments(u, module._tight(module.DEFAULT_POLICY))
         x0 = solve_x0(u)
         lam_cf = solve_lambda0(u, x0)
+        lo, hi = _sign_change(x0, (float(mom.mass), *mom.moment.tolist()), lam_cf)
         lifted.clear()
         lam_rf = solve_lambda0(u, x0, method="root_find")
-        assert abs(lam_rf - lam_cf) <= 1e-14 * lam_cf
         assert len(lifted) <= 16
+        tol = 1e-15 + 4 * eps * lam_rf + lam_rf * math.ulp(math.log(lam_rf)) + eps * lam_cf
+        assert lo - tol <= lam_rf <= hi + tol
+        assert max(lo - lam_cf, lam_cf - hi) <= 1e-14 * lam_cf
+
+
+def test_objective_ends_match_the_four_by_four_form(rng):
+    # v0 and v3 of L^{-1} m, from the lift's closed forms in floats, against
+    # eta L^T eta m in numpy, term by term, over the root find's range of lambda
+    module = importlib.import_module("onofri.normalize")
+    eps = np.finfo(float).eps
+    for _ in range(500):
+        x0 = complex(*rng.normal(size=2))
+        lam = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+        com = rng.normal(size=3)
+        m = (1.0, *(com * rng.uniform(0.0, 1.0) / np.linalg.norm(com)).tolist())
+        r = 1.0 / math.sqrt(lam)
+        terms = ETA @ _lift(np.array([[lam * r, x0 * r], [0.0, r]])).T @ ETA * np.array(m)  # v_i = sum_j terms[i, j]
+        for v, i in zip(module._transported_ends(x0, m, lam), (0, 3)):
+            assert abs(v - terms[i].sum()) <= 4 * eps * np.abs(terms[i]).sum()
+
+
+def test_tight_policy_is_kept_per_policy():
+    # the tight copy of a policy is built, and validated, once per distinct policy
+    module = importlib.import_module("onofri.normalize")
+    for policy in (RefinementPolicy(), RefinementPolicy(rtol=1e-14), RefinementPolicy(theta_cap=100, rtol=1e-6)):
+        tight = module._tight(policy)
+        assert module._tight(policy) is tight
+        assert tight.rtol == min(policy.rtol, 1e-12) and tight.theta_cap == policy.theta_cap
+    assert module._tight(RefinementPolicy()) is module._tight(RefinementPolicy(theta_cap=512, rtol=1e-9))
 
 
 def _moments(com) -> ExpMoments:
@@ -224,7 +274,7 @@ def test_root_find_names_a_nonfinite_objective(monkeypatch):
     module = importlib.import_module("onofri.normalize")
     u = random_field(np.random.default_rng(0), 8, 0.5)
     x0 = solve_x0(u)
-    monkeypatch.setattr(module, "_inverse_lift", lambda tau: np.full((4, 4), math.nan))
+    monkeypatch.setattr(module, "_lift_entries", lambda *mat: (math.nan,) * 16)
     with pytest.raises(ConvergenceError, match=r"objective for lambda0 is nan at lambda = 1e-06"):
         solve_lambda0(u, x0, method="root_find")
 
@@ -283,7 +333,7 @@ def test_root_find_steps_build_no_map(monkeypatch):
         lifted.clear()
         with pytest.raises(ConvergenceError, match="no root"):
             solve_lambda0(u, x0, method="root_find")
-        assert np.array_equal(lifted[0], make_map(x0, lam).mat)
+        assert np.array_equal(lifted[0], make_map(x0, lam).mat.ravel())
 
 
 def test_root_find_raises_when_its_root_fails_the_lorentz_check(monkeypatch):
