@@ -401,7 +401,9 @@ def _turn(l_max: int) -> _Turn:
     hi, lo = np.maximum(i, j), np.minimum(i, j)
     at = (hi * (hi + 1) // 2 + lo) * n  # the place of d(hi, lo) at degree 0 in the flattened d; degree l adds l
     blocks = np.empty((4, n, h, h))
-    for start in range(0, n, 2 * _TURN_CHUNK):  # a few degrees of one parity at a time keep the reads of d close
+    # a few degrees of one parity at a time keep the reads of d close and bound the gathered copy of d: one
+    # product per parity built band 64 1.9x slower and peaked 1.6x higher at band 256 (tracemalloc)
+    for start in range(0, n, 2 * _TURN_CHUNK):
         for p in (start, start + 1):
             l = np.arange(p, min(start + 2 * _TURN_CHUNK, n), 2)
             np.multiply(weights[p % 2][:, None], d.take(at[p % 2][:, None] + l[:, None, None]),

@@ -42,8 +42,9 @@ def lorentz_lift(tau: ConformalMap) -> np.ndarray:
     Its sixteen entries are closed forms in the entries of A (``mobius._lift``);
     -A gives the same matrix.  A reflected tau raises ValueError: it reverses
     orientation and has no lift.  Raises ArithmeticError if the result fails the SO+(1,3)
-    invariants beyond a tolerance scaled by the entry magnitudes.  The lambda0 root find
-    steps on the unchecked ``_lift`` and checks its root's map here; ``normalize``, its tau.
+    invariants beyond a tolerance scaled by the entry magnitudes.  The lambda0 root find's
+    steps read the unchecked closed forms, ``mobius._lift_entries``, and check its root's map
+    here; ``normalize``, its tau.
     """
     if tau.reflect:
         raise ValueError("the Lorentz lift is defined for orientation-preserving maps only")
