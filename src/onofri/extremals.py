@@ -18,14 +18,13 @@ of psi's samples is their oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import HarmonicField, Projection, _basis_point, _exact_tail, _layout
+from .harmonics import HarmonicField, Projection, _exact_tail, _harmonic_slopes, _layout
 from .harmonics import laplacian, synthesize
 from .mobius import ConformalMap, _lift
 from .sphere import (
@@ -217,17 +216,6 @@ class Extremal:
     com: np.ndarray
     normalizer: float
 
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau.to_dict(),
-            "mass": self.mass,
-            "com": [float(x) for x in self.com],
-            "normalizer": self.normalizer,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def build_extremal(tau: ConformalMap) -> Extremal:
     """Mass cosh t, center of mass tanh(t) b/t and normalizer -(1/2) ln cosh t,
@@ -258,7 +246,7 @@ def psi_field(
     t = math.hypot(*b)
     energy, coeffs = _psi_energy(t)[0], np.zeros((l_max + 1) ** 2)
     if t > 0.0:
-        coeffs = _g(l_max, t)[0][_layout(l_max).degrees] * _basis_point(b / t, l_max)
+        coeffs = _g(l_max, t)[0][_layout(l_max).degrees] * _harmonic_slopes(b / t, l_max)[0][0]
     coeffs[0] = e.normalizer - energy / 3.0
     return _exact_tail(HarmonicField(l_max, coeffs), energy, energy, tail_threshold, "psi")
 

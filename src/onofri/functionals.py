@@ -15,7 +15,6 @@ psi = (3/4) ln J + c, which transform() transports fields along.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -156,9 +155,6 @@ class FunctionalReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def chang_gui_report(

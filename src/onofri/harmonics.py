@@ -132,6 +132,8 @@ class HarmonicField:
         """Build a field from a {(l, m): value} mapping."""
         c = np.zeros((l_max + 1) ** 2)
         for (l, m), value in entries.items():
+            if l > l_max:
+                raise ValueError(f"l > l_max for (l, m) = ({l}, {m}) at band {l_max}")
             c[coeff_index(l, m)] = value
         return cls(l_max, c)
 
@@ -140,9 +142,6 @@ class HarmonicField:
         c = np.zeros((l_max + 1) ** 2)
         c[0] = value
         return cls(l_max, c)
-
-    def coeff(self, l: int, m: int) -> float:
-        return float(self.coeffs[coeff_index(l, m)])
 
     def mean(self) -> float:
         """Mean against the normalized measure; equals the (0, 0) coefficient."""
@@ -656,20 +655,6 @@ def _point_rows(l_max: int) -> _PointRows:
     for arr in point:
         arr.setflags(write=False)
     return point
-
-
-def _basis_point(w, l_max: int) -> np.ndarray:
-    """Every Y_lm at one unit vector in flat slot order: row 0 of :func:`_harmonic_slopes`, bit for
-    bit, without the derivatives, from the Legendre rows of degree <= l_max and the azimuth factors.
-
-    The rows come from the band-(l_max + 1) tables that :func:`_harmonic_slopes` reads, as fast a
-    call as band l_max's: the distance search at the same band then builds no second set.
-    """
-    point = _point_rows(l_max)
-    t = min(max(float(w[2]), -1.0), 1.0)
-    values = _legendre_point(l_max + 1, t, math.hypot(w[0], w[1])).take(point.rows[0])
-    values *= point.weights[0]
-    return values * np.exp(point.freq * math.atan2(w[1], w[0])).view(float).take(point.trig[0])
 
 
 def _harmonic_slopes(w, l_max: int) -> tuple[np.ndarray, np.ndarray]:

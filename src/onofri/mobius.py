@@ -12,7 +12,6 @@ stable everywhere.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 
 import numpy as np
@@ -159,15 +158,6 @@ class ConformalMap:
         frame = _frame(_lift_entries(*vh.ravel().tolist()), -1.0 if self.reflect else 1.0)
         return rot, max(float(s[0]) ** 2, 1.0), frame
 
-    def plane_image(self, z):
-        """Action in the stereographic chart; INFINITY is a legal value both ways."""
-        a, b, c, d = self.mat.ravel().tolist()
-        if z is INFINITY:
-            return INFINITY if abs(c) == 0.0 else a / c
-        z = complex(z).conjugate() if self.reflect else complex(z)
-        den = c * z + d
-        return INFINITY if abs(den) == 0.0 else (a * z + b) / den
-
     def compose(self, other: "ConformalMap") -> "ConformalMap":
         """self after other.  Reflect flags add mod 2; a leading reflect
         conjugates the inner matrix (conj o M = conj(M) o conj)."""
@@ -178,18 +168,10 @@ class ConformalMap:
         inv = ConformalMap(self.d, -self.b, -self.c, self.a)
         return ConformalMap.from_matrix(np.conj(inv.mat), True) if self.reflect else inv
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        if self.reflect:
-            return False
-        return bool(np.allclose(self.mat, np.eye(2), rtol=0.0, atol=tol))
-
     def to_dict(self) -> dict:
         d = {key: [z.real, z.imag] for key, z in zip("abcd", self.mat.ravel().tolist())}
         d["reflect"] = self.reflect
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConformalMap":
@@ -201,10 +183,6 @@ class ConformalMap:
         if type(reflect) is not bool:  # "false", 0 or null is not a flag
             raise ValueError(f"reflect must be a JSON boolean, got {reflect!r}")
         return cls(c("a"), c("b"), c("c"), c("d"), reflect)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ConformalMap":
-        return cls.from_dict(json.loads(s))
 
     def __repr__(self):
         entries = ", ".join(f"{key}={z:.6g}" for key, z in zip("abcd", self.mat.ravel().tolist()))

@@ -30,7 +30,6 @@ lambda0, once on ``normalize``'s tau.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -123,7 +122,11 @@ def _root_find_lambda0(x0: complex, mom: ExpMoments, maxiter: int = 100) -> floa
 
     # Regula falsi in eta = ln lambda, Illinois-style (Dowell & Jarratt, BIT 11 (1971) 168): an end
     # that survives two steps in a row has its value halved.  It stops as Brent's method would at
-    # xtol 1e-15 and rtol 4 eps, or where a step rounds onto an end of the eta bracket
+    # xtol 1e-15 and rtol 4 eps, or where a step rounds onto an end of the eta bracket: where adjacent
+    # floats of eta are further apart than that, and also where the halving has shrunk the kept end's
+    # value until the secant no longer moves off the other end.  That bracket can stay wide (4.5e-4
+    # and 5.9e-9 in lambda on two fields of the tests' list), but lambda, the other end, is then in
+    # the band where the computed objective changes sign
     lo, hi = _LAMBDA_RANGE
     f_lo, f_hi = g(lo), g(hi)
     if min(f_lo, f_hi) > 0 or max(f_lo, f_hi) < 0:
@@ -201,9 +204,6 @@ class NormalizationResult:
             "residual_com_norm": self.residual_com_norm,
             "com_error_estimate": self.com_error_estimate,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def transported_com(

@@ -19,7 +19,6 @@ cos(m phi) and sin(m phi), :func:`_azimuth_rows`.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -209,21 +208,6 @@ class SphericalGrid:
             "phi_count": self.phi_count,
             "band_limit_exact": self.band_limit_exact,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
-
-    @classmethod
-    def from_descriptor(cls, d: dict) -> "SphericalGrid":
-        """Regenerate a grid from its serialized descriptor (nodes are never stored)."""
-        g = _make_grid(int(d["theta_count"]), int(d["phi_count"]))
-        if g.band_limit_exact != int(d["band_limit_exact"]):
-            raise ValueError("descriptor band_limit_exact inconsistent with node counts")
-        return g
-
-    @classmethod
-    def from_json(cls, s: str) -> "SphericalGrid":
-        return cls.from_descriptor(json.loads(s))
 
 
 def _ring_nodes(cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -15,10 +15,9 @@ of three points.  psi_b's degree-1 part is g_1(tanh t) Y_1m(b/t) with
 g_1 = E_psi'/6, so the degree-1 part of u names one b in closed form
 (:func:`_degree_one_point`), exact on every band projection of an extremal;
 it is tried where psi there carries at least E(u), which such a projection
-always passes and most other fields fail at a table lookup.  Then a scan
-over t and the grid's nodes, which synthesizes only the t that Unsold's
-bound cannot rule out (see :func:`_best_first`), looks for a node below the
-better of b = 0 and the degree-1 point.  From the best, a Newton polish
+always passes.  Then a scan over t and the grid's nodes, which synthesizes
+only the t that Unsold's bound cannot rule out (see :func:`_best_first`),
+looks for a node below the better of b = 0 and the degree-1 point.  From the best, a Newton polish
 of d runs on its exact Hessian, its eigenvalues taken in absolute value and
 floored, with Armijo backtracking from the full step; :func:`_polish` states
 where it ends.  A saddle can end it too, and the Hessian's least eigenvalue
@@ -40,7 +39,6 @@ band, is reported beside it as ``band_distance``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -265,20 +263,12 @@ def _degree_one_start(c: np.ndarray, energy: float, l_max: int) -> np.ndarray | 
     """c's degree-1 point where psi there carries at least E(u) = ``energy``, else None.
 
     Every band projection of an extremal passes this test, as projection only drops energy; the
-    bound is E(u) (1 - _ENERGY_MARGIN), and b = 0, t = 0's own point, is no candidate.  Most fields
-    fail before any inversion, by a lookup in the scan's cached 2 g_1 and psi energies: the root t
-    is at most the first scanned t whose 2 g_1 reaches 2 |c_1| / sqrt(3), and psi's energy there is
-    at least psi's energy at the root.
+    bound is E(u) (1 - _ENERGY_MARGIN), and b = 0, t = 0's own point, is no candidate.
     """
     if l_max < 1:
         return None
-    floor = energy * (1.0 - _ENERGY_MARGIN)
-    weights, psi_energy = _scan_weights(l_max)
-    i = int(np.searchsorted(weights[:, 0], (2.0 / math.sqrt(3.0)) * math.hypot(c[1], c[2], c[3])))
-    if i < _SCAN_T.size and psi_energy[i] < floor:
-        return None
     b = _degree_one_point(c)
-    if b is None or not b.any() or _psi_energy(math.hypot(*b))[0] < floor:
+    if b is None or not b.any() or _psi_energy(math.hypot(*b))[0] < energy * (1.0 - _ENERGY_MARGIN):
         return None
     return b
 
@@ -461,9 +451,6 @@ class StabilityReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def stability_check(

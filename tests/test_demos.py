@@ -1,9 +1,10 @@
 """Every demo script runs to completion against the current API, no
-library module keeps an import it never uses, and the library reads every
-private name it defines."""
+library module keeps an import it never uses, the library reads every
+private name it defines, and no library method lives for the tests alone."""
 
 import ast
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,20 @@ def test_library_modules_read_every_private_name():
                 read.update(a.name for a in node.names)
     unread = [f"{where} {name}" for name, where in defined.items() if name not in read]
     assert not unread, f"defined but never read: {', '.join(unread)}"
+
+
+def _read_names(tree):
+    return [getattr(n, "attr", None) or n.id for n in ast.walk(tree)
+            if isinstance(n, (ast.Attribute, ast.Name)) and isinstance(n.ctx, ast.Load)]
+
+
+def test_library_methods_have_a_caller():
+    # a method of a library class that no library module, bench script or
+    # demo reads outside its own definition lives for the tests alone
+    trees = {p: ast.parse(p.read_text()) for d in ("src/onofri", "perfbench", "demos") for p in sorted((ROOT / d).glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _read_names(tree))
+    uncalled = [f"{p.name}:{fn.lineno} {cls.name}.{fn.name}" for p, tree in trees.items() if p.parent.name == "onofri"
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+                and reads[fn.name] == _read_names(fn).count(fn.name)]
+    assert not uncalled, f"defined but read only by tests: {', '.join(uncalled)}"

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from dataclasses import replace
 
@@ -449,14 +450,13 @@ def test_dirichlet_invariance(request, rng, make_u, tau, grid_name, l_max, bound
 
 
 def test_report_json(rng):
-    import json
-
     u = random_field(rng, 4, 0.3)
     rep = chang_gui_report(2.0 / 3.0, u)
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
     assert set(d) == {
         "alpha", "energy", "mean", "log_mass", "lorentzian", "value", "grid",
     }
+    assert set(d["grid"]) == {"theta_count", "phi_count", "band_limit_exact"}
 
 
 @functools.lru_cache(maxsize=64)

@@ -31,7 +31,6 @@ from onofri import (
 from onofri import harmonics
 from onofri.functionals import _compose, _Composition
 from onofri.harmonics import (
-    _basis_point,
     _grid_table,
     _harmonic_slopes,
     _layout,
@@ -69,7 +68,7 @@ def test_synthesize_requires_band(grid16):
 def test_analyze_orthonormality(grid16):
     f = HarmonicField.from_entries(5, {(1, 0): 1.0})
     got = analyze(synthesize(f, grid16), 5)
-    assert abs(got.coeff(1, 0) - 1.0) < 1e-13
+    assert abs(got.coeffs[coeff_index(1, 0)] - 1.0) < 1e-13
     others = got.coeffs.copy()
     others[coeff_index(1, 0)] = 0.0
     assert np.max(np.abs(others)) < 1e-12
@@ -77,7 +76,7 @@ def test_analyze_orthonormality(grid16):
 
 def test_analyze_constant(grid16):
     g = GridField(grid16, np.full(grid16.node_count, 2.5))
-    assert abs(analyze(g, 0).coeff(0, 0) - 2.5) < 1e-14
+    assert abs(analyze(g, 0).coeffs[coeff_index(0, 0)] - 2.5) < 1e-14
 
 
 def brute_force_coeff(l, m, samples_fn, n=400):
@@ -105,8 +104,8 @@ def test_analyze_w3_squared(grid16):
     c20 = brute_force_coeff(2, 0, lambda w: w[..., 2] ** 2)
     assert abs(c00 - 1.0 / 3.0) < 1e-13
     assert abs(c20 - 2.0 / (3.0 * math.sqrt(5.0))) < 1e-13
-    assert abs(got.coeff(0, 0) - c00) < 1e-13
-    assert abs(got.coeff(2, 0) - c20) < 1e-13
+    assert abs(got.coeffs[coeff_index(0, 0)] - c00) < 1e-13
+    assert abs(got.coeffs[coeff_index(2, 0)] - c20) < 1e-13
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 9, 32, 64])
@@ -334,8 +333,6 @@ def test_basis_matches_mpmath(rng):
     bound = 16 * (l + 1) * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
     got = np.array([_harmonic_slopes(w, L)[0][0] for w in pts])
     assert np.all(np.abs(got - ref) <= bound)
-    # psi_field's basis alone is the slopes' row 0, bit for bit
-    assert np.array_equal(np.array([_basis_point(w, L) for w in pts]), got)
     # evaluate_at: single harmonics of every order at l = 64, and low degrees
     slots = [coeff_index(64, m) for m in range(-64, 65, 8)] + [coeff_index(64, 1), coeff_index(59, 2)]
     slots += [coeff_index(k, m) for k in (0, 1, 7) for m in (-k, 0, k)]
@@ -657,6 +654,12 @@ def test_coeff_index_layout():
     assert coeff_index(2, -2) == 4
     with pytest.raises(ValueError):
         coeff_index(1, 2)
+
+
+def test_from_entries_names_a_degree_above_the_band():
+    for l_max in (0, 2):  # an entry past the band, not an index past the array
+        with pytest.raises(ValueError, match=rf"\(l, m\) = \(3, 0\) at band {l_max}$"):
+            HarmonicField.from_entries(l_max, {(3, 0): 1.0})
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 3, 8, 32, 33, 64, 65])

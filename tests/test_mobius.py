@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,10 @@ from onofri.sampling import random_conformal, random_unit_vector
 
 SOUTH = np.array([0.0, 0.0, -1.0])
 NORTH = np.array([0.0, 0.0, 1.0])
+
+
+def is_identity(m: ConformalMap, tol: float = 1e-12) -> bool:
+    return not m.reflect and np.allclose(m.mat, np.eye(2), rtol=0.0, atol=tol)
 
 
 def chart_jacobian(m: ConformalMap, z: complex) -> float:
@@ -59,7 +64,7 @@ def test_mobius_normalization():
         lambda: dilation(math.inf),
         lambda: translation(complex(math.inf)),
         # ad - bc overflows to inf, which once scaled the matrix to zero
-        lambda: ConformalMap.from_json('{"a": [1e200, 0], "b": [0, 0], "c": [0, 0], "d": [1e200, 0]}'),
+        lambda: ConformalMap.from_dict({"a": [1e200, 0], "b": [0, 0], "c": [0, 0], "d": [1e200, 0]}),
     ],
     ids=["nan-entry", "infinite-dilation", "infinite-translation", "overflowing-determinant"],
 )
@@ -96,8 +101,8 @@ def test_unimodularity_preserved(a, b, c, d):
 
 
 def test_dilation_examples():
-    assert dilation(1.0).is_identity()
-    assert not dilation(1.00001).is_identity()  # 5e-6 off I, far above the default tol
+    assert is_identity(dilation(1.0))
+    assert not is_identity(dilation(1.00001))  # 5e-6 off I, far above the default tol
     d4 = dilation(4.0)
     assert abs(d4.a - 2.0) < 1e-15 and abs(d4.d - 0.5) < 1e-15
     for lam in (0.3, 1.0, 5.0):
@@ -109,8 +114,8 @@ def test_dilation_examples():
 
 
 def test_translation_examples():
-    assert translation(0j).is_identity()
-    assert translation(stereo_project(SOUTH)).is_identity()
+    assert is_identity(translation(0j))
+    assert is_identity(translation(stereo_project(SOUTH)))
     t = translation(1 + 0j)
     assert np.allclose(t.apply(SOUTH), stereo_inverse(1 + 0j), atol=1e-15)
     p = np.array([1.0, 0.0, 0.0])
@@ -122,7 +127,7 @@ def test_translation_examples():
 
 
 def test_rotation_examples(rng):
-    assert rotation([0, 0, 1], 0.0).is_identity()
+    assert is_identity(rotation([0, 0, 1], 0.0))
     # rotation by pi about the x1-axis is the Mobius map z -> 1/z
     r = rotation([1, 0, 0], math.pi)
     assert np.max(np.abs(np.abs(r.mat) - np.array([[0, 1], [1, 0]]))) < 1e-15
@@ -144,7 +149,7 @@ def test_rotation_examples(rng):
 def test_inversion_examples(rng):
     inv = inversion()
     assert inv.reflect
-    assert inv.compose(inv).is_identity()
+    assert is_identity(inv.compose(inv))
     pts = np.array([random_unit_vector(rng) for _ in range(10)])
     assert np.max(np.abs(inv.jacobian(pts) - 1.0)) < 1e-14
     # the equator |z| = 1 is fixed
@@ -153,7 +158,7 @@ def test_inversion_examples(rng):
     assert abs(abs(z) - 1.0) < 1e-14
     # plane action is x / |x|^2
     z0 = 0.5 + 0.25j
-    img = inv.plane_image(z0)
+    img = stereo_project(inv.apply(stereo_inverse(z0)))
     assert abs(img - z0 / abs(z0) ** 2) < 1e-15
 
 
@@ -180,9 +185,8 @@ def test_apply_pole_cases():
     # the north pole maps through a/c
     img = m.apply(NORTH)
     assert np.allclose(img, stereo_inverse(m.a / m.c), atol=1e-13)
-    assert m.plane_image(INFINITY) == m.a / m.c
-    assert m.plane_image(2 + 0j) is INFINITY
-    assert dilation(2.0).plane_image(INFINITY) is INFINITY
+    # a map with c = 0 fixes the north pole
+    assert np.allclose(dilation(2.0).apply(NORTH), NORTH, atol=1e-15)
 
 
 def test_jacobian_examples(rng):
@@ -291,9 +295,7 @@ def test_chain_rule(rng):
 def test_compose_invert_group_laws(rng):
     taus = [random_conformal(rng, allow_reflect=True) for _ in range(4)]
     for tau in taus:
-        assert tau.compose(tau.inverse()).is_identity(tol=1e-12) or np.allclose(
-            tau.compose(tau.inverse()).mat, np.eye(2), atol=1e-12
-        )
+        assert is_identity(tau.compose(tau.inverse()))
     assert np.allclose(
         dilation(2.0).compose(dilation(3.0)).mat, dilation(6.0).mat
     )
@@ -301,7 +303,7 @@ def test_compose_invert_group_laws(rng):
 
 def test_dilation_group_one_parameter():
     lhs = dilation(2.0).compose(dilation(0.5))
-    assert lhs.is_identity(tol=1e-15)
+    assert is_identity(lhs, tol=1e-15)
 
 
 def test_area_oracle_trivial(rng):
@@ -352,7 +354,7 @@ def test_total_mass_of_jacobian(grid72, rng):
 
 def test_conformal_map_json_round_trip(rng):
     tau = random_conformal(rng, allow_reflect=True)
-    back = ConformalMap.from_json(tau.to_json())
+    back = ConformalMap.from_dict(json.loads(json.dumps(tau.to_dict(), sort_keys=True)))
     assert back.reflect == tau.reflect
     assert np.allclose(back.mat, tau.mat, atol=1e-15)
     d = tau.to_dict()

@@ -227,20 +227,6 @@ def test_cap_area():
         cap_area(3.5)
 
 
-def test_grid_descriptor_round_trip(grid16):
-    from onofri.sphere import SphericalGrid
-
-    clone = SphericalGrid.from_json(grid16.to_json())
-    assert clone.theta_count == grid16.theta_count
-    assert clone.phi_count == grid16.phi_count
-    assert clone.band_limit_exact == grid16.band_limit_exact
-    assert np.array_equal(clone.nodes, grid16.nodes)
-    with pytest.raises(ValueError):
-        SphericalGrid.from_descriptor(
-            {"theta_count": 17, "phi_count": 33, "band_limit_exact": 99}
-        )
-
-
 def test_tol_scale_validation(monkeypatch):
     from onofri.config import tol_scale
 
