@@ -133,8 +133,9 @@ def _ball_point(tau: ConformalMap) -> np.ndarray:
     return -math.asinh(s) / s * q if s > 0.0 else np.zeros(3)
 
 
-def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g_l(tanh t), dg_l/dt and d2g_l/dt2 for l = 0..l_max and t > 0, with g_0 = 0.
+def _g(l_max: int, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g_l(tanh t), dg_l/dt and d2g_l/dt2 for l = 0..l_max and t > 0, with g_0 = 0; for a 1-D array of t,
+    one row per t, each row bit for bit the call at that t alone.
 
     Q_0(coth t) = t, and the Q_n decay like exp(-n xi), xi = acosh(coth t).
     Where they decay over the band (xi (l_max + 2) >= 1) the ratios
@@ -142,7 +143,9 @@ def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     backward from the asymptotic ratio exp(-xi) for 20/xi steps beyond the
     band, so that the error dies out.  Nearer the sphere they barely decay,
     and the forward recurrence loses at most a factor exp(2 xi (l_max + 2))
-    to rounding; so no t costs more than O(l_max) steps.  The derivative
+    to rounding; so no t costs more than O(l_max) steps.  Each t's recurrence
+    runs on Python floats, and g and its derivatives are formed once for all
+    rows.  The derivative
     follows from (2l+1) Q_l = Q'_{l+1} - Q'_{l-1} and coth' = -1/sinh^2: it is
     (3/2) (z^2 - 1) Q_l(z), z = coth t, and with (z^2 - 1) Q'_l = l (z Q_l - Q_{l-1})
     the second is -(3/2) (z^2 - 1) ((l + 2) z Q_l - l Q_{l-1}), from the same Q's.
@@ -153,31 +156,37 @@ def _g(l_max: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     psi's energy (9/2)(t coth t - 1) (:func:`_psi_energy`): g_1 = E_psi'/6, which
     the distance search inverts to read an extremal's b from its degree-1 part.
     """
-    z = 1.0 / math.tanh(t)
-    delta = 2.0 * math.exp(-2.0 * t) / -math.expm1(-2.0 * t)  # z - 1, never overflowing
-    xi = math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
-    q = np.empty(l_max + 2)  # Q_0 .. Q_{l_max+1}
-    if xi * (l_max + 2) < 1.0:
-        q[0], q[1] = t, (t - 1.0) + delta * t
-        for n in range(1, l_max + 1):
-            q[n + 1] = ((2 * n + 1) * z * q[n] - n * q[n - 1]) / (n + 1)
-    else:
-        h = math.exp(-xi)
-        for n in range(l_max + 2 + math.ceil(20.0 / xi), 0, -1):
-            h = n / ((2 * n + 1) * z - (n + 1) * h)
-            if n <= l_max + 1:
-                q[n] = h
-        q[0] = 1.0
-        q = t * np.cumprod(q)
+    t = np.asarray(t, dtype=float)
+    q, z, late = [], [], []
+    for i, x in enumerate(t.ravel().tolist()):
+        zx = 1.0 / math.tanh(x)
+        dx = 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)  # z - 1, never overflowing
+        xi = math.log1p(dx + math.sqrt(dx * (2.0 + dx)))
+        qx = [x, (x - 1.0) + dx * x] + [1.0] * l_max  # Q_0 .. Q_{l_max+1}
+        if xi * (l_max + 2) < 1.0:
+            for n in range(1, l_max + 1):
+                qx[n + 1] = ((2 * n + 1) * zx * qx[n] - n * qx[n - 1]) / (n + 1)
+        else:
+            h = math.exp(-xi)
+            for n in range(l_max + 2 + math.ceil(20.0 / xi), 0, -1):
+                h = n / ((2 * n + 1) * zx - (n + 1) * h)
+                if n <= l_max + 1:
+                    qx[n] = h
+            qx[0] = 1.0
+            qx = x * np.array(qx).cumprod()
+        q.append(qx), z.append((zx, dx))
+        if l_max >= 1 and x >= 1.0:
+            late.append((i, 0.75 * (zx - dx * (2.0 + dx) * x)))
+    q, z = np.array(q), np.array(z)
+    z, delta = z[:, :1], z[:, 1:]
     l = np.arange(1, l_max + 1)
-    g, dg = np.zeros(l_max + 1), np.zeros(l_max + 1)
-    g[1:] = -1.5 * (q[2:] - q[:-2]) / (2 * l + 1)
-    dg[1:] = 1.5 * q[1:-1] * delta * (2.0 + delta)  # z^2 - 1 = 1/sinh^2 t
-    if l_max >= 1 and t >= 1.0:
-        g[1] = 0.75 * (z - delta * (2.0 + delta) * t)
-    d2g = np.zeros(l_max + 1)
-    d2g[1:] = -1.5 * delta * (2.0 + delta) * ((l + 2) * z * q[1:-1] - l * q[:-2])
-    return g, dg, d2g
+    g, dg, d2g = np.zeros((3, len(q), l_max + 1))
+    g[:, 1:] = -1.5 * (q[:, 2:] - q[:, :-2]) / (2 * l + 1)
+    dg[:, 1:] = 1.5 * q[:, 1:-1] * delta * (2.0 + delta)  # z^2 - 1 = 1/sinh^2 t
+    d2g[:, 1:] = -1.5 * delta * (2.0 + delta) * ((l + 2) * z * q[:, 1:-1] - l * q[:, :-2])
+    for i, g1 in late:
+        g[i, 1] = g1
+    return (g, dg, d2g) if t.ndim else (g[0], dg[0], d2g[0])
 
 
 @lru_cache(maxsize=1)

@@ -12,6 +12,8 @@ invariant.  A reflected map has no lift: it reverses orientation.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .mobius import ConformalMap, _lift
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+_ETA_UPPER = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0, 0.0, -1.0)  # ETA's entries (i, j), i <= j, row by row
 
 def hermitian_of(v) -> np.ndarray:
     """Encode (t, q) as [[t+q3, q1+i q2], [q1-i q2, t-q3]]; det equals the form."""
@@ -49,7 +52,7 @@ def lorentz_lift(tau: ConformalMap) -> np.ndarray:
     if tau.reflect:
         raise ValueError("the Lorentz lift is defined for orientation-preserving maps only")
     L = _lift(tau.mat)
-    scale = 1.0 + float(np.abs(L).max()) ** 2
+    scale = 1.0 + max(map(abs, L.ravel().tolist())) ** 2
     res = lorentz_residuals(L)
     if res["metric"] > 1e-11 * scale:
         raise ArithmeticError("lift does not preserve the Lorentzian form")
@@ -81,10 +84,17 @@ def lightcone_residual(tau: ConformalMap, w) -> float | np.ndarray:
 
 
 def lorentz_residuals(L: np.ndarray) -> dict:
-    """Defect of the SO+(1,3) invariants, for reporting."""
-    L = np.asarray(L, dtype=float)
-    return {
-        "metric": float(np.max(np.abs(L.T @ ETA @ L - ETA))),
-        "det": float(abs(np.linalg.det(L) - 1.0)),
-        "orthochronous": float(max(0.0, 1.0 - L[0, 0])),
-    }
+    """Defect of the SO+(1,3) invariants.
+
+    In Python floats from the sixteen entries (a 4x4 determinant and two 4x4 products in numpy
+    cost several lifts): L^T ETA L - ETA on and above the diagonal, det L by 2x2 minors, and L00.
+    """
+    e = np.asarray(L, dtype=float).ravel().tolist()
+    columns = (e[0::4], e[1::4], e[2::4], e[3::4])
+    metric = max([abs(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3 - eta) for ((a0, a1, a2, a3), (b0, b1, b2, b3)), eta
+                  in zip(itertools.combinations_with_replacement(columns, 2), _ETA_UPPER)])
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = e
+    det = ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+           + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+           - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    return {"metric": metric, "det": abs(det - 1.0), "orthochronous": max(0.0, 1.0 - a0)}

@@ -152,7 +152,8 @@ def _root_find_lambda0(x0: complex, mom: ExpMoments, maxiter: int = 100) -> floa
 
 def _closed_form_lambda0(x0: complex, mom: ExpMoments) -> float:
     denom = mom.mass - mom.moment[2]
-    numer = 2.0 * mom.mass - (1.0 + abs(x0) ** 2) * denom
+    # 2 m0 - denom as m0 + m3: 1e-15 from the moments' exact root on the root-find test's fields, not 2.7e-14
+    numer = (mom.mass + mom.moment[2]) - abs(x0) ** 2 * denom
     if numer <= 0.0:
         raise ConvergenceError("closed-form numerator for lambda0 is non-positive: quadrature failure")
     return math.sqrt(numer / denom)

@@ -226,8 +226,7 @@ def grad_distance(u: HarmonicField, m: ManifoldPoint, l_max: int) -> float:
 def _scan_weights(l_max: int) -> tuple[np.ndarray, np.ndarray]:
     # per scanned t: l(l+1) g_l for l >= 1, and psi's gradient energy
     l = np.arange(l_max + 1)
-    g = np.array([_g(l_max, t)[0] for t in _SCAN_T])
-    weights = (l * (l + 1) * g)[:, 1:]
+    weights = (l * (l + 1) * _g(l_max, _SCAN_T)[0])[:, 1:]
     energy = np.array([_psi_energy(t)[0] for t in _SCAN_T])
     weights.setflags(write=False)
     energy.setflags(write=False)
@@ -300,13 +299,13 @@ def _best_first(target: np.ndarray, l_max: int, grid: SphericalGrid, bar: float 
     bounds = np.sqrt((2 * np.arange(l_max + 1) + 1) * np.bincount(deg, target * target, l_max + 1))
     reach = 2.0 * (weights @ bounds[1:])
     floor = psi_energy - reach - _SCAN_MARGIN * (1.0 + reach)
-    table = _grid_table(l_max, grid._table_keys[0])
     best, found, scanned = bar, (-1, 0), 0  # t index -1: no node below the bar
     for i in np.argsort(floor, kind="stable"):
         if floor[i] >= best:
             break
         x = np.concatenate(([0.0], -2.0 * weights[i]))[deg] * target
-        values = _synthesis(_by_order(x, l_max) @ table, grid)
+        # the grid's table is built at the first t that passes its floor, not for a scan that synthesizes none
+        values = _synthesis(_by_order(x, l_max) @ _grid_table(l_max, grid._table_keys[0]), grid)
         node = int(np.argmin(values))
         value = float(values[node] + psi_energy[i])
         scanned += 1

@@ -49,6 +49,32 @@ def test_run_time_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+_NO_POLYNOMIAL = """
+import sys
+sys.path.insert(0, SRC)
+import numpy as np
+from onofri import HarmonicField, build_grid, exp_moments, stability_check
+from onofri.sampling import random_field
+
+build_grid(72)
+rng = np.random.default_rng(3)
+print(exp_moments(random_field(rng, 16, 3.0)).grid.theta_count)
+stability_check(random_field(rng, 6, 0.4))
+print(sorted(name for name in sys.modules if name.startswith("numpy.polynomial")))
+"""
+
+
+def test_run_time_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rules come from P_n's cosine series: a fresh process that builds a grid,
+    # the exponential moments of a band-16 field of amplitude 3, whose refinement reaches 129 rows
+    # or more, and a band-6 certificate loads no numpy.polynomial module
+    src = str(Path(onofri.__file__).resolve().parents[1])
+    code = _NO_POLYNOMIAL.replace("SRC", repr(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    rows, loaded = out.stdout.strip().splitlines()
+    assert int(rows) >= 129 and loaded == "[]"
+
+
 @pytest.fixture
 def zero_field_file(tmp_path):
     path = tmp_path / "zero.json"

@@ -103,6 +103,25 @@ def test_lift_raises_on_each_broken_invariant(monkeypatch, broken, message):
         lorentz_lift(identity_map())
 
 
+@pytest.mark.parametrize(
+    "factor, message",
+    [(-1.0, "is not proper orthochronous"), (1.0 + 1e-6, "does not preserve the Lorentzian form")],
+)
+def test_lift_raises_on_a_broken_column_of_a_real_lift(monkeypatch, rng, factor, message):
+    # a spatial column negated keeps the form and turns det to -1; one scaled breaks the form
+    for _ in range(20):
+        tau = random_unimodular(rng)
+        L = _lift(tau.mat)
+        for column in (1, 2, 3):
+            broken = L.copy()
+            broken[:, column] *= factor
+            residuals = lorentz.lorentz_residuals(broken)
+            assert (residuals["metric"] < 1e-11) == (factor < 0.0) and (residuals["det"] > 1.0) == (factor < 0.0)
+            monkeypatch.setattr(lorentz, "_lift", lambda m: broken)
+            with pytest.raises(ArithmeticError, match=message):
+                lorentz_lift(tau)
+
+
 def test_closed_form_lift_matches_the_loop(rng):
     for _ in range(500):
         a = random_unimodular(rng)

@@ -112,30 +112,36 @@ def test_moments_match_integrate(grid48):
         moments(grid48, f[:-1])
 
 
-def _mp_gauss_point(n, x):
-    # Newton from a double node to the 40-digit root of P_n, and its weight
+def _mp_gauss_point(n, x, coeffs):
+    # one Newton step from a double node to the 40-digit root of P_n (it squares a 1e-16 error), and
+    # its weight; coeffs are the recurrence's (2k + 1) / (k + 1) and k / (k + 1) at the working precision
     def pair(x):
         prev, cur = mpmath.mpf(1), x
-        for k in range(1, n):
-            prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        for a, b in coeffs:
+            prev, cur = cur, a * x * cur - b * prev
         return cur, prev
 
     x = mpmath.mpf(x)
-    for _ in range(2):
-        p, q = pair(x)
-        x -= p * (x * x - 1) / (n * (x * p - q))
+    p, q = pair(x)
+    x -= p * (x * x - 1) / (n * (x * p - q))
     p, q = pair(x)
     return x, 2 * (1 - x * x) / (n * (x * p - q)) ** 2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 9, 25, 57, 129, 194])
+# every size the refinement ladders from 25 and from 33 rows build up to 437, and those of
+# build_grid(48), build_grid(72) and build_grid(255)
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 9, 25, 38, 57, 86, 129, 194, 291, 437, 33, 50, 75, 113, 170, 255, 383, 49, 73, 256]
+)
 def test_leggauss_against_mpmath(n):
     t, w = _leggauss(n)
     assert np.all(np.diff(t) > 0)
     assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 4.5e-16
     with mpmath.workdps(40):
-        for k in range((n + 1) // 2):  # the rule is symmetric
-            x, weight = _mp_gauss_point(n, t[k])
+        coeffs = [(mpmath.mpf(2 * k + 1) / (k + 1), mpmath.mpf(k) / (k + 1)) for k in range(1, n)]
+        for k in range(0, (n + 1) // 2, 1 if n <= 256 else 8):  # the rule is symmetric; every eighth node above 256
+            x, weight = _mp_gauss_point(n, t[k], coeffs)
             assert abs(float(x - mpmath.mpf(t[k]))) <= 1e-16
             assert abs(float((mpmath.mpf(w[k]) - weight) / weight)) <= 1e-12
 

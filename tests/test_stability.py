@@ -422,6 +422,26 @@ def test_g_limit_at_the_sphere():
     assert _g(40, 30.0)[0][1:] == pytest.approx(limit, rel=1e-11)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 6, 32, 64])
+def test_g_on_an_array_is_the_calls_at_each_t(l_max):
+    # each row of g, g' and g'' is bit for bit the scalar call: t on both sides of the switch
+    # xi (l_max + 2) = 1 between the forward and the backward recurrence, of t = 1, where g_1
+    # takes its closed form, and at 1e-3 and 30
+    switch = math.atanh(1.0 / math.cosh(1.0 / (l_max + 2)))
+    t = np.array([1e-3, 0.1, switch * (1.0 - 1e-6), switch * (1.0 + 1e-6), 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.5, 30.0])
+    rows = _g(l_max, t)
+    assert all(row.shape == (t.size, l_max + 1) for row in rows)
+    for k, x in enumerate(t):
+        for row, one in zip(rows, _g(l_max, float(x))):
+            assert one.shape == (l_max + 1,) and _same_bits(row[k], one)
+    assert _same_bits(_g(l_max, t[:1])[0], _g(l_max, 1e-3)[0][None])
+
+
 def test_closed_form_psi_coefficients(rng):
     # psi_field's closed form against the quadrature of psi's samples, the mean included; the
     # reference tail is the quadrature's band energy against that of |grad psi|^2, which is
@@ -1002,6 +1022,26 @@ def test_scan_weights_are_read_only():
         weights[0, 0] = 1.0
     with pytest.raises(ValueError):
         energy[0] = 1.0
+
+
+@pytest.mark.parametrize("l_max", [1, 6, 8, 32, 64])
+def test_scan_weights_are_the_calls_at_each_scanned_t(l_max):
+    # one _g call on the scanned t, bit for bit the 60 scalar calls
+    l = np.arange(l_max + 1)
+    weights, energy = _scan_weights(l_max)
+    assert _same_bits(weights, (l * (l + 1) * np.array([_g(l_max, t)[0] for t in _SCAN_T]))[:, 1:])
+    assert _same_bits(energy, np.array([_psi_energy(t)[0] for t in _SCAN_T]))
+
+
+def test_scan_builds_no_grid_table_it_does_not_read():
+    # an extremal's projection synthesizes no scanned t, so its scan builds no table of the grid
+    u = psi_field(build_extremal(rotation(np.array([1.0, 2.0, 2.0]), 0.7).compose(dilation(3.0))), 23).field
+    grid = build_grid(47)
+    before = _grid_table.cache_info()
+    result = distance_to_manifold(u, 23, grid)
+    after = _grid_table.cache_info()
+    assert result.scanned == 0 and result.distance < 1e-12
+    assert after.misses == before.misses
 
 
 def test_distance_reads_no_nodes_or_flat_weights(monkeypatch, grid72):
